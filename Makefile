@@ -26,7 +26,8 @@ build:
 test:
 	$(GO) test -race ./...
 
-# cover reproduces CI's per-package coverage gate.
+# cover is CI's race + per-package coverage-gate step; the gated
+# package list lives only here.
 cover:
 	$(GO) test -race -coverprofile=coverage.out ./...
 	$(GO) run ./tools/covgate -profile coverage.out -min 85 \

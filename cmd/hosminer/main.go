@@ -14,10 +14,12 @@
 //	hosminer -data data.csv -k 5 -tq 0.95 -save mined.snap
 //	hosminer -load mined.snap -index 0   # warm: no rebuild, no relearning
 //
-// Output lists the minimal outlying subspaces with resolved column
-// names, plus search-cost accounting. For a long-lived process that
-// preprocesses once and answers many concurrent queries over HTTP,
-// use hosserve instead.
+// A -point is given in the dataset's raw units: under -normalize (or
+// after -load of a normalized snapshot) it is rescaled with the same
+// column ranges as the data. Output lists the minimal outlying
+// subspaces with resolved column names, plus search-cost accounting.
+// For a long-lived process that preprocesses once and answers many
+// concurrent queries over HTTP, use hosserve instead.
 package main
 
 import (
@@ -79,18 +81,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 		normalize = fs.Bool("normalize", false, "min-max normalize columns before mining")
 		showAll   = fs.Bool("all", false, "also print the full (unfiltered) outlying set size")
 		maxPrint  = fs.Int("max-print", 25, "max minimal subspaces to print")
-		loadState = fs.String("load-state", "", "load preprocessed state (threshold+priors) from this JSON file, skipping learning")
-		saveState = fs.String("save-state", "", "after preprocessing, save state to this JSON file")
 		loadSnap  = fs.String("load", "", "load a .snap snapshot instead of -data: a full snapshot restores dataset+config+state+index wholesale; a dataset-only snapshot supplies just the data")
 		saveSnap  = fs.String("save", "", "after preprocessing, save a full snapshot (dataset+config+state+index) to this .snap file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	explicit := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
 	var m *core.Miner
 	var ds *vector.Dataset
 	var cfg core.Config
+	// normRanges are the raw column ranges behind a normalized dataset
+	// (nil for raw data): -point is rescaled with them, and -save
+	// records them.
+	var normRanges []snapshot.ColumnRange
 	switch {
 	case *dataPath != "" && *loadSnap != "":
 		return fmt.Errorf("use either -data or -load, not both")
@@ -101,18 +107,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
+		normRanges = snap.NormStats
 		if snap.HasState() {
-			// Full snapshot: it fixes threshold, priors, config and index;
-			// flags that would re-derive them are conflicts, the rest are
-			// superseded by the snapshot's own configuration.
-			if *tAbs != 0 || *tq != 0 || *samples != 0 {
-				return fmt.Errorf("-load of a full snapshot conflicts with -t/-tq/-samples (the snapshot supplies threshold and priors)")
-			}
-			if *normalize {
-				return fmt.Errorf("-load conflicts with -normalize (the snapshot holds the dataset exactly as captured)")
-			}
-			if *loadState != "" {
-				return fmt.Errorf("-load conflicts with -load-state (the snapshot already carries the state)")
+			// Full snapshot: it fixes dataset, threshold, priors, config
+			// and index, so every flag that would re-derive one of them is
+			// a conflict when set explicitly — silently ignoring it would
+			// let the caller believe they reconfigured the miner.
+			for _, name := range []string{"t", "tq", "samples", "normalize", "k", "seed", "shards", "backend", "policy", "partitioner"} {
+				if explicit[name] {
+					return fmt.Errorf("-load of a full snapshot conflicts with -%s (the snapshot supplies the dataset and miner configuration)", name)
+				}
 			}
 			if m, err = snap.Restore(); err != nil {
 				return err
@@ -130,31 +134,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	var normRanges []snapshot.ColumnRange
 	if m == nil {
+		var err error
 		if *normalize {
-			norm, stats := ds.MinMaxNormalize()
-			if ds.Columns() != nil {
-				if err := norm.SetColumns(ds.Columns()); err != nil {
-					return err
-				}
+			if normRanges != nil {
+				return fmt.Errorf("-normalize conflicts with -load of an already normalized snapshot")
 			}
-			ds = norm
-			// Keep the raw ranges: a -save of this run must let a
-			// restoring server rebuild the ad-hoc-point transform.
-			normRanges = make([]snapshot.ColumnRange, len(stats))
-			for j, st := range stats {
-				normRanges[j] = snapshot.ColumnRange{Min: st.Min, Max: st.Max}
+			if ds, normRanges, err = snapshot.Normalize(ds); err != nil {
+				return err
 			}
 		}
 
-		var err error
 		cfg = core.Config{K: *k, T: *tAbs, TQuantile: *tq, SampleSize: *samples, Seed: *seed}
-		if *loadState != "" && cfg.T == 0 && cfg.TQuantile == 0 {
-			// The loaded state supplies the real threshold; satisfy config
-			// validation with a placeholder.
-			cfg.T = 1
-		}
 		cfg.ClampSampleSize(ds.N())
 		cfg.Backend, err = core.ParseBackend(*backend)
 		if err != nil {
@@ -173,19 +164,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if m, err = core.NewMiner(ds, cfg); err != nil {
 			return err
 		}
-		if *loadState != "" {
-			if err := m.LoadStateFile(*loadState); err != nil {
-				return err
-			}
-		} else if err := m.Preprocess(); err != nil {
+		if err := m.Preprocess(); err != nil {
 			return err
 		}
-	}
-	if *saveState != "" {
-		if err := m.SaveStateFile(*saveState); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "saved state to %s\n", *saveState)
 	}
 	if *saveSnap != "" {
 		name := strings.TrimSuffix(filepath.Base(*saveSnap), ".snap")
@@ -235,6 +216,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if perr != nil {
 			return perr
 		}
+		if normRanges != nil {
+			point = snapshot.ScalePoint(normRanges, point)
+		}
 		res, err = m.OutlyingSubspaces(point)
 	default:
 		return fmt.Errorf("provide a query: -index N, -point \"v1,v2,...\", -batch \"i,j,...\", or -scan")
@@ -248,13 +232,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 func runScan(w, errw io.Writer, ds *vector.Dataset, m *core.Miner, top, workers int, progress bool) error {
-	opts := core.ScanOptions{SortBySeverity: true, MaxResults: top}
+	// The answers do not depend on the worker count; only wall time does.
+	opts := core.ScanOptions{SortBySeverity: true, MaxResults: top, Workers: workers}
 	if progress {
 		opts.OnProgress = progressPrinter(errw)
 	}
-	// ScanAllParallelContext answers identically to ScanAll at any
-	// worker count; the fan-out only changes wall time.
-	hits, err := m.ScanAllParallelContext(context.Background(), opts, workers)
+	hits, err := m.ScanAll(context.Background(), opts)
 	if progress {
 		// Terminate the \r display before anything else writes to
 		// stderr — including the error report below.

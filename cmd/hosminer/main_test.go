@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"math/rand"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/dataio"
 	"repro/internal/snapshot"
+	"repro/internal/vector"
 )
 
 // writeFixture generates a small planted dataset CSV and returns its
@@ -172,6 +175,9 @@ func TestRunErrors(t *testing.T) {
 		{"-data", path, "-t", "1", "-point", "a,b,c,d"},     // non-numeric
 		{"-data", path, "-t", "1", "-backend", "bogus", "-index", "0"},
 		{"-data", path, "-t", "1", "-policy", "bogus", "-index", "0"},
+		// The JSON state flags are gone; .snap is the one format.
+		{"-data", path, "-t", "1", "-index", "0", "-save-state", "s.json"},
+		{"-data", path, "-t", "1", "-index", "0", "-load-state", "s.json"},
 	}
 	for i, args := range cases {
 		if err := run(args, &out, &errBuf); err == nil {
@@ -180,41 +186,73 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunStateSaveAndLoad(t *testing.T) {
-	path := writeFixture(t)
-	statePath := filepath.Join(t.TempDir(), "state.json")
-	var out1, errBuf bytes.Buffer
-	err := run([]string{"-data", path, "-k", "4", "-tq", "0.95", "-samples", "8",
-		"-index", "0", "-save-state", statePath}, &out1, &errBuf)
+// writeOffsetFixture writes a 300x3 CSV whose columns sit near 100,
+// 500 and 10 in raw units — far outside [0,1], so a raw-unit point
+// compared against the normalized data without rescaling looks
+// maximally distant in every subspace.
+func writeOffsetFixture(t *testing.T) (string, *vector.Dataset) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	rows := make([][]float64, 300)
+	for i := range rows {
+		rows[i] = []float64{100 + rng.NormFloat64()*3, 500 + rng.NormFloat64()*20, 10 + rng.NormFloat64()}
+	}
+	ds, err := vector.FromRows(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(errBuf.String(), "saved state") {
-		t.Fatalf("stderr: %s", errBuf.String())
-	}
-	// Re-run loading the state (no threshold flags needed).
-	var out2, errBuf2 bytes.Buffer
-	err = run([]string{"-data", path, "-k", "4", "-index", "0",
-		"-load-state", statePath}, &out2, &errBuf2)
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "offset.csv")
+	if err := dataio.SaveFile(path, ds); err != nil {
 		t.Fatal(err)
 	}
-	// Identical answers: both outputs list the same minimal subspaces.
-	pick := func(s string) string {
-		idx := strings.Index(s, "minimal outlying")
+	return path, ds
+}
+
+// TestRunNormalizedPointMatchesScaledData is the regression test for
+// -normalize -point comparing a raw-unit point against [0,1]-scaled
+// data: the answer must equal the one for the min-max-scaled CSV
+// queried with the point scaled by the same column ranges — on the
+// fresh path and after -load of a normalized snapshot.
+func TestRunNormalizedPointMatchesScaledData(t *testing.T) {
+	rawPath, raw := writeOffsetFixture(t)
+	p := []float64{100, 500, 10}
+	stats := raw.Stats()
+	scaled := make([]string, len(p))
+	for j, v := range p {
+		scaled[j] = strconv.FormatFloat((v-stats[j].Min)/(stats[j].Max-stats[j].Min), 'g', -1, 64)
+	}
+	norm, _ := raw.MinMaxNormalize()
+	scaledPath := filepath.Join(t.TempDir(), "scaled.csv")
+	if err := dataio.SaveFile(scaledPath, norm); err != nil {
+		t.Fatal(err)
+	}
+	query := func(args ...string) string {
+		t.Helper()
+		var out, errBuf bytes.Buffer
+		if err := run(args, &out, &errBuf); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		s := out.String()
+		idx := strings.Index(s, "the point is not")
 		if idx < 0 {
-			t.Fatalf("no results in output:\n%s", s)
+			idx = strings.Index(s, "minimal outlying")
+		}
+		if idx < 0 {
+			t.Fatalf("no results in output of %v:\n%s", args, s)
 		}
 		return s[idx:]
 	}
-	if pick(out1.String()) != pick(out2.String()) {
-		t.Fatalf("state round trip changed answers:\n%s\nvs\n%s", out1.String(), out2.String())
+	want := query("-data", scaledPath, "-k", "5", "-tq", "0.95", "-point", strings.Join(scaled, ","))
+	if !strings.Contains(want, "not an outlier") {
+		t.Fatalf("the column-centre point is outlying in the scaled data:\n%s", want)
 	}
-	// Loading a state with a mismatched K must fail.
-	var out3, errBuf3 bytes.Buffer
-	if err := run([]string{"-data", path, "-k", "3", "-index", "0",
-		"-load-state", statePath}, &out3, &errBuf3); err == nil {
-		t.Fatal("mismatched K accepted")
+	raws := "100,500,10"
+	snapPath := filepath.Join(t.TempDir(), "norm.snap")
+	if got := query("-data", rawPath, "-normalize", "-k", "5", "-tq", "0.95", "-point", raws, "-save", snapPath); got != want {
+		t.Fatalf("-normalize -point answered\n%s\nwant (scaled data, scaled point)\n%s", got, want)
+	}
+	if got := query("-load", snapPath, "-point", raws); got != want {
+		t.Fatalf("-load of a normalized snapshot answered\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -286,7 +324,10 @@ func TestRunSnapshotSaveAndLoad(t *testing.T) {
 	}
 
 	// Conflicts.
-	for _, extra := range [][]string{{"-tq", "0.9"}, {"-t", "5"}, {"-samples", "4"}, {"-normalize"}, {"-data", path}} {
+	for _, extra := range [][]string{
+		{"-tq", "0.9"}, {"-t", "5"}, {"-samples", "4"}, {"-normalize"}, {"-data", path},
+		{"-k", "4"}, {"-seed", "1"}, {"-shards", "2"}, {"-backend", "xtree"}, {"-policy", "tsf"}, {"-partitioner", "hash"},
+	} {
 		args := append([]string{"-load", snapPath, "-index", "0"}, extra...)
 		var o, e bytes.Buffer
 		if err := run(args, &o, &e); err == nil {
@@ -326,5 +367,21 @@ func TestRunDatasetOnlySnapshot(t *testing.T) {
 	}
 	if fromCSV.String() != fromSnap.String() {
 		t.Fatalf("dataset-only snapshot answers differently:\n%s\nvs\n%s", fromCSV.String(), fromSnap.String())
+	}
+	// Data that is already normalized cannot be normalized again: its
+	// points would be rescaled by the wrong ranges.
+	norm, ranges, err := snapshot.Normalize(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err = snapshot.FromDataset("normed", snapshot.Provenance{Normalized: true}, norm); err != nil {
+		t.Fatal(err)
+	}
+	s.NormStats = ranges
+	if err := dataio.SaveSnapshot(snapPath, s); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-load", snapPath, "-normalize", "-k", "4", "-tq", "0.95", "-index", "2"}, &fromSnap, &errBuf); err == nil {
+		t.Fatal("-normalize accepted on an already normalized snapshot")
 	}
 }

@@ -1,14 +1,14 @@
 // Command hosserve exposes HOS-Miner as a long-lived HTTP/JSON
 // service: load a dataset once, preprocess once (X-tree indexing,
-// threshold resolution, §3.2 learning — or import a saved state), and
-// answer concurrent outlying-subspace queries until shut down.
+// threshold resolution, §3.2 learning — or restore all of it from a
+// snapshot), and answer concurrent outlying-subspace queries until
+// shut down.
 //
 // Usage:
 //
 //	hosserve -data data.csv -k 5 -tq 0.95 -addr :8080
 //	hosserve -gen synthetic -n 2000 -d 8 -k 5 -tq 0.95
 //	hosserve -gen synthetic -n 20000 -d 8 -k 5 -tq 0.95 -shards 4
-//	hosserve -gen nba -n 500 -k 6 -tq 0.97 -load-state state.json
 //	hosserve -gen synthetic -n 20000 -d 8 -k 5 -tq 0.95 -data-dir ./snaps
 //	hosserve -data-dir ./snaps   # warm restart: default.snap + background warm start
 //
@@ -17,8 +17,9 @@
 // README.md for a curl transcript):
 //
 //	POST /query          {"index": 3} or {"point": [..]}, optional "dataset"
-//	POST /scan           {"max_results": 10, ...}, optional "dataset"
-//	POST /jobs/scan      the same body, run asynchronously → job id
+//	POST /scan           {"max_results": 10, ...}, optional "dataset";
+//	                     runs as a job and waits for it
+//	POST /jobs/scan      the same body, answered at once → job id
 //	GET  /jobs/{id}      poll job status/progress; DELETE cancels
 //	POST /batch          {"items": [...]}, optional "dataset"
 //	GET  /datasets       registry listing with shard topology
@@ -37,7 +38,6 @@
 //	                     ({"max_age": "24h", "max_rows": 100000})
 //	POST /datasets/{name}/compact
 //	                     fold the dataset's WAL into a fresh snapshot
-//	GET  /state          export preprocessed state (?dataset=name)
 //	GET  /healthz        liveness + default dataset summary
 //	GET  /stats          query counts, cache hits, latency percentiles,
 //	                     per-dataset and per-shard counters
@@ -66,6 +66,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dataio"
+	"repro/internal/overload"
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/snapshot"
@@ -92,12 +93,10 @@ type cliConfig struct {
 	deviants  int
 	normalize bool
 
-	miner     core.Config
-	loadState string
-	saveState string
-	dataDir   string
-	debug     bool
-	jobDrain  time.Duration
+	miner    core.Config
+	dataDir  string
+	debug    bool
+	jobDrain time.Duration
 
 	// explicit records which flags the operator actually set (not
 	// defaults), so the snapshot-restore path can reject flags it
@@ -123,12 +122,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if e := m.ShardEngine(); e != nil {
 		fmt.Fprintf(stdout, "sharding: %d shards (%s partitioner), sizes %v\n",
 			e.NumShards(), e.Config().Partitioner, e.ShardSizes())
-	}
-	if cc.saveState != "" {
-		if err := m.SaveStateFile(cc.saveState); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "saved state to %s\n", cc.saveState)
 	}
 
 	if cc.pprofAddr != "" {
@@ -178,7 +171,7 @@ func parseFlags(args []string, stderr io.Writer) (*cliConfig, error) {
 	fs.SetOutput(stderr)
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "hosserve — serve concurrent outlying-subspace queries over HTTP/JSON.")
-		fmt.Fprintln(stderr, "Endpoints: POST /query, /batch, /scan, /jobs/scan (async), /datasets/load, /datasets/evict; GET /jobs, /jobs/{id}, /datasets, /state, /healthz, /stats (see README.md).")
+		fmt.Fprintln(stderr, "Endpoints: POST /query, /batch, /scan, /jobs/scan (async), /datasets/load, /datasets/evict; GET /jobs, /jobs/{id}, /datasets, /healthz, /stats (see README.md).")
 		fmt.Fprintln(stderr, "See also: hosminer (one-shot queries), hosgen (datasets), hosbench (experiments).")
 		fmt.Fprintln(stderr, "Flags:")
 		fs.PrintDefaults()
@@ -203,8 +196,6 @@ func parseFlags(args []string, stderr io.Writer) (*cliConfig, error) {
 	fs.IntVar(&cc.miner.Shards, "shards", 0, "partition the dataset across N scatter-gather shards (0 = single index)")
 	fs.StringVar(&partitioner, "partitioner", "roundrobin", "with -shards: row assignment, roundrobin|hash")
 	fs.StringVar(&policy, "policy", "tsf", "search order: tsf|bottomup|topdown|random")
-	fs.StringVar(&cc.loadState, "load-state", "", "import preprocessed state (threshold+priors) from this JSON file, skipping learning")
-	fs.StringVar(&cc.saveState, "save-state", "", "after preprocessing, save state to this JSON file")
 	fs.StringVar(&cc.dataDir, "data-dir", "", "snapshot directory: warm-start every *.snap in it at boot (background jobs), enable POST /datasets/{name}/save and file loads; with no -data/-gen, serve default.snap from it as the default dataset")
 	fs.BoolVar(&cc.srv.WAL, "wal", true, "with -data-dir: write-ahead log live mutations (POST /datasets/{name}/append, DELETE .../rows) beside each snapshot and replay the log on restart")
 	fs.StringVar(&walSync, "wal-sync", "batch", "WAL fsync policy: batch (one fsync per coalesced append batch), always (fsync every record; durable through power loss), or interval=<duration> (time-coalesced; may lose acknowledged mutations inside the window)")
@@ -214,17 +205,17 @@ func parseFlags(args []string, stderr io.Writer) (*cliConfig, error) {
 	fs.DurationVar(&cc.srv.RetentionInterval, "retention-interval", 0, "cadence of the background retention sweeper (default 30s)")
 	fs.IntVar(&cc.srv.CacheSize, "cache", 0, "LRU result-cache entries (0 = default 1024, negative disables)")
 	fs.DurationVar(&cc.srv.QueryTimeout, "query-timeout", 0, "per-query deadline (default 10s)")
-	fs.DurationVar(&cc.srv.ScanTimeout, "scan-timeout", 0, "per-scan deadline (default 2m)")
+	fs.DurationVar(&cc.srv.ScanTimeout, "scan-timeout", 0, "how long POST /scan waits for its scan job before cancelling it (default 2m)")
 	fs.Int64Var(&cc.srv.MaxBodyBytes, "max-body", 0, "request body limit in bytes (default 1 MiB)")
 	fs.IntVar(&cc.srv.ScanWorkers, "scan-workers", 0, "scan worker pool size (default GOMAXPROCS)")
 	fs.IntVar(&cc.srv.MaxScanResults, "max-scan-results", 0, "cap on hits per /scan (default 1000)")
-	fs.IntVar(&cc.srv.MaxConcurrentQueries, "max-queries", 0, "cap on concurrently computing queries (default 4x GOMAXPROCS)")
+	fs.IntVar(&cc.srv.Overload.ClassCaps[overload.Interactive], "max-queries", 0, "per-dataset cap on concurrently computing queries (default 4x GOMAXPROCS)")
 	fs.IntVar(&cc.srv.MaxDatasets, "max-datasets", 0, "cap on registry size incl. the startup dataset (default 8)")
-	fs.IntVar(&cc.srv.JobQueueDepth, "job-queue", 0, "async scan-job queue depth; a full queue answers 429 + Retry-After (default 8)")
-	fs.IntVar(&cc.srv.JobWorkers, "job-workers", 0, "async scan-job worker pool size (default 1)")
-	fs.DurationVar(&cc.srv.JobResultTTL, "job-ttl", 0, "retention of finished async job results (default 15m)")
-	fs.DurationVar(&cc.srv.JobTimeout, "job-timeout", 0, "runaway backstop per async job (default 30m, negative disables)")
-	fs.DurationVar(&cc.jobDrain, "job-drain", 30*time.Second, "on shutdown, how long queued/running async jobs may finish before being cancelled")
+	fs.IntVar(&cc.srv.JobQueueDepth, "job-queue", 0, "job queue depth; a full queue answers /scan and /jobs/scan with 429 + Retry-After (default 8)")
+	fs.IntVar(&cc.srv.JobWorkers, "job-workers", 0, "job worker pool size, shared by every scan, compaction, retention sweep and warm start (default 1)")
+	fs.DurationVar(&cc.srv.JobResultTTL, "job-ttl", 0, "retention of finished job results (default 15m)")
+	fs.DurationVar(&cc.srv.JobTimeout, "job-timeout", 0, "runaway backstop per scan job (default 30m, negative disables)")
+	fs.DurationVar(&cc.jobDrain, "job-drain", 30*time.Second, "on shutdown, how long queued/running jobs may finish before being cancelled")
 	fs.DurationVar(&cc.srv.Overload.Window, "breaker-window", 0, "per-dataset circuit-breaker outcome window (default 10s)")
 	fs.DurationVar(&cc.srv.Overload.CoolDown, "breaker-cooldown", 0, "how long an open breaker rejects before half-open probing (default 5s)")
 	fs.Float64Var(&cc.srv.Overload.FailureRatio, "breaker-ratio", 0, "error+timeout ratio that trips a dataset's breaker (default 0.5)")
@@ -232,7 +223,7 @@ func parseFlags(args []string, stderr io.Writer) (*cliConfig, error) {
 	fs.IntVar(&cc.srv.Overload.MinLimit, "limit-min", 0, "floor of the per-dataset adaptive concurrency limit (default 1)")
 	fs.IntVar(&cc.srv.Overload.MaxLimit, "limit-max", 0, "ceiling of the per-dataset adaptive concurrency limit (default: sum of the class caps)")
 	fs.DurationVar(&cc.srv.Overload.TargetP99, "target-p99", 0, "query p99 the AIMD limiter defends per dataset (default query-timeout/2)")
-	fs.BoolVar(&cc.debug, "debug", false, "log debug-level serving events (abandoned scans, job lifecycle)")
+	fs.BoolVar(&cc.debug, "debug", false, "log debug-level serving events (job lifecycle, saves, warm start)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -255,9 +246,9 @@ func parseFlags(args []string, stderr io.Writer) (*cliConfig, error) {
 }
 
 // setup loads or generates the dataset (or restores it from a
-// snapshot), builds and preprocesses the miner (or imports state),
-// wraps it in a server and warm-starts any remaining snapshots in
-// -data-dir; stderr receives debug-level serving events under -debug.
+// snapshot), builds and preprocesses the miner, wraps it in a server
+// and warm-starts any remaining snapshots in -data-dir; stderr
+// receives debug-level serving events under -debug.
 func setup(cc *cliConfig, stderr io.Writer) (*server.Server, *vector.Dataset, *core.Miner, error) {
 	cc.srv.DataDir = cc.dataDir
 	// With no dataset source but a data dir holding default.snap, the
@@ -277,52 +268,18 @@ func setup(cc *cliConfig, stderr io.Writer) (*server.Server, *vector.Dataset, *c
 		Normalized: cc.normalize, CreatedUnix: time.Now().Unix(),
 	}
 	if cc.normalize {
-		norm, stats := ds.MinMaxNormalize()
-		if ds.Columns() != nil {
-			if err := norm.SetColumns(ds.Columns()); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-		ds = norm
-		// Ad-hoc /query points arrive in raw units; rescale them the
-		// same way the dataset was, or every client vector would look
-		// maximally distant from the [0,1]-scaled data.
-		cc.srv.PointTransform = func(p []float64) []float64 {
-			out := make([]float64, len(p))
-			for j, v := range p {
-				if span := stats[j].Max - stats[j].Min; span > 0 {
-					out[j] = (v - stats[j].Min) / span
-				}
-			}
-			return out
-		}
-		// And record the raw ranges so a snapshot of this dataset can
-		// rebuild the same transform after a restart.
-		cc.srv.NormStats = make([]snapshot.ColumnRange, len(stats))
-		for j, st := range stats {
-			cc.srv.NormStats[j] = snapshot.ColumnRange{Min: st.Min, Max: st.Max}
+		// The server rescales raw-unit ad-hoc points and appended rows
+		// with the recorded ranges, and a snapshot of this dataset
+		// carries them across a restart.
+		if ds, cc.srv.NormStats, err = snapshot.Normalize(ds); err != nil {
+			return nil, nil, nil, err
 		}
 	}
 	cfg := cc.miner
-	if cc.loadState != "" {
-		if cfg.T != 0 || cfg.TQuantile != 0 || cfg.SampleSize != 0 {
-			// The loaded state supplies threshold and priors; silently
-			// ignoring explicit flags would mislead the operator.
-			return nil, nil, nil, fmt.Errorf("-load-state conflicts with -t/-tq/-samples (the state file supplies threshold and priors)")
-		}
-		// Satisfy config validation with a placeholder; ImportState
-		// installs the real threshold.
-		cfg.T = 1
-	}
 	cfg.ClampSampleSize(ds.N())
 	m, err := core.NewMiner(ds, cfg)
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	if cc.loadState != "" {
-		if err := m.LoadStateFile(cc.loadState); err != nil {
-			return nil, nil, nil, err
-		}
 	}
 	if cc.debug {
 		// The injected stderr, not the process-global logger: run()'s
@@ -330,7 +287,7 @@ func setup(cc *cliConfig, stderr io.Writer) (*server.Server, *vector.Dataset, *c
 		// servers in one process) capture their own debug stream.
 		cc.srv.Logf = log.New(stderr, "", log.LstdFlags).Printf
 	}
-	srv, err := server.New(m, cc.srv) // runs Preprocess when state was not imported
+	srv, err := server.New(m, cc.srv) // runs Preprocess
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -350,7 +307,7 @@ func setupFromSnapshot(cc *cliConfig, stderr io.Writer) (*server.Server, *vector
 	// let them believe they reconfigured a service that is in fact
 	// serving the snapshot's original topology.
 	for _, name := range []string{"t", "tq", "samples", "k", "seed", "shards", "backend", "policy", "partitioner",
-		"n", "d", "outliers", "deviants", "normalize", "load-state"} {
+		"n", "d", "outliers", "deviants", "normalize"} {
 		if cc.explicit[name] {
 			return nil, nil, nil, fmt.Errorf("-%s conflicts with restoring from %s/default.snap (the snapshot supplies the dataset and miner configuration; use -gen/-data to build fresh instead)", name, cc.dataDir)
 		}
@@ -369,23 +326,10 @@ func setupFromSnapshot(cc *cliConfig, stderr io.Writer) (*server.Server, *vector
 	}
 	fmt.Fprintf(stderr, "restored default dataset from %s (no regeneration)\n", path)
 	cc.srv.Provenance = snap.Provenance
-	// A normalized snapshot carries its raw column ranges; rebuild the
-	// ad-hoc-point transform from them so raw-unit client vectors keep
-	// being rescaled exactly as before the restart.
-	if norm := snap.NormStats; len(norm) > 0 {
-		cc.srv.NormStats = norm
-		cc.srv.PointTransform = func(p []float64) []float64 {
-			out := make([]float64, len(p))
-			for j, v := range p {
-				if j < len(norm) {
-					if span := norm[j].Max - norm[j].Min; span > 0 {
-						out[j] = (v - norm[j].Min) / span
-					}
-				}
-			}
-			return out
-		}
-	}
+	// A normalized snapshot carries its raw column ranges, from which
+	// the server rescales raw-unit client vectors exactly as before
+	// the restart.
+	cc.srv.NormStats = snap.NormStats
 	if cc.debug {
 		cc.srv.Logf = log.New(stderr, "", log.LstdFlags).Printf
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/dataio"
+	"repro/internal/overload"
 	"repro/internal/server"
 )
 
@@ -108,35 +110,6 @@ func TestSetupSharded(t *testing.T) {
 	}
 }
 
-func TestSetupStateRoundTrip(t *testing.T) {
-	path := writeFixture(t)
-	state := filepath.Join(t.TempDir(), "state.json")
-	var errBuf bytes.Buffer
-	cc, err := parseFlags([]string{"-data", path, "-k", "4", "-tq", "0.95"}, &errBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, m, err := setup(cc, &errBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SaveStateFile(state); err != nil {
-		t.Fatal(err)
-	}
-	// A second server imports the state instead of re-learning; no -t
-	// or -tq needed.
-	h := setupFromArgs(t, "-data", path, "-k", "4", "-load-state", state)
-	req := httptest.NewRequest("GET", "/state", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("state after import: status %d", rec.Code)
-	}
-	if m2Threshold := rec.Body.String(); !strings.Contains(m2Threshold, "threshold") {
-		t.Fatalf("state body: %s", m2Threshold)
-	}
-}
-
 func TestNormalizeRescalesAdHocPoints(t *testing.T) {
 	path := writeFixture(t)
 	h := setupFromArgs(t, "-data", path, "-k", "4", "-tq", "0.95", "-normalize")
@@ -169,37 +142,6 @@ func TestNormalizeRescalesAdHocPoints(t *testing.T) {
 	}
 }
 
-func TestLoadStateRejectsConflictingFlags(t *testing.T) {
-	path := writeFixture(t)
-	state := filepath.Join(t.TempDir(), "state.json")
-	var errBuf bytes.Buffer
-	cc, err := parseFlags([]string{"-data", path, "-k", "4", "-tq", "0.95"}, &errBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, m, err := setup(cc, &errBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SaveStateFile(state); err != nil {
-		t.Fatal(err)
-	}
-	for _, extra := range [][]string{
-		{"-tq", "0.99"},
-		{"-t", "3"},
-		{"-samples", "10"},
-	} {
-		args := append([]string{"-data", path, "-k", "4", "-load-state", state}, extra...)
-		cc, err := parseFlags(args, &errBuf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := setup(cc, &errBuf); err == nil || !strings.Contains(err.Error(), "conflicts") {
-			t.Errorf("args %v: want conflict error, got %v", extra, err)
-		}
-	}
-}
-
 func TestSetupErrors(t *testing.T) {
 	fixture := writeFixture(t)
 	cases := [][]string{
@@ -228,11 +170,35 @@ func TestParseFlagErrors(t *testing.T) {
 		{"-policy", "nope"},
 		{"-partitioner", "nope"},
 		{"-bogus"},
+		// The JSON state path is gone: the .snap snapshot is the one
+		// persistence format.
+		{"-load-state", "state.json"},
+		{"-save-state", "state.json"},
 	} {
 		var errBuf bytes.Buffer
 		if _, err := parseFlags(args, &errBuf); err == nil {
 			t.Errorf("args %v: expected flag error", args)
 		}
+	}
+}
+
+// TestMaxQueriesSetsInteractiveCap: -max-queries writes only the
+// interactive class cap, and default flags leave the whole overload
+// config zero, so the server derives its default admission config.
+func TestMaxQueriesSetsInteractiveCap(t *testing.T) {
+	var errBuf bytes.Buffer
+	cc, err := parseFlags(nil, &errBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cc.srv.Overload, overload.Config{}) {
+		t.Fatalf("default flags set overload config %+v, want the zero value", cc.srv.Overload)
+	}
+	if cc, err = parseFlags([]string{"-max-queries", "7"}, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	if got := cc.srv.Overload.ClassCaps; got != [3]int{overload.Interactive: 7} {
+		t.Fatalf("-max-queries 7: class caps %v, want [7 0 0]", got)
 	}
 }
 

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -42,7 +43,7 @@ func main() {
 		ds.N(), ds.Dim(), strings.Join(ds.Columns(), ", "), m.Threshold())
 
 	// --- 1. batch sweep over the history ---------------------------
-	hits, err := m.ScanAll(hosminer.ScanOptions{SortBySeverity: true, MaxResults: 5})
+	hits, err := m.ScanAll(context.Background(), hosminer.ScanOptions{SortBySeverity: true, MaxResults: 5})
 	if err != nil {
 		log.Fatal(err)
 	}

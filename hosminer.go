@@ -109,9 +109,9 @@ type ScanOptions = core.ScanOptions
 // ScanHit is one outlying point found by Miner.ScanAll.
 type ScanHit = core.ScanHit
 
-// State is the serializable preprocessing outcome (threshold +
-// priors); see Miner.ExportState / ImportState and the
-// SaveStateFile / LoadStateFile helpers.
+// State is the preprocessing outcome (threshold + priors); see
+// Miner.ExportState / ImportState. The .snap snapshot (hosminer -save,
+// hosserve -data-dir) is the one on-disk format that carries it.
 type State = core.State
 
 // New builds a Miner for the dataset. Call Preprocess to index and

@@ -222,7 +222,7 @@ func (sp Spec) RestoredMiner(backend core.Backend, policy core.Policy, shards in
 // and renders every hit — index, minimal set, outlying count, severity
 // — as one canonical string per hit.
 func ScanFingerprints(m *core.Miner, workers int) ([]string, error) {
-	hits, err := m.ScanAllParallelContext(context.Background(), core.ScanOptions{SortBySeverity: true}, workers)
+	hits, err := m.ScanAll(context.Background(), core.ScanOptions{Workers: workers, SortBySeverity: true})
 	if err != nil {
 		return nil, err
 	}

@@ -31,98 +31,51 @@ type ScanOptions struct {
 	// SortBySeverity orders hits by descending full-space OD instead
 	// of ascending index.
 	SortBySeverity bool
+	// Workers is the scan fan-out: ≤ 0 selects GOMAXPROCS, and the
+	// count is clamped to the dataset size. Answers do not depend on
+	// it; only wall-clock does.
+	Workers int
 	// OnProgress, when non-nil, is invoked after each point's subspace
 	// search finishes, with the number of points evaluated so far and
 	// the dataset total — the hook an async serving layer uses to
 	// report real scan progress. The done values across all calls cover
-	// 1..total exactly once and never regress, but parallel scans
-	// (including scatter-gather sharded ones) invoke the callback from
-	// their worker goroutines, so calls may be concurrent and may reach
-	// a consumer out of order: consumers should retain the maximum.
-	// The callback must be cheap and safe for concurrent use; it is
-	// not called for points a cancelled scan never evaluated.
+	// 1..total exactly once and never regress, but workers (including
+	// scatter-gather sharded ones) invoke the callback from their own
+	// goroutines, so calls may be concurrent and may reach a consumer
+	// out of order: consumers should retain the maximum. The callback
+	// must be cheap and safe for concurrent use; it is not called for
+	// points a cancelled scan never evaluated.
 	OnProgress func(done, total int)
 }
 
 // ScanAll runs the outlying-subspace query for every dataset point
 // and returns the points with non-empty answer sets — the system-
 // level "detect the outlying subspaces of high-dimensional data"
-// operation. Cost is N times the per-query cost; intended for
-// moderate datasets or offline runs.
-func (m *Miner) ScanAll(opts ScanOptions) ([]ScanHit, error) {
-	return m.ScanAllContext(context.Background(), opts)
-}
-
-// ScanAllContext is ScanAll with cooperative cancellation. The
-// context is checked between points and *within* each point's
-// subspace search (see SearchContext), so cancelling mid-way through
-// a high-dimensional point — whose lattice alone can cost tens of
-// thousands of OD evaluations — returns promptly instead of finishing
-// the point first. On cancellation it returns ctx.Err().
-func (m *Miner) ScanAllContext(ctx context.Context, opts ScanOptions) ([]ScanHit, error) {
-	if err := m.Preprocess(); err != nil {
-		return nil, err
-	}
-	if opts.MaxResults < 0 {
-		return nil, fmt.Errorf("core: MaxResults = %d", opts.MaxResults)
-	}
-	var hits []ScanHit
-	d := m.ds.Dim()
-	n := m.ds.N()
-	fullSpace := subspace.Full(d)
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		q := m.eval.NewQueryForPoint(i)
-		res, err := SearchContext(ctx, q, d, m.threshold, m.priors, m.cfg.Policy, m.rng)
-		if err != nil {
-			return nil, err
-		}
-		if len(res.Outlying) > 0 {
-			hits = append(hits, ScanHit{
-				Index:         i,
-				Minimal:       res.Minimal,
-				OutlyingCount: len(res.Outlying),
-				FullSpaceOD:   m.eval.OD(m.ds.Point(i), fullSpace, i),
-			})
-		}
-		if opts.OnProgress != nil {
-			opts.OnProgress(i+1, n)
-		}
-	}
-	return finishScan(hits, opts), nil
-}
-
-// ScanAllParallel is ScanAll fanned out over a worker pool. Results
-// are identical to ScanAll (answers do not depend on evaluation
-// order); only wall-clock changes. workers ≤ 0 selects GOMAXPROCS.
+// operation. Cost is N times the per-query cost, spread over
+// opts.Workers goroutines.
 //
-// Unlike ScanAll, ScanAllParallel never touches the Miner's shared
-// evaluator or rng — even at workers = 1 it runs on private worker
-// state — so, post-Preprocess, any number of ScanAllParallel and
-// QueryWith calls may run concurrently.
+// ScanAll never touches the Miner's shared evaluator or rng — every
+// worker, even a single one, runs on private state — so, once the
+// Miner is preprocessed, any number of ScanAll and QueryWith calls may
+// run concurrently. A first ScanAll on a fresh Miner runs Preprocess
+// lazily, from the calling goroutine, before the workers fan out.
+//
+// Cancellation is cooperative: workers check ctx between points and
+// inside each point's subspace search (see SearchContext), so a
+// cancelled scan returns ctx.Err() promptly instead of finishing a
+// sweep nobody will read.
 //
 // Note: PolicyRandom queries draw from per-worker deterministic RNGs,
-// so the *work* per query can differ from the sequential run; the
-// answer sets cannot.
-func (m *Miner) ScanAllParallel(opts ScanOptions, workers int) ([]ScanHit, error) {
-	return m.ScanAllParallelContext(context.Background(), opts, workers)
-}
-
-// ScanAllParallelContext is ScanAllParallel with cooperative
-// cancellation: workers check ctx between points and inside each
-// point's subspace search (SearchContext), so the scan returns
-// ctx.Err() promptly once it is cancelled — what lets a serving layer
-// reclaim the cores of an abandoned scan instead of finishing a sweep
-// nobody will read.
-func (m *Miner) ScanAllParallelContext(ctx context.Context, opts ScanOptions, workers int) ([]ScanHit, error) {
+// so the *work* per query can vary with Workers; the answer sets
+// cannot.
+func (m *Miner) ScanAll(ctx context.Context, opts ScanOptions) ([]ScanHit, error) {
 	if err := m.Preprocess(); err != nil {
 		return nil, err
 	}
 	if opts.MaxResults < 0 {
 		return nil, fmt.Errorf("core: MaxResults = %d", opts.MaxResults)
 	}
+	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -3,12 +3,66 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/subspace"
 )
+
+// referenceScan is the whole-dataset sweep computed through the plain
+// query path: OutlyingSubspacesOfPoint over every row, on the Miner's
+// own evaluator, ordered and truncated here rather than by ScanAll's
+// finishing step. ScanAll runs the same per-point search on private
+// worker evaluators, so agreeing with this loop checks it against an
+// independent implementation.
+func referenceScan(t *testing.T, m *Miner, opts ScanOptions) []ScanHit {
+	t.Helper()
+	full := subspace.Full(m.Dataset().Dim())
+	var hits []ScanHit
+	for i := 0; i < m.Dataset().N(); i++ {
+		res, err := m.OutlyingSubspacesOfPoint(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Outlying) == 0 {
+			continue
+		}
+		hits = append(hits, ScanHit{
+			Index:         i,
+			Minimal:       res.Clone().Minimal,
+			OutlyingCount: len(res.Outlying),
+			FullSpaceOD:   m.eval.OD(m.Dataset().Point(i), full, i),
+		})
+	}
+	if opts.SortBySeverity {
+		// Stable over index order: equal severities stay by index.
+		sort.SliceStable(hits, func(a, b int) bool { return hits[a].FullSpaceOD > hits[b].FullSpaceOD })
+	}
+	if opts.MaxResults > 0 && len(hits) > opts.MaxResults {
+		hits = hits[:opts.MaxResults]
+	}
+	return hits
+}
+
+// assertSameHits fails unless got and want agree hit for hit, exact
+// OD bits included.
+func assertSameHits(t *testing.T, label string, got, want []ScanHit) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d hits, reference has %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Index != want[i].Index ||
+			got[i].OutlyingCount != want[i].OutlyingCount ||
+			got[i].FullSpaceOD != want[i].FullSpaceOD ||
+			!masksEqual(got[i].Minimal, want[i].Minimal) {
+			t.Fatalf("%s: hit %d differs:\n got  %+v\n want %+v", label, i, got[i], want[i])
+		}
+	}
+}
 
 func TestScanAllFindsPlantedOutliers(t *testing.T) {
 	planted := subspace.New(0, 2)
@@ -17,7 +71,7 @@ func TestScanAllFindsPlantedOutliers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := m.ScanAll(ScanOptions{})
+	hits, err := m.ScanAll(context.Background(), ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +109,7 @@ func TestScanAllSeverityOrderAndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := m.ScanAll(ScanOptions{SortBySeverity: true, MaxResults: 3})
+	hits, err := m.ScanAll(context.Background(), ScanOptions{SortBySeverity: true, MaxResults: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +130,7 @@ func TestScanAllSeverityOrderAndLimit(t *testing.T) {
 func TestScanAllValidation(t *testing.T) {
 	ds := plantedDataset(t, 55, 40, 3, subspace.New(0))
 	m, _ := NewMiner(ds, Config{K: 3, TQuantile: 0.9, Seed: 1})
-	if _, err := m.ScanAll(ScanOptions{MaxResults: -1}); err == nil {
+	if _, err := m.ScanAll(context.Background(), ScanOptions{MaxResults: -1}); err == nil {
 		t.Fatal("negative MaxResults accepted")
 	}
 }
@@ -84,7 +138,7 @@ func TestScanAllValidation(t *testing.T) {
 func TestScanAllHugeThresholdEmpty(t *testing.T) {
 	ds := plantedDataset(t, 57, 40, 3, subspace.New(0))
 	m, _ := NewMiner(ds, Config{K: 3, T: 1e15, Seed: 1})
-	hits, err := m.ScanAll(ScanOptions{})
+	hits, err := m.ScanAll(context.Background(), ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,27 +154,13 @@ func TestScanAllParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := m.ScanAll(ScanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := referenceScan(t, m, ScanOptions{})
 	for _, workers := range []int{0, 1, 2, 4, 7} {
-		par, err := m.ScanAllParallel(ScanOptions{}, workers)
+		got, err := m.ScanAll(context.Background(), ScanOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(par) != len(seq) {
-			t.Fatalf("workers=%d: %d hits vs %d sequential", workers, len(par), len(seq))
-		}
-		for i := range par {
-			if par[i].Index != seq[i].Index ||
-				par[i].OutlyingCount != seq[i].OutlyingCount ||
-				par[i].FullSpaceOD != seq[i].FullSpaceOD ||
-				!masksEqual(par[i].Minimal, seq[i].Minimal) {
-				t.Fatalf("workers=%d hit %d differs:\n par %+v\n seq %+v",
-					workers, i, par[i], seq[i])
-			}
-		}
+		assertSameHits(t, fmt.Sprintf("workers=%d", workers), got, want)
 	}
 }
 
@@ -131,30 +171,29 @@ func TestScanAllParallelXTreeBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := m.ScanAllParallel(ScanOptions{SortBySeverity: true, MaxResults: 5}, 4)
+	opts := ScanOptions{SortBySeverity: true, MaxResults: 5, Workers: 4}
+	got, err := m.ScanAll(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := m.ScanAll(ScanOptions{SortBySeverity: true, MaxResults: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par) != len(seq) {
-		t.Fatalf("parallel %d vs sequential %d", len(par), len(seq))
-	}
-	for i := range par {
-		if par[i].Index != seq[i].Index {
-			t.Fatalf("hit %d: %d vs %d", i, par[i].Index, seq[i].Index)
-		}
-	}
+	assertSameHits(t, "xtree", got, referenceScan(t, m, opts))
 }
 
+// Workers beyond the dataset size clamp to N (one point per worker)
+// without changing answers; option validation runs at every fan-out.
 func TestScanAllParallelValidation(t *testing.T) {
 	ds := plantedDataset(t, 65, 40, 3, subspace.New(0))
 	m, _ := NewMiner(ds, Config{K: 3, TQuantile: 0.9, Seed: 1})
-	if _, err := m.ScanAllParallel(ScanOptions{MaxResults: -1}, 2); err == nil {
-		t.Fatal("negative MaxResults accepted")
+	for _, workers := range []int{-3, 0, 2, 1000} {
+		if _, err := m.ScanAll(context.Background(), ScanOptions{MaxResults: -1, Workers: workers}); err == nil {
+			t.Fatalf("workers=%d: negative MaxResults accepted", workers)
+		}
 	}
+	got, err := m.ScanAll(context.Background(), ScanOptions{Workers: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameHits(t, "workers=1000", got, referenceScan(t, m, ScanOptions{}))
 }
 
 // midPointScanMiner builds a miner whose per-point search is a full
@@ -175,32 +214,49 @@ func midPointScanMiner(t *testing.T) *Miner {
 	return m
 }
 
-// ScanAllContext must notice cancellation *inside* a point's subspace
-// search, not only at point boundaries. The countdown context expires
-// after a handful of checks — far fewer than one point's sweep makes —
-// so if the scan returns having evaluated anywhere near a full
-// lattice, the mid-point check is broken.
+// countProgress returns an OnProgress hook and a reader of how many
+// points it saw finish.
+func countProgress() (func(done, total int), func() int) {
+	var mu sync.Mutex
+	n := 0
+	return func(done, total int) {
+			mu.Lock()
+			n++
+			mu.Unlock()
+		}, func() int {
+			mu.Lock()
+			defer mu.Unlock()
+			return n
+		}
+}
+
+// ScanAll must notice cancellation *inside* a point's subspace search,
+// not only at point boundaries. The countdown context expires after a
+// handful of checks — far fewer than one point's 16383-subspace sweep
+// makes — so a single worker that finishes even its first point (and
+// reports it) has only been checking between points.
 func TestScanAllContextCancelsMidPoint(t *testing.T) {
 	m := midPointScanMiner(t)
+	hook, finished := countProgress()
 	ctx := newCountdownCtx(8)
-	if _, err := m.ScanAllContext(ctx, ScanOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := m.ScanAll(ctx, ScanOptions{Workers: 1, OnProgress: hook}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	perPoint := int64(1)<<14 - 1
-	if got := m.eval.Evaluations(); got >= perPoint {
-		t.Fatalf("scan performed %d OD evaluations before cancelling; a full first point is %d — cancellation was not mid-point", got, perPoint)
+	if n := finished(); n != 0 {
+		t.Fatalf("scan finished %d point(s) before cancelling — cancellation was not mid-point", n)
 	}
 }
 
 func TestScanAllContextPreCancelled(t *testing.T) {
 	m := midPointScanMiner(t)
+	hook, finished := countProgress()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.ScanAllContext(ctx, ScanOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := m.ScanAll(ctx, ScanOptions{OnProgress: hook}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if got := m.eval.Evaluations(); got != 0 {
-		t.Fatalf("pre-cancelled scan still evaluated %d ODs", got)
+	if n := finished(); n != 0 {
+		t.Fatalf("pre-cancelled scan still finished %d point(s)", n)
 	}
 }
 
@@ -208,7 +264,7 @@ func TestScanAllParallelContextCancelsMidPoint(t *testing.T) {
 	m := midPointScanMiner(t)
 	ctx := newCountdownCtx(8)
 	start := time.Now()
-	if _, err := m.ScanAllParallelContext(ctx, ScanOptions{}, 2); !errors.Is(err, context.Canceled) {
+	if _, err := m.ScanAll(ctx, ScanOptions{Workers: 2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// 8 countdown checks cover well under one point's sweep per
@@ -219,8 +275,8 @@ func TestScanAllParallelContextCancelsMidPoint(t *testing.T) {
 	}
 }
 
-// Sequential scans report progress in strict order: 1..n, each with
-// the dataset total.
+// A single-worker scan reports progress in strict order: 1..n, each
+// with the dataset total.
 func TestScanProgressSequential(t *testing.T) {
 	ds := plantedDataset(t, 67, 50, 3, subspace.New(0))
 	m, err := NewMiner(ds, Config{K: 3, TQuantile: 0.9, Seed: 1})
@@ -228,7 +284,8 @@ func TestScanProgressSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	var calls [][2]int
-	_, err = m.ScanAllContext(context.Background(), ScanOptions{
+	_, err = m.ScanAll(context.Background(), ScanOptions{
+		Workers:    1,
 		OnProgress: func(done, total int) { calls = append(calls, [2]int{done, total}) },
 	})
 	if err != nil {
@@ -254,7 +311,8 @@ func TestScanProgressParallelCoversEveryPoint(t *testing.T) {
 	}
 	var mu sync.Mutex
 	seen := make(map[int]int)
-	_, err = m.ScanAllParallelContext(context.Background(), ScanOptions{
+	_, err = m.ScanAll(context.Background(), ScanOptions{
+		Workers: 4,
 		OnProgress: func(done, total int) {
 			if total != ds.N() {
 				t.Errorf("total = %d, want %d", total, ds.N())
@@ -263,7 +321,7 @@ func TestScanProgressParallelCoversEveryPoint(t *testing.T) {
 			seen[done]++
 			mu.Unlock()
 		},
-	}, 4)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +342,8 @@ func TestScanProgressStopsOnCancel(t *testing.T) {
 	ctx := newCountdownCtx(8)
 	var mu sync.Mutex
 	max := 0
-	_, err := m.ScanAllParallelContext(ctx, ScanOptions{
+	_, err := m.ScanAll(ctx, ScanOptions{
+		Workers: 2,
 		OnProgress: func(done, total int) {
 			mu.Lock()
 			if done > max {
@@ -292,7 +351,7 @@ func TestScanProgressStopsOnCancel(t *testing.T) {
 			}
 			mu.Unlock()
 		},
-	}, 2)
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -301,8 +360,9 @@ func TestScanProgressStopsOnCancel(t *testing.T) {
 	}
 }
 
-// ScanAllContext with an unconstrained context must agree exactly
-// with ScanAll (it *is* ScanAll).
+// A live context that never fires changes nothing: the scan under a
+// cancellable, generously-deadlined context agrees exactly with the
+// background-context scan and with the per-point reference.
 func TestScanAllContextMatchesScanAll(t *testing.T) {
 	planted := subspace.New(0, 2)
 	ds := plantedDataset(t, 52, 90, 4, planted)
@@ -310,20 +370,16 @@ func TestScanAllContextMatchesScanAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := m.ScanAll(ScanOptions{})
+	a, err := m.ScanAll(context.Background(), ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.ScanAllContext(context.Background(), ScanOptions{})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	b, err := m.ScanAll(ctx, ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != len(b) {
-		t.Fatalf("%d hits vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Index != b[i].Index || !masksEqual(a[i].Minimal, b[i].Minimal) {
-			t.Fatalf("hit %d differs", i)
-		}
-	}
+	assertSameHits(t, "live ctx", b, a)
+	assertSameHits(t, "reference", a, referenceScan(t, m, ScanOptions{}))
 }

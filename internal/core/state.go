@@ -1,34 +1,29 @@
 package core
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-)
+import "fmt"
 
-// State is the serializable outcome of preprocessing: the resolved
-// threshold and the learned priors. Persisting it lets a service
-// restart (or a different process) answer queries without re-running
-// the quantile resolution and the §3.2 learning phase, which dominate
-// startup cost on large datasets.
+// State is the outcome of preprocessing: the resolved threshold and
+// the learned priors. internal/snapshot persists it inside a .snap
+// file, which lets a service restart (or a different process) answer
+// queries without re-running the quantile resolution and the §3.2
+// learning phase, which dominate startup cost on large datasets.
 type State struct {
 	// Version guards the format for forward compatibility.
-	Version int `json:"version"`
+	Version int
 	// Dim is the dataset dimensionality the priors were learned for.
-	Dim int `json:"dim"`
+	Dim int
 	// K and Metric echo the OD configuration so mismatched reuse is
 	// rejected.
-	K      int    `json:"k"`
-	Metric string `json:"metric"`
+	K      int
+	Metric string
 	// Threshold is the resolved T.
-	Threshold float64 `json:"threshold"`
+	Threshold float64
 	// PUp/PDown are the query priors (index 0 unused).
-	PUp   []float64 `json:"p_up"`
-	PDown []float64 `json:"p_down"`
+	PUp   []float64
+	PDown []float64
 	// Learned records whether the priors came from learning (vs
 	// uniform).
-	Learned bool `json:"learned"`
+	Learned bool
 }
 
 const stateVersion = 1
@@ -93,47 +88,4 @@ func (m *Miner) ImportState(s *State) error {
 	m.learned = s.Learned
 	m.preprocessed = true
 	return nil
-}
-
-// WriteState serialises the preprocessed state as JSON.
-func (m *Miner) WriteState(w io.Writer) error {
-	s, err := m.ExportState()
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ReadState parses a JSON state and installs it.
-func (m *Miner) ReadState(r io.Reader) error {
-	var s State
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return fmt.Errorf("core: decoding state: %w", err)
-	}
-	return m.ImportState(&s)
-}
-
-// SaveStateFile writes the state to a file.
-func (m *Miner) SaveStateFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := m.WriteState(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadStateFile reads and installs a state file.
-func (m *Miner) LoadStateFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return m.ReadState(f)
 }

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/subspace"
@@ -33,12 +30,9 @@ func TestExportBeforePreprocessFails(t *testing.T) {
 
 func TestStateRoundTripPreservesAnswers(t *testing.T) {
 	m, want := preprocessedMiner(t)
-	var buf bytes.Buffer
-	if err := m.WriteState(&buf); err != nil {
+	st, err := m.ExportState()
+	if err != nil {
 		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "\"threshold\"") {
-		t.Fatalf("state JSON: %s", buf.String())
 	}
 
 	// A fresh miner over the same dataset, no learning configured —
@@ -48,7 +42,7 @@ func TestStateRoundTripPreservesAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m2.ReadState(&buf); err != nil {
+	if err := m2.ImportState(st); err != nil {
 		t.Fatal(err)
 	}
 	if m2.Threshold() != m.Threshold() {
@@ -60,24 +54,6 @@ func TestStateRoundTripPreservesAnswers(t *testing.T) {
 	}
 	if !masksEqual(got.Outlying, want.Outlying) || !masksEqual(got.Minimal, want.Minimal) {
 		t.Fatal("imported state changed answers")
-	}
-}
-
-func TestStateFileRoundTrip(t *testing.T) {
-	m, _ := preprocessedMiner(t)
-	path := filepath.Join(t.TempDir(), "state.json")
-	if err := m.SaveStateFile(path); err != nil {
-		t.Fatal(err)
-	}
-	m2, _ := NewMiner(m.Dataset(), Config{K: 4, T: 1})
-	if err := m2.LoadStateFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if m2.Threshold() != m.Threshold() {
-		t.Fatal("threshold lost in file round trip")
-	}
-	if err := m2.LoadStateFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }
 
@@ -115,12 +91,5 @@ func TestImportStateValidation(t *testing.T) {
 	}
 	if err := m.ImportState(good); err != nil {
 		t.Errorf("valid state rejected: %v", err)
-	}
-}
-
-func TestReadStateBadJSON(t *testing.T) {
-	m, _ := preprocessedMiner(t)
-	if err := m.ReadState(strings.NewReader("{not json")); err == nil {
-		t.Fatal("bad JSON accepted")
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // SHShardScaling measures scatter-gather k-NN throughput against the
 // shard count — the scaling axis behind `hosserve -shards` and the
-// BENCH_3.json trajectory. Each row runs the same query stream
+// shard_speedup the BENCH_n.json reports record. Each row runs the same query stream
 // through a shard.Engine of a different width and reports per-query
 // latency, queries/sec and speedup over the 1-shard engine. On a
 // single-core box speedup hovers near 1 (the fan-out is skipped);

@@ -148,6 +148,9 @@ type job struct {
 	fn     Fn
 	ctx    context.Context
 	cancel context.CancelFunc
+	// term is closed once the job is terminal and the Manager's
+	// counters include it — what Wait blocks on.
+	term chan struct{}
 
 	done, total atomic.Int64
 
@@ -281,6 +284,7 @@ func (m *Manager) Submit(kind string, fn Fn) (Snapshot, error) {
 		fn:      fn,
 		ctx:     ctx,
 		cancel:  cancel,
+		term:    make(chan struct{}),
 		state:   StateQueued,
 		created: m.opts.Clock(),
 	}
@@ -302,6 +306,31 @@ func (m *Manager) Get(id string) (Snapshot, bool) {
 	j, ok := m.jobs[id]
 	if !ok {
 		return Snapshot{}, false
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state == StateDone {
+		j.fetched = true
+	}
+	return j.snapshotLocked(), true
+}
+
+// Wait blocks until the job is terminal or ctx ends, whichever comes
+// first, and returns the job's snapshot at that moment — terminal
+// unless ctx ended first (callers check State.Terminal). Like Get, a
+// done result it returns counts as delivered, so a job whose submitter
+// waits for it never reads as abandoned. ok is false for unknown or
+// already-swept ids.
+func (m *Manager) Wait(ctx context.Context, id string) (Snapshot, bool) {
+	m.mu.Lock()
+	j, ok := m.jobs[id]
+	m.mu.Unlock()
+	if !ok {
+		return Snapshot{}, false
+	}
+	select {
+	case <-j.term:
+	case <-ctx.Done():
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -343,6 +372,7 @@ func (m *Manager) Cancel(id string) (Snapshot, bool) {
 		}
 		m.ctr.Cancelled++
 		m.mu.Unlock()
+		close(j.term)
 	case StateRunning:
 		j.mu.Unlock()
 		j.cancel()
@@ -554,6 +584,7 @@ func (m *Manager) finish(j *job, res any, err error) {
 		}
 	}
 	m.mu.Unlock()
+	close(j.term)
 }
 
 // sweepLocked evicts terminal jobs whose TTL has lapsed, then — the

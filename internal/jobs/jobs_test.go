@@ -568,3 +568,116 @@ func TestRetryAfterNeverBelowOneSecond(t *testing.T) {
 		t.Fatalf("tiny history: RetryAfter = %v, want ≥ 1s", got)
 	}
 }
+
+// TestWaitTerminalFirst: the job lands before the waiter's context
+// ends, so Wait returns the done snapshot with the counters already
+// including it, and the delivered result is never counted abandoned.
+func TestWaitTerminalFirst(t *testing.T) {
+	clock := newFakeClock()
+	m := NewManager(Options{ResultTTL: time.Minute, Clock: clock.now})
+	defer closeNow(t, m)
+	release := make(chan struct{})
+	snap, err := m.Submit("scan", func(ctx context.Context, report func(done, total int)) (any, error) {
+		<-release
+		report(3, 3)
+		return "answer", nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go close(release)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	got, ok := m.Wait(ctx, snap.ID)
+	if !ok || got.State != StateDone || got.Result != "answer" {
+		t.Fatalf("Wait = %+v, ok=%v; want done with the result", got, ok)
+	}
+	if c := m.Counters(); c.Completed != 1 {
+		t.Fatalf("counters after Wait = %+v, want Completed 1", c)
+	}
+	clock.advance(2 * time.Minute)
+	if c := m.Counters(); c.Abandoned != 0 {
+		t.Fatalf("abandoned = %d after the sweep; Wait delivered the result", c.Abandoned)
+	}
+	// A terminal job returns at once, even to an already-ended context.
+	m2 := NewManager(Options{})
+	defer closeNow(t, m2)
+	done, err := m2.Submit("scan", func(ctx context.Context, report func(done, total int)) (any, error) { return 1, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m2, done.ID, StateDone)
+	ended, endNow := context.WithCancel(context.Background())
+	endNow()
+	if got, ok := m2.Wait(ended, done.ID); !ok || got.State != StateDone {
+		t.Fatalf("Wait on a done job = %+v, ok=%v", got, ok)
+	}
+}
+
+// TestWaitContextFirst: the waiter's context ends while the job still
+// runs; Wait returns the non-terminal snapshot and leaves the job
+// alone (cancelling it is the caller's decision).
+func TestWaitContextFirst(t *testing.T) {
+	m := NewManager(Options{})
+	block := make(chan struct{})
+	snap, err := m.Submit("scan", func(ctx context.Context, report func(done, total int)) (any, error) {
+		<-block
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, snap.ID, StateRunning)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	got, ok := m.Wait(ctx, snap.ID)
+	if !ok || got.State != StateRunning {
+		t.Fatalf("Wait past its deadline = %+v, ok=%v; want the running snapshot", got, ok)
+	}
+	close(block)
+	waitState(t, m, snap.ID, StateDone)
+	closeNow(t, m)
+	if _, ok := m.Wait(context.Background(), "scan-999"); ok {
+		t.Fatal("Wait on an unknown id reported ok")
+	}
+}
+
+// TestWaitCancelledWhileQueued: cancelling a queued job wakes its
+// waiter with the cancelled snapshot; the job never runs.
+func TestWaitCancelledWhileQueued(t *testing.T) {
+	m := NewManager(Options{Workers: 1, QueueDepth: 2})
+	block := make(chan struct{})
+	blocker, err := m.Submit("scan", func(ctx context.Context, report func(done, total int)) (any, error) {
+		<-block
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, blocker.ID, StateRunning)
+	queued, err := m.Submit("scan", func(ctx context.Context, report func(done, total int)) (any, error) {
+		t.Error("cancelled queued job ran")
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	woke := make(chan Snapshot, 1)
+	go func() {
+		snap, _ := m.Wait(context.Background(), queued.ID)
+		woke <- snap
+	}()
+	if _, ok := m.Cancel(queued.ID); !ok {
+		t.Fatal("cancel of the queued job failed")
+	}
+	select {
+	case snap := <-woke:
+		if snap.State != StateCancelled || !errors.Is(snap.Err, context.Canceled) {
+			t.Fatalf("waiter woke with %+v, want cancelled", snap)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiter never woke after the queued job was cancelled")
+	}
+	close(block)
+	closeNow(t, m)
+}

@@ -170,9 +170,9 @@ type Config struct {
 	// timeout (default 1s).
 	DecreaseInterval time.Duration
 	// ClassCaps are optional static per-class in-flight ceilings
-	// layered under the adaptive limit (0 = none). The server maps
-	// its MaxConcurrentQueries/Batches/Scans options here, so the
-	// operator's hard resource bounds survive the adaptive layer.
+	// layered under the adaptive limit (0 = none), so an operator's
+	// hard resource bounds survive the adaptive layer. The server
+	// fills zero entries with its own per-class defaults.
 	ClassCaps [3]int
 
 	// Clock substitutes the time source (tests); nil = time.Now.

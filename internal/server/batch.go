@@ -151,9 +151,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				s.shedBreakerOpen(w, d.name, rej)
 				return
 			}
-			w.Header().Set("Retry-After", strconv.Itoa(overload.RetryAfterSeconds(rej.RetryAfter)))
+			retry := overload.RetryAfterSeconds(rej.RetryAfter)
+			w.Header().Set("Retry-After", strconv.Itoa(retry))
 			s.error(w, http.StatusTooManyRequests,
-				fmt.Sprintf("batch limit (%d concurrent) reached, retry later", s.opts.MaxConcurrentBatches))
+				fmt.Sprintf("dataset %q at its batch concurrency share, retry in ~%ds", d.name, retry))
 			return
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), s.opts.BatchTimeout)

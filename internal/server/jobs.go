@@ -13,14 +13,13 @@ import (
 	"repro/internal/overload"
 )
 
-// This file is the asynchronous face of /scan: the same full-lattice
-// sweep, but submitted to the bounded job subsystem (internal/jobs)
-// instead of racing a request deadline. A scan that would blow
-// ScanTimeout — the paper's headline operation over any serious
-// dataset — used to 503 and throw away every completed point; as a
-// job it keeps running on the job worker pool, reports monotonic
-// progress (points evaluated / dataset size), and holds its result
-// for JobResultTTL:
+// This file is the job face of the whole-dataset scan. Every scan is
+// a job on the bounded job subsystem (internal/jobs): it runs on the
+// job worker pool, reports monotonic progress (points evaluated /
+// dataset size), and holds its result for JobResultTTL. POST /scan
+// submits one and waits for it (handleScan); the async endpoints hand
+// the job to the client instead, so a sweep longer than any request
+// deadline still completes:
 //
 //	POST   /jobs/scan   submit (body = the /scan body)   → 202 + job id
 //	GET    /jobs        list retained jobs + counters
@@ -30,10 +29,7 @@ import (
 // Admission is circuit-style: the queue depth is the budget, a full
 // queue answers 429 with a Retry-After estimated from recent job run
 // times and the current backlog — an honest "come back later", not a
-// blind rejection. Job scans run on their own worker pool
-// (JobWorkers), deliberately outside the synchronous scan semaphore:
-// interactive /scan traffic and background sweeps do not starve each
-// other at admission, they only share the machine.
+// blind rejection.
 
 // jobProgress is the progress section of a job response.
 type jobProgress struct {
@@ -113,30 +109,31 @@ func renderJob(snap jobs.Snapshot) jobResponse {
 	return out
 }
 
-// handleSubmitScanJob accepts the /scan request body and runs the
-// sweep asynchronously. 202 + job id on admission; 429 + Retry-After
-// when the queue is full.
-func (s *Server) handleSubmitScanJob(w http.ResponseWriter, r *http.Request) {
+// submitScan is the shared front half of POST /scan and POST
+// /jobs/scan: plan the request, admit it through the dataset's guard,
+// and submit the sweep to the job pool. It writes the 4xx/5xx itself
+// and reports ok=false on any refusal.
+func (s *Server) submitScan(w http.ResponseWriter, r *http.Request) (*scanPlan, jobs.Snapshot, bool) {
 	plan, ok := s.planScan(w, r)
 	if !ok {
-		return
+		return nil, jobs.Snapshot{}, false
 	}
 	// Jobs run on their own worker pool, so the guard admits them
 	// detached — no concurrency permit is held through queueing and
 	// execution — but the dataset's breaker and the bulk class's share
 	// of the adaptive limit still gate submission: a dataset that is
-	// drowning must not keep accepting background sweeps it cannot
-	// serve. The job's outcome feeds back via RecordDetached below.
+	// drowning must not keep accepting sweeps it cannot serve. The
+	// job's outcome feeds back via RecordDetached below.
 	if rej := plan.d.guard.AdmitDetached(overload.Bulk); rej != nil {
 		if rej.Reason == overload.ReasonBreakerOpen {
 			s.shedBreakerOpen(w, plan.d.name, rej)
-			return
+			return nil, jobs.Snapshot{}, false
 		}
 		retry := overload.RetryAfterSeconds(rej.RetryAfter)
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
 		s.error(w, http.StatusTooManyRequests,
 			fmt.Sprintf("dataset %q at its bulk concurrency share, retry in ~%ds", plan.d.name, retry))
-		return
+		return nil, jobs.Snapshot{}, false
 	}
 	snap, err := s.jobs.Submit("scan", func(jobCtx context.Context, report func(done, total int)) (any, error) {
 		runCtx := jobCtx
@@ -152,7 +149,7 @@ func (s *Server) handleSubmitScanJob(w http.ResponseWriter, r *http.Request) {
 		// The detached admission's outcome lands in the breaker window
 		// before the error is dressed up for the poller: a job-timeout
 		// or engine failure is evidence against the dataset, while a
-		// DELETE-cancelled job proves nothing either way.
+		// cancelled job proves nothing either way.
 		plan.d.guard.RecordDetached(outcomeFor(err))
 		if err != nil {
 			// A deadline with the job's own context still live is the
@@ -164,9 +161,6 @@ func (s *Server) handleSubmitScanJob(w http.ResponseWriter, r *http.Request) {
 			}
 			return nil, err
 		}
-		// A completed job scan is an answered scan, same as the
-		// synchronous path: the global and per-dataset counters agree
-		// on "answers produced" regardless of transport.
 		plan.d.queries.Add(1)
 		s.stats.recordScan()
 		return resp, nil
@@ -183,15 +177,25 @@ func (s *Server) handleSubmitScanJob(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
 		s.error(w, http.StatusTooManyRequests,
 			fmt.Sprintf("job queue full (%d queued), retry in ~%ds", s.opts.JobQueueDepth, retry))
-		return
+		return nil, jobs.Snapshot{}, false
 	case errors.Is(err, jobs.ErrClosed):
 		s.error(w, http.StatusServiceUnavailable, "server is draining, no new jobs")
-		return
+		return nil, jobs.Snapshot{}, false
 	case err != nil:
 		s.error(w, http.StatusInternalServerError, err.Error())
-		return
+		return nil, jobs.Snapshot{}, false
 	}
 	s.debugf("server: job %s admitted (dataset %s, %d workers)", snap.ID, plan.d.name, plan.workers)
+	return plan, snap, true
+}
+
+// handleSubmitScanJob accepts the /scan request body and runs the
+// sweep asynchronously: 202 + job id on admission.
+func (s *Server) handleSubmitScanJob(w http.ResponseWriter, r *http.Request) {
+	_, snap, ok := s.submitScan(w, r)
+	if !ok {
+		return
+	}
 	resp := renderJob(snap)
 	w.Header().Set("Location", "/jobs/"+snap.ID)
 	s.writeJSON(w, http.StatusAccepted, &resp)
@@ -218,8 +222,9 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	resp := renderJob(snap)
 	// Cancelling a job that already finished is a no-op that reports
 	// the terminal state; it is not a delivery channel — only GET
-	// /jobs/{id} serves the result, because only Get marks it fetched
-	// and an unfetched delivery would later read as abandoned.
+	// /jobs/{id} (and the POST /scan waiter) serves the result, because
+	// only those mark it fetched and an unfetched delivery would later
+	// read as abandoned.
 	resp.Result = nil
 	s.writeJSON(w, http.StatusOK, &resp)
 }

@@ -84,26 +84,29 @@ func TestScanJobLifecycle(t *testing.T) {
 		t.Fatalf("async result diverged from sync scan:\n async %+v\n  sync %+v", async, sync)
 	}
 
+	// The sync scan ran as a job too: both count, once each.
 	st := s.Stats()
-	if st.Jobs.Submitted != 1 || st.Jobs.Completed != 1 {
-		t.Fatalf("job stats = %+v", st.Jobs)
+	if st.Jobs.Submitted != 2 || st.Jobs.Completed != 2 {
+		t.Fatalf("job stats = %+v, want 2 submitted and completed (sync + async)", st.Jobs)
 	}
 	if st.Scans != 2 {
 		t.Fatalf("scans = %d, want 2 (sync + job)", st.Scans)
 	}
 
-	// GET /jobs lists the retained job.
+	// GET /jobs lists both retained jobs, the sync scan's first.
 	var list listJobsResponse
 	if rec := do(t, h, "GET", "/jobs", "", &list); rec.Code != http.StatusOK {
 		t.Fatalf("list: status %d", rec.Code)
 	}
-	if len(list.Jobs) != 1 || list.Jobs[0].ID != submitted.ID || list.Counters.Completed != 1 {
+	if len(list.Jobs) != 2 || list.Jobs[1].ID != submitted.ID || list.Jobs[0].Kind != "scan" || list.Counters.Completed != 2 {
 		t.Fatalf("list = %+v", list)
 	}
 	// The listing is an index: results are served by GET /jobs/{id}
 	// only (which is also what marks them fetched).
-	if list.Jobs[0].Result != nil {
-		t.Fatal("GET /jobs embedded a job result")
+	for _, j := range list.Jobs {
+		if j.Result != nil {
+			t.Fatal("GET /jobs embedded a job result")
+		}
 	}
 }
 

@@ -60,9 +60,9 @@ type view struct {
 	miner *core.Miner
 	pool  *core.EvaluatorPool
 	cache *resultCache
-	// transform mirrors dataset.transform (see there).
-	transform func([]float64) []float64
-	epoch     int64
+	// norm mirrors dataset.normStats (see there).
+	norm  []snapshot.ColumnRange
+	epoch int64
 	// ids[i] is the stable ID of dataset row i — ascending, and what
 	// delete-by-range addresses. nextID is the next ID an append takes.
 	// stamps[i] is row i's ingest time (Unix nanoseconds), parallel to
@@ -76,7 +76,7 @@ type view struct {
 
 // resolveQueryTarget turns a request's (index, point) pair — exactly
 // one must be set — into the evaluation point and self-exclusion
-// index, applying the dataset's point transform to ad-hoc vectors. It
+// index, rescaling ad-hoc vectors of a normalized dataset. It
 // is the single definition of request-level target validation, shared
 // by /query and every /batch item. A non-empty errMsg is a client
 // error.
@@ -95,8 +95,8 @@ func (v *view) resolveQueryTarget(index *int, point []float64) (pt []float64, ex
 		if len(point) != ds.Dim() {
 			return nil, -1, fmt.Sprintf("point has %d dims, dataset has %d", len(point), ds.Dim())
 		}
-		if v.transform != nil {
-			point = v.transform(point)
+		if len(v.norm) > 0 {
+			point = snapshot.ScalePoint(v.norm, point)
 		}
 		return point, -1, ""
 	default:
@@ -184,10 +184,10 @@ func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	// Transforming here — before the queue — keeps per-request work out
 	// of the serialized drain.
 	rows := req.Rows
-	if d.transform != nil {
+	if len(d.normStats) > 0 {
 		rows = make([][]float64, len(req.Rows))
 		for i, row := range req.Rows {
-			rows[i] = d.transform(row)
+			rows[i] = snapshot.ScalePoint(d.normStats, row)
 		}
 	}
 

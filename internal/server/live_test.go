@@ -54,7 +54,6 @@ func restartFromSnapshot(t *testing.T, dir string, opts Options) (*Server, int) 
 	}
 	opts.DataDir = dir
 	opts.NormStats = snap.NormStats
-	opts.PointTransform = transformFromNorm(snap.NormStats)
 	s, err := New(m, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -52,18 +53,16 @@ type dataset struct {
 	// clean breaker reset — a recovered dataset re-registered under
 	// the same name starts closed with a full concurrency limit.
 	guard *overload.Guard
-	// transform maps ad-hoc query vectors into the dataset's
-	// coordinate space (nil = identity); only the default dataset,
-	// whose owner may have normalized it at startup, carries one.
-	transform func([]float64) []float64
+	// normStats is the raw per-column [Min,Max] of a min-max
+	// normalized dataset (nil when it is served in raw units): ad-hoc
+	// query vectors and appended rows are rescaled with it
+	// (snapshot.ScalePoint), and it rides into snapshots so a restore
+	// rescales the same way.
+	normStats []snapshot.ColumnRange
 	created   time.Time
 	// prov records where the dataset came from; it travels into
 	// snapshots written by POST /datasets/{name}/save.
 	prov snapshot.Provenance
-	// normStats is the raw per-column [Min,Max] behind transform when
-	// the dataset was min-max normalized (nil otherwise); it rides
-	// into snapshots so a restore can rebuild the transform.
-	normStats []snapshot.ColumnRange
 
 	// mut serializes mutations — append, delete, compaction, save,
 	// retention. Readers never take it; they go through cur. wal
@@ -438,19 +437,19 @@ func (s *Server) buildDataset(req *loadRequest) (*dataset, error) {
 		return nil, err
 	}
 	prov := snapshot.Provenance{Generator: req.Gen, Seed: req.Seed, CreatedUnix: time.Now().Unix()}
-	return s.newDatasetEntry(req.Name, m, nil, nil, prov), nil
+	return s.newDatasetEntry(req.Name, m, nil, prov), nil
 }
 
 // newDatasetEntry wraps a preprocessed miner in its serving state at
-// epoch 0, with stable row IDs 0..N-1. Every base row is stamped with
-// the load time: their true ingest times are unknown, and stamping
-// "now" is the conservative choice — retention can never expire a row
-// earlier than its policy allows, only later.
-func (s *Server) newDatasetEntry(name string, m *core.Miner, transform func([]float64) []float64, norm []snapshot.ColumnRange, prov snapshot.Provenance) *dataset {
+// epoch 0, with stable row IDs 0..N-1; norm is the dataset's
+// normalization ranges (nil when it is served in raw units). Every
+// base row is stamped with the load time: their true ingest times are
+// unknown, and stamping "now" is the conservative choice — retention
+// can never expire a row earlier than its policy allows, only later.
+func (s *Server) newDatasetEntry(name string, m *core.Miner, norm []snapshot.ColumnRange, prov snapshot.Provenance) *dataset {
 	d := &dataset{
 		name:      name,
 		guard:     overload.NewGuard(s.guardConfig()),
-		transform: transform,
 		created:   time.Now(),
 		prov:      prov,
 		normStats: norm,
@@ -475,35 +474,39 @@ func (s *Server) newDatasetEntry(name string, m *core.Miner, transform func([]fl
 // sweeper's prefix-expiry relies on it).
 func (s *Server) newView(d *dataset, m *core.Miner, epoch int64, ids, stamps []int64, nextID int64) *view {
 	return &view{
-		miner:     m,
-		pool:      m.NewEvaluatorPool(),
-		cache:     newResultCache(s.opts.CacheSize),
-		transform: d.transform,
-		epoch:     epoch,
-		ids:       ids,
-		stamps:    stamps,
-		nextID:    nextID,
+		miner:  m,
+		pool:   m.NewEvaluatorPool(),
+		cache:  newResultCache(s.opts.CacheSize),
+		norm:   d.normStats,
+		epoch:  epoch,
+		ids:    ids,
+		stamps: stamps,
+		nextID: nextID,
 	}
 }
 
 // guardConfig derives a per-dataset overload config from Options:
-// explicit Overload fields win, and the gaps are filled from the
-// classic tuning knobs. The class caps default to the static
-// MaxConcurrent* bounds — each class keeps its hard ceiling — and the
-// adaptive limit tops out at their sum, so a healthy dataset behaves
-// exactly as the static-semaphore server did; only under pressure
-// does the shrinking limit bite (bulk first, then batch).
+// explicit Overload fields win, and the gaps are filled with server
+// defaults. Each zero class cap takes its default ceiling, and the
+// adaptive limit tops out at the sum of the effective caps, so a
+// healthy dataset admits every class up to its own cap; only under
+// pressure does the shrinking limit bite (bulk first, then batch).
 func (s *Server) guardConfig() overload.Config {
 	cfg := s.opts.Overload
-	if cfg.ClassCaps == [3]int{} {
-		cfg.ClassCaps = [3]int{
-			overload.Interactive: s.opts.MaxConcurrentQueries,
-			overload.Batch:       s.opts.MaxConcurrentBatches,
-			overload.Bulk:        s.opts.MaxConcurrentScans,
+	defaults := [3]int{
+		overload.Interactive: 4 * runtime.GOMAXPROCS(0),
+		overload.Batch:       2,
+		overload.Bulk:        1,
+	}
+	sum := 0
+	for p, c := range cfg.ClassCaps {
+		if c == 0 {
+			cfg.ClassCaps[p] = defaults[p]
 		}
+		sum += cfg.ClassCaps[p]
 	}
 	if cfg.MaxLimit == 0 {
-		cfg.MaxLimit = s.opts.MaxConcurrentQueries + s.opts.MaxConcurrentBatches + s.opts.MaxConcurrentScans
+		cfg.MaxLimit = sum
 	}
 	if cfg.TargetP99 == 0 {
 		cfg.TargetP99 = s.opts.QueryTimeout / 2

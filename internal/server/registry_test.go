@@ -3,10 +3,12 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/overload"
 	"repro/internal/shard"
 )
 
@@ -202,26 +204,6 @@ func TestLoadDatasetBounds(t *testing.T) {
 	<-s.loadSem
 }
 
-func TestStatePerDataset(t *testing.T) {
-	s := newTestServer(t, Options{})
-	h := s.Handler()
-	body := `{"name":"alt","gen":"synthetic","n":80,"d":3,"k":3,"tq":0.85,"seed":3}`
-	if rec := do(t, h, "POST", "/datasets/load", body, nil); rec.Code != http.StatusCreated {
-		t.Fatalf("load status %d", rec.Code)
-	}
-	var def, alt struct {
-		Threshold float64 `json:"threshold"`
-	}
-	do(t, h, "GET", "/state", "", &def)
-	do(t, h, "GET", "/state?dataset=alt", "", &alt)
-	if def.Threshold == 0 || alt.Threshold == 0 || def.Threshold == alt.Threshold {
-		t.Fatalf("per-dataset state thresholds: default %v, alt %v", def.Threshold, alt.Threshold)
-	}
-	if rec := do(t, h, "GET", "/state?dataset=ghost", "", nil); rec.Code != http.StatusNotFound {
-		t.Fatalf("unknown dataset state status %d", rec.Code)
-	}
-}
-
 // TestShardedDefaultHealthz covers the sharded-default path: hosserve
 // -shards N surfaces the topology in /healthz and /datasets.
 func TestShardedDefaultHealthz(t *testing.T) {
@@ -282,4 +264,34 @@ func TestConcurrentRegistryAndQueries(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestGuardConfigDerivation pins the admission config guardConfig
+// derives from Options: zero class caps take their defaults, MaxLimit
+// sums the effective caps unless set, and TargetP99 follows the query
+// deadline. The zero-Options row is the config hosserve runs under
+// with default flags.
+func TestGuardConfigDerivation(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		name     string
+		opts     Options
+		caps     [3]int
+		maxLimit int
+	}{
+		{"defaults", Options{}, [3]int{4 * procs, 2, 1}, 4*procs + 3},
+		{"explicit caps", Options{Overload: overload.Config{ClassCaps: [3]int{64, 2, 1}}}, [3]int{64, 2, 1}, 67},
+		{"interactive only (-max-queries)", Options{Overload: interactiveCap(9)}, [3]int{9, 2, 1}, 12},
+		{"explicit MaxLimit wins", Options{Overload: overload.Config{MaxLimit: 5}}, [3]int{4 * procs, 2, 1}, 5},
+	} {
+		s := &Server{opts: tc.opts}
+		s.opts.setDefaults()
+		cfg := s.guardConfig()
+		if cfg.ClassCaps != tc.caps || cfg.MaxLimit != tc.maxLimit {
+			t.Errorf("%s: caps %v max %d, want %v max %d", tc.name, cfg.ClassCaps, cfg.MaxLimit, tc.caps, tc.maxLimit)
+		}
+		if cfg.TargetP99 != s.opts.QueryTimeout/2 {
+			t.Errorf("%s: TargetP99 %s, want QueryTimeout/2 = %s", tc.name, cfg.TargetP99, s.opts.QueryTimeout/2)
+		}
+	}
 }

@@ -5,10 +5,9 @@
 //
 //	POST /query      outlying subspaces of a dataset row or ad-hoc vector
 //	POST /batch      many queries at once through a shared per-batch OD cache
-//	POST /scan       bounded whole-dataset sweep with severity ranking
-//	POST /jobs/scan  the same sweep as an async job (progress + polling)
+//	POST /scan       whole-dataset sweep, run as a job and waited on
+//	POST /jobs/scan  the same sweep, answered 202 at once (progress + polling)
 //	GET  /jobs/{id}  job status/progress/result; DELETE cancels
-//	GET  /state      export the preprocessed state (threshold + priors)
 //	GET  /healthz    liveness + dataset summary
 //	GET  /stats      query counts, cache hit rate, latency percentiles
 //
@@ -51,7 +50,9 @@ import (
 type Options struct {
 	// QueryTimeout bounds one /query computation (default 10s).
 	QueryTimeout time.Duration
-	// ScanTimeout bounds one /scan computation (default 2min).
+	// ScanTimeout bounds how long POST /scan waits for its scan job,
+	// queue wait included; on expiry the job is cancelled and the
+	// request answered 503 (default 2min).
 	ScanTimeout time.Duration
 	// MaxBodyBytes bounds request bodies (default 1 MiB).
 	MaxBodyBytes int64
@@ -61,30 +62,12 @@ type Options struct {
 	// MaxScanResults caps the hits one /scan may return; requests
 	// asking for more (or for "all" via 0) are clamped (default 1000).
 	MaxScanResults int
-	// ScanWorkers is the ScanAllParallel fan-out (default GOMAXPROCS,
-	// chosen by core).
+	// ScanWorkers caps the per-scan fan-out (core.ScanOptions.Workers);
+	// client requests asking for more are clamped (default GOMAXPROCS).
 	ScanWorkers int
-	// MaxConcurrentScans bounds simultaneous scans; excess requests
-	// get 429 (default 1).
-	MaxConcurrentScans int
-	// MaxConcurrentQueries bounds simultaneously *computing* queries
-	// (default 4×GOMAXPROCS). A request that cannot take a compute
-	// slot within QueryTimeout is shed with 503; this is what keeps a
-	// stream of deadline-busting queries from accumulating unbounded
-	// work, since an abandoned computation runs to completion (to
-	// seed the cache) rather than being cancelled.
-	MaxConcurrentQueries int
 	// LatencyWindow is the number of recent query latencies kept for
 	// percentiles (default 1024).
 	LatencyWindow int
-	// PointTransform, when set, maps every ad-hoc /query vector into
-	// the dataset's coordinate space before evaluation — e.g. the
-	// min-max rescaling hosserve installs under -normalize, without
-	// which raw-unit client points would be compared against scaled
-	// data and report as outliers everywhere. It must be pure and
-	// must not retain or mutate its argument's backing array beyond
-	// returning it.
-	PointTransform func([]float64) []float64
 	// MaxCachedMasks caps the per-entry outlying-mask set the result
 	// cache pins (default 16384, ~64 KiB; negative = no cap). Larger
 	// sets are still answered and cached, but their full outlying set
@@ -99,10 +82,6 @@ type Options struct {
 	// BatchWorkers caps the per-batch evaluation fan-out; client
 	// requests asking for more are clamped (default GOMAXPROCS).
 	BatchWorkers int
-	// MaxConcurrentBatches bounds simultaneously computing batches;
-	// excess requests get 429 (default 2). Fully-cached batches never
-	// take a slot.
-	MaxConcurrentBatches int
 	// MaxDatasets caps the registry size — the startup dataset plus
 	// datasets loaded at runtime via POST /datasets/load (default 8).
 	MaxDatasets int
@@ -110,18 +89,19 @@ type Options struct {
 	// loading allocates N×D floats and preprocesses them inline, so an
 	// unbounded request is a memory/CPU DoS (default 100000).
 	MaxLoadPoints int
-	// JobQueueDepth bounds async scan jobs accepted but not yet
-	// running; a full queue rejects POST /jobs/scan with 429 and a
+	// JobQueueDepth bounds jobs accepted but not yet running; a full
+	// queue rejects POST /scan and POST /jobs/scan with 429 and a
 	// Retry-After estimate (default 8).
 	JobQueueDepth int
-	// JobWorkers is the async job worker-pool size — how many jobs
-	// may run simultaneously, independent of MaxConcurrentScans
-	// (default 1: full-lattice scans monopolise cores).
+	// JobWorkers is the job worker-pool size — how many jobs may run
+	// simultaneously. Every scan (sync or async), compaction, retention
+	// sweep and warm start shares it (default 1: full-lattice scans
+	// monopolise cores).
 	JobWorkers int
 	// JobResultTTL bounds how long a finished job's result stays
 	// fetchable via GET /jobs/{id} (default 15min).
 	JobResultTTL time.Duration
-	// JobTimeout bounds one async scan job's run time (default 30min,
+	// JobTimeout bounds one scan job's run time (default 30min,
 	// negative disables). Deliberately far above ScanTimeout: async
 	// jobs exist so scans longer than any request deadline still
 	// complete; this is only the runaway backstop.
@@ -129,11 +109,10 @@ type Options struct {
 	// Overload tunes the per-dataset admission guards (circuit breaker
 	// + AIMD concurrency limiter — see internal/overload). Zero fields
 	// take the package defaults, except where the server derives better
-	// ones: MaxLimit defaults to the sum of the three class caps,
-	// TargetP99 to QueryTimeout/2, and ClassCaps to
-	// [MaxConcurrentQueries, MaxConcurrentBatches, MaxConcurrentScans],
-	// so the operator's static bounds survive as per-class ceilings
-	// under the adaptive limit.
+	// ones: each zero ClassCaps entry — the static per-class in-flight
+	// ceiling — defaults to 4×GOMAXPROCS interactive queries, 2 batches
+	// and 1 bulk scan; MaxLimit to the sum of the effective class caps;
+	// and TargetP99 to QueryTimeout/2.
 	Overload overload.Config
 	// FaultHook, when set, is consulted at the start of every compute
 	// (op ∈ "query"|"batch"|"scan", plus the dataset name). A non-nil
@@ -184,13 +163,16 @@ type Options struct {
 	// Provenance describes where the default dataset came from, so
 	// saving it produces a snapshot that records its origin.
 	Provenance snapshot.Provenance
-	// NormStats is the raw per-column [Min,Max] behind PointTransform
-	// when the default dataset was min-max normalized. Set it together
-	// with PointTransform: it is what lets a snapshot of the default
-	// dataset carry the transform across a restart.
+	// NormStats is the raw per-column [Min,Max] of the default dataset
+	// when it was min-max normalized (snapshot.Normalize). The server
+	// rescales every ad-hoc /query and /batch vector and every appended
+	// row with it (snapshot.ScalePoint) — without that, raw-unit client
+	// points would be compared against [0,1]-scaled data and report as
+	// outliers everywhere — and a snapshot of the default dataset
+	// carries it across a restart.
 	NormStats []snapshot.ColumnRange
-	// Logf, when set, receives debug-level serving events (abandoned
-	// scan outcomes, job lifecycle); nil discards them.
+	// Logf, when set, receives debug-level serving events (job
+	// lifecycle, saves, warm start); nil discards them.
 	Logf func(format string, args ...any)
 }
 
@@ -210,12 +192,6 @@ func (o *Options) setDefaults() {
 	if o.MaxScanResults <= 0 {
 		o.MaxScanResults = 1000
 	}
-	if o.MaxConcurrentScans <= 0 {
-		o.MaxConcurrentScans = 1
-	}
-	if o.MaxConcurrentQueries <= 0 {
-		o.MaxConcurrentQueries = 4 * runtime.GOMAXPROCS(0)
-	}
 	if o.LatencyWindow <= 0 {
 		o.LatencyWindow = 1024
 	}
@@ -227,9 +203,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.BatchTimeout <= 0 {
 		o.BatchTimeout = time.Minute
-	}
-	if o.MaxConcurrentBatches <= 0 {
-		o.MaxConcurrentBatches = 2
 	}
 	if o.MaxDatasets <= 0 {
 		o.MaxDatasets = 8
@@ -305,7 +278,7 @@ func New(m *core.Miner, opts Options) (*Server, error) {
 		Workers:    opts.JobWorkers,
 		ResultTTL:  opts.JobResultTTL,
 	})
-	s.def = s.newDatasetEntry(DefaultDatasetName, m, opts.PointTransform, opts.NormStats, opts.Provenance)
+	s.def = s.newDatasetEntry(DefaultDatasetName, m, opts.NormStats, opts.Provenance)
 	s.reg = newRegistry(s.def, opts.MaxDatasets)
 	s.mux.HandleFunc("POST /query", s.handleQuery)
 	s.mux.HandleFunc("POST /batch", s.handleBatch)
@@ -314,7 +287,6 @@ func New(m *core.Miner, opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /jobs", s.handleListJobs)
 	s.mux.HandleFunc("GET /jobs/{id}", s.handleGetJob)
 	s.mux.HandleFunc("DELETE /jobs/{id}", s.handleCancelJob)
-	s.mux.HandleFunc("GET /state", s.handleState)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /datasets", s.handleListDatasets)
@@ -633,9 +605,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// scanPlan is a validated, clamped scan request — the shared front
-// half of the synchronous /scan handler and the async POST /jobs/scan
-// submission, so both admission paths apply identical bounds.
+// scanPlan is a validated, clamped scan request — the front half of
+// submitScan, which POST /scan and POST /jobs/scan share.
 type scanPlan struct {
 	d *dataset
 	// v is the epoch pinned at planning time: the whole sweep runs
@@ -690,19 +661,20 @@ func (s *Server) planScan(w http.ResponseWriter, r *http.Request) (*scanPlan, bo
 	return plan, true
 }
 
-// run executes the plan and renders the response; onProgress may be
-// nil (the synchronous handler has nobody to report to).
+// run executes the plan and renders the response, reporting progress
+// to onProgress.
 func (p *scanPlan) run(ctx context.Context, start time.Time, onProgress func(done, total int)) (*scanResponse, error) {
 	if p.hook != nil {
 		if _, err := p.hook(); err != nil {
 			return nil, err
 		}
 	}
-	hits, err := p.v.miner.ScanAllParallelContext(ctx, core.ScanOptions{
+	hits, err := p.v.miner.ScanAll(ctx, core.ScanOptions{
 		MaxResults:     p.maxResults,
 		SortBySeverity: p.sortBySeverity,
+		Workers:        p.workers,
 		OnProgress:     onProgress,
-	}, p.workers)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -723,77 +695,53 @@ func (p *scanPlan) run(ctx context.Context, start time.Time, onProgress func(don
 	return resp, nil
 }
 
+// handleScan is the synchronous face of the scan job: it submits the
+// same job POST /jobs/scan does and waits for it, so both transports
+// share one execution and admission path. The sync scan is therefore
+// visible under GET /jobs and runs on the job worker pool.
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	plan, ok := s.planScan(w, r)
+	plan, job, ok := s.submitScan(w, r)
 	if !ok {
 		return
 	}
-
-	// Bulk traffic fails fast: a scan that cannot be admitted right now
-	// is the cheapest thing on the server to retry (or to re-route
-	// through the async job path).
-	permit, rej := plan.d.guard.Admit(r.Context(), overload.Bulk, false)
-	if rej != nil {
-		if rej.Reason == overload.ReasonBreakerOpen {
-			s.shedBreakerOpen(w, plan.d.name, rej)
-			return
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(overload.RetryAfterSeconds(rej.RetryAfter)))
-		s.error(w, http.StatusTooManyRequests,
-			fmt.Sprintf("scan limit (%d concurrent) reached, retry later (or submit via POST /jobs/scan)", s.opts.MaxConcurrentScans))
-		return
-	}
-
-	// The scan context is cancelled on deadline, client disconnect, or
-	// handler return: workers notice between points, so an abandoned
-	// scan frees its cores and its semaphore slot promptly instead of
-	// sweeping to completion for nobody.
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.ScanTimeout)
 	defer cancel()
-
-	type outcome struct {
-		resp *scanResponse
-		err  error
+	snap, ok := s.jobs.Wait(ctx, job.ID)
+	if !ok {
+		// Only a JobResultTTL shorter than the scan's own delivery can
+		// sweep the job before its waiter reads it.
+		s.error(w, http.StatusInternalServerError, fmt.Sprintf("scan job %s expired before delivery", job.ID))
+		return
 	}
-	// done is unbuffered and quit closes when the handler returns, so
-	// the scan goroutine always learns which of the two happened: its
-	// outcome was received, or it completed for nobody — the
-	// previously-invisible abandonment the stats now count.
-	done := make(chan outcome)
-	quit := make(chan struct{})
-	defer close(quit)
-	go func() {
-		resp, err := plan.run(ctx, start, nil)
-		permit.Release(outcomeFor(err), time.Since(start))
-		select {
-		case done <- outcome{resp, err}:
-		case <-quit:
-			s.stats.recordScanAbandoned()
-			s.debugf("server: scan abandoned after %s (dataset %s, err %v)",
-				time.Since(start).Round(time.Millisecond), plan.d.name, err)
-		}
-	}()
-
-	select {
-	case <-ctx.Done():
+	if !snap.State.Terminal() {
+		// The deadline fired or the client left first: nobody will read
+		// the sweep, so stop it and free the worker. The cancelled job
+		// records a neutral outcome; the waiter knows why it gave up,
+		// and a blown deadline is what the client experienced.
+		s.jobs.Cancel(job.ID)
+		plan.d.guard.RecordDetached(outcomeFor(ctx.Err()))
 		s.scanInterrupted(w, ctx.Err())
 		return
-	case o := <-done:
-		// The scan is ctx-aware, so a deadline or disconnect can
-		// surface through its error rather than ctx.Done() when both
-		// become ready together; classify it the same way.
-		switch {
-		case o.err != nil && (errors.Is(o.err, context.DeadlineExceeded) || errors.Is(o.err, context.Canceled)):
-			s.scanInterrupted(w, o.err)
-			return
-		case o.err != nil:
-			s.error(w, http.StatusInternalServerError, o.err.Error())
-			return
+	}
+	switch snap.State {
+	case jobs.StateDone:
+		// The job's elapsed_ms counts from worker pickup; the sync
+		// answer reports the request's wall time, queue wait included.
+		// Copy: the retained result is shared with GET /jobs/{id}.
+		out := *snap.Result.(*scanResponse)
+		out.ElapsedMs = msSince(start)
+		s.writeJSON(w, http.StatusOK, &out)
+	case jobs.StateCancelled:
+		s.error(w, http.StatusServiceUnavailable, fmt.Sprintf("scan job %s was cancelled before it finished", job.ID))
+	case jobs.StateFailed:
+		// A job-timeout or injected deadline is a capacity signal, the
+		// same as the waiter's own deadline firing.
+		status := http.StatusInternalServerError
+		if errors.Is(snap.Err, context.DeadlineExceeded) {
+			status = http.StatusServiceUnavailable
 		}
-		plan.d.queries.Add(1)
-		s.stats.recordScan()
-		s.writeJSON(w, http.StatusOK, o.resp)
+		s.error(w, status, snap.Err.Error())
 	}
 }
 
@@ -809,21 +757,6 @@ func (s *Server) scanInterrupted(w http.ResponseWriter, err error) {
 		return
 	}
 	s.clientGone(w, "scan")
-}
-
-// handleState exports the preprocessed state of one dataset
-// (?dataset=name; default when absent).
-func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
-	d, ok := s.resolveDataset(w, r.URL.Query().Get("dataset"))
-	if !ok {
-		return
-	}
-	st, err := d.view().miner.ExportState()
-	if err != nil {
-		s.error(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	s.writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/overload"
+	"repro/internal/snapshot"
 )
 
 // occupySlot takes one admission slot of the dataset's guard directly
@@ -42,6 +45,12 @@ func waitIdle(t *testing.T, s *Server) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// interactiveCap sets only the interactive class cap — what hosserve's
+// -max-queries flag does.
+func interactiveCap(n int) overload.Config {
+	return overload.Config{ClassCaps: [3]int{overload.Interactive: n}}
 }
 
 func newTestMiner(t *testing.T) *core.Miner {
@@ -259,7 +268,7 @@ func TestQueryTimeoutRetryConverges(t *testing.T) {
 }
 
 func TestQuerySheddingWhenSaturated(t *testing.T) {
-	s := newTestServer(t, Options{MaxConcurrentQueries: 1, QueryTimeout: 20 * time.Millisecond})
+	s := newTestServer(t, Options{Overload: interactiveCap(1), QueryTimeout: 20 * time.Millisecond})
 	release := occupySlot(t, s, overload.Interactive) // occupy the only compute slot
 	rec := do(t, s.Handler(), "POST", "/query", `{"index": 0}`, nil)
 	if rec.Code != http.StatusServiceUnavailable {
@@ -389,7 +398,8 @@ func waitStats(t *testing.T, s *Server, what string, cond func(StatsSnapshot) bo
 // mid-scan used to be answered 503 and counted as a server error,
 // making impatient clients indistinguishable from overload. It must
 // be reported 408 and land in client_cancelled, leaving the error
-// counter untouched.
+// counter untouched — and the scan job it was waiting on must be
+// cancelled, not left sweeping for nobody.
 func TestScanClientCancelIsNot503(t *testing.T) {
 	s := newSlowScanServer(t, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -409,10 +419,8 @@ func TestScanClientCancelIsNot503(t *testing.T) {
 	if snap.Errors != 0 {
 		t.Fatalf("client cancellation counted as %d server errors", snap.Errors)
 	}
-	// The interrupted scan goroutine finishes into nobody's hands and
-	// must be visible as abandoned.
-	waitStats(t, s, "scans_abandoned == 1", func(st StatsSnapshot) bool {
-		return st.ScansAbandoned == 1
+	waitStats(t, s, "the scan job cancelled and the pool idle", func(st StatsSnapshot) bool {
+		return st.Jobs.Cancelled == 1 && st.Jobs.Running == 0 && st.Jobs.Queued == 0
 	})
 }
 
@@ -420,7 +428,7 @@ func TestScanClientCancelIsNot503(t *testing.T) {
 // the slot-wait path (the compute slot is occupied, the client gives
 // up waiting).
 func TestQueryClientCancelIsNot503(t *testing.T) {
-	s := newTestServer(t, Options{MaxConcurrentQueries: 1, QueryTimeout: 10 * time.Second})
+	s := newTestServer(t, Options{Overload: interactiveCap(1), QueryTimeout: 10 * time.Second})
 	release := occupySlot(t, s, overload.Interactive) // occupy the only compute slot
 	defer release()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -440,84 +448,116 @@ func TestQueryClientCancelIsNot503(t *testing.T) {
 	}
 }
 
-// TestScanDeadlineCountsAbandoned forces the deadline path: the
-// handler answers 503 (a real capacity error) and the scan goroutine,
-// completing into a channel nobody reads anymore, must be counted and
-// debug-logged instead of vanishing.
-func TestScanDeadlineCountsAbandoned(t *testing.T) {
-	var mu sync.Mutex
-	var logged []string
-	s := newTestServer(t, Options{
-		ScanTimeout: time.Nanosecond,
-		Logf: func(format string, args ...any) {
-			mu.Lock()
-			logged = append(logged, fmt.Sprintf(format, args...))
-			mu.Unlock()
-		},
+// TestSyncScanResultCountsAsFetched: POST /scan delivers its job's
+// result itself, so the job's TTL sweep must not count it abandoned.
+// An async job with the same tiny TTL that nobody fetches is the
+// control — it is what the abandoned counter is for.
+func TestSyncScanResultCountsAsFetched(t *testing.T) {
+	s := newTestServer(t, Options{JobResultTTL: time.Nanosecond})
+	h := s.Handler()
+	var sync scanResponse
+	if rec := do(t, h, "POST", "/scan", `{}`, &sync); rec.Code != http.StatusOK {
+		t.Fatalf("sync scan: status %d (body %s)", rec.Code, rec.Body.String())
+	}
+	st := s.Stats() // sweeps the expired job
+	if st.Jobs.Completed != 1 || st.Jobs.Abandoned != 0 {
+		t.Fatalf("after a sync scan: jobs %+v, want completed 1, abandoned 0", st.Jobs)
+	}
+	if len(s.jobs.List()) != 0 {
+		t.Fatal("the sync scan's job outlived its TTL")
+	}
+	if rec := do(t, h, "POST", "/jobs/scan", `{}`, nil); rec.Code != http.StatusAccepted {
+		t.Fatalf("async submit: status %d", rec.Code)
+	}
+	waitStats(t, s, "the unfetched async job swept as abandoned", func(st StatsSnapshot) bool {
+		return st.Jobs.Completed == 2 && st.Jobs.Abandoned == 1
 	})
-	rec := do(t, s.Handler(), "POST", "/scan", `{}`, nil)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503 (body %s)", rec.Code, rec.Body.String())
-	}
-	snap := waitStats(t, s, "scans_abandoned == 1", func(st StatsSnapshot) bool {
-		return st.ScansAbandoned == 1
-	})
-	if snap.Errors != 1 {
-		t.Fatalf("errors = %d, want 1 (the 503 is the server's fault)", snap.Errors)
-	}
-	if snap.ClientCancelled != 0 {
-		t.Fatalf("client_cancelled = %d for a server-side deadline", snap.ClientCancelled)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	found := false
-	for _, line := range logged {
-		if strings.Contains(line, "scan abandoned") {
-			found = true
+}
+
+// TestScanJobFailureStatus: a scan job that fails answers POST /scan
+// with its error — 503 when the failure is a deadline (a capacity
+// signal, like the waiter's own deadline), 500 otherwise.
+func TestScanJobFailureStatus(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{context.DeadlineExceeded, http.StatusServiceUnavailable},
+		{errors.New("engine fault"), http.StatusInternalServerError},
+	} {
+		s := newTestServer(t, Options{FaultHook: func(op, _ string) (time.Duration, error) {
+			if op == "scan" {
+				return 0, tc.err
+			}
+			return 0, nil
+		}})
+		rec := do(t, s.Handler(), "POST", "/scan", `{}`, nil)
+		if rec.Code != tc.want || !strings.Contains(rec.Body.String(), tc.err.Error()) {
+			t.Fatalf("fault %v: status %d body %s, want %d naming the fault", tc.err, rec.Code, rec.Body.String(), tc.want)
 		}
-	}
-	if !found {
-		t.Fatalf("no abandonment debug log in %q", logged)
+		if st := s.Stats(); st.Jobs.Failed != 1 || st.Scans != 0 {
+			t.Fatalf("fault %v: jobs %+v scans %d, want one failed job and no answered scan", tc.err, st.Jobs, st.Scans)
+		}
 	}
 }
 
+// TestScanTimeoutReleasesSlot: when ScanTimeout fires, the waiter
+// cancels its scan job — the job ends cancelled and the job pool goes
+// idle instead of sweeping for nobody — and the client gets 503,
+// counted as a server error (the deadline is the server's).
 func TestScanTimeoutReleasesSlot(t *testing.T) {
-	s := newTestServer(t, Options{ScanTimeout: time.Nanosecond})
+	s := newSlowScanServer(t, Options{ScanTimeout: 50 * time.Millisecond})
 	rec := do(t, s.Handler(), "POST", "/scan", `{}`, nil)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 (body %s)", rec.Code, rec.Body.String())
 	}
-	// The cancelled workers notice promptly and free the admission slot.
+	if !strings.Contains(rec.Body.String(), "deadline") {
+		t.Fatalf("503 body does not name the deadline: %s", rec.Body.String())
+	}
+	snap := waitStats(t, s, "the scan job cancelled and the pool idle", func(st StatsSnapshot) bool {
+		return st.Jobs.Cancelled == 1 && st.Jobs.Running == 0 && st.Jobs.Queued == 0
+	})
+	if snap.Errors != 1 || snap.ClientCancelled != 0 || snap.Scans != 0 {
+		t.Fatalf("errors/client_cancelled/scans = %d/%d/%d, want 1/0/0",
+			snap.Errors, snap.ClientCancelled, snap.Scans)
+	}
 	waitIdle(t, s)
 }
 
+// TestScanConcurrencyLimit: sync scans queue on the job pool, so a
+// full job queue answers POST /scan with 429 and a Retry-After of at
+// least one second, like POST /jobs/scan.
 func TestScanConcurrencyLimit(t *testing.T) {
-	s := newTestServer(t, Options{})
-	release := occupySlot(t, s, overload.Bulk) // occupy the single scan slot
-	rec := do(t, s.Handler(), "POST", "/scan", `{}`, nil)
+	s := newSlowScanServer(t, Options{JobWorkers: 1, JobQueueDepth: 1})
+	h := s.Handler()
+	var running, queued jobResponse
+	if rec := do(t, h, "POST", "/jobs/scan", `{}`, &running); rec.Code != http.StatusAccepted {
+		t.Fatalf("first submit: status %d", rec.Code)
+	}
+	defer do(t, h, "DELETE", "/jobs/"+running.ID, "", nil)
+	waitStats(t, s, "the first job running", func(st StatsSnapshot) bool { return st.Jobs.Running == 1 })
+	if rec := do(t, h, "POST", "/jobs/scan", `{}`, &queued); rec.Code != http.StatusAccepted {
+		t.Fatalf("second submit: status %d", rec.Code)
+	}
+	defer do(t, h, "DELETE", "/jobs/"+queued.ID, "", nil)
+	rec := do(t, h, "POST", "/scan", `{}`, nil)
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429 (body %s)", rec.Code, rec.Body.String())
 	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("scan capacity shed carried no Retry-After header")
+	if retry, err := strconv.Atoi(rec.Header().Get("Retry-After")); err != nil || retry < 1 {
+		t.Fatalf("Retry-After = %q, want an integer >= 1", rec.Header().Get("Retry-After"))
 	}
-	release()
 }
 
+// TestStateEndpoint pins the removal of the JSON state export: the
+// .snap snapshot (POST /datasets/{name}/save) is the one persistence
+// format, so GET /state is no route at all.
 func TestStateEndpoint(t *testing.T) {
 	s := newTestServer(t, Options{})
-	var st core.State
-	rec := do(t, s.Handler(), "GET", "/state", "", &st)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
-	if st.Threshold <= 0 || st.Dim != 5 || st.K != 4 {
-		t.Fatalf("state = %+v", st)
-	}
-	// The exported state must round-trip into a fresh miner.
-	m2 := newTestMiner(t)
-	if err := m2.ImportState(&st); err != nil {
-		t.Fatalf("re-importing served state: %v", err)
+	for _, path := range []string{"/state", "/state?dataset=default"} {
+		if rec := do(t, s.Handler(), "GET", path, "", nil); rec.Code != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404 (body %s)", path, rec.Code, rec.Body.String())
+		}
 	}
 }
 
@@ -668,25 +708,37 @@ func TestOversizedMaskSetNotPinned(t *testing.T) {
 	}
 }
 
+// TestPointTransformApplied: Options.NormStats derives the ad-hoc
+// point transform — a raw-unit copy of a dataset row is answered at
+// exactly that row's normalized coordinates — while index queries,
+// already in dataset space, pass through untouched.
 func TestPointTransformApplied(t *testing.T) {
-	m := newTestMiner(t)
-	calls := 0
-	s, err := New(m, Options{PointTransform: func(p []float64) []float64 {
-		calls++
-		return p
-	}})
+	raw := newTestMiner(t).Dataset()
+	norm, ranges, err := snapshot.Normalize(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, _ := json.Marshal(map[string]any{"point": m.Dataset().Point(5)})
-	do(t, s.Handler(), "POST", "/query", string(buf), nil)
-	if calls != 1 {
-		t.Fatalf("transform called %d times for one ad-hoc query", calls)
+	m, err := core.NewMiner(norm, core.Config{K: 4, TQuantile: 0.9, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Dataset-row queries are already in dataset space: no transform.
-	do(t, s.Handler(), "POST", "/query", `{"index": 5}`, nil)
-	if calls != 1 {
-		t.Fatalf("transform called on an index query")
+	s, err := New(m, Options{NormStats: ranges})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerClose(t, s)
+	buf, _ := json.Marshal(map[string]any{"point": raw.Point(5)})
+	var adHoc queryResponse
+	if rec := do(t, s.Handler(), "POST", "/query", string(buf), &adHoc); rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	if !reflect.DeepEqual(adHoc.Point, norm.Point(5)) {
+		t.Fatalf("ad-hoc point answered at %v, want the normalized row %v", adHoc.Point, norm.Point(5))
+	}
+	var byIndex queryResponse
+	do(t, s.Handler(), "POST", "/query", `{"index": 5}`, &byIndex)
+	if byIndex.Point != nil || byIndex.Index == nil || *byIndex.Index != 5 {
+		t.Fatalf("index query response = %+v", byIndex)
 	}
 }
 
@@ -863,7 +915,7 @@ func TestBatchDuplicatesShareODWork(t *testing.T) {
 }
 
 func TestBatchConcurrencyLimit(t *testing.T) {
-	s := newTestServer(t, Options{MaxConcurrentBatches: 1, CacheSize: -1})
+	s := newTestServer(t, Options{Overload: overload.Config{ClassCaps: [3]int{overload.Batch: 1}}, CacheSize: -1})
 	release := occupySlot(t, s, overload.Batch) // occupy the single batch slot
 	rec := do(t, s.Handler(), "POST", "/batch", `{"items": [{"index": 0}]}`, nil)
 	if rec.Code != http.StatusTooManyRequests {
@@ -889,7 +941,7 @@ func TestBatchTimeout(t *testing.T) {
 // cache. The result LRU is disabled so every request exercises the
 // engine and the shared cache.
 func TestConcurrentBatchesRace(t *testing.T) {
-	s := newTestServer(t, Options{CacheSize: -1, MaxConcurrentBatches: 16})
+	s := newTestServer(t, Options{CacheSize: -1, Overload: overload.Config{ClassCaps: [3]int{overload.Batch: 16}}})
 	h := s.Handler()
 	const points = 8
 	want := make([][]byte, points)

@@ -120,7 +120,7 @@ func (s *Server) datasetFromSnapshot(req *loadRequest, snap *snapshot.Snapshot) 
 		if err != nil {
 			return nil, err
 		}
-		return s.newDatasetEntry(req.Name, m, transformFromNorm(snap.NormStats), snap.NormStats, snap.Provenance), nil
+		return s.newDatasetEntry(req.Name, m, snap.NormStats, snap.Provenance), nil
 	}
 	// Dataset-only snapshot: the request configures the miner, exactly
 	// like a generated load, with the snapshot supplying the bytes.
@@ -154,26 +154,7 @@ func (s *Server) datasetFromSnapshot(req *loadRequest, snap *snapshot.Snapshot) 
 	if err := m.Preprocess(); err != nil {
 		return nil, err
 	}
-	return s.newDatasetEntry(req.Name, m, transformFromNorm(snap.NormStats), snap.NormStats, snap.Provenance), nil
-}
-
-// transformFromNorm rebuilds the min-max point transform from a
-// snapshot's normalization stats (nil when the dataset is raw).
-func transformFromNorm(norm []snapshot.ColumnRange) func([]float64) []float64 {
-	if len(norm) == 0 {
-		return nil
-	}
-	return func(p []float64) []float64 {
-		out := make([]float64, len(p))
-		for j, v := range p {
-			if j < len(norm) {
-				if span := norm[j].Max - norm[j].Min; span > 0 {
-					out[j] = (v - norm[j].Min) / span
-				}
-			}
-		}
-		return out
-	}
+	return s.newDatasetEntry(req.Name, m, snap.NormStats, snap.Provenance), nil
 }
 
 // WarmStart registers every snapshot in DataDir as a background job on
@@ -258,7 +239,7 @@ func (s *Server) warmStartJob(path, stem string) func(ctx context.Context, repor
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		d := s.newDatasetEntry(stem, m, transformFromNorm(snap.NormStats), snap.NormStats, snap.Provenance)
+		d := s.newDatasetEntry(stem, m, snap.NormStats, snap.Provenance)
 		if s.walActive() {
 			// Replay any delta log bound to this base before the entry is
 			// visible; a missing/stale/foreign WAL serves the base alone.

@@ -1,5 +1,5 @@
 // Progress reporting over the sharded scan path. This lives in an
-// external test package so it can drive core.ScanAllParallelContext —
+// external test package so it can drive core.Miner.ScanAll —
 // the consumer of shard.Engine — over a scatter-gather miner: the
 // async job subsystem reports scan progress through exactly this
 // route, so a sharded dataset must deliver the same complete,
@@ -42,7 +42,8 @@ func TestShardedScanReportsFullProgress(t *testing.T) {
 	sharded := build(3)
 	var mu sync.Mutex
 	seen := make(map[int]int)
-	hits, err := sharded.ScanAllParallelContext(context.Background(), core.ScanOptions{
+	hits, err := sharded.ScanAll(context.Background(), core.ScanOptions{
+		Workers: 4,
 		OnProgress: func(done, total int) {
 			if total != ds.N() {
 				t.Errorf("total = %d, want %d", total, ds.N())
@@ -51,7 +52,7 @@ func TestShardedScanReportsFullProgress(t *testing.T) {
 			seen[done]++
 			mu.Unlock()
 		},
-	}, 4)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestShardedScanReportsFullProgress(t *testing.T) {
 
 	// The progress plumbing must not perturb answers: sharded hits
 	// equal the unsharded scan's bit for bit.
-	plain, err := build(0).ScanAllParallelContext(context.Background(), core.ScanOptions{}, 4)
+	plain, err := build(0).ScanAll(context.Background(), core.ScanOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

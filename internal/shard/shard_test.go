@@ -308,8 +308,8 @@ func TestMergeRespectsContractOrder(t *testing.T) {
 }
 
 // BenchmarkShardedQuery measures scatter-gather k-NN throughput by
-// shard count over one dataset; BENCH_3.json records the 4-shard over
-// 1-shard speedup (tools/benchjson computes it from these timings).
+// shard count over one dataset; the BENCH_n.json reports record the
+// 4-shard over 1-shard speedup (tools/benchjson computes it from these timings).
 func BenchmarkShardedQuery(b *testing.B) {
 	ds := randomDataset(b, 8192, 8, 1)
 	full := subspace.Full(8)

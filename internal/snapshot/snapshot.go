@@ -102,6 +102,41 @@ type ColumnRange struct {
 	Min, Max float64
 }
 
+// Normalize min-max scales ds to [0,1] column by column, keeping its
+// column names, and returns the scaled copy together with the raw
+// range of every column: the NormStats a snapshot of the scaled
+// dataset records, and what ScalePoint needs to map raw-unit query
+// points onto it.
+func Normalize(ds *vector.Dataset) (*vector.Dataset, []ColumnRange, error) {
+	norm, stats := ds.MinMaxNormalize()
+	if ds.Columns() != nil {
+		if err := norm.SetColumns(ds.Columns()); err != nil {
+			return nil, nil, err
+		}
+	}
+	ranges := make([]ColumnRange, len(stats))
+	for j, st := range stats {
+		ranges[j] = ColumnRange{Min: st.Min, Max: st.Max}
+	}
+	return norm, ranges, nil
+}
+
+// ScalePoint maps a raw-unit point into the coordinates of a dataset
+// normalized with the ranges norm, with the same arithmetic Normalize
+// applied to the dataset's own rows (a constant column maps to 0). It
+// returns a new slice and leaves p untouched.
+func ScalePoint(norm []ColumnRange, p []float64) []float64 {
+	out := make([]float64, len(p))
+	for j, v := range p {
+		if j < len(norm) {
+			if span := norm[j].Max - norm[j].Min; span > 0 {
+				out[j] = (v - norm[j].Min) / span
+			}
+		}
+	}
+	return out
+}
+
 // Snapshot is the in-memory form of one snapshot file.
 type Snapshot struct {
 	// Name is the dataset's registry name (also the conventional file

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/shard"
+	"repro/internal/vector"
 )
 
 func testMiner(t *testing.T, cfg core.Config) *core.Miner {
@@ -351,5 +352,48 @@ func TestNormStatsRoundTripAndValidation(t *testing.T) {
 	rehash(mut)
 	if _, err := Read(bytes.NewReader(mut)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("NaN coordinate: %v", err)
+	}
+}
+
+// TestNormalizeAndScalePoint: Normalize keeps column names and
+// records each column's raw range, and ScalePoint maps every raw row
+// onto its normalized row bit for bit — the one transform shared by
+// the CLIs and the server's ad-hoc-point path.
+func TestNormalizeAndScalePoint(t *testing.T) {
+	raw, err := vector.FromRows([][]float64{{100, 500, 7}, {110, 480, 7}, {90, 520, 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := raw.SetColumns([]string{"a", "b", "const"}); err != nil {
+		t.Fatal(err)
+	}
+	norm, ranges, err := Normalize(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []ColumnRange{{90, 110}, {480, 520}, {7, 7}}
+	if !reflect.DeepEqual(ranges, want) {
+		t.Fatalf("ranges = %v, want %v", ranges, want)
+	}
+	if !reflect.DeepEqual(norm.Columns(), raw.Columns()) {
+		t.Fatalf("columns = %v, want %v", norm.Columns(), raw.Columns())
+	}
+	for i := 0; i < raw.N(); i++ {
+		in := append([]float64(nil), raw.Point(i)...)
+		got := ScalePoint(ranges, in)
+		if !reflect.DeepEqual(got, norm.Point(i)) {
+			t.Fatalf("row %d: ScalePoint = %v, normalized row = %v", i, got, norm.Point(i))
+		}
+		if !reflect.DeepEqual(in, raw.Point(i)) {
+			t.Fatalf("row %d: ScalePoint modified its argument", i)
+		}
+	}
+	// Dimensions beyond the recorded ranges map to 0, never panic.
+	if got := ScalePoint(ranges[:1], []float64{100, 3}); got[0] != 0.5 || got[1] != 0 {
+		t.Fatalf("short ranges: %v", got)
+	}
+	unnamed, _ := vector.FromRows([][]float64{{1}, {3}})
+	if n, _, err := Normalize(unnamed); err != nil || n.Columns() != nil {
+		t.Fatalf("unnamed dataset: columns %v, err %v", n.Columns(), err)
 	}
 }

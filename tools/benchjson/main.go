@@ -7,9 +7,9 @@
 //
 // Usage:
 //
-//	go test -bench=. -benchmem ./... | go run ./tools/benchjson -out BENCH_3.json
-//	go run ./tools/benchjson -in bench.txt -out BENCH_3.json
-//	go run ./tools/benchjson -in bench.txt -gate BENCH_6.json -min-shard-speedup 1.5
+//	go test -bench=. -benchmem ./... | go run ./tools/benchjson -out BENCH_9.fresh.json
+//	go run ./tools/benchjson -in bench.txt -out BENCH_9.fresh.json
+//	go run ./tools/benchjson -in bench.txt -gate BENCH_9.json -min-shard-speedup 1.5
 //
 // The converter is line-oriented and permissive: non-benchmark lines
 // (package headers, PASS/ok, warnings) are skipped, so piping the
