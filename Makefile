@@ -6,7 +6,7 @@
 GO ?= go
 STATICCHECK_VERSION := 2024.1.1
 
-.PHONY: lint build test cover
+.PHONY: lint build test cover benchmod
 
 lint:
 	$(GO) vet ./...
@@ -40,3 +40,8 @@ cover:
 		repro/internal/analysis/hotpath repro/internal/analysis/determinism \
 		repro/internal/analysis/lostcancel \
 		repro/tools/hosvet repro/tools/covgate repro/tools/benchjson
+
+# benchmod vets and tests the bench/ harness, a separate Go module that
+# ./... does not reach; CI's test job runs this target.
+benchmod:
+	cd bench && $(GO) vet . && $(GO) test .

@@ -181,11 +181,10 @@ func BenchmarkSearchTopDown(b *testing.B)  { benchSearchPolicy(b, core.PolicyTop
 // SAME 64-query workload (hot-key traffic: 64 queries over 16 distinct
 // rows of the default synthetic dataset, the shape multi-user serving
 // produces) through the batch engine and through N sequential single
-// queries. The batch engine's shared per-batch OD cache answers
-// repeated (point, subspace) probes from earlier items' work, which is
-// where the speedup comes from even on one core; on multi-core
-// machines the worker fan-out multiplies it. Measured numbers live in
-// DESIGN.md §4.5.
+// queries. The batch engine evaluates each distinct row once and
+// copies its answer to the repeats, which is where the speedup comes
+// from even on one core; on multi-core machines the worker fan-out
+// multiplies it. Measured numbers live in DESIGN.md §4.5.
 
 func batchBenchMiner(b *testing.B) *core.Miner {
 	b.Helper()

@@ -69,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		index     = fs.Int("index", -1, "query dataset row by index")
 		pointStr  = fs.String("point", "", "query an external point: comma-separated values")
 		scan      = fs.Bool("scan", false, "scan every dataset point for outlying subspaces")
-		batch     = fs.String("batch", "", "query many dataset rows as one batch: comma-separated indices (duplicates share OD work)")
+		batch     = fs.String("batch", "", "query many dataset rows as one batch: comma-separated indices (a repeated index is evaluated once)")
 		batchW    = fs.Int("batch-workers", 0, "with -batch: evaluation fan-out (0 = GOMAXPROCS)")
 		top       = fs.Int("top", 10, "with -scan: report the top-N points by severity")
 		scanW     = fs.Int("scan-workers", 0, "with -scan: worker fan-out (0 = GOMAXPROCS)")
@@ -289,8 +289,7 @@ func progressPrinter(errw io.Writer) func(done, total int) {
 }
 
 // runBatch evaluates a comma-separated index list through the batch
-// engine: one shared per-batch OD cache, so repeated indices are
-// answered from each other's work.
+// engine, which evaluates a repeated index once.
 func runBatch(w io.Writer, ds *vector.Dataset, m *core.Miner, spec string, workers int) error {
 	parts := strings.Split(spec, ",")
 	indices := make([]int, 0, len(parts))
@@ -328,8 +327,7 @@ func runBatch(w io.Writer, ds *vector.Dataset, m *core.Miner, spec string, worke
 		fmt.Fprintf(w, "#%-5d outlying in %d subspaces; minimal: %s\n",
 			indices[i], len(r.Outlying), strings.Join(subs, "; "))
 	}
-	fmt.Fprintf(w, "batch: %d ok, %d failed; OD cache: %d hits, %d misses (%d entries)\n",
-		res.Succeeded, res.Failed, res.Cache.Hits, res.Cache.Misses, res.Cache.Entries)
+	fmt.Fprintf(w, "batch: %d ok, %d failed\n", res.Succeeded, res.Failed)
 	return nil
 }
 

@@ -259,21 +259,27 @@ func TestRunNormalizedPointMatchesScaledData(t *testing.T) {
 func TestRunBatch(t *testing.T) {
 	path := writeFixture(t)
 	var out, errBuf bytes.Buffer
-	// Index 0 is a planted outlier; duplicate it so the shared cache
-	// has something to share, and include an out-of-range item to see
-	// per-item error reporting.
+	// Index 0 is a planted outlier; duplicate it so the repeat is
+	// answered from the first occurrence, and include an out-of-range
+	// item to see per-item error reporting.
 	err := run([]string{"-data", path, "-k", "4", "-tq", "0.95", "-batch", "0, 5, 0, 999"}, &out, &errBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
-	for _, want := range []string{"#0", "outlying in", "error", "batch: 3 ok, 1 failed", "OD cache:"} {
+	for _, want := range []string{"#0", "outlying in", "error", "batch: 3 ok, 1 failed"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("output missing %q:\n%s", want, s)
 		}
 	}
-	if !strings.Contains(s, "hits") {
-		t.Fatalf("no cache accounting in output:\n%s", s)
+	var zero []string
+	for _, line := range strings.Split(s, "\n") {
+		if strings.HasPrefix(line, "#0 ") {
+			zero = append(zero, line)
+		}
+	}
+	if len(zero) != 2 || zero[0] != zero[1] {
+		t.Fatalf("repeated index 0 not answered twice alike:\n%s", s)
 	}
 }
 

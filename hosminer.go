@@ -187,23 +187,18 @@ func BatchIndex(idx int) BatchQuery { return core.BatchIndex(idx) }
 // BatchPoint makes a BatchQuery for an external point.
 func BatchPoint(p []float64) BatchQuery { return core.BatchPoint(p) }
 
-// BatchOptions tunes Miner.QueryBatch (fan-out, shared OD cache
-// bound, evaluator pool); the zero value selects the documented
-// defaults.
+// BatchOptions tunes Miner.QueryBatch (fan-out, evaluator pool,
+// result reuse); the zero value selects the documented defaults.
 type BatchOptions = core.BatchOptions
 
 // BatchResult is the outcome of a Miner.QueryBatch: per-item results
-// in input order plus shared-cache accounting. Many queries evaluated
-// as one batch share a bounded memo of OD evaluations, so duplicated
-// points across the batch pay for each distinct (point, subspace)
-// evaluation once — see DESIGN.md §4.5.
+// in input order plus outcome counts. Identical items in one batch
+// are evaluated once; each repeat carries a copy of the first
+// occurrence's answer with ODEvaluations 0 — see DESIGN.md §4.5.
 type BatchResult = core.BatchResult
 
 // BatchItemResult is one item's outcome inside a BatchResult.
 type BatchItemResult = core.BatchItemResult
-
-// BatchCacheStats summarises a batch's shared OD cache work.
-type BatchCacheStats = core.BatchCacheStats
 
 // ErrNotPreprocessed is returned by Miner.QueryWith before Preprocess
 // or ImportState has completed.

@@ -265,8 +265,8 @@ func MinimalFingerprints(m *core.Miner) ([]string, error) {
 }
 
 // BatchMinimalFingerprints answers the same per-point queries through
-// core.QueryBatch (with the shared per-batch OD cache enabled) and
-// returns one Fingerprint per point.
+// core.QueryBatch (worker fan-out over pooled evaluators) and returns
+// one Fingerprint per point.
 func BatchMinimalFingerprints(m *core.Miner, workers int) ([]string, error) {
 	queries := make([]core.BatchQuery, m.Dataset().N())
 	for i := range queries {

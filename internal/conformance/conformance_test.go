@@ -77,8 +77,8 @@ func TestPoliciesAgree(t *testing.T) {
 	}
 }
 
-// Every spec: the batched path (shared per-batch OD cache, worker
-// fan-out, pooled evaluators) must be indistinguishable from the
+// Every spec: the batched path (worker fan-out, pooled evaluators,
+// recycled result storage) must be indistinguishable from the
 // single-query path.
 func TestBatchedMatchesSingle(t *testing.T) {
 	for _, sp := range DefaultSpecs() {

@@ -63,15 +63,24 @@ func TestQueryWithZeroAlloc(t *testing.T) {
 
 // TestQueryBatchSteadyStateZeroAlloc: a single-worker batch that
 // recycles its BatchResult (BatchOptions.Reuse) allocates nothing once
-// warm — per item and per batch.
+// warm — per item and per batch, for row and external-point items
+// alike, including the grouping of repeats.
 func TestQueryBatchSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the budget holds only uninstrumented")
 	}
 	m := allocTestMiner(t)
-	queries := make([]BatchQuery, 16)
-	for i := range queries {
-		queries[i] = BatchIndex(i % 8) // duplicates exercise the shared cache
+	queries := make([]BatchQuery, 24)
+	for i := 0; i < 16; i++ {
+		queries[i] = BatchIndex(i % 8) // repeated rows
+	}
+	points := make([][]float64, 4)
+	for i := range points {
+		points[i] = append([]float64(nil), m.Dataset().Point(i)...)
+		points[i][0] += 0.5
+	}
+	for i := 16; i < len(queries); i++ {
+		queries[i] = BatchPoint(points[i%len(points)]) // repeated external points
 	}
 	opts := BatchOptions{Workers: 1}
 	for i := 0; i < 5; i++ {
@@ -109,7 +118,7 @@ func TestQueryBatchParallelZeroAlloc(t *testing.T) {
 	m := allocTestMiner(t)
 	queries := make([]BatchQuery, 32)
 	for i := range queries {
-		queries[i] = BatchIndex(i % 16) // duplicates exercise the shared cache
+		queries[i] = BatchIndex(i % 16) // repeats are evaluated once
 	}
 	opts := BatchOptions{Workers: 4}
 	for i := 0; i < 10; i++ {

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,11 +15,11 @@ import (
 )
 
 // This file is the batch query engine: many outlying-subspace queries
-// evaluated through one shared, bounded, concurrency-safe memo of OD
-// evaluations (od.SharedCache) and one evaluator pool, instead of
-// rebuilding per-point state query by query. Duplicate or repeated
-// points — the common shape of multi-user traffic — pay for each
-// distinct (point, subspace) OD evaluation once per batch.
+// evaluated over one evaluator pool by a bounded worker fan-out, into
+// result storage the caller can recycle. Identical items — the common
+// shape of multi-user traffic — are evaluated once: the first
+// occurrence runs the search and every repeat receives a copy of its
+// answer.
 
 // batchKind discriminates the two item forms; the zero value marks an
 // unconstructed (invalid) item.
@@ -57,13 +60,10 @@ func (q BatchQuery) ExternalPoint() ([]float64, bool) { return q.point, q.kind =
 // noted on each field.
 type BatchOptions struct {
 	// Workers is the evaluation fan-out (≤ 0 selects GOMAXPROCS;
-	// always clamped to the batch size). At Workers = 1 the batch runs
-	// inline on the calling goroutine — no fan-out machinery at all.
+	// always clamped to the number of distinct items). At Workers = 1
+	// the batch runs inline on the calling goroutine — no fan-out
+	// machinery at all.
 	Workers int
-	// CacheCapacity bounds the shared per-batch OD cache in entries
-	// (0 = od.DefaultSharedCacheCapacity; negative disables sharing,
-	// leaving each item with only its private per-query cache).
-	CacheCapacity int
 	// Pool, when non-nil, supplies worker evaluators (e.g. a serving
 	// layer's long-lived pool); nil uses the Miner's shared default
 	// pool, so back-to-back batches reuse warmed evaluators.
@@ -86,39 +86,25 @@ type BatchItemResult struct {
 	Err    error
 }
 
-// BatchCacheStats summarises the shared per-batch OD cache (zeros
-// when sharing was disabled).
-type BatchCacheStats struct {
-	// Hits is the number of OD probes answered by a sibling query's
-	// earlier work; Misses is the number of OD evaluations actually
-	// computed through the shared cache.
-	Hits   int64
-	Misses int64
-	// Evictions counts entries displaced by CacheCapacity.
-	Evictions int64
-	// Entries is the resident size when the batch finished.
-	Entries int
-}
-
 // BatchResult is the outcome of a QueryBatch: per-item results in
-// input order plus batch-wide accounting. Item results are copied out
-// of the workers' evaluator scratch into storage owned by the
-// BatchResult, so they stay valid for as long as the caller keeps it
-// (or until it is recycled via BatchOptions.Reuse).
+// input order plus outcome counts. Item results are copied out of the
+// workers' evaluator scratch into storage owned by the BatchResult, so
+// they stay valid for as long as the caller keeps it (or until it is
+// recycled via BatchOptions.Reuse). A repeated item's Result is a copy
+// of its first occurrence's, sharing its slices, with ODEvaluations 0.
 type BatchResult struct {
 	// Items has exactly one entry per input query, in input order.
 	Items []BatchItemResult
 	// Succeeded and Failed count the two item outcomes.
 	Succeeded int
 	Failed    int
-	// Cache is the shared OD cache accounting.
-	Cache BatchCacheStats
 
 	// Recycled storage (see BatchOptions.Reuse): the per-item result
-	// structs Items point into and the per-worker arenas their slices
-	// are carved from.
+	// structs Items point into, the per-worker arenas their slices
+	// are carved from, and the grouping of identical items.
 	results []QueryResult
 	arenas  []resultArena
+	dedup   batchDedup
 	// run is the multi-worker fan-out machinery (work cursor,
 	// WaitGroup, per-worker error slots, the spawned func), kept here
 	// so the Reuse contract covers coordination state too: a recycled
@@ -128,16 +114,15 @@ type BatchResult struct {
 }
 
 // batchRun is the coordination state of one multi-worker QueryBatch.
-// The transient fields (miner, ctx, queries, cache, pool) are armed at
-// the start of a parallel batch and cleared before QueryBatch returns,
-// so a retained BatchResult pins result storage only — never a context
-// or a cache. Workers draw their identity from seq and their next item
-// from next; both are reset per batch.
+// The transient fields (miner, ctx, queries, pool) are armed at the
+// start of a parallel batch and cleared before QueryBatch returns, so
+// a retained BatchResult pins result storage only — never a context
+// or the caller's items. Workers draw their identity from seq and
+// their next distinct item from next; both are reset per batch.
 type batchRun struct {
 	m       *Miner
 	ctx     context.Context
 	queries []BatchQuery
-	shared  *od.SharedCache
 	pool    *EvaluatorPool
 	res     *BatchResult
 	next    atomic.Int64
@@ -151,8 +136,8 @@ type batchRun struct {
 }
 
 // arm prepares the run for one parallel batch of the given width.
-func (r *batchRun) arm(m *Miner, ctx context.Context, queries []BatchQuery, shared *od.SharedCache, pool *EvaluatorPool, res *BatchResult, workers int) {
-	r.m, r.ctx, r.queries, r.shared, r.pool, r.res = m, ctx, queries, shared, pool, res
+func (r *batchRun) arm(m *Miner, ctx context.Context, queries []BatchQuery, pool *EvaluatorPool, res *BatchResult, workers int) {
+	r.m, r.ctx, r.queries, r.pool, r.res = m, ctx, queries, pool, res
 	r.next.Store(0)
 	r.seq.Store(0)
 	if cap(r.errs) < workers {
@@ -168,11 +153,11 @@ func (r *batchRun) arm(m *Miner, ctx context.Context, queries []BatchQuery, shar
 
 // disarm drops the transient references armed for the batch.
 func (r *batchRun) disarm() {
-	r.m, r.ctx, r.queries, r.shared, r.pool, r.res = nil, nil, nil, nil, nil, nil
+	r.m, r.ctx, r.queries, r.pool, r.res = nil, nil, nil, nil, nil
 }
 
 // worker is one fan-out goroutine: claim an identity, borrow an
-// evaluator, then drain items off the shared cursor.
+// evaluator, then drain distinct items off the shared cursor.
 func (r *batchRun) worker() {
 	defer r.wg.Done()
 	w := int(r.seq.Add(1)) - 1
@@ -183,16 +168,18 @@ func (r *batchRun) worker() {
 	}
 	defer r.pool.Put(eval)
 	arena := &r.res.arenas[w]
+	work := r.res.dedup.work
 	for {
-		i := int(r.next.Add(1)) - 1
-		if i >= len(r.queries) {
+		k := int(r.next.Add(1)) - 1
+		if k >= len(work) {
 			return
 		}
 		if err := r.ctx.Err(); err != nil {
 			r.errs[w] = err
 			return
 		}
-		r.res.Items[i] = r.m.batchOne(r.ctx, eval, r.queries[i], r.shared, arena, &r.res.results[i])
+		i := work[k]
+		r.res.Items[i] = r.m.batchOne(r.ctx, eval, r.queries[i], arena, &r.res.results[i])
 		if err := r.ctx.Err(); err != nil {
 			r.errs[w] = err
 			return
@@ -200,28 +187,122 @@ func (r *batchRun) worker() {
 	}
 }
 
-// reset prepares the result for a batch of n items over the given
-// worker count, reusing existing capacity.
-func (r *BatchResult) reset(n, workers int) {
-	if cap(r.Items) < n {
-		r.Items = make([]BatchItemResult, n)
-	} else {
-		r.Items = r.Items[:n]
-		clear(r.Items)
-	}
-	if cap(r.results) < n {
-		r.results = make([]QueryResult, n)
-	} else {
-		r.results = r.results[:n]
-	}
+// reset prepares the result for a batch of n items, reusing existing
+// capacity.
+func (r *BatchResult) reset(n int) {
+	r.Items = resize(r.Items, n)
+	clear(r.Items)
+	r.results = resize(r.results, n)
+	r.Succeeded, r.Failed = 0, 0
+}
+
+// resetArenas readies one empty arena per worker.
+func (r *BatchResult) resetArenas(workers int) {
 	for len(r.arenas) < workers {
 		r.arenas = append(r.arenas, resultArena{})
 	}
 	for i := range r.arenas {
 		r.arenas[i].reset()
 	}
-	r.Succeeded, r.Failed = 0, 0
-	r.Cache = BatchCacheStats{}
+}
+
+// finish hands each repeated item a copy of its first occurrence's
+// outcome — with ODEvaluations 0, since the repeat computed nothing —
+// and counts the outcomes.
+func (r *BatchResult) finish() {
+	for i, f := range r.dedup.first {
+		if f != i {
+			r.Items[i] = r.Items[f]
+			if src := r.Items[f].Result; src != nil {
+				r.results[i] = *src
+				r.results[i].ODEvaluations = 0
+				r.Items[i].Result = &r.results[i]
+			}
+		}
+		if r.Items[i].Err != nil {
+			r.Failed++
+		} else {
+			r.Succeeded++
+		}
+	}
+}
+
+// resize returns s with length n, reallocating only when its capacity
+// is short. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// batchDedup groups identical batch items so each distinct item is
+// evaluated once. It is recycled with its BatchResult, so grouping
+// allocates nothing in steady state.
+type batchDedup struct {
+	// work lists the first occurrence of every distinct item, in input
+	// order: the items the workers evaluate. It doubles as the sorted
+	// index permutation while grouping.
+	work []int
+	// first[i] is the index of the first item identical to item i (i
+	// itself for a first occurrence).
+	first []int
+}
+
+// group fills first and work for queries: sorting the index
+// permutation by item identity, ties broken by index, puts every run
+// of identical items together with its first occurrence at the head.
+func (d *batchDedup) group(queries []BatchQuery) {
+	d.work = resize(d.work, len(queries))
+	d.first = resize(d.first, len(queries))
+	for i := range d.work {
+		d.work[i] = i
+	}
+	slices.SortFunc(d.work, func(i, j int) int {
+		if c := compareItems(queries[i], queries[j]); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
+	})
+	for p, i := range d.work {
+		if p > 0 && compareItems(queries[d.work[p-1]], queries[i]) == 0 {
+			d.first[i] = d.first[d.work[p-1]]
+		} else {
+			d.first[i] = i
+		}
+	}
+	d.work = d.work[:0]
+	for i, f := range d.first {
+		if f == i {
+			d.work = append(d.work, i)
+		}
+	}
+}
+
+// compareItems orders batch items by identity — kind, then row index
+// or the bit patterns of the point's coordinates — and returns 0
+// exactly when a and b are the same query. This is the server's
+// result-cache identity: a row and its own coordinates sent as a
+// point stay distinct, because the row excludes itself from its
+// neighbourhoods.
+func compareItems(a, b BatchQuery) int {
+	if c := cmp.Compare(a.kind, b.kind); c != 0 {
+		return c
+	}
+	switch a.kind {
+	case batchKindRow:
+		return cmp.Compare(a.index, b.index)
+	case batchKindPoint:
+		if c := cmp.Compare(len(a.point), len(b.point)); c != 0 {
+			return c
+		}
+		for k := range a.point {
+			if c := cmp.Compare(math.Float64bits(a.point[k]), math.Float64bits(b.point[k])); c != 0 {
+				return c
+			}
+		}
+	}
+	return 0
 }
 
 // resultArena is append-only backing storage for the slices of one
@@ -286,12 +367,13 @@ func (a *resultArena) cloneFloats(src []float64) []float64 {
 }
 
 // QueryBatch evaluates many outlying-subspace queries as one unit of
-// work: items fan out over opts.Workers goroutines that borrow
-// evaluators from one pool and memoise OD evaluations in one shared
-// bounded cache, so duplicated points across the batch are answered
-// from each other's work. Answers are identical to running each item
-// through OutlyingSubspaces / OutlyingSubspacesOfPoint — the shared
-// cache stores deterministic OD values, never decisions.
+// work. Identical items — the same row, or bit-identical point
+// coordinates — are evaluated once: the first occurrence runs the
+// search and every repeat receives a copy of its answer with
+// ODEvaluations 0. The distinct items fan out over opts.Workers
+// goroutines that borrow evaluators from one pool. Answers are
+// identical to running each item through OutlyingSubspaces /
+// OutlyingSubspacesOfPoint.
 //
 // Item-level problems (index out of range, dimension mismatch,
 // ambiguous item) are reported per item in BatchResult.Items, and the
@@ -310,21 +392,20 @@ func (m *Miner) QueryBatch(ctx context.Context, queries []BatchQuery, opts Batch
 	if err := m.Preprocess(); err != nil {
 		return nil, err
 	}
+	res := resultFor(opts.Reuse)
+	res.reset(len(queries))
+	if len(queries) == 0 {
+		return res, nil
+	}
+	res.dedup.group(queries)
+	work := res.dedup.work
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	res := resultFor(opts.Reuse)
-	res.reset(len(queries), workers)
-	if len(queries) == 0 {
-		return res, nil
-	}
+	workers = min(workers, len(work))
+	res.resetArenas(workers)
 	pool := m.poolFor(opts.Pool)
-	shared := m.sharedCacheFor(opts.CacheCapacity)
-	defer m.releaseSharedCache(shared)
 
 	if workers == 1 {
 		// Inline path: no goroutines, no WaitGroup — the calling
@@ -336,34 +417,19 @@ func (m *Miner) QueryBatch(ctx context.Context, queries []BatchQuery, opts Batch
 		}
 		defer pool.Put(eval)
 		arena := &res.arenas[0]
-		for i := range queries {
+		for _, i := range work {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			res.Items[i] = m.batchOne(ctx, eval, queries[i], shared, arena, &res.results[i])
+			res.Items[i] = m.batchOne(ctx, eval, queries[i], arena, &res.results[i])
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-	} else {
-		if err := m.queryBatchParallel(ctx, queries, shared, pool, res, workers); err != nil {
-			return nil, err
-		}
+	} else if err := m.queryBatchParallel(ctx, queries, pool, res, workers); err != nil {
+		return nil, err
 	}
-	for _, item := range res.Items {
-		if item.Err != nil {
-			res.Failed++
-		} else {
-			res.Succeeded++
-		}
-	}
-	st := shared.Stats()
-	res.Cache = BatchCacheStats{
-		Hits:      st.Hits,
-		Misses:    st.Misses,
-		Evictions: st.Evictions,
-		Entries:   st.Entries,
-	}
+	res.finish()
 	return res, nil
 }
 
@@ -373,9 +439,9 @@ func (m *Miner) QueryBatch(ctx context.Context, queries []BatchQuery, opts Batch
 // purpose — the goroutine launches are the deliberate cost of the
 // parallel mode (their coordination state is still recycled through
 // the BatchResult, so the arm stays 0 allocs/op steady-state).
-func (m *Miner) queryBatchParallel(ctx context.Context, queries []BatchQuery, shared *od.SharedCache, pool *EvaluatorPool, res *BatchResult, workers int) error {
+func (m *Miner) queryBatchParallel(ctx context.Context, queries []BatchQuery, pool *EvaluatorPool, res *BatchResult, workers int) error {
 	run := &res.run
-	run.arm(m, ctx, queries, shared, pool, res, workers)
+	run.arm(m, ctx, queries, pool, res, workers)
 	run.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go run.work()
@@ -411,34 +477,11 @@ func (m *Miner) poolFor(p *EvaluatorPool) *EvaluatorPool {
 	return m.defaultPool
 }
 
-// sharedCacheFor borrows a pooled per-batch OD cache (capacity ≥ 0),
-// or returns nil when capacity is negative (sharing disabled).
-func (m *Miner) sharedCacheFor(capacity int) *od.SharedCache {
-	if capacity < 0 {
-		return nil
-	}
-	if v := m.cachePool.Get(); v != nil {
-		c := v.(*od.SharedCache)
-		c.Reset(capacity)
-		return c
-	}
-	return od.NewSharedCache(capacity)
-}
-
-// releaseSharedCache returns a borrowed cache to the pool. Safe at
-// the end of a batch: BatchResult carries only a stats snapshot, the
-// workers have all exited.
-func (m *Miner) releaseSharedCache(c *od.SharedCache) {
-	if c != nil {
-		m.cachePool.Put(c)
-	}
-}
-
 // batchOne validates and evaluates a single batch item, copying the
 // evaluator-scratch result into slot with its slices carved from the
 // worker's arena — the item result then lives as long as the
 // BatchResult, independent of the evaluator's next query.
-func (m *Miner) batchOne(ctx context.Context, eval *od.Evaluator, q BatchQuery, shared *od.SharedCache, arena *resultArena, slot *QueryResult) BatchItemResult {
+func (m *Miner) batchOne(ctx context.Context, eval *od.Evaluator, q BatchQuery, arena *resultArena, slot *QueryResult) BatchItemResult {
 	var point []float64
 	exclude := -1
 	switch q.kind {
@@ -456,7 +499,7 @@ func (m *Miner) batchOne(ctx context.Context, eval *od.Evaluator, q BatchQuery, 
 	default:
 		return BatchItemResult{Err: fmt.Errorf("core: empty batch item (use BatchIndex or BatchPoint)")}
 	}
-	r, err := m.searchOne(ctx, eval, point, exclude, shared)
+	r, err := m.searchOne(ctx, eval, point, exclude)
 	if err != nil {
 		return BatchItemResult{Err: err}
 	}

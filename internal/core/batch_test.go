@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -54,14 +55,11 @@ func TestQueryBatchMatchesSingleQueries(t *testing.T) {
 			t.Fatalf("item %d: summary fields diverged", i)
 		}
 	}
-	if res.Cache.Hits == 0 {
-		t.Fatal("duplicated batch items produced no shared-cache hits")
-	}
 }
 
 // A batch of size 1 must be *exactly* the single-query result — every
-// field, including the work accounting, since an empty shared cache
-// can neither add nor remove OD computations.
+// field, including the work accounting, since a lone item has no
+// repeat to share its work with.
 func TestQueryBatchSize1ExactlyEquivalent(t *testing.T) {
 	for _, policy := range []Policy{PolicyTSF, PolicyBottomUp, PolicyTopDown} {
 		m := newTestMiner(t, Config{K: 4, TQuantile: 0.9, Seed: 5, Policy: policy})
@@ -131,89 +129,127 @@ func TestQueryBatchPartialFailure(t *testing.T) {
 	}
 }
 
+// Identical items are evaluated once at every worker count: every
+// item answers exactly as its single query does, every repeat reports
+// 0 OD evaluations, and the batch spends exactly the work of its
+// distinct single queries.
+func TestQueryBatchDeduplicatesIdenticalItems(t *testing.T) {
+	m := newTestMiner(t, Config{K: 4, TQuantile: 0.9, Seed: 2})
+	if err := m.Preprocess(); err != nil {
+		t.Fatal(err)
+	}
+	n := m.Dataset().N()
+	row3 := m.Dataset().Point(3)
+	external := append([]float64(nil), m.Dataset().Point(1)...)
+	external[0] += 30
+	queries := []BatchQuery{
+		BatchIndex(3),
+		BatchPoint(external),
+		BatchIndex(7),
+		BatchIndex(3),    // repeated row
+		BatchPoint(row3), // row 3's coordinates as a point: not row 3
+		BatchPoint(append([]float64(nil), external...)), // bit-identical copy
+		BatchIndex(n),
+		{},
+		BatchIndex(n), // repeated invalid items
+		{},
+		BatchPoint([]float64{1, 2}),
+		BatchPoint([]float64{1, 2}),
+		BatchIndex(7),
+		BatchPoint(append([]float64(nil), row3...)),
+	}
+	// firstOf[i] is the first item identical to item i.
+	firstOf := []int{0, 1, 2, 0, 4, 1, 6, 7, 6, 7, 10, 10, 2, 4}
+
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			res, err := m.QueryBatch(context.Background(), queries, BatchOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Succeeded != 8 || res.Failed != 6 {
+				t.Fatalf("succeeded/failed = %d/%d, want 8/6", res.Succeeded, res.Failed)
+			}
+			var sum, distinct int64
+			for i, item := range res.Items {
+				f := firstOf[i]
+				if f != i && item.Err != res.Items[f].Err {
+					t.Fatalf("item %d: error %v, its first occurrence %d has %v", i, item.Err, f, res.Items[f].Err)
+				}
+				var want *QueryResult
+				if row, ok := queries[i].Row(); ok && row >= 0 && row < n {
+					want, err = m.OutlyingSubspacesOfPoint(row)
+				} else if p, ok := queries[i].ExternalPoint(); ok && len(p) == m.Dataset().Dim() {
+					want, err = m.OutlyingSubspaces(p)
+				} else {
+					if item.Err == nil {
+						t.Fatalf("invalid item %d succeeded", i)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if item.Err != nil {
+					t.Fatalf("item %d: %v", i, item.Err)
+				}
+				got := *item.Result
+				got.ODEvaluations = want.ODEvaluations
+				if !reflect.DeepEqual(&got, want) {
+					t.Fatalf("item %d: batch answer %+v, single query %+v", i, got, *want)
+				}
+				evals := item.Result.ODEvaluations
+				if f == i {
+					if evals == 0 {
+						t.Fatalf("first occurrence %d computed nothing", i)
+					}
+					distinct += want.ODEvaluations
+				} else if evals != 0 {
+					t.Fatalf("repeat %d of item %d computed %d ODs, want 0", i, f, evals)
+				}
+				sum += evals
+			}
+			if sum != distinct {
+				t.Fatalf("batch spent %d OD evaluations, its distinct single queries %d", sum, distinct)
+			}
+		})
+	}
+}
+
+// A batch that names one row eight times spends exactly that row's
+// single-query work: the first item computes, the other seven copy its
+// answer and report 0 evaluations, even with more workers than
+// distinct items.
 func TestQueryBatchSharedCacheAmortisesDuplicates(t *testing.T) {
 	m := newTestMiner(t, Config{K: 4, TQuantile: 0.9, Seed: 2})
+	want, err := m.OutlyingSubspacesOfPoint(3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	queries := make([]BatchQuery, 8)
 	for i := range queries {
 		queries[i] = BatchIndex(3)
 	}
-	// Workers: 1 makes the dedup deterministic: the first item fills
-	// the shared cache, the other seven must compute nothing.
-	res, err := m.QueryBatch(context.Background(), queries, BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := res.Items[0].Result
-	if first.ODEvaluations == 0 {
-		t.Fatal("first item computed nothing")
-	}
-	for i := 1; i < len(res.Items); i++ {
-		if got := res.Items[i].Result.ODEvaluations; got != 0 {
-			t.Fatalf("duplicate item %d recomputed %d ODs, want 0", i, got)
-		}
-	}
-	if res.Cache.Misses != first.ODEvaluations {
-		t.Fatalf("cache misses %d != first item's %d evaluations", res.Cache.Misses, first.ODEvaluations)
-	}
-	if res.Cache.Hits == 0 || res.Cache.Entries == 0 {
-		t.Fatalf("cache stats %+v show no sharing", res.Cache)
-	}
-}
-
-func TestQueryBatchCacheDisabled(t *testing.T) {
-	m := newTestMiner(t, Config{K: 4, TQuantile: 0.9, Seed: 2})
-	queries := []BatchQuery{BatchIndex(1), BatchIndex(1)}
-	res, err := m.QueryBatch(context.Background(), queries, BatchOptions{Workers: 1, CacheCapacity: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cache != (BatchCacheStats{}) {
-		t.Fatalf("disabled cache reported stats %+v", res.Cache)
-	}
-	// Both duplicates pay full price, but the answers still agree.
-	if res.Items[0].Result.ODEvaluations != res.Items[1].Result.ODEvaluations {
-		t.Fatal("items diverged with sharing disabled")
-	}
-	if !reflect.DeepEqual(res.Items[0].Result.Minimal, res.Items[1].Result.Minimal) {
-		t.Fatal("duplicate answers diverged")
-	}
-}
-
-func TestQueryBatchBoundedCacheEvicts(t *testing.T) {
-	m := newTestMiner(t, Config{K: 4, TQuantile: 0.9, Seed: 2})
-	var queries []BatchQuery
-	for i := 0; i < 30; i++ {
-		queries = append(queries, BatchIndex(i))
-	}
-	// A deliberately tiny capacity: correctness must survive constant
-	// eviction.
-	res, err := m.QueryBatch(context.Background(), queries, BatchOptions{Workers: 2, CacheCapacity: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 0 {
-		t.Fatalf("%d items failed", res.Failed)
-	}
-	if res.Cache.Entries > 16+sharedCacheSlack {
-		t.Fatalf("cache grew to %d entries despite capacity 16", res.Cache.Entries)
-	}
-	if res.Cache.Evictions == 0 {
-		t.Fatal("tiny cache recorded no evictions")
-	}
-	for i, item := range res.Items {
-		want, err := m.OutlyingSubspacesOfPoint(i)
+	for _, workers := range []int{1, 8} {
+		res, err := m.QueryBatch(context.Background(), queries, BatchOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(item.Result.Minimal, want.Minimal) {
-			t.Fatalf("item %d diverged under eviction pressure", i)
+		first := res.Items[0].Result
+		if first.ODEvaluations != want.ODEvaluations {
+			t.Fatalf("workers=%d: first item computed %d ODs, single query %d", workers, first.ODEvaluations, want.ODEvaluations)
+		}
+		for i := 1; i < len(res.Items); i++ {
+			got := res.Items[i].Result
+			if got.ODEvaluations != 0 {
+				t.Fatalf("workers=%d: duplicate item %d recomputed %d ODs, want 0", workers, i, got.ODEvaluations)
+			}
+			if !reflect.DeepEqual(got.Minimal, want.Minimal) {
+				t.Fatalf("workers=%d: duplicate item %d answer diverged", workers, i)
+			}
 		}
 	}
 }
-
-// sharedCacheSlack absorbs the ceil-division of the capacity across
-// shards (each shard rounds its own bound up).
-const sharedCacheSlack = 16
 
 func TestQueryBatchEmpty(t *testing.T) {
 	m := newTestMiner(t, Config{K: 4, TQuantile: 0.9, Seed: 1})

@@ -51,7 +51,7 @@ func BenchmarkQueryWith(b *testing.B) {
 }
 
 // BenchmarkQueryBatchCore is the batch engine over the same miner —
-// per-item cost with the shared OD cache absorbing duplicates. Pinned
+// per-item cost with each repeated item evaluated once. Pinned
 // to one worker with result reuse so the figure is deterministic
 // across GOMAXPROCS and reflects the engine's zero-allocation steady
 // state; BenchmarkQueryBatchParallel below measures the default

@@ -73,34 +73,33 @@ func (m *Miner) QueryWith(eval *od.Evaluator, point []float64, exclude int) (*Qu
 	if exclude < -1 || exclude >= m.ds.N() {
 		return nil, fmt.Errorf("core: exclude index %d out of range [-1,%d)", exclude, m.ds.N())
 	}
-	return m.searchOne(context.Background(), eval, point, exclude, nil)
+	return m.searchOne(context.Background(), eval, point, exclude)
 }
 
 // searchOne is the shared tail of QueryWith and QueryBatch: run the
-// dynamic search for one point on a caller-owned evaluator,
-// optionally consulting a batch-wide OD cache. PolicyRandom draws a
-// per-call deterministic rng from the atomic query sequence — the
-// Miner's own rand.Rand is not shareable across goroutines.
+// dynamic search for one point on a caller-owned evaluator.
+// PolicyRandom draws a per-call deterministic rng from the atomic
+// query sequence — the Miner's own rand.Rand is not shareable across
+// goroutines.
 //
 // The result lives in the evaluator's search scratch (see
 // scratchFor): it is valid until the next searchOne on the same
 // evaluator, which is exactly the zero-allocation steady state the
 // serving path runs in.
-func (m *Miner) searchOne(ctx context.Context, eval *od.Evaluator, point []float64, exclude int, shared *od.SharedCache) (*QueryResult, error) {
+func (m *Miner) searchOne(ctx context.Context, eval *od.Evaluator, point []float64, exclude int) (*QueryResult, error) {
 	rng := m.rng
 	if m.cfg.Policy == PolicyRandom {
 		rng = newDeterministicRng(m.cfg.Seed, m.querySeq.Add(1))
 	}
 	sc := scratchFor(eval)
-	q := eval.BorrowQuery(point, exclude, shared)
+	q := eval.BorrowQuery(point, exclude)
 	if err := searchInto(ctx, sc, q, m.ds.Dim(), m.threshold, m.priors, m.cfg.Policy, rng); err != nil {
 		return nil, err
 	}
-	_, misses := q.CacheStats()
 	sc.qres = QueryResult{
 		SearchResult:      sc.sres,
 		Threshold:         m.threshold,
-		ODEvaluations:     misses,
+		ODEvaluations:     q.Evaluations(),
 		IsOutlierAnywhere: len(sc.sres.Outlying) > 0,
 	}
 	return &sc.qres, nil

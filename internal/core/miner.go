@@ -187,11 +187,6 @@ type Miner struct {
 	// instead of rebuilding them per batch.
 	defaultPool     *EvaluatorPool
 	defaultPoolOnce sync.Once
-
-	// cachePool recycles per-batch shared OD caches (cleared between
-	// batches; the BatchResult only carries a stats snapshot, never
-	// the cache itself).
-	cachePool sync.Pool
 }
 
 // LearnStats summarises the §3.2 learning phase.
@@ -458,11 +453,10 @@ func (m *Miner) query(point []float64, exclude int) (*QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, misses := q.CacheStats()
 	return &QueryResult{
 		SearchResult:      *res,
 		Threshold:         m.threshold,
-		ODEvaluations:     misses,
+		ODEvaluations:     q.Evaluations(),
 		IsOutlierAnywhere: len(res.Outlying) > 0,
 	}, nil
 }

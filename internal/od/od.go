@@ -3,10 +3,9 @@
 //	OD(p, s) = Σ_{i=1..k} Dist_s(p, p_i),  p_i ∈ KNNSet(p, s)
 //
 // the sum of distances from p to its k nearest neighbours in subspace
-// s. The Evaluator wraps a knn.Searcher, adds the optional
-// dimensionality normalization discussed in DESIGN.md, and caches OD
-// values per (query, subspace) so repeated lattice probes of the same
-// subspace are free.
+// s. The Evaluator wraps a knn.Searcher and adds the optional
+// dimensionality normalization discussed in DESIGN.md; a Query binds
+// it to one query point and counts the evaluations spent on it.
 package od
 
 import (
@@ -100,8 +99,8 @@ func (e *Evaluator) Metric() vector.Metric { return e.metric }
 // Dataset returns the underlying dataset.
 func (e *Evaluator) Dataset() *vector.Dataset { return e.ds }
 
-// Evaluations returns how many OD computations were performed (cache
-// hits in Query excluded).
+// Evaluations returns how many OD computations the evaluator has
+// performed (the empty subspace costs none).
 func (e *Evaluator) Evaluations() int64 { return e.evaluations }
 
 // Scratch returns the engine-attached opaque scratch value, or nil.
@@ -160,118 +159,55 @@ func normalizeSum(sum float64, m vector.Metric, s subspace.Mask) float64 {
 	}
 }
 
-// Query is a per-point OD cache. HOS-Miner's dynamic search may probe
-// a subspace more than once across phases; the cache makes the second
-// probe free and exposes an exact count of distinct evaluations. A
-// Query built by NewSharedQuery additionally consults (and populates)
-// a batch-wide SharedCache before computing, so identical probes from
-// sibling queries in the same batch are also free.
+// Query is the OD oracle for one query point: a private copy of the
+// point, its self-exclusion index and an exact count of the OD
+// evaluations spent on it. It memoises nothing — HOS-Miner's dynamic
+// search settles each lattice subspace exactly once, either by
+// evaluating its OD or by pruning, so no subspace is probed twice.
 type Query struct {
 	eval    *Evaluator
 	point   []float64
 	exclude int
-	cache   map[subspace.Mask]float64
-
-	// shared is the optional batch-wide second-level cache; skeyRow /
-	// skeyPoint are this point's identity within it (computed once at
-	// construction, see sharedKey).
-	shared    *SharedCache
-	skeyRow   int
-	skeyPoint string
-
-	hits       int64
-	misses     int64
-	sharedHits int64
+	evals   int64
 }
 
-// NewQuery prepares a cached OD oracle for one query point. exclude
-// follows the OD convention (-1 for external points).
+// NewQuery prepares an OD oracle for one query point. exclude follows
+// the OD convention (-1 for external points).
 func (e *Evaluator) NewQuery(point []float64, exclude int) *Query {
 	return &Query{
 		eval:    e,
 		point:   append([]float64(nil), point...),
 		exclude: exclude,
-		cache:   make(map[subspace.Mask]float64),
 	}
 }
 
-// NewSharedQuery is NewQuery with a batch-wide second-level OD memo.
-// A nil shared degrades to exactly NewQuery. The Query itself remains
-// single-goroutine; only the SharedCache is safe to share.
-func (e *Evaluator) NewSharedQuery(point []float64, exclude int, shared *SharedCache) *Query {
-	q := e.NewQuery(point, exclude)
-	if shared != nil {
-		q.shared = shared
-		q.skeyRow, q.skeyPoint = pointIdentity(q.point, exclude)
-	}
-	return q
-}
-
-// BorrowQuery is the pooled counterpart of NewSharedQuery: it reuses
-// the evaluator's single resident Query — point buffer, cache map
-// (cleared, buckets retained) and counters — so a steady-state query
-// performs no per-query allocation. The returned Query is owned by
-// the evaluator and is valid only until the next BorrowQuery call on
-// it; callers that need an independent lifetime use NewQuery /
-// NewSharedQuery instead.
-func (e *Evaluator) BorrowQuery(point []float64, exclude int, shared *SharedCache) *Query {
+// BorrowQuery is the pooled counterpart of NewQuery: it reuses the
+// evaluator's single resident Query — point buffer and counter — so a
+// steady-state query performs no per-query allocation. The returned
+// Query is owned by the evaluator and is valid only until the next
+// BorrowQuery call on it; callers that need an independent lifetime
+// use NewQuery instead.
+func (e *Evaluator) BorrowQuery(point []float64, exclude int) *Query {
 	q := &e.borrow
 	q.eval = e
 	q.point = append(q.point[:0], point...)
 	q.exclude = exclude
-	if q.cache == nil {
-		q.cache = make(map[subspace.Mask]float64)
-	} else {
-		clear(q.cache)
-	}
-	q.shared = shared
-	q.skeyRow, q.skeyPoint = 0, ""
-	q.hits, q.misses, q.sharedHits = 0, 0, 0
-	if shared != nil {
-		q.skeyRow, q.skeyPoint = pointIdentity(q.point, exclude)
-	}
+	q.evals = 0
 	return q
 }
 
-// NewQueryForPoint prepares a cached OD oracle for dataset point idx.
+// NewQueryForPoint prepares an OD oracle for dataset point idx.
 func (e *Evaluator) NewQueryForPoint(idx int) *Query {
 	return e.NewQuery(e.ds.Point(idx), idx)
 }
 
-// OD returns the (possibly cached) outlying degree in subspace s.
+// OD returns the outlying degree of the query point in subspace s.
 //
 //hos:hotpath
 func (q *Query) OD(s subspace.Mask) float64 {
-	if v, ok := q.cache[s]; ok {
-		q.hits++
-		return v
-	}
-	if q.shared != nil {
-		if v, ok := q.shared.get(sharedKey{row: q.skeyRow, point: q.skeyPoint, mask: s}); ok {
-			q.sharedHits++
-			q.cache[s] = v
-			return v
-		}
-	}
-	q.misses++
-	v := q.eval.OD(q.point, s, q.exclude)
-	q.cache[s] = v
-	if q.shared != nil {
-		q.shared.put(sharedKey{row: q.skeyRow, point: q.skeyPoint, mask: s}, v)
-	}
-	return v
+	q.evals++
+	return q.eval.OD(q.point, s, q.exclude)
 }
 
-// Point returns a copy of the query point.
-func (q *Query) Point() []float64 { return append([]float64(nil), q.point...) }
-
-// CacheStats returns (hits, misses): hits answered by this Query's own
-// cache and misses that required a fresh OD computation. Probes
-// answered by a shared batch cache count in neither (see SharedHits),
-// so misses remains an exact count of the OD computations this Query
-// performed itself.
-func (q *Query) CacheStats() (hits, misses int64) { return q.hits, q.misses }
-
-// SharedHits returns how many probes were answered by the batch-wide
-// shared cache (always 0 for a Query built by NewQuery).
-func (q *Query) SharedHits() int64 { return q.sharedHits }
+// Evaluations returns how many OD values this Query has computed.
+func (q *Query) Evaluations() int64 { return q.evals }

@@ -161,38 +161,59 @@ func TestFullSpaceODs(t *testing.T) {
 	}
 }
 
-func TestQueryCache(t *testing.T) {
+// A Query memoises nothing: every OD call is one evaluation, counted
+// both by the Query and by its evaluator.
+func TestQueryCountsEvaluations(t *testing.T) {
 	e := newEval(t, [][]float64{{0, 0}, {1, 1}, {2, 2}, {3, 3}}, 2, NormNone)
 	q := e.NewQueryForPoint(1)
 	s := subspace.New(0, 1)
+	before := e.Evaluations()
 	v1 := q.OD(s)
-	evalsAfterFirst := e.Evaluations()
 	v2 := q.OD(s)
 	if v1 != v2 {
-		t.Fatalf("cache returned different value: %v vs %v", v1, v2)
+		t.Fatalf("repeated OD differs: %v vs %v", v1, v2)
 	}
-	if e.Evaluations() != evalsAfterFirst {
-		t.Fatal("cache miss on repeated subspace")
+	if got := q.Evaluations(); got != 2 {
+		t.Fatalf("query counted %d evaluations, want 2", got)
 	}
-	hits, misses := q.CacheStats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("cache stats = (%d,%d), want (1,1)", hits, misses)
+	if got := e.Evaluations() - before; got != 2 {
+		t.Fatalf("evaluator counted %d evaluations, want 2", got)
 	}
 }
 
+// The Query evaluates its own copy of the point, so mutating the
+// caller's slice afterwards changes nothing.
 func TestQueryPointIsolation(t *testing.T) {
 	e := newEval(t, [][]float64{{0}, {1}, {2}}, 1, NormNone)
 	p := []float64{5}
 	q := e.NewQuery(p, -1)
 	p[0] = 999 // mutate the caller's slice
-	if got := q.Point()[0]; got != 5 {
-		t.Fatalf("query point not isolated: %v", got)
+	full := subspace.Full(1)
+	if got, want := q.OD(full), e.OD([]float64{5}, full, -1); got != want {
+		t.Fatalf("query OD %v, want %v for the point as it was passed", got, want)
 	}
-	// Returned copy is also isolated.
-	cp := q.Point()
-	cp[0] = -1
-	if q.Point()[0] != 5 {
-		t.Fatal("Point() leaked internal slice")
+}
+
+// A dataset member queried as itself (self-excluded) and the same
+// coordinates queried as an external point have different
+// neighbourhoods, so anything that shares OD work between queries
+// (core.QueryBatch's item identity) must keep them apart.
+func TestSharedCacheSeparatesMemberFromExternal(t *testing.T) {
+	rows := randomRows(5, 30, 4)
+	e := newEval(t, rows, 3, NormNone)
+	s := subspace.Full(4)
+
+	member := e.NewQuery(rows[0], 0)
+	external := e.NewQuery(rows[0], -1)
+	vm := member.OD(s)
+	ve := external.OD(s)
+	if vm != e.ODOfPoint(0, s) {
+		t.Fatalf("member OD %v differs from ODOfPoint %v", vm, e.ODOfPoint(0, s))
+	}
+	// The member excludes itself; the external clone counts the member
+	// as a zero-distance neighbour, so its OD must be strictly smaller.
+	if ve >= vm {
+		t.Fatalf("external OD %v not below member OD %v", ve, vm)
 	}
 }
 

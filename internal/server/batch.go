@@ -15,10 +15,10 @@ import (
 )
 
 // POST /batch evaluates many outlying-subspace queries as one request
-// through core.QueryBatch: one evaluator pool, one shared bounded
-// per-batch OD cache, bounded worker fan-out. Items that are already
-// in the server's result LRU are answered from it without touching
-// the engine; computed items seed the LRU so follow-up /query traffic
+// through core.QueryBatch: one evaluator pool, bounded worker fan-out,
+// identical items evaluated once. Items that are already in the
+// server's result LRU are answered from it without touching the
+// engine; computed items seed the LRU so follow-up /query traffic
 // hits. Item-level failures (bad index, wrong dimensionality) are
 // reported per item and do not fail the batch.
 
@@ -55,11 +55,8 @@ type batchResponse struct {
 	Succeeded int                 `json:"succeeded"`
 	Failed    int                 `json:"failed"`
 	Threshold float64             `json:"threshold"`
-	// ResultCacheHits counts items answered from the server's LRU;
-	// the OD* fields are the shared per-batch OD cache accounting.
+	// ResultCacheHits counts items answered from the server's LRU.
 	ResultCacheHits int64   `json:"result_cache_hits"`
-	ODCacheHits     int64   `json:"od_cache_hits"`
-	ODCacheMisses   int64   `json:"od_cache_misses"`
 	ElapsedMs       float64 `json:"elapsed_ms"`
 }
 
@@ -137,9 +134,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		queryPos = append(queryPos, i)
 	}
 
-	// batchStats carries the engine-side accounting out of the compute
+	// odEvals carries the engine-side accounting out of the compute
 	// block so it lands in serverStats as one consistent transition.
-	var batchStats struct{ odHits, odMisses, odEvals int64 }
+	var odEvals int64
 	if len(queries) > 0 {
 		// Batch traffic fails fast at the guard: it is programmatic and
 		// retryable, so it is shed before interactive queries — but
@@ -211,7 +208,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			res = o.res
 		}
 
-		var batchODEvals int64
 		for j, item := range res.Items {
 			out := &resp.Results[queryPos[j]]
 			if item.Err != nil {
@@ -223,7 +219,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			out.Minimal = masksToDims(qr.Minimal)
 			out.OutlyingCount = len(qr.Outlying)
 			out.ODEvaluations = qr.ODEvaluations
-			batchODEvals += qr.ODEvaluations
+			odEvals += qr.ODEvaluations
 			// Seed the LRU so follow-up /query (and /batch) traffic for
 			// the same key hits, applying the same oversized-mask-set
 			// rule as /query.
@@ -245,11 +241,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			v.cache.put(keys[queryPos[j]], toCache)
 		}
-		resp.ODCacheHits = res.Cache.Hits
-		resp.ODCacheMisses = res.Cache.Misses
-		batchStats.odHits = res.Cache.Hits
-		batchStats.odMisses = res.Cache.Misses
-		batchStats.odEvals = batchODEvals
 	}
 
 	for i := range resp.Results {
@@ -261,6 +252,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.ElapsedMs = msSince(start)
 	d.queries.Add(int64(len(req.Items)))
-	s.stats.recordBatch(len(req.Items), batchStats.odHits, batchStats.odMisses, batchStats.odEvals)
+	s.stats.recordBatch(len(req.Items), odEvals)
 	s.writeJSON(w, http.StatusOK, resp)
 }

@@ -4,7 +4,7 @@
 // calls for. Endpoints:
 //
 //	POST /query      outlying subspaces of a dataset row or ad-hoc vector
-//	POST /batch      many queries at once through a shared per-batch OD cache
+//	POST /batch      many queries at once; identical items are evaluated once
 //	POST /scan       whole-dataset sweep, run as a job and waited on
 //	POST /jobs/scan  the same sweep, answered 202 at once (progress + polling)
 //	GET  /jobs/{id}  job status/progress/result; DELETE cancels

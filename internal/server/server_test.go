@@ -870,47 +870,52 @@ func TestBatchResultCacheInterplay(t *testing.T) {
 		t.Fatalf("batch result did not seed the query cache (status %d, cached %v)", rec.Code, q.Cached)
 	}
 	// A fully-cached batch takes no batch slot and recomputes nothing.
+	evals := s.Stats().ODEvaluations
 	resp = batchResponse{}
 	rec = do(t, h, "POST", "/batch", `{"items": [{"index": 1}, {"index": 2}]}`, &resp)
-	if rec.Code != http.StatusOK || resp.ResultCacheHits != 2 || resp.ODCacheMisses != 0 {
+	if rec.Code != http.StatusOK || resp.ResultCacheHits != 2 || s.Stats().ODEvaluations != evals {
 		t.Fatalf("fully-cached batch recomputed: %+v", resp)
 	}
 }
 
 func TestBatchDuplicatesShareODWork(t *testing.T) {
-	// Disable the result LRU so every item goes through the engine and
-	// the sharing must come from the per-batch OD cache alone.
-	s := newTestServer(t, Options{CacheSize: -1})
+	// Two rows, six times each: only the first occurrence of each row
+	// computes, at any worker count. The result LRU is disabled so
+	// every item goes through the engine.
 	items := make([]map[string]any, 12)
 	for i := range items {
-		items[i] = map[string]any{"index": 4}
+		items[i] = map[string]any{"index": []int{4, 9}[i%2]}
 	}
-	buf, _ := json.Marshal(map[string]any{"items": items, "workers": 1})
-	var resp batchResponse
-	rec := do(t, s.Handler(), "POST", "/batch", string(buf), &resp)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
-	if resp.Succeeded != len(items) {
-		t.Fatalf("succeeded = %d, want %d", resp.Succeeded, len(items))
-	}
-	if resp.ODCacheHits == 0 {
-		t.Fatal("duplicate items produced no OD cache hits")
-	}
-	if resp.Results[0].ODEvaluations == 0 {
-		t.Fatal("first duplicate computed nothing")
-	}
-	for i := 1; i < len(items); i++ {
-		if resp.Results[i].ODEvaluations != 0 {
-			t.Fatalf("duplicate item %d recomputed %d ODs", i, resp.Results[i].ODEvaluations)
-		}
-	}
-	st := s.Stats()
-	if st.Batches != 1 || st.BatchItems != int64(len(items)) {
-		t.Fatalf("stats batches/items = %d/%d", st.Batches, st.BatchItems)
-	}
-	if st.BatchODHits != resp.ODCacheHits || st.BatchODMisses != resp.ODCacheMisses {
-		t.Fatalf("stats OD cache counters diverge from response: %+v vs %+v", st, resp)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s := newTestServer(t, Options{CacheSize: -1})
+			buf, _ := json.Marshal(map[string]any{"items": items, "workers": workers})
+			var resp batchResponse
+			rec := do(t, s.Handler(), "POST", "/batch", string(buf), &resp)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+			}
+			if resp.Succeeded != len(items) {
+				t.Fatalf("succeeded = %d, want %d", resp.Succeeded, len(items))
+			}
+			var firsts int64
+			for i, r := range resp.Results {
+				switch {
+				case i < 2 && r.ODEvaluations == 0:
+					t.Fatalf("first occurrence %d computed nothing", i)
+				case i >= 2 && r.ODEvaluations != 0:
+					t.Fatalf("duplicate item %d recomputed %d ODs", i, r.ODEvaluations)
+				}
+				firsts += r.ODEvaluations
+			}
+			st := s.Stats()
+			if st.Batches != 1 || st.BatchItems != int64(len(items)) {
+				t.Fatalf("stats batches/items = %d/%d", st.Batches, st.BatchItems)
+			}
+			if st.ODEvaluations != firsts {
+				t.Fatalf("stats od_evaluations = %d, first occurrences computed %d", st.ODEvaluations, firsts)
+			}
+		})
 	}
 }
 
@@ -937,9 +942,9 @@ func TestBatchTimeout(t *testing.T) {
 
 // TestConcurrentBatchesRace hammers /batch from many goroutines with
 // overlapping duplicate-heavy workloads plus interleaved /query
-// traffic — the -race acceptance check for the shared per-batch OD
-// cache. The result LRU is disabled so every request exercises the
-// engine and the shared cache.
+// traffic — the -race acceptance check for the batch engine's fan-out
+// and its grouping of repeated items. The result LRU is disabled so
+// every request exercises the engine.
 func TestConcurrentBatchesRace(t *testing.T) {
 	s := newTestServer(t, Options{CacheSize: -1, Overload: overload.Config{ClassCaps: [3]int{overload.Batch: 16}}})
 	h := s.Handler()

@@ -266,7 +266,7 @@ func TestWarmStartSurfacesBadFiles(t *testing.T) {
 // TestEvictThenReloadServesFreshResults is the regression test for
 // cache reuse across a name's lifetimes: after evicting synth2 and
 // reloading the same name with a different seed (different bytes), no
-// answer may come from the old entry's LRU or OD caches — the reload
+// answer may come from the old entry's result LRU — the reload
 // must serve exactly what a directly built miner over the new data
 // serves, and the first query after reload must be a cache miss.
 func TestEvictThenReloadServesFreshResults(t *testing.T) {

@@ -45,10 +45,8 @@ type serverStats struct {
 	registryConflicts int64
 	datasetNotFound   int64
 
-	batches            int64 // /batch requests answered
-	batchItems         int64 // items across all answered batches
-	batchODCacheHits   int64 // shared per-batch OD cache hits
-	batchODCacheMisses int64 // shared per-batch OD cache misses
+	batches    int64 // /batch requests answered
+	batchItems int64 // items across all answered batches
 
 	ring []time.Duration // query latencies, ring buffer
 	next int             // next write position
@@ -133,14 +131,12 @@ func (s *serverStats) recordDatasetNotFound() {
 	s.mu.Unlock()
 }
 
-// recordBatch counts one answered /batch with its item count and
-// shared OD-cache accounting in a single transition.
-func (s *serverStats) recordBatch(items int, odHits, odMisses, odEvals int64) {
+// recordBatch counts one answered /batch with its item count and OD
+// evaluations in a single transition.
+func (s *serverStats) recordBatch(items int, odEvals int64) {
 	s.mu.Lock()
 	s.batches++
 	s.batchItems += int64(items)
-	s.batchODCacheHits += odHits
-	s.batchODCacheMisses += odMisses
 	s.odEvals += odEvals
 	s.mu.Unlock()
 }
@@ -283,8 +279,6 @@ type StatsSnapshot struct {
 	ODEvaluations     int64          `json:"od_evaluations"`
 	Batches           int64          `json:"batches"`
 	BatchItems        int64          `json:"batch_items"`
-	BatchODHits       int64          `json:"batch_od_cache_hits"`
-	BatchODMisses     int64          `json:"batch_od_cache_misses"`
 	Jobs              JobStats       `json:"jobs"`
 	Datasets          []DatasetStats `json:"datasets"`
 	LatencySample     int            `json:"latency_sample"`
@@ -319,8 +313,6 @@ func (s *serverStats) snapshot(cacheEntries int, uptime time.Duration) StatsSnap
 		ODEvaluations:     s.odEvals,
 		Batches:           s.batches,
 		BatchItems:        s.batchItems,
-		BatchODHits:       s.batchODCacheHits,
-		BatchODMisses:     s.batchODCacheMisses,
 	}
 	s.mu.Unlock()
 

@@ -114,7 +114,7 @@ func TestSnapshotNeverTorn(t *testing.T) {
 				s.startRequest()
 				s.recordQuery(i%2 == 0, time.Duration(i)*time.Microsecond)
 				s.addODEvals(3)
-				s.recordBatch(2, 1, 1, 5)
+				s.recordBatch(2, 5)
 				s.endRequest()
 			}
 		}()
