@@ -77,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := dataio.SaveSnapshot(*savePath, snap); err != nil {
+		if err := snapshot.SaveFile(*savePath, snap); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "wrote snapshot %s (%d points x %d dims, seed %d)\n",

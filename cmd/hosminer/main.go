@@ -103,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	case *dataPath == "" && *loadSnap == "":
 		return fmt.Errorf("-data (CSV) or -load (snapshot) is required")
 	case *loadSnap != "":
-		snap, err := dataio.LoadSnapshot(*loadSnap)
+		snap, err := snapshot.LoadFile(*loadSnap)
 		if err != nil {
 			return err
 		}
@@ -182,7 +182,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		snap.NormStats = normRanges
-		if err := dataio.SaveSnapshot(*saveSnap, snap); err != nil {
+		if err := snapshot.SaveFile(*saveSnap, snap); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "saved snapshot to %s\n", *saveSnap)

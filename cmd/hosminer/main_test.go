@@ -361,7 +361,7 @@ func TestRunDatasetOnlySnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapPath := filepath.Join(t.TempDir(), "fixture.snap")
-	if err := dataio.SaveSnapshot(snapPath, s); err != nil {
+	if err := snapshot.SaveFile(snapPath, s); err != nil {
 		t.Fatal(err)
 	}
 	var fromCSV, fromSnap, errBuf bytes.Buffer
@@ -384,7 +384,7 @@ func TestRunDatasetOnlySnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.NormStats = ranges
-	if err := dataio.SaveSnapshot(snapPath, s); err != nil {
+	if err := snapshot.SaveFile(snapPath, s); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-load", snapPath, "-normalize", "-k", "4", "-tq", "0.95", "-index", "2"}, &fromSnap, &errBuf); err == nil {

@@ -313,7 +313,7 @@ func setupFromSnapshot(cc *cliConfig, stderr io.Writer) (*server.Server, *vector
 		}
 	}
 	path := filepath.Join(cc.dataDir, server.DefaultDatasetName+".snap")
-	snap, err := dataio.LoadSnapshot(path)
+	snap, err := snapshot.LoadFile(path)
 	if err != nil {
 		return nil, nil, nil, err
 	}

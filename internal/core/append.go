@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/knn"
-	"repro/internal/od"
 	"repro/internal/shard"
 	"repro/internal/vector"
-	"repro/internal/xtree"
 )
 
 // This file is the copy-on-write mutation surface of the Miner: a
@@ -21,8 +18,9 @@ import (
 // Exactness contract, relied on by internal/conformance: the returned
 // Miner is indistinguishable — answers, thresholds, learned priors,
 // encoded index bytes — from NewMiner over the final dataset followed
-// by Preprocess. That holds because (a) xtree.Append / shard.Append
-// continue the deterministic insertion sequence byte-identically, and
+// by Preprocess. That holds because (a) shard.Index.Append and
+// shard.Engine.Append continue the deterministic X-tree insertion
+// sequence byte-identically, and
 // (b) Preprocess is re-run from a fresh seed-derived rng, so a
 // TQuantile threshold and sampled learning resolve against the grown
 // dataset exactly as a from-scratch build would.
@@ -53,13 +51,14 @@ func ValidateRows(rows [][]float64, dim int) error {
 // dataset extended by rows. The receiver is unchanged and stays fully
 // serviceable — in-flight queries against it are unaffected.
 //
-// The k-NN index is extended incrementally: an unsharded X-tree takes
-// xtree.Append (insert via the linked scaffolding, repack), a sharded
-// engine routes the rows to their shards and rebuilds only those
-// (shard.Engine.Append), and a linear backend crossing the auto
-// threshold gets its first tree. Preprocess then re-resolves the
-// threshold and learning against the grown dataset, so the result is
-// byte-identical to a from-scratch build (see the file comment).
+// The k-NN index is extended incrementally: an unsharded index takes
+// shard.Index.Append (X-tree insertion via the linked scaffolding and
+// a repack, or a first tree for a linear index reaching the auto
+// threshold), and a sharded engine routes the rows to their shards and
+// extends only those (shard.Engine.Append). Preprocess then
+// re-resolves the threshold and learning against the grown dataset,
+// so the result is byte-identical to a from-scratch build (see the
+// file comment).
 func (m *Miner) WithAppended(rows [][]float64) (*Miner, error) {
 	if err := ValidateRows(rows, m.ds.Dim()); err != nil {
 		return nil, err
@@ -69,52 +68,20 @@ func (m *Miner) WithAppended(rows [][]float64) (*Miner, error) {
 		return nil, err
 	}
 
-	var searcher knn.Searcher
-	var tree *xtree.Tree
+	var index *shard.Index
 	var engine *shard.Engine
-	switch {
-	case m.shards != nil:
-		e, err := m.shards.Append(newDS)
-		if err != nil {
-			return nil, err
-		}
-		engine = e
-		s, err := e.NewSearcher()
-		if err != nil {
-			return nil, err
-		}
-		searcher = s
-	case m.cfg.Backend == BackendXTree ||
-		(m.cfg.Backend == BackendAuto && newDS.N() >= autoXTreeThreshold):
-		if m.tree != nil {
-			t, err := m.tree.Append(newDS)
-			if err != nil {
-				return nil, err
-			}
-			tree = t
-		} else {
-			// BackendAuto just crossed the threshold: first build, same
-			// as NewMiner over the grown dataset.
-			t, err := xtree.Build(newDS, m.cfg.Metric, xtree.DefaultConfig())
-			if err != nil {
-				return nil, err
-			}
-			tree = t
-		}
-		searcher = xtree.NewSearcher(tree)
-	default:
-		ls, err := knn.NewLinear(newDS, m.cfg.Metric)
-		if err != nil {
-			return nil, err
-		}
-		searcher = ls
+	if m.shards != nil {
+		engine, err = m.shards.Append(newDS)
+	} else {
+		index, err = m.index.Append(newDS)
 	}
-
-	eval, err := od.NewEvaluator(newDS, searcher, m.cfg.Metric, m.cfg.K, od.NormNone)
 	if err != nil {
 		return nil, err
 	}
-	nm := newMinerWith(newDS, m.cfg, eval, searcher, tree, engine)
+	nm, err := assemble(newDS, m.cfg, index, engine)
+	if err != nil {
+		return nil, err
+	}
 	if err := nm.Preprocess(); err != nil {
 		return nil, err
 	}

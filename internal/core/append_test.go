@@ -133,8 +133,8 @@ func TestWithAppendedEqualsRebuild(t *testing.T) {
 }
 
 // TestWithAppendedCrossesAutoThreshold: a BackendAuto linear miner
-// that grows past autoXTreeThreshold picks up an X-tree, matching the
-// from-scratch build.
+// that grows past shard.AutoXTreeThreshold picks up an X-tree,
+// matching the from-scratch build.
 func TestWithAppendedCrossesAutoThreshold(t *testing.T) {
 	ds, _, err := datagen.GenerateSynthetic(datagen.SyntheticConfig{
 		N: 500, D: 4, NumOutliers: 3, Seed: 5,
@@ -150,7 +150,7 @@ func TestWithAppendedCrossesAutoThreshold(t *testing.T) {
 	if err := m.Preprocess(); err != nil {
 		t.Fatal(err)
 	}
-	if m.tree != nil {
+	if tree, err := m.index.Encode(); err != nil || tree != nil {
 		t.Fatal("500-point auto miner unexpectedly tree-backed")
 	}
 	rng := rand.New(rand.NewSource(6))
@@ -158,7 +158,7 @@ func TestWithAppendedCrossesAutoThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m1.tree == nil {
+	if tree, err := m1.index.Encode(); err != nil || tree == nil {
 		t.Fatal("530-point auto miner missing its X-tree")
 	}
 	fresh, err := NewMiner(m1.Dataset(), cfg)

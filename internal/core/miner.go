@@ -11,54 +11,23 @@ import (
 	"repro/internal/shard"
 	"repro/internal/subspace"
 	"repro/internal/vector"
-	"repro/internal/xtree"
 )
 
-// Backend selects the k-NN engine behind OD evaluation.
-type Backend uint8
+// Backend selects the k-NN engine behind OD evaluation. It is
+// shard.IndexKind, the one backend enum: the same values, spellings
+// and threshold serve the unsharded index and every shard's.
+type Backend = shard.IndexKind
 
 const (
-	// BackendAuto uses an X-tree for datasets above a size threshold
-	// and a linear scan below it.
-	BackendAuto Backend = iota
+	// BackendAuto uses an X-tree for datasets of at least
+	// shard.AutoXTreeThreshold rows and a linear scan below it.
+	BackendAuto = shard.IndexAuto
 	// BackendLinear always scans.
-	BackendLinear
+	BackendLinear = shard.IndexLinear
 	// BackendXTree always uses the X-tree index (§3, "X-tree
 	// Indexing" module).
-	BackendXTree
+	BackendXTree = shard.IndexXTree
 )
-
-// autoXTreeThreshold is the dataset size above which BackendAuto
-// prefers the X-tree.
-const autoXTreeThreshold = 512
-
-// shardIndexKind maps a Backend onto the per-shard index choice of
-// internal/shard (BackendAuto is then applied per shard, not to the
-// whole dataset).
-func (b Backend) shardIndexKind() shard.IndexKind {
-	switch b {
-	case BackendLinear:
-		return shard.IndexLinear
-	case BackendXTree:
-		return shard.IndexXTree
-	default:
-		return shard.IndexAuto
-	}
-}
-
-// String names the backend.
-func (b Backend) String() string {
-	switch b {
-	case BackendAuto:
-		return "auto"
-	case BackendLinear:
-		return "linear"
-	case BackendXTree:
-		return "xtree"
-	default:
-		return fmt.Sprintf("Backend(%d)", uint8(b))
-	}
-}
 
 // Config parameterises a Miner.
 type Config struct {
@@ -106,6 +75,14 @@ func (c Config) Validate(ds *vector.Dataset) error {
 		return fmt.Errorf("core: nil dataset")
 	}
 	return c.validate(ds)
+}
+
+// MinRows is the smallest dataset size validate accepts for c: K must
+// stay below the row count, and SampleSize and Shards within it.
+// Retention sweeps keep at least this many rows, so an expiry policy
+// degrades to "keep the newest rows" instead of failing the sweep.
+func (c Config) MinRows() int {
+	return max(c.K+1, c.SampleSize, c.Shards)
 }
 
 func (c *Config) validate(ds *vector.Dataset) error {
@@ -167,7 +144,7 @@ type Miner struct {
 	ds     *vector.Dataset
 	eval   *od.Evaluator
 	srch   knn.Searcher
-	tree   *xtree.Tree   // non-nil when the backend is a single X-tree
+	index  *shard.Index  // non-nil when Config.Shards is 0
 	shards *shard.Engine // non-nil when Config.Shards ≥ 1
 
 	threshold    float64
@@ -199,95 +176,50 @@ type LearnStats struct {
 // NewMiner validates the configuration and builds the k-NN backend
 // (but performs no learning yet; see Preprocess).
 func NewMiner(ds *vector.Dataset, cfg Config) (*Miner, error) {
-	if ds == nil {
-		return nil, fmt.Errorf("core: nil dataset")
-	}
-	if ds.Dim() < 1 || ds.Dim() > subspace.MaxDim {
-		return nil, fmt.Errorf("core: dimensionality %d out of [1,%d]", ds.Dim(), subspace.MaxDim)
-	}
-	if err := cfg.validate(ds); err != nil {
-		return nil, err
-	}
-
-	var searcher knn.Searcher
-	var tree *xtree.Tree
-	var engine *shard.Engine
-	if cfg.Shards >= 1 {
-		e, err := shard.NewEngine(ds, shard.Config{
-			Shards:      cfg.Shards,
-			Partitioner: cfg.Partitioner,
-			Metric:      cfg.Metric,
-			Index:       cfg.Backend.shardIndexKind(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		engine = e
-		s, err := e.NewSearcher()
-		if err != nil {
-			return nil, err
-		}
-		searcher = s
-	} else if useXTree := cfg.Backend == BackendXTree ||
-		(cfg.Backend == BackendAuto && ds.N() >= autoXTreeThreshold); useXTree {
-		t, err := xtree.Build(ds, cfg.Metric, xtree.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		tree = t
-		searcher = xtree.NewSearcher(t)
-	} else {
-		ls, err := knn.NewLinear(ds, cfg.Metric)
-		if err != nil {
-			return nil, err
-		}
-		searcher = ls
-	}
-
-	eval, err := od.NewEvaluator(ds, searcher, cfg.Metric, cfg.K, od.NormNone)
-	if err != nil {
-		return nil, err
-	}
-	return newMinerWith(ds, cfg, eval, searcher, tree, engine), nil
+	return NewMinerWithIndex(ds, cfg, nil)
 }
 
-// newMinerWith assembles a Miner from already-constructed components —
-// the shared tail of NewMiner and NewMinerWithIndex.
-func newMinerWith(ds *vector.Dataset, cfg Config, eval *od.Evaluator, searcher knn.Searcher, tree *xtree.Tree, engine *shard.Engine) *Miner {
-	return &Miner{
+// assemble wires a Miner around its k-NN index — exactly one of index
+// and engine is non-nil — with uniform priors and a fresh seed-derived
+// rng. It is the shared tail of NewMinerWithIndex and WithAppended.
+func assemble(ds *vector.Dataset, cfg Config, index *shard.Index, engine *shard.Engine) (*Miner, error) {
+	m := &Miner{
 		cfg:    cfg,
 		ds:     ds,
-		eval:   eval,
-		srch:   searcher,
-		tree:   tree,
+		index:  index,
 		shards: engine,
 		priors: UniformPriors(ds.Dim()),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
+	srch, err := m.newSearcher()
+	if err != nil {
+		return nil, err
+	}
+	if m.eval, err = od.NewEvaluator(ds, srch, cfg.Metric, cfg.K, od.NormNone); err != nil {
+		return nil, err
+	}
+	m.srch = srch
+	return m, nil
+}
+
+// newSearcher hands out a k-NN cursor over the miner's index for one
+// goroutine. The index itself is immutable and shared; cursors carry
+// per-instance work counters and scratch, so each worker gets its own.
+func (m *Miner) newSearcher() (knn.Searcher, error) {
+	if m.shards != nil {
+		return m.shards.NewSearcher()
+	}
+	return m.index.NewSearcher()
 }
 
 // workerEvaluator builds an independent OD evaluator for one worker
-// goroutine. The X-tree itself is immutable after Build and safe for
-// concurrent reads; Searchers and Evaluators carry per-instance work
-// counters and are not, so each worker gets its own.
+// goroutine, over its own searcher cursor.
 func (m *Miner) workerEvaluator() (*od.Evaluator, error) {
-	var searcher knn.Searcher
-	if m.shards != nil {
-		s, err := m.shards.NewSearcher()
-		if err != nil {
-			return nil, err
-		}
-		searcher = s
-	} else if m.tree != nil {
-		searcher = xtree.NewSearcher(m.tree)
-	} else {
-		ls, err := knn.NewLinear(m.ds, m.cfg.Metric)
-		if err != nil {
-			return nil, err
-		}
-		searcher = ls
+	srch, err := m.newSearcher()
+	if err != nil {
+		return nil, err
 	}
-	return od.NewEvaluator(m.ds, searcher, m.cfg.Metric, m.cfg.K, od.NormNone)
+	return od.NewEvaluator(m.ds, srch, m.cfg.Metric, m.cfg.K, od.NormNone)
 }
 
 // Dataset returns the indexed dataset.

@@ -1,15 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 
-	"repro/internal/knn"
-	"repro/internal/od"
 	"repro/internal/shard"
 	"repro/internal/subspace"
 	"repro/internal/vector"
-	"repro/internal/xtree"
 )
 
 // IndexSnapshot is the serialized k-NN index of a Miner: the encoded
@@ -30,37 +26,31 @@ type IndexSnapshot struct {
 
 // ExportIndex serializes the miner's k-NN index for snapshotting.
 func (m *Miner) ExportIndex() (*IndexSnapshot, error) {
-	out := &IndexSnapshot{}
-	switch {
-	case m.shards != nil:
+	if m.shards != nil {
 		trees, err := m.shards.EncodedTrees()
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		out.ShardTrees = trees
-	case m.tree != nil:
-		var buf bytes.Buffer
-		if err := m.tree.Encode(&buf); err != nil {
-			return nil, fmt.Errorf("core: encoding index: %w", err)
-		}
-		out.Tree = buf.Bytes()
+		return &IndexSnapshot{ShardTrees: trees}, nil
 	}
-	return out, nil
+	tree, err := m.index.Encode()
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return &IndexSnapshot{Tree: tree}, nil
 }
 
-// NewMinerWithIndex is NewMiner with a warm-started index: where the
-// configuration calls for an X-tree (single or per-shard), the
-// supplied encoded trees are decoded and validated instead of built
-// from scratch — the snapshot-restore path. The index shape must
-// match what cfg would build: bytes for an index the configuration
-// does not use, or a missing tree for one it does, fail loudly rather
-// than silently rebuilding, because a shape mismatch means the
-// snapshot does not describe this configuration. A nil idx is
-// identical to NewMiner.
+// NewMinerWithIndex validates the configuration and builds the Miner's
+// k-NN index, warm-starting it from idx when idx carries encoded trees
+// — the snapshot-restore path. Where the configuration calls for an
+// X-tree (single or per-shard), the supplied trees are decoded and
+// validated instead of built from scratch. The index shape must match
+// what cfg would build: bytes for an index the configuration does not
+// use, or a missing tree for one it does, fail loudly rather than
+// silently rebuilding, because a shape mismatch means the snapshot
+// does not describe this configuration. A nil idx, or one with no
+// trees at all, builds fresh: that is NewMiner.
 func NewMinerWithIndex(ds *vector.Dataset, cfg Config, idx *IndexSnapshot) (*Miner, error) {
-	if idx == nil || (idx.Tree == nil && idx.ShardTrees == nil) {
-		return NewMiner(ds, cfg)
-	}
 	if ds == nil {
 		return nil, fmt.Errorf("core: nil dataset")
 	}
@@ -70,49 +60,27 @@ func NewMinerWithIndex(ds *vector.Dataset, cfg Config, idx *IndexSnapshot) (*Min
 	if err := cfg.validate(ds); err != nil {
 		return nil, err
 	}
-
-	var searcher knn.Searcher
-	var tree *xtree.Tree
-	var engine *shard.Engine
+	warm := idx != nil && (idx.Tree != nil || idx.ShardTrees != nil)
 	sharded := cfg.Shards >= 1
-	useXTree := !sharded && (cfg.Backend == BackendXTree ||
-		(cfg.Backend == BackendAuto && ds.N() >= autoXTreeThreshold))
-	switch {
-	case sharded != (idx.ShardTrees != nil):
+	if warm && sharded != (idx.ShardTrees != nil) {
 		return nil, fmt.Errorf("core: index snapshot shape mismatch (config sharded: %v)", sharded)
+	}
+	scfg := shard.Config{Shards: cfg.Shards, Partitioner: cfg.Partitioner, Metric: cfg.Metric, Index: cfg.Backend}
+	var index *shard.Index
+	var engine *shard.Engine
+	var err error
+	switch {
+	case sharded && warm:
+		engine, err = shard.NewEngineFromEncoded(ds, scfg, idx.ShardTrees)
 	case sharded:
-		e, err := shard.NewEngineFromEncoded(ds, shard.Config{
-			Shards:      cfg.Shards,
-			Partitioner: cfg.Partitioner,
-			Metric:      cfg.Metric,
-			Index:       cfg.Backend.shardIndexKind(),
-		}, idx.ShardTrees)
-		if err != nil {
-			return nil, err
-		}
-		engine = e
-		s, err := e.NewSearcher()
-		if err != nil {
-			return nil, err
-		}
-		searcher = s
-	case useXTree != (idx.Tree != nil):
-		return nil, fmt.Errorf("core: index snapshot shape mismatch (config wants a tree: %v)", useXTree)
-	default: // single-index tree, bytes present
-		t, err := xtree.Decode(bytes.NewReader(idx.Tree), ds)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if t.Metric() != cfg.Metric {
-			return nil, fmt.Errorf("core: index tree metric %v, config uses %v", t.Metric(), cfg.Metric)
-		}
-		tree = t
-		searcher = xtree.NewSearcher(t)
+		engine, err = shard.NewEngine(ds, scfg)
+	case warm:
+		index, err = shard.DecodeIndex(ds, cfg.Metric, cfg.Backend, idx.Tree)
+	default:
+		index, err = shard.NewIndex(ds, cfg.Metric, cfg.Backend)
 	}
-
-	eval, err := od.NewEvaluator(ds, searcher, cfg.Metric, cfg.K, od.NormNone)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	return newMinerWith(ds, cfg, eval, searcher, tree, engine), nil
+	return assemble(ds, cfg, index, engine)
 }

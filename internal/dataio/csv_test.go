@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/snapshot"
 	"repro/internal/vector"
 )
 
@@ -135,38 +134,5 @@ func TestWriteCSVRejectsNonFinite(t *testing.T) {
 		if _, err := ReadCSV(strings.NewReader(in)); !errors.Is(err, ErrNonFinite) {
 			t.Errorf("ReadCSV(%q): err = %v, want ErrNonFinite", in, err)
 		}
-	}
-}
-
-// TestSnapshotFileRoundTrip covers the dataio snapshot wrappers: the
-// format details are internal/snapshot's, the path-level Save/Load
-// belongs beside SaveFile/LoadFile.
-func TestSnapshotFileRoundTrip(t *testing.T) {
-	ds, _ := vector.FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	if err := ds.SetColumns([]string{"x", "y"}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := snapshot.FromDataset("pair", snapshot.Provenance{Source: "unit"}, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "pair.snap")
-	if err := SaveSnapshot(path, s); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != "pair" || back.Dataset.N() != 3 || back.Dataset.ColumnName(1) != "y" {
-		t.Fatalf("round trip lost data: %+v", back)
-	}
-	// A CSV handed to LoadSnapshot is refused with the typed error.
-	csvPath := filepath.Join(t.TempDir(), "data.csv")
-	if err := SaveFile(csvPath, ds); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSnapshot(csvPath); !errors.Is(err, snapshot.ErrSnapshot) {
-		t.Fatalf("LoadSnapshot(csv): err = %v, want a typed snapshot error", err)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataio"
 	"repro/internal/snapshot"
 	"repro/internal/wal"
 )
@@ -24,12 +23,12 @@ import (
 //	POST   /datasets/{name}/compact  fold WAL deltas into a fresh .snap (async job)
 //
 // Consistency model. Each mutation derives a complete replacement
-// view — core.Miner.WithAppendedBatch reuses the incremental X-tree
-// and shard append paths, so the result is bit-identical to a
-// from-scratch rebuild — and swaps the dataset's view pointer once
-// the delta is durable. In-flight queries hold the view they resolved
-// and never observe torn state; the epoch counter in /stats and
-// /datasets is the number of swaps.
+// view with nextView — core.Miner.WithAppendedBatch reuses the
+// incremental X-tree and shard append paths, so the result is
+// bit-identical to a from-scratch rebuild — and commitLocked swaps the
+// dataset's view pointer once the delta is durable. In-flight queries
+// hold the view they resolved and never observe torn state; the epoch
+// counter in /stats and /datasets is the number of swaps.
 //
 // Group commit. Concurrent /append requests do not each pay the
 // rebuild: every handler enqueues its rows on the entry's pending
@@ -43,13 +42,14 @@ import (
 //
 // Durability. With -data-dir and -wal, the first mutation persists the
 // pre-mutation state as <name>.snap and opens <name>.wal beside it
-// (internal/wal); every mutation appends a CRC-framed delta record
+// (internal/wal); every mutation appends a CRC-framed batch frame
 // AND commits it (per the configured wal.SyncPolicy) BEFORE the new
-// view becomes visible. A restart replays base + WAL to the same
-// state; compaction folds the deltas into a fresh base and rotates
-// the log. A crash between those two steps is safe either way: the
-// stale log fails its BaseCRC binding against the new base and is
-// ignored, because everything it carried is already in the snapshot.
+// view becomes visible. A restart replays base + WAL through the same
+// nextView to the same state; compaction folds the deltas into a
+// fresh base and rotates the log. A crash between those two steps is
+// safe either way: the stale log fails its BaseCRC binding against
+// the new base and is ignored, because everything it carried is
+// already in the snapshot.
 
 // view is one immutable epoch of a dataset's queryable state. Every
 // field is fixed at construction; mutations build a new view. The
@@ -223,27 +223,16 @@ func (s *Server) writeAppendOutcome(w http.ResponseWriter, out appendOutcome) {
 	s.error(w, out.status, out.errMsg)
 }
 
-// stampAfter returns the ingest stamp for a mutation over v: the wall
-// clock, floored at the view's newest stamp so the stamp sequence
-// stays non-decreasing (the retention sweeper's prefix expiry relies
-// on that) even if the clock steps backwards.
-func stampAfter(v *view) int64 {
-	stamp := time.Now().UnixNano()
-	if n := len(v.stamps); n > 0 && v.stamps[n-1] > stamp {
-		stamp = v.stamps[n-1]
-	}
-	return stamp
-}
-
 // drainAppendsLocked applies every queued append as one amortized
 // mutation; the caller holds d.mut. Per-op validation runs first
 // (core.ValidateRows plus the cumulative load limit), so a malformed
 // request fails alone instead of poisoning the batch. The surviving
-// ops are applied through one core.WithAppendedBatch — one shard
-// routing pass, one X-tree unpack/insert/repack, one threshold
-// re-resolution — journaled as one WAL batch frame, made durable by
-// one Commit, and made visible by one epoch swap. Every drained op's
-// outcome is delivered before this returns.
+// ops become one append record each, and nextView applies the run
+// through one core.WithAppendedBatch — one shard routing pass, one
+// X-tree unpack/insert/repack, one threshold re-resolution.
+// commitLocked then journals them as one WAL batch frame, makes them
+// durable with one Commit and visible with one epoch swap. Every
+// drained op's outcome is delivered before this returns.
 func (s *Server) drainAppendsLocked(d *dataset) {
 	d.pendMu.Lock()
 	ops := d.pending
@@ -273,66 +262,29 @@ func (s *Server) drainAppendsLocked(d *dataset) {
 	if len(accepted) == 0 {
 		return
 	}
-	failAll := func(status int, format string, args ...any) {
-		msg := fmt.Sprintf(format, args...)
-		for _, op := range accepted {
-			op.done <- appendOutcome{status: status, errMsg: msg}
-		}
-	}
-	batches := make([][][]float64, len(accepted))
+	recs := make([]wal.Record, len(accepted))
+	now := time.Now().UnixNano()
+	next := v.nextID
 	for i, op := range accepted {
-		batches[i] = op.rows
+		recs[i] = wal.Record{Type: wal.RecordAppend, FirstID: next, Rows: op.rows, Stamp: now}
+		next += int64(len(op.rows))
 	}
-	nm, err := v.miner.WithAppendedBatch(batches...)
+	nv, err := s.nextView(d, v, v.epoch+1, recs)
+	if err == nil {
+		err = s.commitLocked(d, v, nv, recs)
+	}
 	if err != nil {
-		// Every batch already passed ValidateRows, so this is an
-		// engine-level refusal, not a malformed request.
-		failAll(http.StatusInternalServerError, "%v", err)
+		// Every batch already passed ValidateRows, so this is an engine
+		// refusal or a WAL failure, not a malformed request.
+		for _, op := range accepted {
+			op.done <- appendOutcome{status: http.StatusInternalServerError, errMsg: err.Error()}
+		}
 		return
 	}
-	stamp := stampAfter(v)
-	// Durable before visible: the whole drain reaches the log as one
-	// CRC-framed batch record and one group-commit fsync before the
-	// swap. A WAL failure leaves the old view serving, the dataset
-	// unchanged, and every queued caller informed.
-	if s.walActive() {
-		if err := s.ensureWALLocked(d, v); err != nil {
-			failAll(http.StatusInternalServerError, "wal: %v", err)
-			return
-		}
-		recs := make([]wal.Record, len(accepted))
-		next := v.nextID
-		for i, op := range accepted {
-			recs[i] = wal.Record{Type: wal.RecordAppend, FirstID: next, Rows: op.rows}
-			next += int64(len(op.rows))
-		}
-		if err := d.wal.AppendBatch(stamp, recs); err != nil {
-			failAll(http.StatusInternalServerError, "%v", err)
-			return
-		}
-		if err := d.wal.Commit(); err != nil {
-			failAll(http.StatusInternalServerError, "wal: %v", err)
-			return
-		}
-		d.walBytes.Store(d.wal.Size())
-		d.walRecords.Store(d.wal.Records())
-		d.walSyncs.Store(d.wal.Syncs())
-	}
-	ids := make([]int64, 0, len(v.ids)+total)
-	stamps := make([]int64, 0, len(v.stamps)+total)
-	ids = append(ids, v.ids...)
-	stamps = append(stamps, v.stamps...)
-	for i := 0; i < total; i++ {
-		ids = append(ids, v.nextID+int64(i))
-		stamps = append(stamps, stamp)
-	}
-	nv := s.newView(d, nm, v.epoch+1, ids, stamps, v.nextID+int64(total))
-	d.cur.Store(nv)
 	d.appends.Add(int64(len(accepted)))
 	d.appendedRows.Add(int64(total))
 	d.appendBatches.Add(1)
-	s.maybeCompact(d)
-	n := nm.Dataset().N()
+	n := nv.miner.Dataset().N()
 	firstID := v.nextID
 	for _, op := range accepted {
 		op.done <- appendOutcome{resp: &appendResponse{
@@ -405,54 +357,129 @@ func (s *Server) handleDeleteRows(w http.ResponseWriter, r *http.Request) {
 }
 
 // deleteRangeLocked is the one delete path: it removes every row of
-// d's view v whose stable ID falls in [fromID, toID), journals the
-// deletion (Commit included — the group-commit durability point),
-// and swaps the new epoch in. Both the DELETE handler and the
-// retention sweeper go through it, so exactness (WithoutRows is a
-// full rebuild of the survivors) and durability ordering are argued
-// once. The caller holds d.mut. A non-zero status reports the failure
-// and the view is unchanged.
+// d's view v whose stable ID falls in [fromID, toID), deriving the next
+// epoch with nextView and committing it with commitLocked (journal and
+// Commit before the swap). Both the DELETE handler and the retention
+// sweeper go through it, so exactness (WithoutRows is a full rebuild
+// of the survivors) and durability ordering are argued once. The
+// caller holds d.mut. A non-zero status reports the failure and the
+// view is unchanged.
 func (s *Server) deleteRangeLocked(d *dataset, v *view, fromID, toID int64) (nv *view, removed, status int, errMsg string) {
-	keep := make([]int, 0, len(v.ids))
-	for i, id := range v.ids {
-		if id < fromID || id >= toID {
-			keep = append(keep, i)
+	for _, id := range v.ids {
+		if id >= fromID && id < toID {
+			removed++
 		}
 	}
-	removed = len(v.ids) - len(keep)
 	if removed == 0 {
 		return nil, 0, http.StatusBadRequest, fmt.Sprintf("no rows with IDs in [%d,%d)", fromID, toID)
 	}
-	nm, err := v.miner.WithoutRows(keep)
+	recs := []wal.Record{{Type: wal.RecordDelete, FromID: fromID, ToID: toID, Stamp: time.Now().UnixNano()}}
+	nv, err := s.nextView(d, v, v.epoch+1, recs)
 	if err != nil {
 		return nil, 0, http.StatusBadRequest, err.Error()
 	}
-	if s.walActive() {
-		if err := s.ensureWALLocked(d, v); err != nil {
-			return nil, 0, http.StatusInternalServerError, fmt.Sprintf("wal: %v", err)
-		}
-		if err := d.wal.AppendDelete(fromID, toID); err != nil {
-			return nil, 0, http.StatusInternalServerError, err.Error()
-		}
-		if err := d.wal.Commit(); err != nil {
-			return nil, 0, http.StatusInternalServerError, fmt.Sprintf("wal: %v", err)
-		}
-		d.walBytes.Store(d.wal.Size())
-		d.walRecords.Store(d.wal.Records())
-		d.walSyncs.Store(d.wal.Syncs())
+	if err := s.commitLocked(d, v, nv, recs); err != nil {
+		return nil, 0, http.StatusInternalServerError, err.Error()
 	}
-	ids := make([]int64, len(keep))
-	stamps := make([]int64, len(keep))
-	for i, g := range keep {
-		ids[i] = v.ids[g]
-		stamps[i] = v.stamps[g]
-	}
-	nv = s.newView(d, nm, v.epoch+1, ids, stamps, v.nextID)
-	d.cur.Store(nv)
 	d.deletes.Add(1)
 	d.deletedRows.Add(int64(removed))
-	s.maybeCompact(d)
 	return nv, removed, 0, ""
+}
+
+// nextView is the one epoch derivation: it applies WAL records, in
+// journal order, to view v and returns the view for epoch holding the
+// resulting miner, stable row IDs, ingest stamps and next ID. The
+// append drain, the delete path and WAL replay all derive through it,
+// so a restart rebuilds exactly the state that was served. Each run of
+// consecutive appends is applied with one WithAppendedBatch call; a
+// delete that matches no row is a no-op. Each appended row's stamp is
+// its record's stamp floored at the newest surviving stamp, so stamps
+// stay non-decreasing even if the clock steps backwards — the
+// retention sweeper's prefix expiry relies on that. v is not modified.
+func (s *Server) nextView(d *dataset, v *view, epoch int64, recs []wal.Record) (*view, error) {
+	m, ids, stamps, nextID := v.miner, v.ids, v.stamps, v.nextID
+	var err error
+	for i := 0; i < len(recs); {
+		if rec := recs[i]; rec.Type == wal.RecordDelete {
+			i++
+			keep := make([]int, 0, len(ids))
+			for j, id := range ids {
+				if id < rec.FromID || id >= rec.ToID {
+					keep = append(keep, j)
+				}
+			}
+			if len(keep) == len(ids) {
+				continue
+			}
+			if m, err = m.WithoutRows(keep); err != nil {
+				return nil, err
+			}
+			kept, keptStamps := make([]int64, len(keep)), make([]int64, len(keep))
+			for j, g := range keep {
+				kept[j], keptStamps[j] = ids[g], stamps[g]
+			}
+			ids, stamps = kept, keptStamps
+			continue
+		}
+		run := i
+		var batches [][][]float64
+		total := 0
+		for ; i < len(recs) && recs[i].Type != wal.RecordDelete; i++ {
+			batches = append(batches, recs[i].Rows)
+			total += len(recs[i].Rows)
+		}
+		if m, err = m.WithAppendedBatch(batches...); err != nil {
+			return nil, err
+		}
+		ids = append(make([]int64, 0, len(ids)+total), ids...)
+		stamps = append(make([]int64, 0, len(stamps)+total), stamps...)
+		for _, rec := range recs[run:i] {
+			stamp := rec.Stamp
+			if n := len(stamps); n > 0 && stamps[n-1] > stamp {
+				stamp = stamps[n-1]
+			}
+			for j := range rec.Rows {
+				ids = append(ids, rec.FirstID+int64(j))
+				stamps = append(stamps, stamp)
+			}
+			nextID = max(nextID, rec.FirstID+int64(len(rec.Rows)))
+		}
+	}
+	return s.newView(d, m, epoch, ids, stamps, nextID), nil
+}
+
+// commitLocked makes nv, derived from v by recs, the serving epoch —
+// durable before visible. With WAL persistence on it engages the log
+// (the first mutation persists v as the base snapshot), journals recs
+// as one batch frame carrying their stamp, commits it under the sync
+// policy and mirrors the log counters, all before the swap; a failure
+// leaves v serving and the dataset unchanged. It then offers the log
+// to auto-compaction. Both live mutation paths commit through it. The
+// caller holds d.mut.
+func (s *Server) commitLocked(d *dataset, v, nv *view, recs []wal.Record) error {
+	if s.walActive() {
+		if err := s.ensureWALLocked(d, v); err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+		if err := d.wal.AppendBatch(recs[0].Stamp, recs); err != nil {
+			return err
+		}
+		if err := d.wal.Commit(); err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+		d.mirrorWAL()
+	}
+	d.cur.Store(nv)
+	s.maybeCompact(d)
+	return nil
+}
+
+// mirrorWAL copies the log's size, frame count and fsync count into
+// the entry's atomic /stats shadows. The caller holds d.mut.
+func (d *dataset) mirrorWAL() {
+	d.walBytes.Store(d.wal.Size())
+	d.walRecords.Store(d.wal.Records())
+	d.walSyncs.Store(d.wal.Syncs())
 }
 
 // handleCompact submits a compaction job: fold the dataset's WAL
@@ -504,7 +531,7 @@ func (s *Server) persistLocked(d *dataset, v *view) (string, int64, error) {
 	}
 	snap.NormStats = d.normStats
 	path := filepath.Join(s.opts.DataDir, d.name+snapExt)
-	if err := dataio.SaveSnapshot(path, snap); err != nil {
+	if err := snapshot.SaveFile(path, snap); err != nil {
 		return "", 0, err
 	}
 	st, err := os.Stat(path)
@@ -512,7 +539,7 @@ func (s *Server) persistLocked(d *dataset, v *view) (string, int64, error) {
 		return "", 0, err
 	}
 	if s.walActive() {
-		crc, err := dataio.FileCRC32(path)
+		crc, err := wal.FileCRC32(path)
 		if err != nil {
 			return "", 0, err
 		}
@@ -529,9 +556,7 @@ func (s *Server) persistLocked(d *dataset, v *view) (string, int64, error) {
 			_ = d.wal.Close()
 		}
 		d.wal = nw
-		d.walBytes.Store(nw.Size())
-		d.walRecords.Store(0)
-		d.walSyncs.Store(0)
+		d.mirrorWAL()
 	}
 	return path, st.Size(), nil
 }
@@ -596,7 +621,7 @@ func (s *Server) attachWALLocked(d *dataset, snapPath string) (int, error) {
 	if _, err := os.Stat(wp); errors.Is(err, os.ErrNotExist) {
 		return 0, nil
 	}
-	crc, err := dataio.FileCRC32(snapPath)
+	crc, err := wal.FileCRC32(snapPath)
 	if err != nil {
 		return 0, err
 	}
@@ -619,69 +644,27 @@ func (s *Server) attachWALLocked(d *dataset, snapPath string) (int, error) {
 	if rep.Torn {
 		s.debugf("server: %s had a torn trailing record; truncated to the last valid record (%d replayed)", wp, len(rep.Records))
 	}
-	m := v.miner
-	ids := append([]int64(nil), h.BaseIDs...)
 	// Ingest stamps do not survive a restart for base rows (the snap
 	// format does not carry them), so every base row re-stamps at
-	// replay time; replayed records keep their journaled batch stamp,
-	// clamped up to the base stamp so the sequence stays non-decreasing
-	// (legacy single-record frames carry stamp 0 and clamp the same
-	// way). Conservative in retention terms: a row can only expire
-	// later than its policy allows, never earlier.
-	replayStamp := time.Now().UnixNano()
-	stamps := make([]int64, len(ids))
-	for j := range stamps {
-		stamps[j] = replayStamp
+	// replay time; replayed appends keep their journaled batch stamp,
+	// floored by nextView exactly as a live append is (legacy
+	// single-record frames carry stamp 0 and floor the same way).
+	// Conservative in retention terms: a row can only expire later
+	// than its policy allows, never earlier.
+	base := &view{miner: v.miner, ids: h.BaseIDs, stamps: make([]int64, len(h.BaseIDs)), nextID: h.NextID}
+	now := time.Now().UnixNano()
+	for j := range base.stamps {
+		base.stamps[j] = now
 	}
-	lastStamp := replayStamp
-	nextID := h.NextID
-	for i, rec := range rep.Records {
-		switch rec.Type {
-		case wal.RecordAppend:
-			if m, err = m.WithAppended(rec.Rows); err != nil {
-				_ = lg.Close()
-				return 0, fmt.Errorf("%s record %d: %w", wp, i, err)
-			}
-			st := rec.Stamp
-			if st < lastStamp {
-				st = lastStamp
-			}
-			lastStamp = st
-			for j := range rec.Rows {
-				ids = append(ids, rec.FirstID+int64(j))
-				stamps = append(stamps, st)
-			}
-			if end := rec.FirstID + int64(len(rec.Rows)); end > nextID {
-				nextID = end
-			}
-		case wal.RecordDelete:
-			keep := make([]int, 0, len(ids))
-			for j, id := range ids {
-				if id < rec.FromID || id >= rec.ToID {
-					keep = append(keep, j)
-				}
-			}
-			if len(keep) == len(ids) {
-				continue
-			}
-			if m, err = m.WithoutRows(keep); err != nil {
-				_ = lg.Close()
-				return 0, fmt.Errorf("%s record %d: %w", wp, i, err)
-			}
-			kept := make([]int64, len(keep))
-			keptStamps := make([]int64, len(keep))
-			for j, g := range keep {
-				kept[j] = ids[g]
-				keptStamps[j] = stamps[g]
-			}
-			ids, stamps = kept, keptStamps
-		}
+	// The epoch counts the replayed records.
+	nv, err := s.nextView(d, base, int64(len(rep.Records)), rep.Records)
+	if err != nil {
+		_ = lg.Close()
+		return 0, fmt.Errorf("%s: replay: %w", wp, err)
 	}
-	d.cur.Store(s.newView(d, m, int64(len(rep.Records)), ids, stamps, nextID))
+	d.cur.Store(nv)
 	d.wal = lg
-	d.walBytes.Store(lg.Size())
-	d.walRecords.Store(lg.Records())
-	d.walSyncs.Store(lg.Syncs())
+	d.mirrorWAL()
 	return len(rep.Records), nil
 }
 

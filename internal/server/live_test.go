@@ -6,11 +6,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/dataio"
+	"repro/internal/snapshot"
 )
 
 // Tests for the live-mutation surface: streaming appends, id-range
@@ -44,7 +45,7 @@ func appendJSON(n, d int, seed int64) string {
 // and the number of replayed records.
 func restartFromSnapshot(t *testing.T, dir string, opts Options) (*Server, int) {
 	t.Helper()
-	snap, err := dataio.LoadSnapshot(filepath.Join(dir, "default.snap"))
+	snap, err := snapshot.LoadFile(filepath.Join(dir, "default.snap"))
 	if err != nil {
 		t.Fatalf("loading default.snap: %v", err)
 	}
@@ -676,5 +677,104 @@ func TestLiveAppendHammer(t *testing.T) {
 	// And the survivor still answers.
 	if rec := do(t, h, "POST", "/query", `{"index":0}`, nil); rec.Code != http.StatusOK {
 		t.Fatalf("post-hammer query: %d (%s)", rec.Code, rec.Body.String())
+	}
+}
+
+// TestReplayReproducesRowIdentity: WAL replay runs the live epoch
+// derivation, so a restart reproduces not just the answers but the
+// row identity the live server held — the stable IDs every ID-range
+// delete addresses, the next ID and the row count — with ingest stamps
+// still non-decreasing. The journal covers each mutation shape: a
+// coalesced drain of concurrent appends, an ID-range delete, a
+// keep_last delete and a retention sweep.
+func TestReplayReproducesRowIdentity(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Options{DataDir: dir, WAL: true, CacheSize: -1})
+	h := s.Handler()
+	d := s.def
+	baseN := d.view().miner.Dataset().N()
+
+	// Park every caller on the pending queue before any drain starts,
+	// so the appends coalesce into one drain.
+	const callers, rowsEach = 4, 3
+	d.mut.Lock()
+	var wg sync.WaitGroup
+	codes := make([]int, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			codes[i] = do(t, h, "POST", "/datasets/default/append", appendJSON(rowsEach, 5, int64(80+i)), nil).Code
+		}(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		d.pendMu.Lock()
+		queued := len(d.pending)
+		d.pendMu.Unlock()
+		if queued == callers {
+			break
+		}
+		if time.Now().After(deadline) {
+			d.mut.Unlock()
+			t.Fatalf("only %d/%d appends queued", queued, callers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	d.mut.Unlock()
+	wg.Wait()
+	for i, code := range codes {
+		if code != http.StatusOK {
+			t.Fatalf("caller %d: status %d", i, code)
+		}
+	}
+	if live := s.Stats().Datasets[0].Live; live.AppendBatches != 1 {
+		t.Fatalf("appends did not coalesce into one drain: %+v", live)
+	}
+
+	for _, body := range []string{`{"from_id":10,"to_id":20}`, `{"keep_last":120}`} {
+		if rec := do(t, h, "DELETE", "/datasets/default/rows", body, nil); rec.Code != http.StatusOK {
+			t.Fatalf("delete %s: %d (%s)", body, rec.Code, rec.Body.String())
+		}
+	}
+	if rec := do(t, h, "PUT", "/datasets/default/retention", `{"max_rows":100}`, nil); rec.Code != http.StatusOK {
+		t.Fatalf("set retention: %d (%s)", rec.Code, rec.Body.String())
+	}
+	if n := s.sweepRetention(); n != 1 {
+		t.Fatalf("sweep submitted %d jobs, want 1", n)
+	}
+	waitJobsSettled(t, s)
+	if st := s.Stats(); st.Jobs.Failed != 0 || st.Datasets[0].Live.RetentionExpiredRows != 20 {
+		t.Fatalf("retention sweep: jobs %+v, live %+v", st.Jobs, st.Datasets[0].Live)
+	}
+
+	v1 := d.view()
+	if n := v1.miner.Dataset().N(); n != 100 || v1.nextID != int64(baseN+callers*rowsEach) {
+		t.Fatalf("live view: n=%d nextID=%d", n, v1.nextID)
+	}
+	want := bodyOf(t, h, "POST", "/scan", `{"max_results":10,"sort_by_severity":true}`)
+
+	s2, replayed := restartFromSnapshot(t, dir, Options{WAL: true, CacheSize: -1})
+	if replayed != callers+3 {
+		t.Fatalf("replayed %d records, want %d appends + 3 deletes", replayed, callers)
+	}
+	v2 := s2.def.view()
+	if !reflect.DeepEqual(v2.ids, v1.ids) {
+		t.Fatalf("replayed IDs diverge:\n live:     %v\n replayed: %v", v1.ids, v2.ids)
+	}
+	if v2.nextID != v1.nextID || v2.miner.Dataset().N() != v1.miner.Dataset().N() {
+		t.Fatalf("replayed nextID=%d n=%d, live nextID=%d n=%d",
+			v2.nextID, v2.miner.Dataset().N(), v1.nextID, v1.miner.Dataset().N())
+	}
+	if len(v2.stamps) != len(v2.ids) {
+		t.Fatalf("%d stamps for %d rows", len(v2.stamps), len(v2.ids))
+	}
+	for i := 1; i < len(v2.stamps); i++ {
+		if v2.stamps[i] < v2.stamps[i-1] {
+			t.Fatalf("replayed stamps decrease at row %d: %d < %d", i, v2.stamps[i], v2.stamps[i-1])
+		}
+	}
+	if got := bodyOf(t, s2.Handler(), "POST", "/scan", `{"max_results":10,"sort_by_severity":true}`); got != want {
+		t.Fatalf("/scan diverged across restart:\n before: %s\n after:  %s", want, got)
 	}
 }

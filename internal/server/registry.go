@@ -16,6 +16,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/snapshot"
 	"repro/internal/subspace"
+	"repro/internal/vector"
 	"repro/internal/wal"
 )
 
@@ -409,11 +410,21 @@ func (s *Server) buildDataset(req *loadRequest) (*dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	prov := snapshot.Provenance{Generator: req.Gen, Seed: req.Seed, CreatedUnix: time.Now().Unix()}
+	return s.minedEntry(req, ds, nil, prov)
+}
+
+// minedEntry is the one load tail for a bare dataset: it configures a
+// miner over ds from the request's miner parameters, preprocesses it
+// and wraps it as a registry entry. Generated loads and dataset-only
+// snapshot loads both end here.
+func (s *Server) minedEntry(req *loadRequest, ds *vector.Dataset, norm []snapshot.ColumnRange, prov snapshot.Provenance) (*dataset, error) {
 	cfg := core.Config{
 		K: req.K, T: req.T, TQuantile: req.TQuantile,
 		SampleSize: req.Samples, Seed: req.Seed, Shards: req.Shards,
 	}
 	cfg.ClampSampleSize(ds.N())
+	var err error
 	if req.Backend != "" {
 		if cfg.Backend, err = core.ParseBackend(req.Backend); err != nil {
 			return nil, err
@@ -436,8 +447,7 @@ func (s *Server) buildDataset(req *loadRequest) (*dataset, error) {
 	if err := m.Preprocess(); err != nil {
 		return nil, err
 	}
-	prov := snapshot.Provenance{Generator: req.Gen, Seed: req.Seed, CreatedUnix: time.Now().Unix()}
-	return s.newDatasetEntry(req.Name, m, nil, prov), nil
+	return s.newDatasetEntry(req.Name, m, norm, prov), nil
 }
 
 // newDatasetEntry wraps a preprocessed miner in its serving state at

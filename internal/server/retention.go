@@ -189,9 +189,9 @@ func (s *Server) retentionJob(d *dataset) func(ctx context.Context, report func(
 // view invariant), so both dimensions reduce to a prefix — which is
 // what lets the sweep express itself as one contiguous ID range
 // through the shared delete path. The prefix is clamped so at least
-// K+1 rows survive — the engine's floor for a valid configuration —
-// because retention must degrade to "keep the newest rows" on an idle
-// dataset rather than fail the sweep outright.
+// core.Config.MinRows rows survive — the smallest dataset the miner's
+// configuration accepts — because retention must degrade to "keep the
+// newest rows" on an idle dataset rather than fail the sweep outright.
 func expiredPrefix(v *view, cfg retentionConfig, now time.Time) int {
 	n := len(v.ids)
 	p := 0
@@ -204,7 +204,7 @@ func expiredPrefix(v *view, cfg retentionConfig, now time.Time) int {
 	if cfg.MaxRows > 0 && n-cfg.MaxRows > p {
 		p = n - cfg.MaxRows
 	}
-	if floor := v.miner.Config().K + 1; n-p < floor {
+	if floor := v.miner.Config().MinRows(); n-p < floor {
 		p = n - floor
 	}
 	if p < 0 {

@@ -10,9 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/dataio"
-	"repro/internal/shard"
 	"repro/internal/snapshot"
 )
 
@@ -82,7 +79,7 @@ func (s *Server) loadDatasetFromFile(req *loadRequest) (*dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap, err := dataio.LoadSnapshot(path)
+	snap, err := snapshot.LoadFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -124,37 +121,7 @@ func (s *Server) datasetFromSnapshot(req *loadRequest, snap *snapshot.Snapshot) 
 	}
 	// Dataset-only snapshot: the request configures the miner, exactly
 	// like a generated load, with the snapshot supplying the bytes.
-	build := *req
-	build.Gen = "" // defensive: the generator arm must not run
-	cfg := core.Config{
-		K: build.K, T: build.T, TQuantile: build.TQuantile,
-		SampleSize: build.Samples, Seed: build.Seed, Shards: build.Shards,
-	}
-	cfg.ClampSampleSize(snap.Dataset.N())
-	var err error
-	if build.Backend != "" {
-		if cfg.Backend, err = core.ParseBackend(build.Backend); err != nil {
-			return nil, err
-		}
-	}
-	if build.Policy != "" {
-		if cfg.Policy, err = core.ParsePolicy(build.Policy); err != nil {
-			return nil, err
-		}
-	}
-	if build.Partitioner != "" {
-		if cfg.Partitioner, err = shard.ParsePartitioner(build.Partitioner); err != nil {
-			return nil, err
-		}
-	}
-	m, err := core.NewMiner(snap.Dataset, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Preprocess(); err != nil {
-		return nil, err
-	}
-	return s.newDatasetEntry(req.Name, m, snap.NormStats, snap.Provenance), nil
+	return s.minedEntry(req, snap.Dataset, snap.NormStats, snap.Provenance)
 }
 
 // WarmStart registers every snapshot in DataDir as a background job on
@@ -215,7 +182,7 @@ func (s *Server) warmStartJob(path, stem string) func(ctx context.Context, repor
 		if !validDatasetName(stem) || stem == DefaultDatasetName {
 			return nil, fmt.Errorf("%s: file stem %q is not a registrable dataset name", path, stem)
 		}
-		snap, err := dataio.LoadSnapshot(path)
+		snap, err := snapshot.LoadFile(path)
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,6 @@ import (
 	"runtime"
 
 	"repro/internal/vector"
-	"repro/internal/xtree"
 )
 
 // Append returns a new Engine over newDS, reusing this engine's work
@@ -14,11 +13,11 @@ import (
 // new rows are routed to their shards by the configured partitioner
 // (deterministic in (row index, coordinates), so the assignment
 // matches what NewEngine over the full dataset would compute), and
-// only the shards that receive rows rebuild: their sub-datasets grow,
-// their X-trees take the incremental xtree.Append path (or a linear
-// shard crossing AutoXTreeThreshold gets its first tree, exactly as a
-// fresh partition would). Untouched shards share their partition —
-// sub-dataset, mapping and index — with the source engine, which stays
+// only the shards that receive rows rebuild: their sub-datasets grow
+// and their indexes take Index.Append (incremental X-tree insertion,
+// or a first tree for a linear shard reaching AutoXTreeThreshold,
+// exactly as a fresh partition would). Untouched shards share their
+// partition — index and mapping — with the source engine, which stays
 // valid and unchanged for in-flight searchers.
 //
 // The result is indistinguishable from NewEngine(newDS, e.Config()):
@@ -67,7 +66,7 @@ func (e *Engine) Append(newDS *vector.Dataset) (*Engine, error) {
 	for i := oldN; i < n; i++ {
 		s := e.cfg.Partitioner.Assign(i, newDS.Point(i), shards)
 		ne.shardOf[i] = int32(s)
-		ne.localOf[i] = int32(e.parts[s].sub.N() + len(added[s]))
+		ne.localOf[i] = int32(e.parts[s].index.ds.N() + len(added[s]))
 		added[s] = append(added[s], i)
 	}
 
@@ -76,7 +75,7 @@ func (e *Engine) Append(newDS *vector.Dataset) (*Engine, error) {
 			ne.parts[s] = old // untouched: share wholesale
 			continue
 		}
-		oldSub := old.sub
+		oldSub := old.index.ds
 		flat := make([]float64, 0, (oldSub.N()+len(added[s]))*d)
 		flat = append(flat, oldSub.Slab()...)
 		for _, g := range added[s] {
@@ -86,53 +85,14 @@ func (e *Engine) Append(newDS *vector.Dataset) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
+		idx, err := old.index.Append(sub)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", s, err)
+		}
 		global := make([]int, 0, len(old.global)+len(added[s]))
 		global = append(global, old.global...)
 		global = append(global, added[s]...)
-		p := &partition{sub: sub, global: global}
-		useTree := e.cfg.Index == IndexXTree ||
-			(e.cfg.Index == IndexAuto && sub.N() >= AutoXTreeThreshold)
-		switch {
-		case useTree && old.tree != nil:
-			t, err := old.tree.Append(sub)
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", s, err)
-			}
-			p.tree = t
-		case useTree:
-			// A linear shard just crossed the auto threshold (or the
-			// config always indexes): first build, same as a fresh
-			// partition of the grown dataset.
-			t, err := xtree.Build(sub, e.cfg.Metric, xtree.DefaultConfig())
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", s, err)
-			}
-			p.tree = t
-		}
-		ne.parts[s] = p
+		ne.parts[s] = &partition{index: idx, global: global}
 	}
 	return ne, nil
-}
-
-// AppendBatch is the group-commit entry point: it grows the engine's
-// dataset by every batch of rows at once. All rows route to their
-// shards in one pass, so each touched shard pays its rebuild (one
-// xtree.Append unpack/insert/repack, or its first build past the auto
-// threshold) once per drain instead of once per queued batch, and
-// untouched shards are still shared wholesale. Exactness is Append's:
-// indistinguishable from NewEngine over the combined dataset.
-func (e *Engine) AppendBatch(batches ...[][]float64) (*Engine, error) {
-	total := 0
-	for _, rows := range batches {
-		total += len(rows)
-	}
-	all := make([][]float64, 0, total)
-	for _, rows := range batches {
-		all = append(all, rows...)
-	}
-	newDS, err := e.ds.Append(all...)
-	if err != nil {
-		return nil, fmt.Errorf("shard: append batch: %w", err)
-	}
-	return e.Append(newDS)
 }

@@ -46,7 +46,7 @@ func engineEqual(t *testing.T, ne, fresh *Engine) {
 		t.Fatal("shard sizes differ")
 	}
 	for s := range ne.parts {
-		if !reflect.DeepEqual(ne.parts[s].sub.Slab(), fresh.parts[s].sub.Slab()) {
+		if !reflect.DeepEqual(ne.parts[s].index.ds.Slab(), fresh.parts[s].index.ds.Slab()) {
 			t.Fatalf("shard %d: sub-dataset slabs differ", s)
 		}
 		if !reflect.DeepEqual(ne.parts[s].global, fresh.parts[s].global) {
@@ -154,7 +154,7 @@ func TestEngineAppendCrossesAutoThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s, p := range e.parts {
-		if p.tree != nil {
+		if p.index.tree != nil {
 			t.Fatalf("shard %d unexpectedly has a tree before append", s)
 		}
 	}
@@ -165,7 +165,7 @@ func TestEngineAppendCrossesAutoThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s, p := range e1.parts {
-		if p.tree == nil {
+		if p.index.tree == nil {
 			t.Fatalf("shard %d missing its tree after crossing the auto threshold", s)
 		}
 	}
@@ -212,9 +212,10 @@ func TestEngineAppendSharesUntouchedShards(t *testing.T) {
 	}
 }
 
-// TestEngineAppendBatchEqualsChained: the group-commit entry point —
-// several queued row batches routed in one pass — matches both the
-// chained per-batch appends and a fresh engine over the combined data.
+// TestEngineAppendBatchEqualsChained: a group-commit drain — several
+// queued row batches appended as one concatenated dataset and routed
+// in one pass — matches both the chained per-batch appends and a
+// fresh engine over the combined data.
 func TestEngineAppendBatchEqualsChained(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	const d = 4
@@ -231,7 +232,7 @@ func TestEngineAppendBatchEqualsChained(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batched, err := e.AppendBatch(extra[:1], extra[1:20], extra[20:])
+			batched, err := e.Append(appendRows(t, ds0, extra))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,15 +275,16 @@ func TestEngineAppendEmptyBatch(t *testing.T) {
 		t.Fatalf("no-op append rejected: %v", err)
 	}
 	engineEqual(t, same, e)
-	viaBatch, err := e.AppendBatch()
+	viaBatch, err := e.Append(appendRows(t, ds0, nil))
 	if err != nil {
 		t.Fatalf("empty batch append rejected: %v", err)
 	}
 	engineEqual(t, viaBatch, e)
 }
 
-// TestEngineAppendDimMismatchRows: rows of the wrong width surface as
-// errors from the batch entry point, before any shard is touched.
+// TestEngineAppendDimMismatchRows: a grown dataset whose rows are
+// narrower or wider than the engine's surfaces as an error before any
+// shard is touched, and the source engine keeps answering.
 func TestEngineAppendDimMismatchRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	const d = 3
@@ -294,11 +296,14 @@ func TestEngineAppendDimMismatchRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AppendBatch([][]float64{{1, 2}}); err == nil {
-		t.Fatal("narrow row accepted")
-	}
-	if _, err := e.AppendBatch(randRows(rng, 2, d), [][]float64{{1, 2, 3, 4}}); err == nil {
-		t.Fatal("wide row in second batch accepted")
+	for _, width := range []int{d - 1, d + 1} {
+		grown, err := vector.FromRows(randRows(rng, 32, width))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Append(grown); err == nil {
+			t.Fatalf("rows of width %d accepted by a width-%d engine", width, d)
+		}
 	}
 	// The source engine still answers correctly after the rejections.
 	fresh, err := NewEngine(ds0, Config{Shards: 2, Metric: vector.L2})

@@ -19,7 +19,6 @@
 package shard
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"runtime"
@@ -29,7 +28,6 @@ import (
 	"repro/internal/knn"
 	"repro/internal/subspace"
 	"repro/internal/vector"
-	"repro/internal/xtree"
 )
 
 // Partitioner selects how dataset rows are assigned to shards. Both
@@ -101,24 +99,6 @@ func (p Partitioner) Assign(idx int, point []float64, shards int) int {
 	}
 }
 
-// IndexKind selects the per-shard k-NN index, mirroring the engine
-// backends of internal/core but applied shard by shard.
-type IndexKind uint8
-
-const (
-	// IndexAuto builds an X-tree for shards at or above
-	// AutoXTreeThreshold points and a linear scan below it.
-	IndexAuto IndexKind = iota
-	// IndexLinear always scans.
-	IndexLinear
-	// IndexXTree always builds an X-tree per shard.
-	IndexXTree
-)
-
-// AutoXTreeThreshold is the per-shard size at which IndexAuto switches
-// from a linear scan to an X-tree.
-const AutoXTreeThreshold = 512
-
 // Config parameterises an Engine.
 type Config struct {
 	// Shards is the partition width (≥ 1; 1 degrades to a single
@@ -128,17 +108,17 @@ type Config struct {
 	Partitioner Partitioner
 	// Metric is the distance metric shared by every shard index.
 	Metric vector.Metric
-	// Index selects the per-shard backend (default IndexAuto).
+	// Index selects the per-shard backend (default IndexAuto, applied
+	// to each shard's size).
 	Index IndexKind
 }
 
-// partition is one shard: a copied sub-dataset, its local→global row
-// mapping, and the immutable index built over it (tree == nil means
-// linear scan). Everything here is read-only after NewEngine.
+// partition is one shard: the immutable index over its copied
+// sub-dataset, and its local→global row mapping. Everything here is
+// read-only after NewEngine.
 type partition struct {
-	sub    *vector.Dataset
-	global []int       // local row → global row
-	tree   *xtree.Tree // non-nil when this shard is X-tree backed
+	index  *Index
+	global []int // local row → global row
 }
 
 // shardCounters aggregates work across all Searchers, per shard.
@@ -172,15 +152,12 @@ func NewEngine(ds *vector.Dataset, cfg Config) (*Engine, error) {
 }
 
 // NewEngineFromEncoded is NewEngine with warm-started per-shard
-// indexes: encoded[s] holds the xtree.Encode bytes of shard s's tree
-// (nil for shards the configuration backs with a linear scan). The
-// partition itself is recomputed — it is a pure function of (dataset,
-// config) — and each provided tree is decoded against its shard's
-// sub-dataset and validated, so a snapshot restore skips the index
-// build but not the integrity checks. A tree supplied for a shard the
-// configuration would not index (or vice versa) is a shape mismatch
-// and fails, as does a decoded tree whose metric disagrees with the
-// engine's.
+// indexes: encoded[s] holds the Index.Encode bytes of shard s (nil for
+// shards the configuration backs with a linear scan). The partition
+// itself is recomputed — it is a pure function of (dataset, config) —
+// and each shard's bytes go through DecodeIndex against its
+// sub-dataset, so a snapshot restore skips the index build but not the
+// integrity and shape checks.
 func NewEngineFromEncoded(ds *vector.Dataset, cfg Config, encoded [][]byte) (*Engine, error) {
 	if encoded == nil {
 		return nil, fmt.Errorf("shard: nil encoded tree set")
@@ -200,12 +177,6 @@ func newEngine(ds *vector.Dataset, cfg Config, encoded [][]byte) (*Engine, error
 	}
 	if !cfg.Partitioner.Valid() {
 		return nil, fmt.Errorf("shard: invalid partitioner %v", cfg.Partitioner)
-	}
-	if !cfg.Metric.Valid() {
-		return nil, fmt.Errorf("shard: invalid metric %v", cfg.Metric)
-	}
-	if cfg.Index > IndexXTree {
-		return nil, fmt.Errorf("shard: invalid index kind %v", cfg.Index)
 	}
 	if encoded != nil && len(encoded) != cfg.Shards {
 		return nil, fmt.Errorf("shard: %d encoded trees for %d shards", len(encoded), cfg.Shards)
@@ -239,51 +210,32 @@ func newEngine(ds *vector.Dataset, cfg Config, encoded [][]byte) (*Engine, error
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		p := &partition{sub: sub, global: rows[s]}
-		useTree := cfg.Index == IndexXTree ||
-			(cfg.Index == IndexAuto && sub.N() >= AutoXTreeThreshold)
-		switch {
-		case encoded != nil && useTree != (len(encoded[s]) > 0):
-			// The warm-start set must mirror exactly the shards this
-			// configuration indexes: a missing or surplus tree means the
-			// snapshot was taken under a different topology.
-			return nil, fmt.Errorf("shard %d: encoded index shape mismatch (tree expected: %v)", s, useTree)
-		case encoded != nil && useTree:
-			t, err := xtree.Decode(bytes.NewReader(encoded[s]), sub)
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", s, err)
-			}
-			if t.Metric() != cfg.Metric {
-				return nil, fmt.Errorf("shard %d: encoded tree metric %v, engine uses %v", s, t.Metric(), cfg.Metric)
-			}
-			p.tree = t
-		case useTree:
-			t, err := xtree.Build(sub, cfg.Metric, xtree.DefaultConfig())
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", s, err)
-			}
-			p.tree = t
+		var idx *Index
+		if encoded == nil {
+			idx, err = NewIndex(sub, cfg.Metric, cfg.Index)
+		} else {
+			idx, err = DecodeIndex(sub, cfg.Metric, cfg.Index, encoded[s])
 		}
-		e.parts[s] = p
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", s, err)
+		}
+		e.parts[s] = &partition{index: idx, global: rows[s]}
 	}
 	return e, nil
 }
 
-// EncodedTrees serializes every shard's X-tree for snapshotting:
-// entry s is the xtree.Encode bytes of shard s's index, or nil when
-// the shard is backed by a linear scan. NewEngineFromEncoded accepts
-// the result, given the same dataset and configuration.
+// EncodedTrees serializes every shard's index for snapshotting: entry
+// s is shard s's Index.Encode bytes, nil when the shard is backed by a
+// linear scan. NewEngineFromEncoded accepts the result, given the same
+// dataset and configuration.
 func (e *Engine) EncodedTrees() ([][]byte, error) {
 	out := make([][]byte, len(e.parts))
 	for s, p := range e.parts {
-		if p.tree == nil {
-			continue
+		enc, err := p.index.Encode()
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		var buf bytes.Buffer
-		if err := p.tree.Encode(&buf); err != nil {
-			return nil, fmt.Errorf("shard %d: encoding tree: %w", s, err)
-		}
-		out[s] = buf.Bytes()
+		out[s] = enc
 	}
 	return out, nil
 }
@@ -295,7 +247,7 @@ func (e *Engine) NumShards() int { return len(e.parts) }
 func (e *Engine) ShardSizes() []int {
 	out := make([]int, len(e.parts))
 	for i, p := range e.parts {
-		out[i] = p.sub.N()
+		out[i] = p.index.ds.N()
 	}
 	return out
 }
@@ -320,17 +272,6 @@ func (e *Engine) ShardStats() []knn.SearchStats {
 	return out
 }
 
-// newSubSearcher builds a fresh cursor over shard s: the underlying
-// index (dataset or tree) is shared and immutable, only the cursor
-// and its counters are per-Searcher.
-func (e *Engine) newSubSearcher(s int) (knn.Searcher, error) {
-	p := e.parts[s]
-	if p.tree != nil {
-		return xtree.NewSearcher(p.tree), nil
-	}
-	return knn.NewLinear(p.sub, e.cfg.Metric)
-}
-
 // NewSearcher builds a scatter-gather cursor over every shard for use
 // by one goroutine at a time — the per-worker analogue of
 // knn.NewLinear / xtree.NewSearcher. Construction is cheap (one
@@ -338,7 +279,7 @@ func (e *Engine) newSubSearcher(s int) (knn.Searcher, error) {
 func (e *Engine) NewSearcher() (*Searcher, error) {
 	subs := make([]knn.Searcher, len(e.parts))
 	for s := range subs {
-		sub, err := e.newSubSearcher(s)
+		sub, err := e.parts[s].index.NewSearcher()
 		if err != nil {
 			return nil, err
 		}
@@ -411,13 +352,7 @@ func (s *Searcher) KNN(query []float64, sub subspace.Mask, k int, exclude int) [
 	} else {
 		s.fanOut(partials, query, sub, k, exclude)
 	}
-	s.merge.Reset(k)
-	for _, part := range partials {
-		for _, nb := range part {
-			s.merge.Push(nb.Index, nb.Dist)
-		}
-	}
-	return s.merge.Sorted()
+	return mergeInto(&s.merge, k, partials)
 }
 
 // fanOut is the parallel arm of KNN: shards 1..n-1 probe on their own
@@ -464,8 +399,18 @@ func (s *Searcher) ResetStats() {
 // global index). It is symmetric in its inputs: any permutation of
 // the partials, or of the items within one partial, yields the same
 // answer — the property test in internal/conformance pins this down.
+// It runs the same merge as Searcher.KNN, into a fresh heap.
 func Merge(k int, partials ...[]knn.Neighbor) []knn.Neighbor {
-	h := knn.NewBoundedHeap(k)
+	return mergeInto(knn.NewBoundedHeap(k), k, partials)
+}
+
+// mergeInto is the one k-NN merge: it folds the partials into h,
+// reset to capacity k, and returns h's sorted contents (which alias
+// h's storage). Searcher.KNN passes its reused heap; Merge a fresh one.
+//
+//hos:hotpath
+func mergeInto(h *knn.BoundedHeap, k int, partials [][]knn.Neighbor) []knn.Neighbor {
+	h.Reset(k)
 	for _, part := range partials {
 		for _, nb := range part {
 			h.Push(nb.Index, nb.Dist)

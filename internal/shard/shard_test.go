@@ -125,7 +125,7 @@ func TestEnginePartitionCoversDataset(t *testing.T) {
 		for i := 0; i < ds.N(); i++ {
 			s := e.ShardOf(i)
 			local := int(e.localOf[i])
-			got := e.parts[s].sub.Point(local)
+			got := e.parts[s].index.ds.Point(local)
 			if !reflect.DeepEqual(got, ds.Point(i)) {
 				t.Fatalf("row %d corrupted in shard %d", i, s)
 			}
@@ -398,6 +398,12 @@ func TestEncodedTreesRoundTrip(t *testing.T) {
 	empty := make([][]byte, cfg.Shards)
 	if _, err := NewEngineFromEncoded(ds, cfg, empty); err == nil {
 		t.Fatal("missing trees accepted for a tree configuration")
+	}
+	// Trees built under another metric must not serve this one.
+	l1Cfg := cfg
+	l1Cfg.Metric = vector.L1
+	if _, err := NewEngineFromEncoded(ds, l1Cfg, encoded); err == nil {
+		t.Fatal("L2 trees accepted for an L1 configuration")
 	}
 	// Corrupt bytes must be rejected by the decoder.
 	bad := make([][]byte, len(encoded))

@@ -397,3 +397,40 @@ func TestNormalizeAndScalePoint(t *testing.T) {
 		t.Fatalf("unnamed dataset: columns %v, err %v", n.Columns(), err)
 	}
 }
+
+// TestSnapshotFileRoundTrip: a dataset-only snapshot with column
+// names survives SaveFile/LoadFile, and a CSV data file handed to
+// LoadFile is refused with the typed error, never misread as a
+// snapshot.
+func TestSnapshotFileRoundTrip(t *testing.T) {
+	ds, err := vector.FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.SetColumns([]string{"x", "y"}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := FromDataset("pair", Provenance{Source: "unit"}, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "pair.snap")
+	if err := SaveFile(path, s); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Name != "pair" || back.Dataset.N() != 3 || back.Dataset.ColumnName(1) != "y" {
+		t.Fatalf("round trip lost data: %+v", back)
+	}
+	csvPath := filepath.Join(dir, "data.csv")
+	if err := os.WriteFile(csvPath, []byte("x,y\n1,2\n3,4\n5,6\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFile(csvPath); !errors.Is(err, ErrSnapshot) {
+		t.Fatalf("LoadFile(csv): err = %v, want a typed snapshot error", err)
+	}
+}

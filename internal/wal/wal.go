@@ -48,6 +48,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -95,6 +96,21 @@ const (
 	// flattens it — Replayed.Records never contains a RecordBatch.
 	RecordBatch RecordType = 3
 )
+
+// FileCRC32 returns the CRC-32 (IEEE) of the file's bytes, streamed:
+// the base binding key, Header.BaseCRC, of the snapshot at path.
+func FileCRC32(path string) (uint32, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	h := crc32.NewIEEE()
+	if _, err := io.Copy(h, f); err != nil {
+		return 0, err
+	}
+	return h.Sum32(), nil
+}
 
 // Header binds a log to its base snapshot and carries row identity.
 type Header struct {
@@ -638,7 +654,9 @@ func (l *Log) syncNow() error {
 	return nil
 }
 
-// append frames, writes and (under SyncAlways) syncs one record.
+// append frames, writes and (under SyncAlways) syncs one record. The
+// log writes only batch frames; Replay still reads the single-record
+// frames of older logs.
 func (l *Log) append(typ RecordType, payload []byte) error {
 	buf := encodeRecord(typ, payload)
 	if _, err := l.f.Write(buf); err != nil {
@@ -672,30 +690,13 @@ func (l *Log) Commit() error {
 	return l.syncNow()
 }
 
-// AppendRows journals an append of rows, the first of which received
-// stable ID firstID. Rows must match the log's dimensionality and be
-// finite — the same validation replay applies.
-func (l *Log) AppendRows(firstID int64, rows [][]float64) error {
-	if err := validateAppend(firstID, rows, l.dim); err != nil {
-		return err
-	}
-	return l.append(RecordAppend, encodeAppendPayload(firstID, rows, l.dim))
-}
-
-// AppendDelete journals a deletion of stable IDs in [fromID, toID).
-func (l *Log) AppendDelete(fromID, toID int64) error {
-	if fromID < 0 || toID < fromID {
-		return fmt.Errorf("wal: delete: invalid ID range [%d,%d)", fromID, toID)
-	}
-	return l.append(RecordDelete, encodeDeletePayload(fromID, toID))
-}
-
-// AppendBatch journals a drained mutation batch as one RecordBatch
-// frame: the ingest stamp (Unix nanoseconds, must be non-negative)
-// plus each record's payload, under a single CRC. Only RecordAppend
-// and RecordDelete records are accepted; every one is validated with
-// the same rules as its single-record form before any bytes are
-// written, so a bad entry poisons nothing.
+// AppendBatch journals a drained mutation batch — appends, deletes or
+// both — as one RecordBatch frame: the ingest stamp (Unix nanoseconds,
+// must be non-negative) plus each record's payload, under a single
+// CRC. It is the log's only writer. Only RecordAppend and RecordDelete
+// records are accepted; every one is validated with the rules replay
+// applies before any bytes are written, so a bad entry poisons
+// nothing.
 func (l *Log) AppendBatch(stamp int64, recs []Record) error {
 	if stamp < 0 {
 		return fmt.Errorf("wal: batch: negative stamp")

@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -30,22 +31,35 @@ func mustCreate(t *testing.T, h Header) (*Log, string) {
 	return l, path
 }
 
-// TestRoundTrip: create, append a mix of records, reopen, replay —
-// everything comes back verbatim and the log stays appendable.
+// appendRows writes a legacy single-record append frame through the
+// package's own encoder: the layout logs written before batch frames
+// hold, which Replay must keep reading.
+func appendRows(t *testing.T, l *Log, firstID int64, rows [][]float64) {
+	t.Helper()
+	if err := l.append(RecordAppend, encodeAppendPayload(firstID, rows, l.dim)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// appendDelete writes a legacy single-record delete frame.
+func appendDelete(t *testing.T, l *Log, fromID, toID int64) {
+	t.Helper()
+	if err := l.append(RecordDelete, encodeDeletePayload(fromID, toID)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRoundTrip: create, append a mix of legacy single records,
+// reopen, replay — everything comes back verbatim and the log stays
+// appendable.
 func TestRoundTrip(t *testing.T) {
 	h := testHeader()
 	l, path := mustCreate(t, h)
 	rows1 := [][]float64{{1, 2, 3}, {4, 5, 6}}
 	rows2 := [][]float64{{-0.5, math.MaxFloat64, 1e-300}}
-	if err := l.AppendRows(5, rows1); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendDelete(1, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendRows(7, rows2); err != nil {
-		t.Fatal(err)
-	}
+	appendRows(t, l, 5, rows1)
+	appendDelete(t, l, 1, 3)
+	appendRows(t, l, 7, rows2)
 	if l.Records() != 3 {
 		t.Fatalf("records = %d, want 3", l.Records())
 	}
@@ -84,9 +98,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	// The reopened log accepts further appends that replay too.
-	if err := l2.AppendDelete(0, 1); err != nil {
-		t.Fatal(err)
-	}
+	appendDelete(t, l2, 0, 1)
 	rep2, err := ReplayFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -123,13 +135,9 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			h := testHeader()
 			l, path := mustCreate(t, h)
-			if err := l.AppendRows(5, [][]float64{{1, 2, 3}}); err != nil {
-				t.Fatal(err)
-			}
+			appendRows(t, l, 5, [][]float64{{1, 2, 3}})
 			lens := []int64{l.Size()}
-			if err := l.AppendRows(6, [][]float64{{7, 8, 9}}); err != nil {
-				t.Fatal(err)
-			}
+			appendRows(t, l, 6, [][]float64{{7, 8, 9}})
 			lens = append(lens, l.Size())
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
@@ -157,9 +165,7 @@ func TestTornTailTruncated(t *testing.T) {
 			}
 			// The file was truncated back to the valid prefix and the
 			// next append replays cleanly.
-			if err := l2.AppendDelete(2, 3); err != nil {
-				t.Fatal(err)
-			}
+			appendDelete(t, l2, 2, 3)
 			if err := l2.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -255,26 +261,18 @@ func TestHeaderValidation(t *testing.T) {
 func TestRecordValidation(t *testing.T) {
 	l, _ := mustCreate(t, testHeader())
 	defer l.Close()
-	if err := l.AppendRows(5, nil); err == nil {
-		t.Fatal("empty append accepted")
-	}
-	if err := l.AppendRows(-1, [][]float64{{1, 2, 3}}); err == nil {
-		t.Fatal("negative first ID accepted")
-	}
-	if err := l.AppendRows(5, [][]float64{{1, 2}}); err == nil {
-		t.Fatal("wrong-width row accepted")
-	}
-	if err := l.AppendRows(5, [][]float64{{1, 2, math.NaN()}}); err == nil {
-		t.Fatal("NaN accepted")
-	}
-	if err := l.AppendRows(5, [][]float64{{1, math.Inf(-1), 3}}); err == nil {
-		t.Fatal("-Inf accepted")
-	}
-	if err := l.AppendDelete(3, 2); err == nil {
-		t.Fatal("inverted delete range accepted")
-	}
-	if err := l.AppendDelete(-1, 2); err == nil {
-		t.Fatal("negative delete range accepted")
+	for name, rec := range map[string]Record{
+		"empty append":         {Type: RecordAppend, FirstID: 5},
+		"negative first ID":    {Type: RecordAppend, FirstID: -1, Rows: [][]float64{{1, 2, 3}}},
+		"wrong-width row":      {Type: RecordAppend, FirstID: 5, Rows: [][]float64{{1, 2}}},
+		"NaN":                  {Type: RecordAppend, FirstID: 5, Rows: [][]float64{{1, 2, math.NaN()}}},
+		"-Inf":                 {Type: RecordAppend, FirstID: 5, Rows: [][]float64{{1, math.Inf(-1), 3}}},
+		"inverted delete":      {Type: RecordDelete, FromID: 3, ToID: 2},
+		"negative delete from": {Type: RecordDelete, FromID: -1, ToID: 2},
+	} {
+		if err := l.AppendBatch(1, []Record{rec}); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 	// A NaN smuggled past the writer is rejected on replay: craft the
 	// record bytes directly.
@@ -310,9 +308,7 @@ func TestSyncMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendRows(0, [][]float64{{1, 2}}); err != nil {
-		t.Fatal(err)
-	}
+	appendRows(t, l, 0, [][]float64{{1, 2}})
 	if got := l.Syncs(); got != 1 {
 		t.Fatalf("syncs after one append = %d, want 1", got)
 	}
@@ -334,9 +330,7 @@ func TestSyncMode(t *testing.T) {
 	if len(rep.Records) != 1 {
 		t.Fatalf("records = %d, want 1", len(rep.Records))
 	}
-	if err := l2.AppendDelete(0, 1); err != nil {
-		t.Fatal(err)
-	}
+	appendDelete(t, l2, 0, 1)
 }
 
 // TestBatchRoundTrip: one AppendBatch frame carrying mixed sub-records
@@ -391,9 +385,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		t.Fatalf("reopened frames = %d, want 1", l2.Records())
 	}
 	// Mixing batch frames and legacy single records is fine.
-	if err := l2.AppendDelete(0, 1); err != nil {
-		t.Fatal(err)
-	}
+	appendDelete(t, l2, 0, 1)
 	rep2, err := ReplayFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -495,12 +487,8 @@ func TestSyncPolicyCommit(t *testing.T) {
 	// Batch: appends defer, Commit syncs once, idle Commit is free.
 	l, _ := mustCreate(t, testHeader())
 	defer l.Close()
-	if err := l.AppendRows(5, [][]float64{{1, 2, 3}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendDelete(0, 1); err != nil {
-		t.Fatal(err)
-	}
+	appendRows(t, l, 5, [][]float64{{1, 2, 3}})
+	appendDelete(t, l, 0, 1)
 	if got := l.Syncs(); got != 0 {
 		t.Fatalf("batch-mode appends synced eagerly: %d", got)
 	}
@@ -526,9 +514,7 @@ func TestSyncPolicyCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer li.Close()
-	if err := li.AppendDelete(0, 1); err != nil {
-		t.Fatal(err)
-	}
+	appendDelete(t, li, 0, 1)
 	if err := li.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -540,9 +526,7 @@ func TestSyncPolicyCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lw.AppendDelete(0, 1); err != nil {
-		t.Fatal(err)
-	}
+	appendDelete(t, lw, 0, 1)
 	if err := lw.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -564,5 +548,25 @@ func TestSyncPolicyCommit(t *testing.T) {
 func TestBaseMismatchSentinel(t *testing.T) {
 	if !errors.Is(ErrBaseMismatch, ErrWAL) {
 		t.Fatal("ErrBaseMismatch does not wrap ErrWAL")
+	}
+}
+
+// TestFileCRC32: the base binding key is the IEEE CRC-32 of the
+// file's bytes, and a missing file is an error, not a zero key.
+func TestFileCRC32(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "base.snap")
+	data := []byte("snapshot bytes the log is bound to")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := FileCRC32(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := crc32.ChecksumIEEE(data); got != want {
+		t.Fatalf("FileCRC32 = %#x, want %#x", got, want)
+	}
+	if _, err := FileCRC32(filepath.Join(t.TempDir(), "missing.snap")); err == nil {
+		t.Fatal("missing file hashed")
 	}
 }

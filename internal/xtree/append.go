@@ -66,31 +66,6 @@ func (t *Tree) Append(newDS *vector.Dataset) (*Tree, error) {
 	return nt, nil
 }
 
-// AppendBatch is the group-commit entry point: it grows the indexed
-// dataset by every batch of rows at once and returns the appended
-// tree. The whole drained batch pays the unpack→insert→repack cycle
-// once — the arena is unpacked to linked scaffolding a single time,
-// all rows insert in order, and one pack finishes — instead of once
-// per batch the way chained Append calls would. The existing
-// growth-factor trigger still applies, now to the combined batch: a
-// drain that at least doubles the tree takes the from-scratch build.
-// Exactness is Append's: byte-identical to Build over the full data.
-func (t *Tree) AppendBatch(batches ...[][]float64) (*Tree, error) {
-	total := 0
-	for _, rows := range batches {
-		total += len(rows)
-	}
-	all := make([][]float64, 0, total)
-	for _, rows := range batches {
-		all = append(all, rows...)
-	}
-	newDS, err := t.ds.Append(all...)
-	if err != nil {
-		return nil, fmt.Errorf("xtree: append batch: %w", err)
-	}
-	return t.Append(newDS)
-}
-
 // unpack reconstructs the linked scaffolding from the packed arena —
 // the exact inverse of pack. MBR bounds are copied out of the slabs
 // (pack recomputes them with the same pure min/max the incremental
