@@ -212,10 +212,9 @@ func batchBenchQueries() []core.BatchQuery {
 func BenchmarkQueryBatch(b *testing.B) {
 	m := batchBenchMiner(b)
 	qs := batchBenchQueries()
-	pool := m.NewEvaluatorPool()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := m.QueryBatch(context.Background(), qs, core.BatchOptions{Pool: pool})
+		res, err := m.QueryBatch(context.Background(), qs, core.BatchOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -96,7 +96,11 @@ const (
 	BackendXTree  = core.BackendXTree
 )
 
-// Miner is the HOS-Miner system over one dataset.
+// Miner is the HOS-Miner system over one dataset. Once Preprocess (or
+// a snapshot restore) has run, every query, batch and scan method is
+// safe for concurrent use: the Miner lends each search an evaluator
+// from its own pool. Callers that want to keep an evaluator warm own
+// one through Miner.NewWorkerEvaluator and Miner.QueryWith.
 type Miner = core.Miner
 
 // QueryResult carries the outlying subspaces of one query point plus
@@ -172,11 +176,6 @@ const (
 	MatchOverlap = metrics.MatchOverlap
 )
 
-// EvaluatorPool recycles per-goroutine OD evaluators for concurrent
-// querying; see Miner.QueryWith and the concurrency contract on
-// Miner.
-type EvaluatorPool = core.EvaluatorPool
-
 // BatchQuery is one item of a Miner.QueryBatch: a dataset row or an
 // external point. Build items with BatchIndex / BatchPoint.
 type BatchQuery = core.BatchQuery
@@ -187,8 +186,8 @@ func BatchIndex(idx int) BatchQuery { return core.BatchIndex(idx) }
 // BatchPoint makes a BatchQuery for an external point.
 func BatchPoint(p []float64) BatchQuery { return core.BatchPoint(p) }
 
-// BatchOptions tunes Miner.QueryBatch (fan-out, evaluator pool,
-// result reuse); the zero value selects the documented defaults.
+// BatchOptions tunes Miner.QueryBatch (fan-out, result reuse); the
+// zero value selects the documented defaults.
 type BatchOptions = core.BatchOptions
 
 // BatchResult is the outcome of a Miner.QueryBatch: per-item results

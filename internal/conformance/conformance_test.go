@@ -108,9 +108,64 @@ func TestBatchedMatchesSingle(t *testing.T) {
 	}
 }
 
+// Every spec, both backends, the three deterministic policies: the
+// Miner's one search routine must equal core.Search field for field.
+// The routine reuses an evaluator's resident query and scratch, so a
+// buffer it forgets to reset would leak one point's LayerOrder,
+// PerLayerOutlierFrac or Counters into the next — invisible to the
+// minimal-set fingerprints. Every row is answered in a fixed scrambled
+// order through QueryWith on one reused evaluator, so its scratch is
+// always warm from another point, and compared with core.Search on a
+// fresh working set over a second evaluator.
+func TestSearchRoutineMatchesSearch(t *testing.T) {
+	for _, sp := range DefaultSpecs() {
+		sp := sp
+		t.Run(sp.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, backend := range Backends() {
+				for _, policy := range []core.Policy{core.PolicyTSF, core.PolicyBottomUp, core.PolicyTopDown} {
+					m, err := sp.Miner(backend, policy)
+					if err != nil {
+						t.Fatal(err)
+					}
+					reused, err := m.NewWorkerEvaluator()
+					if err != nil {
+						t.Fatal(err)
+					}
+					fresh, err := m.NewWorkerEvaluator()
+					if err != nil {
+						t.Fatal(err)
+					}
+					d := m.Dataset().Dim()
+					for _, i := range rand.New(rand.NewSource(sp.Seed)).Perm(m.Dataset().N()) {
+						got, err := m.QueryPointWith(reused, i)
+						if err != nil {
+							t.Fatal(err)
+						}
+						q := fresh.NewQueryForPoint(i)
+						want, err := core.Search(q, d, m.Threshold(), m.Priors(), policy, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got.SearchResult, *want) {
+							t.Fatalf("%v/%v row %d: search routine diverged from Search:\n got  %+v\n want %+v",
+								backend, policy, i, got.SearchResult, *want)
+						}
+						if got.ODEvaluations != q.Evaluations() {
+							t.Fatalf("%v/%v row %d: %d OD evaluations, Search made %d",
+								backend, policy, i, got.ODEvaluations, q.Evaluations())
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // The batched path must also agree across policies — the combination
-// matters because PolicyRandom consumes per-call deterministic rngs
-// on the batch path and the Miner's own rng on the sequential path.
+// matters because PolicyRandom draws each search's rng from the
+// Miner's per-search sequence, so every batch item walks the lattice
+// in an order of its own.
 func TestBatchedPoliciesAgree(t *testing.T) {
 	sp := DefaultSpecs()[0]
 	var ref []string

@@ -107,10 +107,11 @@ func TestQueryBatchSteadyStateZeroAlloc(t *testing.T) {
 
 // TestQueryBatchParallelZeroAlloc: the multi-worker fan-out path,
 // recycling its BatchResult, allocates nothing once warm either — the
-// coordination machinery (cursor, WaitGroup, error slots, the worker
-// func value) lives in the recycled batchRun and goroutine descriptors
-// come from the runtime's free list. This was ~23 allocs/op before the
-// fan-out state moved into BatchResult.
+// coordination machinery (cursor, WaitGroup, first-error slot, the
+// goroutine entry func value) lives in the worker loop the BatchResult
+// recycles, and goroutine descriptors come from the runtime's free
+// list. This was ~23 allocs/op before the fan-out state moved into
+// BatchResult.
 func TestQueryBatchParallelZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the budget holds only uninstrumented")
@@ -171,4 +172,40 @@ func TestQueryBatchReuseInvalidatesPreviousResults(t *testing.T) {
 		len(cloned.Outlying) != len(fresh.Outlying) {
 		t.Fatal("cloned result diverged from recomputation of the same item")
 	}
+}
+
+// TestScanAllAllocatesPerHit: a whole-dataset scan allocates per hit,
+// not per row. Every row's search runs on the worker's evaluator and
+// its resident scratch, so a row that is outlying nowhere leaves
+// nothing behind, and a hit keeps only its own ScanHit and a copy of
+// its minimal set.
+func TestScanAllAllocatesPerHit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the budget holds only uninstrumented")
+	}
+	m := allocTestMiner(t)
+	opts := ScanOptions{Workers: 1}
+	hits, err := m.ScanAll(context.Background(), opts) // warms the pooled evaluator
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) == 0 {
+		t.Fatal("scan found no hits; the per-hit term is untested")
+	}
+	n := testing.AllocsPerRun(10, func() {
+		if _, err := m.ScanAll(context.Background(), opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// perScan is the scan's run state (its body and worker loop), the
+	// per-row hit table and the returned hit slice, plus one spare so
+	// the budget pins the per-row term, not the exact constant. perHit
+	// is each hit's ScanHit and its copied minimal set. A scan that
+	// allocated even once per row would need 300 more.
+	const perScan, perHit = 4, 2
+	if bound := perScan + perHit*len(hits); n > float64(bound) {
+		t.Fatalf("ScanAll allocates %v objects for %d rows and %d hits, want ≤ %d",
+			n, m.Dataset().N(), len(hits), bound)
+	}
+	t.Logf("%v allocs per scan of %d rows with %d hits", n, m.Dataset().N(), len(hits))
 }

@@ -5,21 +5,17 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/od"
 	"repro/internal/subspace"
 )
 
 // This file is the batch query engine: many outlying-subspace queries
-// evaluated over one evaluator pool by a bounded worker fan-out, into
-// result storage the caller can recycle. Identical items — the common
-// shape of multi-user traffic — are evaluated once: the first
-// occurrence runs the search and every repeat receives a copy of its
-// answer.
+// evaluated by the Miner's worker loop, into result storage the caller
+// can recycle. Identical items — the common shape of multi-user
+// traffic — are evaluated once: the first occurrence runs the search
+// and every repeat receives a copy of its answer.
 
 // batchKind discriminates the two item forms; the zero value marks an
 // unconstructed (invalid) item.
@@ -61,13 +57,8 @@ func (q BatchQuery) ExternalPoint() ([]float64, bool) { return q.point, q.kind =
 type BatchOptions struct {
 	// Workers is the evaluation fan-out (≤ 0 selects GOMAXPROCS;
 	// always clamped to the number of distinct items). At Workers = 1
-	// the batch runs inline on the calling goroutine — no fan-out
-	// machinery at all.
+	// the batch runs inline on the calling goroutine.
 	Workers int
-	// Pool, when non-nil, supplies worker evaluators (e.g. a serving
-	// layer's long-lived pool); nil uses the Miner's shared default
-	// pool, so back-to-back batches reuse warmed evaluators.
-	Pool *EvaluatorPool
 	// Reuse, when non-nil, recycles a previous batch's result storage
 	// (item table, per-item result structs and the mask/int/float
 	// arenas behind their slices) instead of allocating fresh — the
@@ -101,90 +92,25 @@ type BatchResult struct {
 
 	// Recycled storage (see BatchOptions.Reuse): the per-item result
 	// structs Items point into, the per-worker arenas their slices
-	// are carved from, and the grouping of identical items.
+	// are carved from, the grouping of identical items, and the worker
+	// loop that evaluates them (the BatchResult is the loop's body).
 	results []QueryResult
 	arenas  []resultArena
 	dedup   batchDedup
-	// run is the multi-worker fan-out machinery (work cursor,
-	// WaitGroup, per-worker error slots, the spawned func), kept here
-	// so the Reuse contract covers coordination state too: a recycled
-	// parallel batch re-arms it instead of allocating a fresh closure,
-	// error slice and boxed counters per call.
-	run batchRun
-}
-
-// batchRun is the coordination state of one multi-worker QueryBatch.
-// The transient fields (miner, ctx, queries, pool) are armed at the
-// start of a parallel batch and cleared before QueryBatch returns, so
-// a retained BatchResult pins result storage only — never a context
-// or the caller's items. Workers draw their identity from seq and
-// their next distinct item from next; both are reset per batch.
-type batchRun struct {
+	loop    workerLoop
+	// The running batch's Miner and items, set by QueryBatch and
+	// cleared before it returns, so a retained BatchResult pins result
+	// storage only — never a Miner or the caller's items.
 	m       *Miner
-	ctx     context.Context
 	queries []BatchQuery
-	pool    *EvaluatorPool
-	res     *BatchResult
-	next    atomic.Int64
-	seq     atomic.Int64
-	wg      sync.WaitGroup
-	errs    []error
-	// work is r.worker as a func value, bound once per BatchResult
-	// lifetime: `go r.work()` spawns without re-allocating the closure
-	// every batch the way `go func(){...}()` in the loop would.
-	work func()
 }
 
-// arm prepares the run for one parallel batch of the given width.
-func (r *batchRun) arm(m *Miner, ctx context.Context, queries []BatchQuery, pool *EvaluatorPool, res *BatchResult, workers int) {
-	r.m, r.ctx, r.queries, r.pool, r.res = m, ctx, queries, pool, res
-	r.next.Store(0)
-	r.seq.Store(0)
-	if cap(r.errs) < workers {
-		r.errs = make([]error, workers)
-	} else {
-		r.errs = r.errs[:workers]
-		clear(r.errs)
-	}
-	if r.work == nil {
-		r.work = r.worker
-	}
-}
-
-// disarm drops the transient references armed for the batch.
-func (r *batchRun) disarm() {
-	r.m, r.ctx, r.queries, r.pool, r.res = nil, nil, nil, nil, nil
-}
-
-// worker is one fan-out goroutine: claim an identity, borrow an
-// evaluator, then drain distinct items off the shared cursor.
-func (r *batchRun) worker() {
-	defer r.wg.Done()
-	w := int(r.seq.Add(1)) - 1
-	eval, err := r.pool.Get()
-	if err != nil {
-		r.errs[w] = err
-		return
-	}
-	defer r.pool.Put(eval)
-	arena := &r.res.arenas[w]
-	work := r.res.dedup.work
-	for {
-		k := int(r.next.Add(1)) - 1
-		if k >= len(work) {
-			return
-		}
-		if err := r.ctx.Err(); err != nil {
-			r.errs[w] = err
-			return
-		}
-		i := work[k]
-		r.res.Items[i] = r.m.batchOne(r.ctx, eval, r.queries[i], arena, &r.res.results[i])
-		if err := r.ctx.Err(); err != nil {
-			r.errs[w] = err
-			return
-		}
-	}
+// visit evaluates the k-th distinct item on worker w's evaluator into
+// its slot: the BatchResult is the body of its own worker loop.
+func (r *BatchResult) visit(ctx context.Context, eval *od.Evaluator, w, k int) error {
+	i := r.dedup.work[k]
+	r.Items[i] = r.m.batchOne(ctx, eval, r.queries[i], &r.arenas[w], &r.results[i])
+	return nil
 }
 
 // reset prepares the result for a batch of n items, reusing existing
@@ -370,22 +296,20 @@ func (a *resultArena) cloneFloats(src []float64) []float64 {
 // work. Identical items — the same row, or bit-identical point
 // coordinates — are evaluated once: the first occurrence runs the
 // search and every repeat receives a copy of its answer with
-// ODEvaluations 0. The distinct items fan out over opts.Workers
-// goroutines that borrow evaluators from one pool. Answers are
-// identical to running each item through OutlyingSubspaces /
-// OutlyingSubspacesOfPoint.
+// ODEvaluations 0. The distinct items run through the Miner's worker
+// loop on opts.Workers workers, each on an evaluator borrowed from the
+// Miner's pool. Answers are identical to running each item through
+// OutlyingSubspaces / OutlyingSubspacesOfPoint.
 //
 // Item-level problems (index out of range, dimension mismatch,
 // ambiguous item) are reported per item in BatchResult.Items, and the
 // rest of the batch still completes. QueryBatch itself errors only on
 // setup failure or context cancellation; cancellation is noticed
-// between items and mid-search (see SearchContext), so an abandoned
-// batch frees its workers promptly.
+// between items and mid-search, so an abandoned batch frees its
+// workers promptly.
 //
-// Like ScanAll, a first QueryBatch on a fresh Miner
-// runs Preprocess lazily (from the calling goroutine, before workers
-// fan out); once the Miner is preprocessed, any number of QueryBatch,
-// QueryWith and scan calls may run concurrently.
+// Like ScanAll, a first QueryBatch on a fresh Miner runs Preprocess
+// lazily, from the calling goroutine, before any worker starts.
 //
 //hos:hotpath
 func (m *Miner) QueryBatch(ctx context.Context, queries []BatchQuery, opts BatchOptions) (*BatchResult, error) {
@@ -398,64 +322,17 @@ func (m *Miner) QueryBatch(ctx context.Context, queries []BatchQuery, opts Batch
 		return res, nil
 	}
 	res.dedup.group(queries)
-	work := res.dedup.work
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(work))
-	res.resetArenas(workers)
-	pool := m.poolFor(opts.Pool)
-
-	if workers == 1 {
-		// Inline path: no goroutines, no WaitGroup — the calling
-		// goroutine is the one worker. This is both the GOMAXPROCS=1
-		// default and the deterministic zero-allocation steady state.
-		eval, err := pool.Get()
-		if err != nil {
-			return nil, err
-		}
-		defer pool.Put(eval)
-		arena := &res.arenas[0]
-		for _, i := range work {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			res.Items[i] = m.batchOne(ctx, eval, queries[i], arena, &res.results[i])
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-	} else if err := m.queryBatchParallel(ctx, queries, pool, res, workers); err != nil {
+	n := len(res.dedup.work)
+	width := loopWidth(opts.Workers, n)
+	res.resetArenas(width)
+	res.m, res.queries = m, queries
+	err := res.loop.run(ctx, m, res, n, width)
+	res.m, res.queries = nil, nil
+	if err != nil {
 		return nil, err
 	}
 	res.finish()
 	return res, nil
-}
-
-// queryBatchParallel is the fan-out arm of QueryBatch: arm the
-// recycled run state, launch the workers, wait, and surface the first
-// worker error. It lives outside the //hos:hotpath annotation on
-// purpose — the goroutine launches are the deliberate cost of the
-// parallel mode (their coordination state is still recycled through
-// the BatchResult, so the arm stays 0 allocs/op steady-state).
-func (m *Miner) queryBatchParallel(ctx context.Context, queries []BatchQuery, pool *EvaluatorPool, res *BatchResult, workers int) error {
-	run := &res.run
-	run.arm(m, ctx, queries, pool, res, workers)
-	run.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go run.work()
-	}
-	run.wg.Wait()
-	var failed error
-	for _, err := range run.errs {
-		if err != nil {
-			failed = err
-			break
-		}
-	}
-	run.disarm()
-	return failed
 }
 
 // resultFor returns the result to fill: the caller's recycled one, or
@@ -465,16 +342,6 @@ func resultFor(reuse *BatchResult) *BatchResult {
 		return &BatchResult{}
 	}
 	return reuse
-}
-
-// poolFor returns the evaluator pool to borrow from: the caller's, or
-// the Miner's lazily built default.
-func (m *Miner) poolFor(p *EvaluatorPool) *EvaluatorPool {
-	if p != nil {
-		return p
-	}
-	m.defaultPoolOnce.Do(func() { m.defaultPool = m.NewEvaluatorPool() })
-	return m.defaultPool
 }
 
 // batchOne validates and evaluates a single batch item, copying the
@@ -499,7 +366,7 @@ func (m *Miner) batchOne(ctx context.Context, eval *od.Evaluator, q BatchQuery, 
 	default:
 		return BatchItemResult{Err: fmt.Errorf("core: empty batch item (use BatchIndex or BatchPoint)")}
 	}
-	r, err := m.searchOne(ctx, eval, point, exclude)
+	r, err := m.search(ctx, eval, point, exclude, m.priors, m.cfg.Policy)
 	if err != nil {
 		return BatchItemResult{Err: err}
 	}

@@ -313,41 +313,6 @@ func TestQueryBatchCancelMidSearch(t *testing.T) {
 	}
 }
 
-func TestQueryBatchUsesSuppliedPool(t *testing.T) {
-	m := newTestMiner(t, Config{K: 4, TQuantile: 0.9, Seed: 1})
-	if err := m.Preprocess(); err != nil {
-		t.Fatal(err)
-	}
-	pool := m.NewEvaluatorPool()
-	var queries []BatchQuery
-	for i := 0; i < 6; i++ {
-		queries = append(queries, BatchIndex(i))
-	}
-	if _, err := m.QueryBatch(context.Background(), queries, BatchOptions{Workers: 2, Pool: pool}); err != nil {
-		t.Fatal(err)
-	}
-	gets, builds := pool.Stats()
-	if gets == 0 {
-		t.Fatal("supplied pool was never used")
-	}
-	if builds > gets {
-		t.Fatalf("pool stats gets=%d builds=%d", gets, builds)
-	}
-	// A second batch borrows from the same pool. Note sync.Pool may
-	// legitimately drop idle evaluators between batches, so only the
-	// borrow accounting — not perfect reuse — is asserted.
-	if _, err := m.QueryBatch(context.Background(), queries, BatchOptions{Workers: 2, Pool: pool}); err != nil {
-		t.Fatal(err)
-	}
-	gets2, builds2 := pool.Stats()
-	if gets2 <= gets {
-		t.Fatal("second batch did not borrow from the pool")
-	}
-	if builds2 > gets2 {
-		t.Fatalf("pool stats gets=%d builds=%d", gets2, builds2)
-	}
-}
-
 // The planted outlier must surface identically through the batch path.
 func TestQueryBatchFindsPlantedOutlier(t *testing.T) {
 	planted := subspace.New(1, 3)

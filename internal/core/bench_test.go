@@ -101,7 +101,7 @@ func BenchmarkQueryBatchParallel(b *testing.B) {
 // BenchmarkQueryBatchParallelReuse is the fan-out path in its
 // zero-allocation steady state: explicit multi-worker spread with
 // BatchOptions.Reuse recycling the result and the coordination
-// machinery (see batchRun). The allocs/op figure is gated at 0 by
+// machinery (see workerLoop). The allocs/op figure is gated at 0 by
 // benchjson and TestQueryBatchParallelZeroAlloc.
 func BenchmarkQueryBatchParallelReuse(b *testing.B) {
 	m := benchMiner(b, 0)

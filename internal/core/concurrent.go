@@ -4,25 +4,27 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"math/rand"
 
 	"repro/internal/od"
 )
 
-// This file is the exported concurrent query surface of the Miner.
-// The contract (documented on the Miner type): once Preprocess or
-// ImportState has completed, the Miner's shared state is read-only;
-// what is NOT shareable is an od.Evaluator (its searcher keeps work
-// counters) and the Miner's rand.Rand. QueryWith therefore takes an
-// evaluator owned by the calling goroutine — obtained from
-// NewWorkerEvaluator or, cheaper under churn, from an EvaluatorPool —
-// and derives any randomness it needs from an atomic sequence.
+// This file is the Miner's search surface and its concurrency
+// contract. Once Preprocess or ImportState has run, the Miner's shared
+// state is read-only and every query, batch, scan and accessor method
+// is safe for concurrent use. What is not shareable is an
+// od.Evaluator (its k-NN cursor keeps work counters and scratch), so
+// the Miner owns its evaluators: every search in this package borrows
+// one from the Miner's pool, runs the one search routine (search) on
+// its resident query and scratch, and returns it. Randomness comes
+// from an atomic per-search sequence, never a shared rng. QueryWith is
+// the one entry point that takes a caller-owned evaluator instead,
+// for callers that keep one warm (NewWorkerEvaluator).
 
 // ErrNotPreprocessed is returned by QueryWith when neither Preprocess
-// nor ImportState has completed. The concurrent path never
-// preprocesses lazily: preprocessing mutates shared state, so it must
-// happen before goroutines fan out.
+// nor ImportState has completed. QueryWith never preprocesses lazily:
+// preprocessing mutates shared state, so it must happen before
+// goroutines fan out.
 var ErrNotPreprocessed = errors.New("core: miner not preprocessed (call Preprocess or ImportState before concurrent queries)")
 
 // Preprocessed reports whether Preprocess or ImportState has
@@ -31,15 +33,6 @@ func (m *Miner) Preprocessed() bool { return m.preprocessed }
 
 // Config returns the Miner's configuration (a copy).
 func (m *Miner) Config() Config { return m.cfg }
-
-// NewWorkerEvaluator builds an independent OD evaluator over the
-// Miner's dataset and index for use by one goroutine at a time. The
-// X-tree (when present) is shared — it is immutable after Build and
-// safe for concurrent reads — so construction is cheap: only the
-// searcher cursor and its counters are per-evaluator.
-func (m *Miner) NewWorkerEvaluator() (*od.Evaluator, error) {
-	return m.workerEvaluator()
-}
 
 // QueryWith answers the outlying-subspace query for point using the
 // supplied evaluator, which the caller must own for the duration of
@@ -50,14 +43,11 @@ func (m *Miner) NewWorkerEvaluator() (*od.Evaluator, error) {
 // Ownership: the returned QueryResult (including its mask slices) is
 // backed by the evaluator's reusable scratch — in steady state a
 // QueryWith call allocates nothing. It stays valid only until the
-// next query run on the same evaluator (including returning the
-// evaluator to a pool); callers that retain it longer must
-// QueryResult.Clone it first.
+// next query run on the same evaluator; callers that retain it longer
+// must QueryResult.Clone it first.
 //
 // Unlike OutlyingSubspaces, QueryWith never triggers lazy
-// preprocessing; it fails with ErrNotPreprocessed instead. Any number
-// of QueryWith calls may run concurrently with each other and with
-// ScanAll.
+// preprocessing; it fails with ErrNotPreprocessed instead.
 //
 //hos:hotpath
 func (m *Miner) QueryWith(eval *od.Evaluator, point []float64, exclude int) (*QueryResult, error) {
@@ -73,27 +63,27 @@ func (m *Miner) QueryWith(eval *od.Evaluator, point []float64, exclude int) (*Qu
 	if exclude < -1 || exclude >= m.ds.N() {
 		return nil, fmt.Errorf("core: exclude index %d out of range [-1,%d)", exclude, m.ds.N())
 	}
-	return m.searchOne(context.Background(), eval, point, exclude)
+	return m.search(context.Background(), eval, point, exclude, m.priors, m.cfg.Policy)
 }
 
-// searchOne is the shared tail of QueryWith and QueryBatch: run the
-// dynamic search for one point on a caller-owned evaluator.
-// PolicyRandom draws a per-call deterministic rng from the atomic
-// query sequence — the Miner's own rand.Rand is not shareable across
-// goroutines.
+// search is the Miner's one search routine: the dynamic subspace
+// search for one point, run on eval's resident query and search
+// scratch. QueryWith, every QueryBatch item, every ScanAll row and
+// every learning sample go through it. PolicyRandom draws a
+// deterministic rng from the per-search sequence; the other policies
+// use none.
 //
-// The result lives in the evaluator's search scratch (see
-// scratchFor): it is valid until the next searchOne on the same
-// evaluator, which is exactly the zero-allocation steady state the
-// serving path runs in.
-func (m *Miner) searchOne(ctx context.Context, eval *od.Evaluator, point []float64, exclude int) (*QueryResult, error) {
-	rng := m.rng
-	if m.cfg.Policy == PolicyRandom {
+// The result lives in the evaluator's scratch (see scratchFor): it is
+// valid until the next search on the same evaluator, which is exactly
+// the zero-allocation steady state the serving path runs in.
+func (m *Miner) search(ctx context.Context, eval *od.Evaluator, point []float64, exclude int, priors Priors, policy Policy) (*QueryResult, error) {
+	var rng *rand.Rand
+	if policy == PolicyRandom {
 		rng = newDeterministicRng(m.cfg.Seed, m.querySeq.Add(1))
 	}
 	sc := scratchFor(eval)
 	q := eval.BorrowQuery(point, exclude)
-	if err := searchInto(ctx, sc, q, m.ds.Dim(), m.threshold, m.priors, m.cfg.Policy, rng); err != nil {
+	if err := searchInto(ctx, sc, q, m.ds.Dim(), m.threshold, priors, policy, rng); err != nil {
 		return nil, err
 	}
 	sc.qres = QueryResult{
@@ -124,45 +114,4 @@ func (m *Miner) QueryPointWith(eval *od.Evaluator, idx int) (*QueryResult, error
 		return nil, fmt.Errorf("core: point index %d out of range [0,%d)", idx, m.ds.N())
 	}
 	return m.QueryWith(eval, m.ds.Point(idx), idx)
-}
-
-// EvaluatorPool recycles worker evaluators across short-lived
-// borrowers (e.g. HTTP requests), avoiding a per-request linear-scan
-// searcher allocation. Backed by sync.Pool: idle evaluators may be
-// dropped under memory pressure and rebuilt on demand.
-type EvaluatorPool struct {
-	m    *Miner
-	pool sync.Pool
-
-	gets   atomic.Int64
-	builds atomic.Int64
-}
-
-// NewEvaluatorPool builds an evaluator pool for the Miner.
-func (m *Miner) NewEvaluatorPool() *EvaluatorPool {
-	return &EvaluatorPool{m: m}
-}
-
-// Get borrows an evaluator. The caller must return it with Put when
-// done and must not use it after.
-func (p *EvaluatorPool) Get() (*od.Evaluator, error) {
-	p.gets.Add(1)
-	if v := p.pool.Get(); v != nil {
-		return v.(*od.Evaluator), nil
-	}
-	p.builds.Add(1)
-	return p.m.NewWorkerEvaluator()
-}
-
-// Put returns a borrowed evaluator to the pool.
-func (p *EvaluatorPool) Put(e *od.Evaluator) {
-	if e != nil {
-		p.pool.Put(e)
-	}
-}
-
-// Stats reports (borrows, fresh constructions); the difference is the
-// number of reuses.
-func (p *EvaluatorPool) Stats() (gets, builds int64) {
-	return p.gets.Load(), p.builds.Load()
 }

@@ -90,9 +90,11 @@ func TestQueryWithValidation(t *testing.T) {
 	}
 }
 
-// TestQueryWithConcurrent hammers QueryWith from many goroutines with
-// pooled evaluators; meant to run under -race. Every goroutine must
-// reproduce the sequential answer set.
+// TestQueryWithConcurrent hammers QueryWith from many goroutines, each
+// on its own evaluator, while the same goroutines query through the
+// Miner's own pool with OutlyingSubspacesOfPoint; meant to run under
+// -race. Every goroutine must reproduce the sequential answer set on
+// both paths.
 func TestQueryWithConcurrent(t *testing.T) {
 	m := newTestMiner(t, Config{K: 4, TQuantile: 0.9, Seed: 1})
 	if err := m.Preprocess(); err != nil {
@@ -108,47 +110,43 @@ func TestQueryWithConcurrent(t *testing.T) {
 		want[i] = r
 	}
 
-	pool := m.NewEvaluatorPool()
 	var wg sync.WaitGroup
 	errCh := make(chan error, 64)
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
+			eval, err := m.NewWorkerEvaluator()
+			if err != nil {
+				errCh <- err
+				return
+			}
 			for i := 0; i < points; i++ {
-				eval, err := pool.Get()
-				if err != nil {
-					errCh <- err
-					return
-				}
 				got, err := m.QueryPointWith(eval, i)
 				if err != nil {
-					pool.Put(eval)
 					errCh <- err
 					return
 				}
-				// The result lives in the evaluator's scratch: read it
-				// before handing the evaluator back to the pool.
-				match := reflect.DeepEqual(got.Outlying, want[i].Outlying)
-				pool.Put(eval)
-				if !match {
-					errCh <- errors.New("concurrent result diverged from sequential")
+				if !reflect.DeepEqual(got.Outlying, want[i].Outlying) {
+					errCh <- errors.New("concurrent QueryWith result diverged from sequential")
+					return
+				}
+				owned, err := m.OutlyingSubspacesOfPoint(i)
+				if err != nil {
+					errCh <- err
+					return
+				}
+				if !reflect.DeepEqual(owned, want[i]) {
+					errCh <- errors.New("concurrent OutlyingSubspacesOfPoint result diverged from sequential")
 					return
 				}
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
-	}
-	gets, builds := pool.Stats()
-	if gets < 16*points {
-		t.Fatalf("pool gets = %d, want ≥ %d", gets, 16*points)
-	}
-	if builds > gets {
-		t.Fatalf("pool builds %d > gets %d", builds, gets)
 	}
 }
 

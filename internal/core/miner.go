@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -128,22 +130,22 @@ func (c *Config) validate(ds *vector.Dataset) error {
 // Construct with NewMiner, then call Preprocess once (indexing +
 // learning), then OutlyingSubspaces per query.
 //
-// Concurrency: a Miner is NOT safe for concurrent use through its
-// plain query methods — OutlyingSubspaces and OutlyingSubspacesOfPoint
-// share one od.Evaluator (whose k-NN searcher carries mutable work
-// counters) and one rand.Rand. After Preprocess (or ImportState) has
-// completed, all remaining Miner state — dataset, X-tree, threshold,
-// priors, configuration — is read-only, so any number of goroutines
-// may query concurrently PROVIDED each uses its own evaluator: call
-// QueryWith with an evaluator obtained from NewWorkerEvaluator or an
-// EvaluatorPool. ScanAll and QueryBatch follow the same pattern
-// internally and are safe for concurrent use too. This is the
-// contract internal/server is built on.
+// Concurrency: once Preprocess or ImportState has run, every query,
+// batch, scan and accessor method is safe for concurrent use. The
+// dataset, index, threshold, priors and configuration are then
+// read-only, and the only mutable state is the Miner's own evaluator
+// pool and query counter, both safe for concurrent use. Every search
+// borrows an od.Evaluator from that pool (its k-NN cursor carries
+// mutable work counters and scratch) and returns it afterwards, so
+// callers never handle evaluators. A caller that wants to own one —
+// to keep its scratch warm across queries — builds it with
+// NewWorkerEvaluator and passes it to QueryWith, one goroutine per
+// evaluator. Preprocess (run lazily by the query methods on a fresh
+// Miner) and ImportState are set-up steps: run them before sharing
+// the Miner. This is the contract internal/server is built on.
 type Miner struct {
 	cfg    Config
 	ds     *vector.Dataset
-	eval   *od.Evaluator
-	srch   knn.Searcher
 	index  *shard.Index  // non-nil when Config.Shards is 0
 	shards *shard.Engine // non-nil when Config.Shards ≥ 1
 
@@ -151,19 +153,18 @@ type Miner struct {
 	priors       Priors
 	learned      bool
 	preprocessed bool
-	rng          *rand.Rand
 
 	learnStats LearnStats
 
-	// querySeq numbers QueryWith calls so PolicyRandom stays
-	// deterministic per (seed, call) without sharing rng.
+	// querySeq numbers searches so PolicyRandom stays deterministic
+	// per (seed, search) without a shared rng.
 	querySeq atomic.Int64
 
-	// defaultPool lazily serves QueryBatch calls that bring no pool of
-	// their own, so back-to-back batches reuse warmed evaluators
-	// instead of rebuilding them per batch.
-	defaultPool     *EvaluatorPool
-	defaultPoolOnce sync.Once
+	// evals is the Miner's one evaluator pool: every search in this
+	// package borrows from it (see borrowEvaluator). Idle evaluators
+	// keep their search scratch warm and may be dropped under memory
+	// pressure.
+	evals sync.Pool
 }
 
 // LearnStats summarises the §3.2 learning phase.
@@ -180,8 +181,10 @@ func NewMiner(ds *vector.Dataset, cfg Config) (*Miner, error) {
 }
 
 // assemble wires a Miner around its k-NN index — exactly one of index
-// and engine is non-nil — with uniform priors and a fresh seed-derived
-// rng. It is the shared tail of NewMinerWithIndex and WithAppended.
+// and engine is non-nil — with uniform priors, and seeds its evaluator
+// pool with a first evaluator (which also proves the configuration
+// can build one). It is the shared tail of NewMinerWithIndex and
+// WithAppended.
 func assemble(ds *vector.Dataset, cfg Config, index *shard.Index, engine *shard.Engine) (*Miner, error) {
 	m := &Miner{
 		cfg:    cfg,
@@ -189,37 +192,43 @@ func assemble(ds *vector.Dataset, cfg Config, index *shard.Index, engine *shard.
 		index:  index,
 		shards: engine,
 		priors: UniformPriors(ds.Dim()),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
-	srch, err := m.newSearcher()
+	eval, err := m.NewWorkerEvaluator()
 	if err != nil {
 		return nil, err
 	}
-	if m.eval, err = od.NewEvaluator(ds, srch, cfg.Metric, cfg.K, od.NormNone); err != nil {
-		return nil, err
-	}
-	m.srch = srch
+	m.evals.Put(eval)
 	return m, nil
 }
 
-// newSearcher hands out a k-NN cursor over the miner's index for one
-// goroutine. The index itself is immutable and shared; cursors carry
-// per-instance work counters and scratch, so each worker gets its own.
-func (m *Miner) newSearcher() (knn.Searcher, error) {
+// NewWorkerEvaluator builds an independent OD evaluator over the
+// Miner's dataset and index for use by one goroutine at a time. The
+// index is shared — it is immutable and safe for concurrent reads —
+// so construction is cheap: only the k-NN cursor, its counters and
+// the search scratch are per-evaluator. The Miner's pool builds its
+// evaluators here; callers build one only to own it (see QueryWith).
+func (m *Miner) NewWorkerEvaluator() (*od.Evaluator, error) {
+	var srch knn.Searcher
+	var err error
 	if m.shards != nil {
-		return m.shards.NewSearcher()
+		srch, err = m.shards.NewSearcher()
+	} else {
+		srch, err = m.index.NewSearcher()
 	}
-	return m.index.NewSearcher()
-}
-
-// workerEvaluator builds an independent OD evaluator for one worker
-// goroutine, over its own searcher cursor.
-func (m *Miner) workerEvaluator() (*od.Evaluator, error) {
-	srch, err := m.newSearcher()
 	if err != nil {
 		return nil, err
 	}
 	return od.NewEvaluator(m.ds, srch, m.cfg.Metric, m.cfg.K, od.NormNone)
+}
+
+// borrowEvaluator takes an evaluator from the Miner's pool, building a
+// fresh one when the pool is empty. Give it back with m.evals.Put;
+// results that alias its scratch are invalid from then on.
+func (m *Miner) borrowEvaluator() (*od.Evaluator, error) {
+	if eval, ok := m.evals.Get().(*od.Evaluator); ok {
+		return eval, nil
+	}
+	return m.NewWorkerEvaluator()
 }
 
 // Dataset returns the indexed dataset.
@@ -236,9 +245,6 @@ func (m *Miner) Priors() Priors { return m.priors }
 // LearnStats returns the learning-phase summary (zero value before
 // Preprocess).
 func (m *Miner) LearnStats() LearnStats { return m.learnStats }
-
-// SearcherStats returns cumulative k-NN work counters.
-func (m *Miner) SearcherStats() knn.SearchStats { return m.srch.Stats() }
 
 // ShardEngine returns the scatter-gather engine behind a sharded
 // Miner, or nil when Config.Shards is 0. Callers use it for shard
@@ -260,16 +266,21 @@ func (m *Miner) NumShards() int {
 // learning process (§3.2): SampleSize points are drawn uniformly
 // without replacement, each is searched with uniform priors, and the
 // per-layer outlier fractions are averaged into the query priors.
-// Preprocess is idempotent; repeated calls are no-ops.
+// Preprocess is idempotent; repeated calls are no-ops. It mutates the
+// Miner, so it must finish before the Miner is shared.
 func (m *Miner) Preprocess() error {
 	if m.preprocessed {
 		return nil
 	}
-	d := m.ds.Dim()
+	eval, err := m.borrowEvaluator()
+	if err != nil {
+		return err
+	}
+	defer m.evals.Put(eval)
 
 	// Resolve the threshold.
 	if m.cfg.TQuantile > 0 {
-		ods := m.eval.FullSpaceODs()
+		ods := eval.FullSpaceODs()
 		t, err := vector.Quantile(ods, m.cfg.TQuantile)
 		if err != nil {
 			return fmt.Errorf("core: resolving TQuantile: %w", err)
@@ -282,27 +293,28 @@ func (m *Miner) Preprocess() error {
 		m.threshold = m.cfg.T
 	}
 
-	// Learning.
+	// Learning: the sample is the head of a Seed-derived permutation,
+	// so the same seed samples the same rows on every build.
 	if m.cfg.SampleSize > 0 {
+		d := m.ds.Dim()
 		uniform := UniformPriors(d)
-		perm := m.rng.Perm(m.ds.N())
-		sampled := perm[:m.cfg.SampleSize]
+		sampled := rand.New(rand.NewSource(m.cfg.Seed)).Perm(m.ds.N())[:m.cfg.SampleSize]
 		perSample := make([]Priors, 0, len(sampled))
-		evalsBefore := m.eval.Evaluations()
+		var evals int64
 		for _, idx := range sampled {
-			q := m.eval.NewQueryForPoint(idx)
-			res, err := Search(q, d, m.threshold, uniform, PolicyTSF, m.rng)
+			res, err := m.search(context.Background(), eval, m.ds.Point(idx), idx, uniform, PolicyTSF)
 			if err != nil {
 				return fmt.Errorf("core: learning on sample %d: %w", idx, err)
 			}
-			perSample = append(perSample, PriorsFromResult(res))
+			perSample = append(perSample, PriorsFromResult(&res.SearchResult))
+			evals += res.ODEvaluations
 		}
 		m.priors = SmoothPriors(averagePriors(perSample, d), len(perSample))
 		m.learned = true
 		m.learnStats = LearnStats{
 			Samples:        len(sampled),
-			ODEvaluations:  m.eval.Evaluations() - evalsBefore,
-			SampledIndices: append([]int(nil), sampled...),
+			ODEvaluations:  evals,
+			SampledIndices: slices.Clone(sampled),
 		}
 	}
 	m.preprocessed = true
@@ -359,7 +371,7 @@ func cloneMasks(s []subspace.Mask) []subspace.Mask {
 
 // OutlyingSubspaces finds every subspace in which the given point is
 // an outlier, and the minimal set after refinement. The point may be
-// external to the dataset.
+// external to the dataset. The result is owned by the caller.
 func (m *Miner) OutlyingSubspaces(point []float64) (*QueryResult, error) {
 	return m.query(point, -1)
 }
@@ -373,22 +385,20 @@ func (m *Miner) OutlyingSubspacesOfPoint(idx int) (*QueryResult, error) {
 	return m.query(m.ds.Point(idx), idx)
 }
 
+// query runs a lazy Preprocess, then answers one query on a borrowed
+// evaluator and detaches the result from its scratch.
 func (m *Miner) query(point []float64, exclude int) (*QueryResult, error) {
 	if err := m.Preprocess(); err != nil {
 		return nil, err
 	}
-	if len(point) != m.ds.Dim() {
-		return nil, fmt.Errorf("core: query point has %d dims, dataset %d", len(point), m.ds.Dim())
-	}
-	q := m.eval.NewQuery(point, exclude)
-	res, err := Search(q, m.ds.Dim(), m.threshold, m.priors, m.cfg.Policy, m.rng)
+	eval, err := m.borrowEvaluator()
 	if err != nil {
 		return nil, err
 	}
-	return &QueryResult{
-		SearchResult:      *res,
-		Threshold:         m.threshold,
-		ODEvaluations:     q.Evaluations(),
-		IsOutlierAnywhere: len(res.Outlying) > 0,
-	}, nil
+	defer m.evals.Put(eval)
+	res, err := m.QueryWith(eval, point, exclude)
+	if err != nil {
+		return nil, err
+	}
+	return res.Clone(), nil
 }

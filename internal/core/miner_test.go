@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/subspace"
@@ -282,13 +284,79 @@ func TestBackendString(t *testing.T) {
 	}
 }
 
-func TestMinerSearcherStats(t *testing.T) {
-	ds := plantedDataset(t, 2, 50, 3, subspace.New(1))
-	m, _ := NewMiner(ds, Config{K: 3, T: 3, Seed: 1})
-	if _, err := m.OutlyingSubspacesOfPoint(0); err != nil {
-		t.Fatal(err)
+// TestPreprocessLearningMatchesRecomputation pins the §3.2 learning
+// phase bit for bit: after Preprocess, Priors and LearnStats equal an
+// independent recomputation — the sample drawn as the head of a
+// Seed-derived permutation, each sample searched by Search on a fresh
+// working set with uniform priors and TSF, and the per-sample priors
+// averaged and smoothed. Snapshots persist these values, so any drift
+// in the search routine's scratch reuse would change saved bytes.
+func TestPreprocessLearningMatchesRecomputation(t *testing.T) {
+	// Low quantiles make many samples outlying somewhere, so the
+	// per-layer fractions the priors average are mostly non-zero.
+	for _, cfg := range []Config{
+		{K: 4, TQuantile: 0.6, SampleSize: 24, Seed: 2, Backend: BackendLinear},
+		{K: 5, TQuantile: 0.7, SampleSize: 30, Seed: 7, Backend: BackendXTree},
+		{K: 4, TQuantile: 0.65, SampleSize: 20, Seed: 3, Shards: 2},
+	} {
+		ds := plantedDataset(t, 71, 160, 6, subspace.New(1, 4))
+		m, err := NewMiner(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Preprocess(); err != nil {
+			t.Fatal(err)
+		}
+
+		eval, err := m.NewWorkerEvaluator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := ds.Dim()
+		sampled := rand.New(rand.NewSource(cfg.Seed)).Perm(ds.N())[:cfg.SampleSize]
+		perSample := make([]Priors, 0, len(sampled))
+		var evals int64
+		for _, idx := range sampled {
+			q := eval.NewQueryForPoint(idx)
+			res, err := Search(q, d, m.Threshold(), UniformPriors(d), PolicyTSF, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perSample = append(perSample, PriorsFromResult(res))
+			evals += q.Evaluations()
+		}
+		want := SmoothPriors(averagePriors(perSample, d), len(perSample))
+		outlying := 0
+		for _, p := range perSample {
+			if p.PUp[d] > 0 {
+				outlying++
+			}
+		}
+		if outlying < 2 {
+			t.Fatalf("%+v: %d sample(s) outlying anywhere; the priors pin too little", cfg, outlying)
+		}
+
+		got := m.Priors()
+		if !sameBits(got.PUp, want.PUp) || !sameBits(got.PDown, want.PDown) {
+			t.Fatalf("%+v: learned priors %+v, recomputation %+v", cfg, got, want)
+		}
+		ls := m.LearnStats()
+		if ls.Samples != len(sampled) || ls.ODEvaluations != evals || !reflect.DeepEqual(ls.SampledIndices, sampled) {
+			t.Fatalf("%+v: LearnStats %+v, recomputation {Samples:%d ODEvaluations:%d SampledIndices:%v}",
+				cfg, ls, len(sampled), evals, sampled)
+		}
 	}
-	if m.SearcherStats().Queries == 0 {
-		t.Fatal("no k-NN queries recorded")
+}
+
+// sameBits reports whether a and b hold bit-identical floats.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
 	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

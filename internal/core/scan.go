@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
+	"repro/internal/od"
 	"repro/internal/subspace"
 )
 
@@ -39,12 +39,12 @@ type ScanOptions struct {
 	// search finishes, with the number of points evaluated so far and
 	// the dataset total — the hook an async serving layer uses to
 	// report real scan progress. The done values across all calls cover
-	// 1..total exactly once and never regress, but workers (including
-	// scatter-gather sharded ones) invoke the callback from their own
-	// goroutines, so calls may be concurrent and may reach a consumer
-	// out of order: consumers should retain the maximum. The callback
-	// must be cheap and safe for concurrent use; it is not called for
-	// points a cancelled scan never evaluated.
+	// 1..total exactly once, but the worker loop's workers invoke the
+	// callback from their own goroutines, so calls may be concurrent
+	// and may reach a consumer out of order: consumers should retain
+	// the maximum. The callback must be cheap and safe for concurrent
+	// use; it is not called for points a cancelled scan never
+	// evaluated.
 	OnProgress func(done, total int)
 }
 
@@ -52,22 +52,21 @@ type ScanOptions struct {
 // and returns the points with non-empty answer sets — the system-
 // level "detect the outlying subspaces of high-dimensional data"
 // operation. Cost is N times the per-query cost, spread over
-// opts.Workers goroutines.
+// opts.Workers workers of the Miner's worker loop, each on an
+// evaluator borrowed from the Miner's pool. Only hits allocate: a row
+// without an outlying subspace leaves nothing behind.
 //
-// ScanAll never touches the Miner's shared evaluator or rng — every
-// worker, even a single one, runs on private state — so, once the
-// Miner is preprocessed, any number of ScanAll and QueryWith calls may
-// run concurrently. A first ScanAll on a fresh Miner runs Preprocess
-// lazily, from the calling goroutine, before the workers fan out.
+// A first ScanAll on a fresh Miner runs Preprocess lazily, from the
+// calling goroutine, before any worker starts.
 //
 // Cancellation is cooperative: workers check ctx between points and
-// inside each point's subspace search (see SearchContext), so a
-// cancelled scan returns ctx.Err() promptly instead of finishing a
-// sweep nobody will read.
+// inside each point's subspace search, so a cancelled scan returns
+// ctx.Err() promptly instead of finishing a sweep nobody will read.
 //
-// Note: PolicyRandom queries draw from per-worker deterministic RNGs,
-// so the *work* per query can vary with Workers; the answer sets
-// cannot.
+// Note: PolicyRandom searches draw their rngs from the Miner's
+// per-search sequence, so the *work* per query depends on how many
+// searches the Miner ran before and, with more than one worker, on
+// scheduling; the answer sets cannot vary.
 func (m *Miner) ScanAll(ctx context.Context, opts ScanOptions) ([]ScanHit, error) {
 	if err := m.Preprocess(); err != nil {
 		return nil, err
@@ -75,75 +74,65 @@ func (m *Miner) ScanAll(ctx context.Context, opts ScanOptions) ([]ScanHit, error
 	if opts.MaxResults < 0 {
 		return nil, fmt.Errorf("core: MaxResults = %d", opts.MaxResults)
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > m.ds.N() {
-		workers = m.ds.N()
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	d := m.ds.Dim()
 	n := m.ds.N()
-	fullSpace := subspace.Full(d)
-	perPoint := make([]*ScanHit, n)
-	errs := make([]error, workers)
-	// evaluated feeds OnProgress: one shared monotonic counter across
-	// all workers, so the callback sees every done value in 1..n
-	// exactly once (though possibly out of delivery order).
-	var evaluated atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			eval, err := m.workerEvaluator()
-			if err != nil {
-				errs[worker] = err
-				return
-			}
-			rng := newDeterministicRng(m.cfg.Seed, int64(worker))
-			for i := worker; i < n; i += workers {
-				if err := ctx.Err(); err != nil {
-					errs[worker] = err
-					return
-				}
-				q := eval.NewQueryForPoint(i)
-				res, err := SearchContext(ctx, q, d, m.threshold, m.priors, m.cfg.Policy, rng)
-				if err != nil {
-					errs[worker] = err
-					return
-				}
-				if len(res.Outlying) > 0 {
-					perPoint[i] = &ScanHit{
-						Index:         i,
-						Minimal:       res.Minimal,
-						OutlyingCount: len(res.Outlying),
-						FullSpaceOD:   eval.OD(m.ds.Point(i), fullSpace, i),
-					}
-				}
-				if opts.OnProgress != nil {
-					opts.OnProgress(int(evaluated.Add(1)), n)
-				}
-			}
-		}(w)
+	s := &scanRun{
+		m:          m,
+		full:       subspace.Full(m.ds.Dim()),
+		perRow:     make([]*ScanHit, n),
+		onProgress: opts.OnProgress,
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := s.loop.run(ctx, m, s, n, loopWidth(opts.Workers, n)); err != nil {
+		return nil, err
 	}
 	var hits []ScanHit
-	for _, h := range perPoint {
+	if found := s.found.Load(); found > 0 {
+		hits = make([]ScanHit, 0, found)
+	}
+	for _, h := range s.perRow {
 		if h != nil {
 			hits = append(hits, *h)
 		}
 	}
 	return finishScan(hits, opts), nil
+}
+
+// scanRun is one ScanAll: the body of its worker loop and the hits it
+// collects.
+type scanRun struct {
+	m          *Miner
+	full       subspace.Mask
+	perRow     []*ScanHit // the hit for each row, nil for non-outliers
+	onProgress func(done, total int)
+	// found counts hits; evaluated feeds OnProgress — one counter
+	// across all workers, so the callback sees every done value in
+	// 1..n exactly once (though possibly out of delivery order).
+	found     atomic.Int64
+	evaluated atomic.Int64
+	loop      workerLoop
+}
+
+// visit searches row i and records it when it is outlying anywhere,
+// copying what the hit keeps out of the evaluator's scratch.
+func (s *scanRun) visit(ctx context.Context, eval *od.Evaluator, _, i int) error {
+	m := s.m
+	point := m.ds.Point(i)
+	res, err := m.search(ctx, eval, point, i, m.priors, m.cfg.Policy)
+	if err != nil {
+		return err
+	}
+	if len(res.Outlying) > 0 {
+		s.perRow[i] = &ScanHit{
+			Index:         i,
+			Minimal:       slices.Clone(res.Minimal),
+			OutlyingCount: len(res.Outlying),
+			FullSpaceOD:   eval.OD(point, s.full, i),
+		}
+		s.found.Add(1)
+	}
+	if s.onProgress != nil {
+		s.onProgress(int(s.evaluated.Add(1)), len(s.perRow))
+	}
+	return nil
 }
 
 func finishScan(hits []ScanHit, opts ScanOptions) []ScanHit {

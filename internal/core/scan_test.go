@@ -13,14 +13,18 @@ import (
 )
 
 // referenceScan is the whole-dataset sweep computed through the plain
-// query path: OutlyingSubspacesOfPoint over every row, on the Miner's
-// own evaluator, ordered and truncated here rather than by ScanAll's
-// finishing step. ScanAll runs the same per-point search on private
-// worker evaluators, so agreeing with this loop checks it against an
-// independent implementation.
+// query path: OutlyingSubspacesOfPoint over every row, with the
+// full-space OD read from a separate worker evaluator, ordered and
+// truncated here rather than by ScanAll's finishing step. ScanAll runs
+// the same per-point search inside its worker loop, so agreeing with
+// this loop checks the loop, the hit copies and the finishing step.
 func referenceScan(t *testing.T, m *Miner, opts ScanOptions) []ScanHit {
 	t.Helper()
 	full := subspace.Full(m.Dataset().Dim())
+	eval, err := m.NewWorkerEvaluator()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var hits []ScanHit
 	for i := 0; i < m.Dataset().N(); i++ {
 		res, err := m.OutlyingSubspacesOfPoint(i)
@@ -34,7 +38,7 @@ func referenceScan(t *testing.T, m *Miner, opts ScanOptions) []ScanHit {
 			Index:         i,
 			Minimal:       res.Clone().Minimal,
 			OutlyingCount: len(res.Outlying),
-			FullSpaceOD:   m.eval.OD(m.Dataset().Point(i), full, i),
+			FullSpaceOD:   eval.OD(m.Dataset().Point(i), full, i),
 		})
 	}
 	if opts.SortBySeverity {

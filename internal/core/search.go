@@ -69,9 +69,12 @@ type SearchResult struct {
 }
 
 // Search runs the dynamic subspace search for one query against the
-// given cached OD oracle.
+// given OD oracle, on a fresh working set, so the returned result
+// owns its slices and may be retained indefinitely. It is the
+// reference form of the Miner's search routine, which runs the same
+// searchInto on an evaluator's resident scratch instead.
 //
-//	q       cached OD oracle for the query point
+//	q       OD oracle for the query point
 //	d       dimensionality of the full space
 //	T       the paper's global distance threshold
 //	priors  pruning probabilities (uniform for sample points, learned
@@ -79,7 +82,12 @@ type SearchResult struct {
 //	policy  layer ordering (PolicyTSF for HOS-Miner proper)
 //	rng     used only by PolicyRandom (may be nil otherwise)
 func Search(q *od.Query, d int, T float64, priors Priors, policy Policy, rng *rand.Rand) (*SearchResult, error) {
-	return SearchContext(context.Background(), q, d, T, priors, policy, rng)
+	sc := &searchScratch{}
+	if err := searchInto(context.Background(), sc, q, d, T, priors, policy, rng); err != nil {
+		return nil, err
+	}
+	res := sc.sres
+	return &res, nil
 }
 
 // searchCtxStride is how many OD evaluations a layer sweep performs
@@ -88,32 +96,14 @@ func Search(q *od.Query, d int, T float64, priors Priors, policy Policy, rng *ra
 // cancellation latency stays bounded by a handful of evaluations.
 const searchCtxStride = 16
 
-// SearchContext is Search with cooperative cancellation: ctx is
-// checked before every layer and every searchCtxStride OD evaluations
-// within a layer, so an abandoned caller stops paying mid-point
-// instead of after finishing the current point's whole lattice. On
-// cancellation it returns ctx.Err().
-//
-// Each call runs on a fresh working set, so the returned result owns
-// its slices and may be retained indefinitely (the scan paths rely on
-// this). The pooled query path (QueryWith / QueryBatch) reuses a
-// per-evaluator scratch through searchInto instead.
-func SearchContext(ctx context.Context, q *od.Query, d int, T float64, priors Priors, policy Policy, rng *rand.Rand) (*SearchResult, error) {
-	sc := &searchScratch{}
-	if err := searchInto(ctx, sc, q, d, T, priors, policy, rng); err != nil {
-		return nil, err
-	}
-	res := sc.sres
-	return &res, nil
-}
-
 // searchScratch is the reusable working set of one evaluator's
 // dynamic searches: the lattice tracker (Reset per query instead of a
 // fresh 2^d status array), the result buffers the SearchResult fields
-// alias, and the QueryResult the concurrent query surface hands out.
+// alias, and the QueryResult the search routine hands out.
 // Ownership rule: everything in here is valid until the next search
 // on the same scratch; results that outlive it must be cloned
-// (QueryResult.Clone) or copied into a caller-owned arena (QueryBatch).
+// (QueryResult.Clone) or copied into a caller-owned arena (QueryBatch,
+// ScanAll).
 type searchScratch struct {
 	tracker *lattice.Tracker
 
@@ -128,8 +118,11 @@ type searchScratch struct {
 
 // searchInto runs the dynamic subspace search into sc, filling
 // sc.sres with slices that alias the scratch buffers. It is the
-// engine behind both SearchContext (fresh scratch per call) and the
-// zero-allocation pooled path (per-evaluator scratch).
+// engine behind both Search (fresh scratch per call) and the Miner's
+// search routine (per-evaluator scratch). Cancellation is cooperative:
+// ctx is checked before every layer and every searchCtxStride OD
+// evaluations within a layer, so an abandoned caller stops paying
+// mid-point; on cancellation it returns ctx.Err().
 func searchInto(ctx context.Context, sc *searchScratch, q *od.Query, d int, T float64, priors Priors, policy Policy, rng *rand.Rand) error {
 	if q == nil {
 		return fmt.Errorf("core: nil query")
@@ -221,10 +214,11 @@ func searchInto(ctx context.Context, sc *searchScratch, q *od.Query, d int, T fl
 	return nil
 }
 
-// newDeterministicRng derives a per-worker RNG so concurrent scans
-// stay reproducible for a given (seed, worker) pair.
-func newDeterministicRng(seed, worker int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed*1000003 + worker))
+// newDeterministicRng derives the PolicyRandom rng of one search from
+// the Miner's seed and the search's sequence number, so no rng is
+// shared between goroutines.
+func newDeterministicRng(seed, seq int64) *rand.Rand {
+	return rand.New(rand.NewSource(seed*1000003 + seq))
 }
 
 // nextLayer picks the next lattice layer to explore.

@@ -6,21 +6,21 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/overload"
-	"repro/internal/subspace"
 )
 
 // POST /batch evaluates many outlying-subspace queries as one request
-// through core.QueryBatch: one evaluator pool, bounded worker fan-out,
-// identical items evaluated once. Items that are already in the
-// server's result LRU are answered from it without touching the
-// engine; computed items seed the LRU so follow-up /query traffic
-// hits. Item-level failures (bad index, wrong dimensionality) are
-// reported per item and do not fail the batch.
+// through core.QueryBatch: bounded worker fan-out, identical items
+// evaluated once. Items that are already in the server's result LRU
+// are answered from it without touching the engine; computed items
+// seed the LRU so follow-up /query traffic hits. Item-level failures
+// (bad index, wrong dimensionality) are reported per item and do not
+// fail the batch.
 
 type batchRequest struct {
 	// Dataset routes the whole batch to a registry entry ("" = the
@@ -171,10 +171,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 			}
-			res, err := v.miner.QueryBatch(ctx, queries, core.BatchOptions{
-				Workers: workers,
-				Pool:    v.pool,
-			})
+			res, err := v.miner.QueryBatch(ctx, queries, core.BatchOptions{Workers: workers})
 			permit.Release(outcomeFor(err), time.Since(computeStart))
 			done <- outcome{res, err}
 		}()
@@ -209,37 +206,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 
 		for j, item := range res.Items {
-			out := &resp.Results[queryPos[j]]
+			i := queryPos[j]
+			out := &resp.Results[i]
 			if item.Err != nil {
 				out.Error = item.Err.Error()
 				continue
 			}
-			qr := item.Result
-			out.IsOutlier = qr.IsOutlierAnywhere
-			out.Minimal = masksToDims(qr.Minimal)
-			out.OutlyingCount = len(qr.Outlying)
-			out.ODEvaluations = qr.ODEvaluations
-			odEvals += qr.ODEvaluations
 			// Seed the LRU so follow-up /query (and /batch) traffic for
-			// the same key hits, applying the same oversized-mask-set
-			// rule as /query.
-			toCache := &queryResponse{
-				Index:         out.Index,
-				Point:         out.Point,
-				Threshold:     qr.Threshold,
-				IsOutlier:     qr.IsOutlierAnywhere,
-				Minimal:       out.Minimal,
-				OutlyingCount: len(qr.Outlying),
-				ODEvaluations: qr.ODEvaluations,
-				// Copy: qr.Outlying is carved from the BatchResult's
-				// arena; caching it directly would pin the whole batch's
-				// arena for the lifetime of one LRU entry.
-				outlyingMasks: append([]subspace.Mask(nil), qr.Outlying...),
-			}
-			if s.opts.MaxCachedMasks > 0 && len(qr.Outlying) > s.opts.MaxCachedMasks {
-				toCache.outlyingMasks = nil
-			}
-			v.cache.put(keys[queryPos[j]], toCache)
+			// the same key hits. The cached outlying set is a copy:
+			// item.Result's is carved from the BatchResult's arena, and
+			// caching it would pin the whole arena for the lifetime of
+			// one LRU entry.
+			qr := *item.Result
+			qr.Outlying = slices.Clone(qr.Outlying)
+			ans := s.answer(v, keys[i], out.Index, out.Point, &qr)
+			out.IsOutlier = ans.IsOutlier
+			out.Minimal = ans.Minimal
+			out.OutlyingCount = ans.OutlyingCount
+			out.ODEvaluations = ans.ODEvaluations
+			odEvals += ans.ODEvaluations
 		}
 	}
 

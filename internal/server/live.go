@@ -53,12 +53,11 @@ import (
 
 // view is one immutable epoch of a dataset's queryable state. Every
 // field is fixed at construction; mutations build a new view. The
-// evaluator pool and result cache live here, not on the entry, because
-// both are keyed to this miner's rows and threshold — answers from
-// epoch N must never serve epoch N+1.
+// result cache lives here, not on the entry, because it is keyed to
+// this miner's rows and threshold — answers from epoch N must never
+// serve epoch N+1.
 type view struct {
 	miner *core.Miner
-	pool  *core.EvaluatorPool
 	cache *resultCache
 	// norm mirrors dataset.normStats (see there).
 	norm  []snapshot.ColumnRange

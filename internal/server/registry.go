@@ -22,10 +22,10 @@ import (
 
 // This file is the multi-dataset registry: a Server is no longer the
 // HTTP face of exactly one preprocessed Miner but of a named set of
-// them, each with its own shard topology, evaluator pool and result
-// LRU. /query, /scan and /batch route on an optional "dataset" field
-// (default: the dataset the process was started with); operators load
-// and evict datasets at runtime:
+// them, each with its own shard topology and result LRU. /query, /scan
+// and /batch route on an optional "dataset" field (default: the
+// dataset the process was started with); operators load and evict
+// datasets at runtime:
 //
 //	GET  /datasets        list every entry with shard topology
 //	POST /datasets/load   generate + preprocess + register a dataset
@@ -37,12 +37,12 @@ import (
 // process.
 
 // dataset is one registry entry: the epoch-versioned serving state of
-// one named dataset. The queryable state — miner, evaluator pool,
-// result cache, stable row IDs — lives in an immutable view behind an
-// atomic pointer: readers pin the current view with one load and keep
-// using it for the whole request, so a concurrent append or delete
-// (which derives a complete replacement view and swaps the pointer)
-// can never show them torn data. Old views retire by garbage
+// one named dataset. The queryable state — miner, result cache, stable
+// row IDs — lives in an immutable view behind an atomic pointer:
+// readers pin the current view with one load and keep using it for
+// the whole request, so a concurrent append or delete (which derives a
+// complete replacement view and swaps the pointer) can never show them
+// torn data. Old views retire by garbage
 // collection when their last in-flight query drains.
 type dataset struct {
 	name    string
@@ -477,15 +477,14 @@ func (s *Server) newDatasetEntry(name string, m *core.Miner, norm []snapshot.Col
 	return d
 }
 
-// newView wraps a preprocessed miner in one immutable queryable
-// epoch: its own evaluator pool and result cache (both are bound to
-// this miner's rows and threshold, so they cannot outlive the epoch).
-// ids and stamps are parallel (stamps non-decreasing — the retention
-// sweeper's prefix-expiry relies on it).
+// newView wraps a preprocessed miner in one immutable queryable epoch
+// with its own result cache (bound to this miner's rows and threshold,
+// so it cannot outlive the epoch). ids and stamps are parallel (stamps
+// non-decreasing — the retention sweeper's prefix-expiry relies on
+// it).
 func (s *Server) newView(d *dataset, m *core.Miner, epoch int64, ids, stamps []int64, nextID int64) *view {
 	return &view{
 		miner:  m,
-		pool:   m.NewEvaluatorPool(),
 		cache:  newResultCache(s.opts.CacheSize),
 		norm:   d.normStats,
 		epoch:  epoch,

@@ -12,8 +12,9 @@
 //	GET  /stats      query counts, cache hit rate, latency percentiles
 //
 // Concurrency follows the contract documented on core.Miner: after
-// Preprocess the Miner is read-only, and every request borrows a
-// private OD evaluator from a core.EvaluatorPool. Repeated identical
+// Preprocess every Miner method is safe for concurrent use, so
+// handlers call the Miner's query, batch and scan methods directly
+// and never see the engine's per-goroutine state. Repeated identical
 // queries are answered from an in-memory LRU keyed by (point,
 // exclude) — the Miner's configuration is fixed per server, so the
 // key does not need to carry it. Every request is bounded by a
@@ -235,8 +236,8 @@ func (o *Options) setDefaults() {
 // through POST /datasets/load. Admission control is per dataset: each
 // registry entry carries an overload.Guard (circuit breaker + AIMD
 // concurrency limiter) so one slow dataset sheds its own traffic
-// instead of starving its siblings; result caches and evaluator pools
-// are likewise per dataset.
+// instead of starving its siblings; result caches are likewise per
+// dataset.
 type Server struct {
 	reg     *registry
 	def     *dataset
@@ -434,9 +435,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Pin the current epoch: every read below — target resolution,
-	// cache, evaluator pool, the miner itself — goes through this one
-	// view, so a concurrent append/delete swapping in a new epoch can
-	// never show this request a mix of old and new state.
+	// cache, the miner itself — goes through this one view, so a
+	// concurrent append/delete swapping in a new epoch can never show
+	// this request a mix of old and new state.
 	v := d.view()
 	point, exclude, emsg := v.resolveQueryTarget(req.Index, req.Point)
 	if emsg != "" {
@@ -496,7 +497,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	done := make(chan outcome, 1)
 	go func() {
 		// The permit is held until the computation finishes — even past
-		// the handler's deadline — so concurrent evaluators stay
+		// the handler's deadline — so concurrent computations stay
 		// bounded, and its release tells the guard how the dataset
 		// actually behaved: a success that blew the deadline counts as
 		// a timeout, because that is what the client experienced.
@@ -519,49 +520,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		eval, err := v.pool.Get()
+		var res *core.QueryResult
+		var err error
+		if exclude >= 0 {
+			res, err = v.miner.OutlyingSubspacesOfPoint(exclude)
+		} else {
+			res, err = v.miner.OutlyingSubspaces(point)
+		}
 		if err != nil {
 			finish(err)
 			done <- outcome{nil, err}
 			return
-		}
-		res, err := v.miner.QueryWith(eval, point, exclude)
-		if err != nil {
-			v.pool.Put(eval)
-			finish(err)
-			done <- outcome{nil, err}
-			return
-		}
-		// The result aliases the evaluator's scratch: take an owned copy
-		// before the evaluator goes back to the pool (where the next
-		// borrower's query would overwrite it), since the response below
-		// is also retained by the LRU cache.
-		res = res.Clone()
-		v.pool.Put(eval)
-		resp := &queryResponse{
-			Index:         req.Index,
-			Threshold:     res.Threshold,
-			IsOutlier:     res.IsOutlierAnywhere,
-			Minimal:       masksToDims(res.Minimal),
-			OutlyingCount: len(res.Outlying),
-			ODEvaluations: res.ODEvaluations,
-			outlyingMasks: res.Outlying,
-		}
-		if req.Index == nil {
-			resp.Point = append([]float64(nil), point...)
 		}
 		// Cache here, not in the handler: a query that outlives the
 		// deadline still finishes and seeds the cache, so the client's
 		// retry is a hit instead of re-paying the full cost (and timing
-		// out again, forever). Oversized outlying sets are dropped from
-		// the cached copy only — the in-flight response keeps them.
-		toCache := resp
-		if s.opts.MaxCachedMasks > 0 && len(resp.outlyingMasks) > s.opts.MaxCachedMasks {
-			stripped := *resp
-			stripped.outlyingMasks = nil
-			toCache = &stripped
-		}
-		v.cache.put(key, toCache)
+		// out again, forever).
+		resp := s.answer(v, key, req.Index, point, res)
 		s.stats.addODEvals(res.ODEvaluations)
 		finish(nil)
 		done <- outcome{resp, nil}
@@ -579,10 +554,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case o := <-done:
 		if o.err != nil {
 			status := http.StatusInternalServerError
-			switch {
-			case errors.Is(o.err, core.ErrNotPreprocessed):
-				status = http.StatusServiceUnavailable
-			case errors.Is(o.err, context.DeadlineExceeded):
+			if errors.Is(o.err, context.DeadlineExceeded) {
 				// An injected or engine-level timeout is a capacity
 				// signal, same as the handler's own deadline firing.
 				status = http.StatusServiceUnavailable
@@ -643,8 +615,8 @@ func (s *Server) planScan(w http.ResponseWriter, r *http.Request) (*scanPlan, bo
 	if maxResults == 0 || maxResults > s.opts.MaxScanResults {
 		maxResults = s.opts.MaxScanResults
 	}
-	// Clamp the client-supplied fan-out: each worker builds its own
-	// evaluator, so an unbounded count is a memory/scheduler DoS.
+	// Clamp the client-supplied fan-out: each worker holds its own
+	// k-NN working set, so an unbounded count is a memory/scheduler DoS.
 	maxWorkers := s.opts.ScanWorkers
 	if maxWorkers <= 0 {
 		maxWorkers = runtime.GOMAXPROCS(0)
@@ -902,6 +874,36 @@ func (s *Server) shedBreakerOpen(w http.ResponseWriter, dataset string, rej *ove
 func (s *Server) clientGone(w http.ResponseWriter, what string) {
 	s.stats.recordClientCancelled()
 	s.writeJSON(w, http.StatusRequestTimeout, &errorResponse{Error: what + ": client closed request"})
+}
+
+// answer builds the response to a computed query result — for dataset
+// row *index, or for point when index is nil — and seeds the view's
+// result LRU with it under key, so /query and /batch share one
+// response shape and one caching rule. The response and the LRU keep
+// point and res.Outlying, so the caller must own both. A set larger
+// than MaxCachedMasks is dropped from the cached entry only; the
+// returned response keeps it.
+func (s *Server) answer(v *view, key string, index *int, point []float64, res *core.QueryResult) *queryResponse {
+	resp := &queryResponse{
+		Index:         index,
+		Threshold:     res.Threshold,
+		IsOutlier:     res.IsOutlierAnywhere,
+		Minimal:       masksToDims(res.Minimal),
+		OutlyingCount: len(res.Outlying),
+		ODEvaluations: res.ODEvaluations,
+		outlyingMasks: res.Outlying,
+	}
+	if index == nil {
+		resp.Point = point
+	}
+	cached := resp
+	if s.opts.MaxCachedMasks > 0 && len(res.Outlying) > s.opts.MaxCachedMasks {
+		stripped := *resp
+		stripped.outlyingMasks = nil
+		cached = &stripped
+	}
+	v.cache.put(key, cached)
+	return resp
 }
 
 func masksToDims(masks []subspace.Mask) [][]int {

@@ -202,19 +202,3 @@ func SqDistL2(s subspace.Mask, a, b []float64) float64 {
 	})
 	return sum
 }
-
-// NormalizedDist divides Dist by a cardinality factor so that
-// distances remain comparable across subspace dimensionalities:
-// sqrt(|s|) for L2, |s| for L1, 1 for LInf. See DESIGN.md ("Threshold
-// semantics").
-func NormalizedDist(m Metric, s subspace.Mask, a, b []float64) float64 {
-	d := Dist(m, s, a, b)
-	switch m {
-	case L2:
-		return d / math.Sqrt(float64(s.Card()))
-	case L1:
-		return d / float64(s.Card())
-	default:
-		return d
-	}
-}

@@ -179,22 +179,6 @@ func TestTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestNormalizedDist(t *testing.T) {
-	a := []float64{0, 0, 0, 0}
-	b := []float64{1, 1, 1, 1}
-	// L2 over m dims between these points is sqrt(m); normalized is 1
-	// for every m — dimension bias removed.
-	for m := 1; m <= 4; m++ {
-		s := subspace.Full(m)
-		if got := NormalizedDist(L2, s, a, b); math.Abs(got-1) > 1e-12 {
-			t.Fatalf("m=%d: normalized L2 = %v, want 1", m, got)
-		}
-		if got := NormalizedDist(L1, s, a, b); math.Abs(got-1) > 1e-12 {
-			t.Fatalf("m=%d: normalized L1 = %v, want 1", m, got)
-		}
-	}
-}
-
 func TestMetricString(t *testing.T) {
 	if L2.String() != "L2" || L1.String() != "L1" || LInf.String() != "LInf" {
 		t.Fatal("metric names")
