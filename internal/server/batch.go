@@ -2,12 +2,9 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"slices"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -27,8 +24,7 @@ type batchRequest struct {
 	// default dataset).
 	Dataset string             `json:"dataset,omitempty"`
 	Items   []batchRequestItem `json:"items"`
-	// Workers overrides the per-batch fan-out (clamped to the server's
-	// BatchWorkers bound).
+	// Workers overrides the per-batch fan-out (clamped to GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -82,17 +78,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch has %d items, limit is %d", len(req.Items), s.opts.MaxBatchItems))
 		return
 	}
-	if req.Workers < 0 {
-		s.error(w, http.StatusBadRequest, fmt.Sprintf("workers = %d", req.Workers))
+	workers, ok := s.fanOut(w, req.Workers, 0)
+	if !ok {
 		return
-	}
-	maxWorkers := s.opts.BatchWorkers
-	if maxWorkers <= 0 {
-		maxWorkers = runtime.GOMAXPROCS(0)
-	}
-	workers := req.Workers
-	if workers == 0 || workers > maxWorkers {
-		workers = maxWorkers
 	}
 
 	// Validate items and split them into LRU hits and engine work
@@ -138,73 +126,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// block so it lands in serverStats as one consistent transition.
 	var odEvals int64
 	if len(queries) > 0 {
-		// Batch traffic fails fast at the guard: it is programmatic and
-		// retryable, so it is shed before interactive queries — but
-		// after bulk scans — as the adaptive limit shrinks. A
-		// fully-cached batch never reaches this admission.
-		permit, rej := d.guard.Admit(r.Context(), overload.Batch, false)
-		if rej != nil {
-			if rej.Reason == overload.ReasonBreakerOpen {
-				s.shedBreakerOpen(w, d.name, rej)
-				return
-			}
-			retry := overload.RetryAfterSeconds(rej.RetryAfter)
-			w.Header().Set("Retry-After", strconv.Itoa(retry))
-			s.error(w, http.StatusTooManyRequests,
-				fmt.Sprintf("dataset %q at its batch concurrency share, retry in ~%ds", d.name, retry))
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.opts.BatchTimeout)
-		defer cancel()
-
-		type outcome struct {
-			res *core.BatchResult
-			err error
-		}
-		done := make(chan outcome, 1)
-		go func() {
-			computeStart := time.Now()
-			if s.opts.FaultHook != nil {
-				if _, err := s.opts.FaultHook("batch", d.name); err != nil {
-					permit.Release(outcomeFor(err), time.Since(computeStart))
-					done <- outcome{nil, err}
-					return
-				}
-			}
-			res, err := v.miner.QueryBatch(ctx, queries, core.BatchOptions{Workers: workers})
-			permit.Release(outcomeFor(err), time.Since(computeStart))
-			done <- outcome{res, err}
-		}()
-
+		// A fully-cached batch never reaches admission. fn hands the
+		// deadline context to the engine, so an abandoned batch stops
+		// mid-search instead of running on for nobody.
 		var res *core.BatchResult
-		select {
-		case <-ctx.Done():
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				s.error(w, http.StatusServiceUnavailable,
-					fmt.Sprintf("batch exceeded the %s deadline", s.opts.BatchTimeout))
-			} else {
-				s.clientGone(w, "batch")
-			}
+		if !s.compute(w, r, d, overload.Batch, s.opts.BatchTimeout, func(ctx context.Context) error {
+			var err error
+			res, err = v.miner.QueryBatch(ctx, queries, core.BatchOptions{Workers: workers})
+			return err
+		}) {
 			return
-		case o := <-done:
-			if o.err != nil {
-				// QueryBatch is ctx-aware, so a deadline/cancel can surface
-				// through its error rather than ctx.Done() when both are
-				// ready; classify identically either way.
-				switch {
-				case errors.Is(o.err, context.DeadlineExceeded):
-					s.error(w, http.StatusServiceUnavailable,
-						fmt.Sprintf("batch exceeded the %s deadline", s.opts.BatchTimeout))
-				case errors.Is(o.err, context.Canceled):
-					s.clientGone(w, "batch")
-				default:
-					s.error(w, http.StatusInternalServerError, o.err.Error())
-				}
-				return
-			}
-			res = o.res
 		}
-
 		for j, item := range res.Items {
 			i := queryPos[j]
 			out := &resp.Results[i]

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/jobs"
@@ -125,14 +124,7 @@ func (s *Server) submitScan(w http.ResponseWriter, r *http.Request) (*scanPlan, 
 	// drowning must not keep accepting sweeps it cannot serve. The
 	// job's outcome feeds back via RecordDetached below.
 	if rej := plan.d.guard.AdmitDetached(overload.Bulk); rej != nil {
-		if rej.Reason == overload.ReasonBreakerOpen {
-			s.shedBreakerOpen(w, plan.d.name, rej)
-			return nil, jobs.Snapshot{}, false
-		}
-		retry := overload.RetryAfterSeconds(rej.RetryAfter)
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		s.error(w, http.StatusTooManyRequests,
-			fmt.Sprintf("dataset %q at its bulk concurrency share, retry in ~%ds", plan.d.name, retry))
+		s.refuse(w, plan.d.name, overload.Bulk, rej)
 		return nil, jobs.Snapshot{}, false
 	}
 	snap, err := s.jobs.Submit("scan", func(jobCtx context.Context, report func(done, total int)) (any, error) {
@@ -165,24 +157,8 @@ func (s *Server) submitScan(w http.ResponseWriter, r *http.Request) (*scanPlan, 
 		s.stats.recordScan()
 		return resp, nil
 	})
-	switch {
-	case errors.Is(err, jobs.ErrQueueFull):
-		// The shared helper floors the estimate at 1s: whatever the
-		// estimator returns (it has no run-time history before the
-		// first job finishes), "Retry-After: 0" is never a sane header
-		// on a 429 — a literal client would hammer the full queue in a
-		// zero-delay loop. Breaker-open 503s go through the same floor
-		// (shedBreakerOpen), so no rejection path can undercut it.
-		retry := overload.RetryAfterSeconds(s.jobs.RetryAfter())
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		s.error(w, http.StatusTooManyRequests,
-			fmt.Sprintf("job queue full (%d queued), retry in ~%ds", s.opts.JobQueueDepth, retry))
-		return nil, jobs.Snapshot{}, false
-	case errors.Is(err, jobs.ErrClosed):
-		s.error(w, http.StatusServiceUnavailable, "server is draining, no new jobs")
-		return nil, jobs.Snapshot{}, false
-	case err != nil:
-		s.error(w, http.StatusInternalServerError, err.Error())
+	if err != nil {
+		s.refuse(w, plan.d.name, overload.Bulk, err)
 		return nil, jobs.Snapshot{}, false
 	}
 	s.debugf("server: job %s admitted (dataset %s, %d workers)", snap.ID, plan.d.name, plan.workers)

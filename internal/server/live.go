@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/overload"
 	"repro/internal/snapshot"
 	"repro/internal/wal"
 )
@@ -473,6 +474,17 @@ func (s *Server) commitLocked(d *dataset, v, nv *view, recs []wal.Record) error 
 	return nil
 }
 
+// closeWAL closes the log a restore attached to an entry that never
+// became visible, so no handle on <name>.wal outlives it.
+func (d *dataset) closeWAL() {
+	d.mut.Lock()
+	defer d.mut.Unlock()
+	if d.wal != nil {
+		_ = d.wal.Close()
+		d.wal = nil
+	}
+}
+
 // mirrorWAL copies the log's size, frame count and fsync count into
 // the entry's atomic /stats shadows. The caller holds d.mut.
 func (d *dataset) mirrorWAL() {
@@ -494,7 +506,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	}
 	snap, err := s.jobs.Submit("compact", s.compactJob(d))
 	if err != nil {
-		s.error(w, http.StatusServiceUnavailable, err.Error())
+		s.refuse(w, d.name, overload.Bulk, err)
 		return
 	}
 	resp := renderJob(snap)
@@ -603,9 +615,9 @@ func (s *Server) compactJob(d *dataset) func(ctx context.Context, report func(do
 }
 
 // attachWALLocked replays <name>.wal onto a freshly restored entry —
-// the warm-start path. The entry must not be serving yet (its view is
-// still the bare base restore). Returns the number of replayed
-// records. Failure modes:
+// the restore path (restore, AttachDefaultWAL). The entry must not be
+// serving yet (its view is still the bare base restore). Returns the
+// number of replayed records. Failure modes:
 //   - no log, or a log bound to a different base (stale after a crash
 //     mid-compaction): nothing to do, serve the base;
 //   - torn tail: replay stops at the last valid record, the tail is
@@ -668,12 +680,15 @@ func (s *Server) attachWALLocked(d *dataset, snapPath string) (int, error) {
 }
 
 // AttachDefaultWAL replays the default dataset's delta log on top of
-// the default.snap the process restored from. hosserve calls it only
-// on the snapshot-restore boot path — after -gen/-data, a lingering
-// default.wal belongs to a previous dataset and must not be applied
-// (its BaseCRC check would reject it anyway). Returns the number of
-// replayed records. Errors mean the base is serving without its
-// deltas; the caller decides whether that is fatal.
+// the default.snap the process restored from — the attach step of
+// restore, for the entry New built. hosserve calls it only on the
+// snapshot-restore boot path. After -gen/-data it must not be called:
+// a lingering default.wal is bound to the default.snap still on disk,
+// so its BaseCRC check would pass, and only a shape mismatch would
+// stop its deltas landing on a base they were never written against.
+// Returns the number of replayed records. Errors mean the base is
+// serving without its deltas; the caller decides whether that is
+// fatal.
 func (s *Server) AttachDefaultWAL() (int, error) {
 	d := s.def
 	d.mut.Lock()

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -256,6 +258,65 @@ func TestWarmStartReplaysWAL(t *testing.T) {
 	}
 }
 
+// TestFileLoadReplaysWAL: a dataset evicted and loaded back from its
+// own snapshot serves every acknowledged append, because a file load
+// restores through the same routine as warm start and replays
+// <name>.wal; and it keeps journaling into that log, so a restart
+// serves the appends made after the reload too.
+func TestFileLoadReplaysWAL(t *testing.T) {
+	s1, dir := newSnapshotServer(t, Options{WAL: true, CacheSize: -1})
+	h1 := s1.Handler()
+	load := `{"name":"foo","gen":"synthetic","n":120,"d":4,"planted":3,"seed":21,"k":4,"tq":0.9}`
+	if rec := do(t, h1, "POST", "/datasets/load", load, nil); rec.Code != http.StatusCreated {
+		t.Fatalf("load: %d (%s)", rec.Code, rec.Body.String())
+	}
+	var ap appendResponse
+	if rec := do(t, h1, "POST", "/datasets/foo/append", appendJSON(5, 4, 31), &ap); rec.Code != http.StatusOK {
+		t.Fatalf("append: %d (%s)", rec.Code, rec.Body.String())
+	}
+	scan := `{"dataset":"foo","max_results":10,"sort_by_severity":true}`
+	want := bodyOf(t, h1, "POST", "/scan", scan)
+	if rec := do(t, h1, "POST", "/datasets/evict", `{"name":"foo"}`, nil); rec.Code != http.StatusOK {
+		t.Fatalf("evict: %d (%s)", rec.Code, rec.Body.String())
+	}
+	rec := do(t, h1, "POST", "/datasets/load", `{"name":"foo","file":"foo.snap"}`, nil)
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("file load: %d (%s)", rec.Code, rec.Body.String())
+	}
+	var info datasetInfo
+	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.N != ap.N {
+		t.Fatalf("file load serves N = %d, the evicted entry served %d", info.N, ap.N)
+	}
+	if got := bodyOf(t, h1, "POST", "/scan", scan); got != want {
+		t.Fatalf("file-loaded foo diverged from the evicted entry:\n before: %s\n after:  %s", want, got)
+	}
+	if rec := do(t, h1, "POST", "/datasets/foo/append", appendJSON(1, 4, 32), &ap); rec.Code != http.StatusOK {
+		t.Fatalf("append after reload: %d (%s)", rec.Code, rec.Body.String())
+	}
+
+	s2, err := New(newTestMiner(t), Options{DataDir: dir, WAL: true, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerClose(t, s2)
+	if n, err := s2.WarmStart(); err != nil || n != 1 {
+		t.Fatalf("warm start = (%d, %v), want (1, nil)", n, err)
+	}
+	waitJobsSettled(t, s2)
+	for _, ds := range s2.Stats().Datasets {
+		if ds.Name == "foo" {
+			if ds.N != ap.N {
+				t.Fatalf("restart serves foo with N = %d, want %d", ds.N, ap.N)
+			}
+			return
+		}
+	}
+	t.Fatalf("restart did not register foo: %+v", s2.Stats().Jobs)
+}
+
 // TestTornWALWarmStart is the crash-mid-append drill: the trailing WAL
 // record is truncated on disk, and a restart must replay everything up
 // to the last valid record, truncate the tail, and keep serving — no
@@ -339,6 +400,31 @@ func TestCompactionFoldsWALIntoBase(t *testing.T) {
 	bare := newTestServer(t, Options{})
 	if rec := do(t, bare.Handler(), "POST", "/datasets/default/compact", "", nil); rec.Code != http.StatusBadRequest {
 		t.Fatalf("compact without WAL: %d", rec.Code)
+	}
+}
+
+// TestCompactRefusedWhenJobQueueFull: a compaction is a job, so a
+// full job queue refuses it the way it refuses a scan — 429 with a
+// Retry-After of at least one second.
+func TestCompactRefusedWhenJobQueueFull(t *testing.T) {
+	s := newSlowScanServer(t, Options{JobWorkers: 1, JobQueueDepth: 1, DataDir: t.TempDir(), WAL: true})
+	h := s.Handler()
+	var running, queued jobResponse
+	if rec := do(t, h, "POST", "/jobs/scan", `{}`, &running); rec.Code != http.StatusAccepted {
+		t.Fatalf("first submit: status %d", rec.Code)
+	}
+	defer do(t, h, "DELETE", "/jobs/"+running.ID, "", nil)
+	waitStats(t, s, "the first job running", func(st StatsSnapshot) bool { return st.Jobs.Running == 1 })
+	if rec := do(t, h, "POST", "/jobs/scan", `{}`, &queued); rec.Code != http.StatusAccepted {
+		t.Fatalf("second submit: status %d", rec.Code)
+	}
+	defer do(t, h, "DELETE", "/jobs/"+queued.ID, "", nil)
+	rec := do(t, h, "POST", "/datasets/default/compact", "", nil)
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429 (body %s)", rec.Code, rec.Body.String())
+	}
+	if retry, err := strconv.Atoi(rec.Header().Get("Retry-After")); err != nil || retry < 1 {
+		t.Fatalf("Retry-After = %q, want an integer >= 1", rec.Header().Get("Retry-After"))
 	}
 }
 

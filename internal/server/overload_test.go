@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -167,6 +168,66 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 		t.Fatalf("post-recovery query: status %d, want 200", rec.Code)
 	}
 	waitIdle(t, s)
+}
+
+// TestQueryAndBatchOutcomeTable: /query and /batch run through one
+// compute routine, so a fault injected at the same point answers with
+// the same status and lands in the same /stats counter on both — and
+// a success slower than the deadline counts against the breaker on
+// both, since the injected latency reaches the guard.
+func TestQueryAndBatchOutcomeTable(t *testing.T) {
+	endpoints := []struct{ op, path, body string }{
+		{"query", "/query", `{"index": %d}`},
+		{"batch", "/batch", `{"items": [{"index": %d}]}`},
+	}
+	cells := []struct {
+		name              string
+		fault             faultinject.Fault
+		status            int
+		errors, cancelled int64
+	}{
+		{"deadline", faultinject.Fault{Err: context.DeadlineExceeded}, http.StatusServiceUnavailable, 1, 0},
+		{"cancelled", faultinject.Fault{Err: context.Canceled}, http.StatusRequestTimeout, 0, 1},
+		{"engine error", faultinject.Fault{Err: errors.New("engine fault")}, http.StatusInternalServerError, 1, 0},
+		{"slow success", faultinject.Fault{Delay: time.Hour}, http.StatusOK, 0, 0},
+	}
+	for _, ep := range endpoints {
+		for _, c := range cells {
+			t.Run(ep.op+"/"+c.name, func(t *testing.T) {
+				clk := faultinject.NewClock(time.Unix(1_700_000_000, 0))
+				inj := faultinject.NewInjector()
+				s := newFaultServer(t, clk, inj)
+				h := s.Handler()
+				inj.SetOp(ep.op, "default", c.fault)
+				// Slow successes trip the breaker only after MinSamples (5)
+				// of them; every other cell is one request. Distinct rows
+				// keep the result cache out of the way.
+				n := 1
+				if c.status == http.StatusOK {
+					n = 5
+				}
+				for i := 0; i < n; i++ {
+					rec := do(t, h, "POST", ep.path, fmt.Sprintf(ep.body, i), nil)
+					if rec.Code != c.status {
+						t.Fatalf("request %d: status %d, want %d (body %s)", i, rec.Code, c.status, rec.Body.String())
+					}
+				}
+				st := s.Stats()
+				if st.Errors != c.errors || st.ClientCancelled != c.cancelled {
+					t.Fatalf("errors/client_cancelled = %d/%d, want %d/%d", st.Errors, st.ClientCancelled, c.errors, c.cancelled)
+				}
+				if c.status != http.StatusOK {
+					return
+				}
+				if o := overloadStats(t, s, "default"); o.BreakerState != "open" {
+					t.Fatalf("after %d successes past the deadline: breaker %s, want open", n, o.BreakerState)
+				}
+				if rec := do(t, h, "POST", ep.path, fmt.Sprintf(ep.body, n), nil); rec.Code != http.StatusServiceUnavailable {
+					t.Fatalf("request under the open breaker: status %d, want 503", rec.Code)
+				}
+			})
+		}
+	}
 }
 
 // One degraded dataset must not starve its siblings: while the default

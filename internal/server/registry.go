@@ -378,6 +378,7 @@ func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.reg.add(d); err != nil {
+		d.closeWAL()
 		s.registryError(w, err)
 		return
 	}

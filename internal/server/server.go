@@ -66,9 +66,6 @@ type Options struct {
 	// ScanWorkers caps the per-scan fan-out (core.ScanOptions.Workers);
 	// client requests asking for more are clamped (default GOMAXPROCS).
 	ScanWorkers int
-	// LatencyWindow is the number of recent query latencies kept for
-	// percentiles (default 1024).
-	LatencyWindow int
 	// MaxCachedMasks caps the per-entry outlying-mask set the result
 	// cache pins (default 16384, ~64 KiB; negative = no cap). Larger
 	// sets are still answered and cached, but their full outlying set
@@ -80,9 +77,6 @@ type Options struct {
 	MaxBatchItems int
 	// BatchTimeout bounds one /batch computation (default 1min).
 	BatchTimeout time.Duration
-	// BatchWorkers caps the per-batch evaluation fan-out; client
-	// requests asking for more are clamped (default GOMAXPROCS).
-	BatchWorkers int
 	// MaxDatasets caps the registry size — the startup dataset plus
 	// datasets loaded at runtime via POST /datasets/load (default 8).
 	MaxDatasets int
@@ -91,8 +85,9 @@ type Options struct {
 	// unbounded request is a memory/CPU DoS (default 100000).
 	MaxLoadPoints int
 	// JobQueueDepth bounds jobs accepted but not yet running; a full
-	// queue rejects POST /scan and POST /jobs/scan with 429 and a
-	// Retry-After estimate (default 8).
+	// queue rejects POST /scan, POST /jobs/scan and POST
+	// /datasets/{name}/compact with 429 and a Retry-After estimate
+	// (default 8).
 	JobQueueDepth int
 	// JobWorkers is the job worker-pool size — how many jobs may run
 	// simultaneously. Every scan (sync or async), compaction, retention
@@ -193,9 +188,6 @@ func (o *Options) setDefaults() {
 	if o.MaxScanResults <= 0 {
 		o.MaxScanResults = 1000
 	}
-	if o.LatencyWindow <= 0 {
-		o.LatencyWindow = 1024
-	}
 	if o.MaxCachedMasks == 0 {
 		o.MaxCachedMasks = 16384
 	}
@@ -269,7 +261,7 @@ func New(m *core.Miner, opts Options) (*Server, error) {
 	}
 	s := &Server{
 		opts:    opts,
-		stats:   newServerStats(opts.LatencyWindow),
+		stats:   newServerStats(latencyWindow),
 		loadSem: make(chan struct{}, 1),
 		mux:     http.NewServeMux(),
 		started: time.Now(),
@@ -468,58 +460,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Admit through the dataset's overload guard before spawning: when
-	// the dataset is saturated (or its breaker is open), requests shed
-	// here instead of queueing unbounded abandoned work. The admission
-	// wait and the compute wait share one deadline, so a request never
-	// occupies the handler longer than QueryTimeout in total.
-	queryCtx, cancelQuery := context.WithTimeout(r.Context(), s.opts.QueryTimeout)
-	defer cancelQuery()
-	permit, rej := d.guard.Admit(queryCtx, overload.Interactive, true)
-	if rej != nil {
-		switch {
-		case rej.Reason == overload.ReasonBreakerOpen:
-			s.shedBreakerOpen(w, d.name, rej)
-		case r.Context().Err() != nil:
-			s.clientGone(w, "query")
-		default:
-			w.Header().Set("Retry-After", strconv.Itoa(overload.RetryAfterSeconds(rej.RetryAfter)))
-			s.error(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("no compute slot within the %s deadline", s.opts.QueryTimeout))
-		}
-		return
-	}
-
-	type outcome struct {
-		resp *queryResponse
-		err  error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		// The permit is held until the computation finishes — even past
-		// the handler's deadline — so concurrent computations stay
-		// bounded, and its release tells the guard how the dataset
-		// actually behaved: a success that blew the deadline counts as
-		// a timeout, because that is what the client experienced.
-		computeStart := time.Now()
-		var injected time.Duration
-		finish := func(err error) {
-			lat := time.Since(computeStart) + injected
-			out := outcomeFor(err)
-			if out == overload.Success && lat > s.opts.QueryTimeout {
-				out = overload.Timeout
-			}
-			permit.Release(out, lat)
-		}
-		if s.opts.FaultHook != nil {
-			delay, err := s.opts.FaultHook("query", d.name)
-			injected = delay
-			if err != nil {
-				finish(err)
-				done <- outcome{nil, err}
-				return
-			}
-		}
+	// fn ignores the deadline context on purpose: a query that outlives
+	// the deadline still finishes and seeds the cache (answer), so the
+	// client's retry is a hit instead of re-paying the full cost (and
+	// timing out again, forever).
+	var resp *queryResponse
+	if !s.compute(w, r, d, overload.Interactive, s.opts.QueryTimeout, func(context.Context) error {
 		var res *core.QueryResult
 		var err error
 		if exclude >= 0 {
@@ -528,53 +474,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			res, err = v.miner.OutlyingSubspaces(point)
 		}
 		if err != nil {
-			finish(err)
-			done <- outcome{nil, err}
-			return
+			return err
 		}
-		// Cache here, not in the handler: a query that outlives the
-		// deadline still finishes and seeds the cache, so the client's
-		// retry is a hit instead of re-paying the full cost (and timing
-		// out again, forever).
-		resp := s.answer(v, key, req.Index, point, res)
+		resp = s.answer(v, key, req.Index, point, res)
 		s.stats.addODEvals(res.ODEvaluations)
-		finish(nil)
-		done <- outcome{resp, nil}
-	}()
-
-	select {
-	case <-queryCtx.Done():
-		if r.Context().Err() != nil {
-			s.clientGone(w, "query")
-			return
-		}
-		s.error(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("query exceeded the %s deadline", s.opts.QueryTimeout))
+		return nil
+	}) {
 		return
-	case o := <-done:
-		if o.err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(o.err, context.DeadlineExceeded) {
-				// An injected or engine-level timeout is a capacity
-				// signal, same as the handler's own deadline firing.
-				status = http.StatusServiceUnavailable
-			}
-			s.error(w, status, o.err.Error())
-			return
-		}
-		// Misses are counted when a computed answer is served, not at
-		// lookup time, so shed/timed-out requests (counted in errors)
-		// keep the invariant hits + misses == queries.
-		d.queries.Add(1)
-		s.stats.recordQuery(false, time.Since(start))
-		out := *o.resp
-		out.ElapsedMs = msSince(start)
-		if req.IncludeAll {
-			out.Outlying = masksToDims(o.resp.outlyingMasks)
-		}
-		w.Header().Set("X-Cache", "MISS")
-		s.writeJSON(w, http.StatusOK, &out)
 	}
+	// Misses are counted when a computed answer is served, not at
+	// lookup time, so shed/timed-out requests (counted in errors) keep
+	// the invariant hits + misses == queries.
+	d.queries.Add(1)
+	s.stats.recordQuery(false, time.Since(start))
+	out := *resp
+	out.ElapsedMs = msSince(start)
+	if req.IncludeAll {
+		out.Outlying = masksToDims(resp.outlyingMasks)
+	}
+	w.Header().Set("X-Cache", "MISS")
+	s.writeJSON(w, http.StatusOK, &out)
 }
 
 // scanPlan is a validated, clamped scan request — the front half of
@@ -607,23 +526,13 @@ func (s *Server) planScan(w http.ResponseWriter, r *http.Request) (*scanPlan, bo
 		s.error(w, http.StatusBadRequest, fmt.Sprintf("max_results = %d", req.MaxResults))
 		return nil, false
 	}
-	if req.Workers < 0 {
-		s.error(w, http.StatusBadRequest, fmt.Sprintf("workers = %d", req.Workers))
+	workers, ok := s.fanOut(w, req.Workers, s.opts.ScanWorkers)
+	if !ok {
 		return nil, false
 	}
 	maxResults := req.MaxResults
 	if maxResults == 0 || maxResults > s.opts.MaxScanResults {
 		maxResults = s.opts.MaxScanResults
-	}
-	// Clamp the client-supplied fan-out: each worker holds its own
-	// k-NN working set, so an unbounded count is a memory/scheduler DoS.
-	maxWorkers := s.opts.ScanWorkers
-	if maxWorkers <= 0 {
-		maxWorkers = runtime.GOMAXPROCS(0)
-	}
-	workers := req.Workers
-	if workers == 0 || workers > maxWorkers {
-		workers = maxWorkers
 	}
 	plan := &scanPlan{d: d, v: d.view(), maxResults: maxResults, workers: workers, sortBySeverity: req.SortBySeverity}
 	if fh := s.opts.FaultHook; fh != nil {
@@ -855,14 +764,137 @@ func outcomeFor(err error) overload.Outcome {
 	}
 }
 
-// shedBreakerOpen answers a request rejected by an open (or probing)
-// circuit breaker: 503 with a Retry-After derived from the remaining
-// cool-down, floored at 1s by the shared header helper.
-func (s *Server) shedBreakerOpen(w http.ResponseWriter, dataset string, rej *overload.Rejection) {
-	retry := overload.RetryAfterSeconds(rej.RetryAfter)
-	w.Header().Set("Retry-After", strconv.Itoa(retry))
-	s.error(w, http.StatusServiceUnavailable,
-		fmt.Sprintf("dataset %q is shedding load (circuit breaker open), retry in ~%ds", dataset, retry))
+// opNames spells each admission class the way Options.FaultHook and
+// the request-path messages name its operation.
+var opNames = [...]string{overload.Interactive: "query", overload.Batch: "batch", overload.Bulk: "scan"}
+
+// compute is the one request path of /query (class Interactive) and
+// /batch (class Batch). One deadline, timeout from now, bounds the
+// admission wait and the compute wait together: a query waits for a
+// slot until it, a batch fails fast. Options.FaultHook and then fn run
+// on one detached goroutine that holds the permit until fn returns,
+// even past the deadline, so concurrent computations stay bounded. The
+// release counts the injected delay, and a success slower than the
+// deadline counts as a timeout, because that is what the client saw.
+// Whether fn honours its deadline context is the caller's choice
+// (DESIGN §4.3). compute answers every failure itself and reports
+// whether fn succeeded; the caller then writes the answer.
+func (s *Server) compute(w http.ResponseWriter, r *http.Request, d *dataset, class overload.Priority, timeout time.Duration, fn func(ctx context.Context) error) bool {
+	op := opNames[class]
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	defer cancel()
+	permit, rej := d.guard.Admit(ctx, class, class == overload.Interactive)
+	if rej != nil {
+		s.refuse(w, d.name, class, rej)
+		return false
+	}
+	done := make(chan error, 1)
+	go func() {
+		start := time.Now()
+		var injected time.Duration
+		var err error
+		if s.opts.FaultHook != nil {
+			injected, err = s.opts.FaultHook(op, d.name)
+		}
+		if err == nil {
+			err = fn(ctx)
+		}
+		lat := time.Since(start) + injected
+		out := outcomeFor(err)
+		if out == overload.Success && lat > timeout {
+			out = overload.Timeout
+		}
+		permit.Release(out, lat)
+		done <- err
+	}()
+	var err error
+	select {
+	case <-ctx.Done():
+		err = ctx.Err()
+	case err = <-done:
+	}
+	switch {
+	case err == nil:
+		return true
+	case r.Context().Err() != nil, errors.Is(err, context.Canceled):
+		s.clientGone(w, op)
+	case errors.Is(err, context.DeadlineExceeded):
+		// The handler's deadline, an engine-side one or an injected one:
+		// each is a capacity signal.
+		s.error(w, http.StatusServiceUnavailable, fmt.Sprintf("%s exceeded the %s deadline", op, timeout))
+	default:
+		s.error(w, http.StatusInternalServerError, err.Error())
+	}
+	return false
+}
+
+// refuse answers a request the server declined to run; it is the one
+// table of refusal statuses. why is the dataset guard's
+// *overload.Rejection of an admission of class, or the error of a job
+// submission:
+//
+//	breaker open                          503, Retry-After: remaining cool-down
+//	client gone while waiting for a slot  408, counted in client_cancelled
+//	interactive, waited out its deadline  503, Retry-After
+//	batch or bulk at its class share      429, Retry-After
+//	job queue full                        429, Retry-After: the queue's estimate
+//	job manager draining                  503
+func (s *Server) refuse(w http.ResponseWriter, dataset string, class overload.Priority, why error) {
+	var rej *overload.Rejection
+	errors.As(why, &rej)
+	switch {
+	case rej != nil && rej.Reason == overload.ReasonBreakerOpen:
+		retry := retryAfter(w, rej.RetryAfter)
+		s.error(w, http.StatusServiceUnavailable,
+			fmt.Sprintf("dataset %q is shedding load (circuit breaker open), retry in ~%ds", dataset, retry))
+	case rej != nil && errors.Is(rej.Err, context.Canceled):
+		s.clientGone(w, opNames[class])
+	case rej != nil && class == overload.Interactive:
+		retryAfter(w, rej.RetryAfter)
+		s.error(w, http.StatusServiceUnavailable,
+			fmt.Sprintf("no compute slot within the %s deadline", s.opts.QueryTimeout))
+	case rej != nil:
+		retry := retryAfter(w, rej.RetryAfter)
+		s.error(w, http.StatusTooManyRequests,
+			fmt.Sprintf("dataset %q at its %s concurrency share, retry in ~%ds", dataset, class, retry))
+	case errors.Is(why, jobs.ErrQueueFull):
+		retry := retryAfter(w, s.jobs.RetryAfter())
+		s.error(w, http.StatusTooManyRequests,
+			fmt.Sprintf("job queue full (%d queued), retry in ~%ds", s.opts.JobQueueDepth, retry))
+	case errors.Is(why, jobs.ErrClosed):
+		s.error(w, http.StatusServiceUnavailable, "server is draining, no new jobs")
+	default:
+		s.error(w, http.StatusInternalServerError, why.Error())
+	}
+}
+
+// retryAfter sets the Retry-After header to d in whole seconds and
+// returns them. overload.RetryAfterSeconds floors the value at 1s:
+// whatever an estimator returns (the job queue's has no history before
+// its first job finishes), "Retry-After: 0" invites a zero-delay retry
+// loop.
+func retryAfter(w http.ResponseWriter, d time.Duration) int {
+	secs := overload.RetryAfterSeconds(d)
+	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	return secs
+}
+
+// fanOut validates a client-requested worker count and clamps it to
+// limit (GOMAXPROCS when limit is unset): each worker holds its own
+// k-NN working set, so an unbounded count is a memory/scheduler DoS. 0
+// asks for the bound itself; a negative count is answered 400.
+func (s *Server) fanOut(w http.ResponseWriter, requested, limit int) (int, bool) {
+	if requested < 0 {
+		s.error(w, http.StatusBadRequest, fmt.Sprintf("workers = %d", requested))
+		return 0, false
+	}
+	if limit <= 0 {
+		limit = runtime.GOMAXPROCS(0)
+	}
+	if requested == 0 || requested > limit {
+		return limit, true
+	}
+	return requested, true
 }
 
 // clientGone reports a request whose own client closed the connection

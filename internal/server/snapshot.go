@@ -27,7 +27,8 @@ import (
 // directory of large snapshots loads in the background with observable
 // progress under GET /jobs while the listener is already accepting
 // traffic for the default dataset — readiness is not held hostage to
-// restore time.
+// restore time. A file load and a warm start restore through the same
+// routine (restore), so both replay the entry's own <name>.wal.
 
 // snapExt is the snapshot file suffix under DataDir.
 const snapExt = ".snap"
@@ -86,7 +87,7 @@ func (s *Server) loadDatasetFromFile(req *loadRequest) (*dataset, error) {
 	if snap.Dataset.N() > s.opts.MaxLoadPoints {
 		return nil, fmt.Errorf("snapshot holds %d points, exceeding the load limit %d", snap.Dataset.N(), s.opts.MaxLoadPoints)
 	}
-	return s.datasetFromSnapshot(req, snap)
+	return s.datasetFromSnapshot(req, path, snap)
 }
 
 // snapshotPath resolves a client-supplied snapshot file name inside
@@ -102,9 +103,9 @@ func (s *Server) snapshotPath(file string) (string, error) {
 	return filepath.Join(s.opts.DataDir, file), nil
 }
 
-// datasetFromSnapshot turns a parsed snapshot into a registry entry
-// under the request's name and parameters.
-func (s *Server) datasetFromSnapshot(req *loadRequest, snap *snapshot.Snapshot) (*dataset, error) {
+// datasetFromSnapshot turns the snapshot parsed from path into a
+// registry entry under the request's name and parameters.
+func (s *Server) datasetFromSnapshot(req *loadRequest, path string, snap *snapshot.Snapshot) (*dataset, error) {
 	if snap.HasState() {
 		// Full snapshot: it already fixes every miner parameter, so a
 		// request that also specifies them is contradictory — honour
@@ -113,15 +114,37 @@ func (s *Server) datasetFromSnapshot(req *loadRequest, snap *snapshot.Snapshot) 
 			req.Shards != 0 || req.Backend != "" || req.Policy != "" || req.Partitioner != "" {
 			return nil, fmt.Errorf("a full snapshot supplies the miner configuration; remove k/t/tq/samples/shards/backend/policy/partitioner from the request")
 		}
-		m, err := snap.Restore()
-		if err != nil {
-			return nil, err
-		}
-		return s.newDatasetEntry(req.Name, m, snap.NormStats, snap.Provenance), nil
+		return s.restore(req.Name, path, snap)
 	}
 	// Dataset-only snapshot: the request configures the miner, exactly
 	// like a generated load, with the snapshot supplying the bytes.
 	return s.minedEntry(req, snap.Dataset, snap.NormStats, snap.Provenance)
+}
+
+// restore is the one way a full snapshot becomes a registry entry:
+// warm start and the file arm of POST /datasets/load both call it. It
+// restores the miner, wraps it as the entry name and, while the entry
+// is still invisible, offers <name>.wal for replay. The log attaches
+// only when it is bound to the bytes at path (attachWALLocked), so a
+// load under another name, or a log written against another base,
+// serves the base alone. A log that does not attach is logged, not
+// fatal: the base serves without its deltas. The caller registers the
+// entry, and closes its log (closeWAL) if that fails.
+func (s *Server) restore(name, path string, snap *snapshot.Snapshot) (*dataset, error) {
+	m, err := snap.Restore()
+	if err != nil {
+		return nil, err
+	}
+	d := s.newDatasetEntry(name, m, snap.NormStats, snap.Provenance)
+	d.mut.Lock()
+	replayed, err := s.attachWALLocked(d, path)
+	d.mut.Unlock()
+	if err != nil {
+		s.debugf("server: restoring %s from %s: WAL not attached: %v", name, path, err)
+	} else if replayed > 0 {
+		s.debugf("server: restoring %s from %s: replayed %d WAL records", name, path, replayed)
+	}
+	return d, nil
 }
 
 // WarmStart registers every snapshot in DataDir as a background job on
@@ -198,28 +221,16 @@ func (s *Server) warmStartJob(path, stem string) func(ctx context.Context, repor
 			// drift so operators can re-save under a consistent name.
 			s.debugf("server: warm start %s: stored name %q differs from file stem, registering as %q", path, snap.Name, stem)
 		}
-		m, err := snap.Restore()
+		d, err := s.restore(stem, path, snap)
 		if err != nil {
 			return nil, err
 		}
 		report(2, steps)
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if err = ctx.Err(); err == nil {
+			err = s.reg.add(d)
 		}
-		d := s.newDatasetEntry(stem, m, snap.NormStats, snap.Provenance)
-		if s.walActive() {
-			// Replay any delta log bound to this base before the entry is
-			// visible; a missing/stale/foreign WAL serves the base alone.
-			d.mut.Lock()
-			replayed, werr := s.attachWALLocked(d, path)
-			d.mut.Unlock()
-			if werr != nil {
-				s.debugf("server: warm start %s: WAL not attached: %v", path, werr)
-			} else if replayed > 0 {
-				s.debugf("server: warm start %s: replayed %d WAL records", path, replayed)
-			}
-		}
-		if err := s.reg.add(d); err != nil {
+		if err != nil {
+			d.closeWAL()
 			return nil, err
 		}
 		report(3, steps)

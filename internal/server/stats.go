@@ -53,10 +53,12 @@ type serverStats struct {
 	full bool
 }
 
+// latencyWindow is the number of recent /query latencies the ring
+// keeps for the /stats percentiles.
+const latencyWindow = 1024
+
+// newServerStats sizes the latency ring to window (> 0) samples.
 func newServerStats(window int) *serverStats {
-	if window <= 0 {
-		window = 1024
-	}
 	return &serverStats{ring: make([]time.Duration, window)}
 }
 

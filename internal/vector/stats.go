@@ -106,22 +106,3 @@ func (ds *Dataset) MinMaxNormalize() (*Dataset, []ColumnStats) {
 	}
 	return out, stats
 }
-
-// ZScoreNormalize standardises every dimension to zero mean and unit
-// variance (constant dimensions map to 0). A new Dataset is returned.
-func (ds *Dataset) ZScoreNormalize() (*Dataset, []ColumnStats) {
-	stats := ds.Stats()
-	out := ds.Clone()
-	for j := 0; j < ds.d; j++ {
-		mu, sd := stats[j].Mean, stats[j].StdDev
-		for i := 0; i < ds.n; i++ {
-			idx := i*ds.d + j
-			if sd > 0 {
-				out.data[idx] = (out.data[idx] - mu) / sd
-			} else {
-				out.data[idx] = 0
-			}
-		}
-	}
-	return out, stats
-}

@@ -104,21 +104,6 @@ func TestMinMaxNormalize(t *testing.T) {
 	}
 }
 
-func TestZScoreNormalize(t *testing.T) {
-	ds := mustDataset(t, [][]float64{{2, 1}, {4, 1}, {6, 1}})
-	norm, _ := ds.ZScoreNormalize()
-	cs := norm.ColumnStats(0)
-	if math.Abs(cs.Mean) > 1e-12 {
-		t.Fatalf("z-scored mean = %v", cs.Mean)
-	}
-	if math.Abs(cs.StdDev-1) > 1e-12 {
-		t.Fatalf("z-scored sd = %v", cs.StdDev)
-	}
-	if norm.ColumnStats(1).StdDev != 0 {
-		t.Fatal("constant column must stay constant")
-	}
-}
-
 func TestStatsAllColumns(t *testing.T) {
 	ds := mustDataset(t, [][]float64{{1, 2, 3}, {4, 5, 6}})
 	all := ds.Stats()

@@ -183,64 +183,8 @@ func (s *Searcher) KNN(query []float64, sub subspace.Mask, k int, exclude int) [
 	return res
 }
 
-// Range returns the indices of all points within radius r of the
-// query in subspace sub (excluding index exclude), in ascending index
-// order. Unlike KNN, the returned slice is freshly allocated (Range is
-// not on the OD hot path).
-func (s *Searcher) Range(query []float64, sub subspace.Mask, r float64, exclude int) []int {
-	s.stats.Queries.Add(1)
-	if sub.IsEmpty() || r < 0 {
-		return nil
-	}
-	t := s.tree
-	a := &t.ar
-	d := a.dim
-	s.scratch.Dims = sub.AppendDims(s.scratch.Dims[:0])
-	dims := s.scratch.Dims
-	var nodesVisited, pointsExamined int64
-	var out []int
-	var walk func(id int32)
-	walk = func(id int32) {
-		nodesVisited++
-		n := &a.nodes[id]
-		if n.isLeaf() {
-			for _, idx := range a.rows(id) {
-				i := int(idx)
-				if i == exclude {
-					continue
-				}
-				pointsExamined++
-				if vector.DistDims(t.metric, dims, query, t.ds.Point(i)) <= r {
-					out = append(out, i)
-				}
-			}
-			return
-		}
-		for _, c := range a.kids(id) {
-			base := int(c) * d
-			if minDistDims(t.metric, dims, query, a.mbrMin[base:base+d], a.mbrMax[base:base+d]) <= r {
-				walk(c)
-			}
-		}
-	}
-	walk(0)
-	s.stats.NodesVisited.Add(nodesVisited)
-	s.stats.PointsExamined.Add(pointsExamined)
-	// Indices accumulate in leaf order; normalise to ascending.
-	insertionSortInts(out)
-	return out
-}
-
 // Stats implements knn.Searcher.
 func (s *Searcher) Stats() knn.SearchStats { return s.stats.Snapshot() }
 
 // ResetStats implements knn.Searcher.
 func (s *Searcher) ResetStats() { s.stats.Reset() }
-
-func insertionSortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}

@@ -255,52 +255,6 @@ func TestKNNPrunesWork(t *testing.T) {
 	t.Logf("avg points examined per query: %.0f / 2000", scanned)
 }
 
-func TestRangeMatchesLinear(t *testing.T) {
-	ds := randomDataset(t, 11, 300, 5)
-	tr, _ := Build(ds, vector.L2, DefaultConfig())
-	xs := NewSearcher(tr)
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		s := subspace.Mask(rng.Uint32()) & subspace.Full(5)
-		if s.IsEmpty() {
-			s = subspace.Full(5)
-		}
-		qi := rng.Intn(300)
-		r := rng.Float64() * 3
-		got := xs.Range(ds.Point(qi), s, r, qi)
-		// linear oracle
-		var want []int
-		for i := 0; i < 300; i++ {
-			if i == qi {
-				continue
-			}
-			if vector.Dist(vector.L2, s, ds.Point(qi), ds.Point(i)) <= r {
-				want = append(want, i)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d in range, want %d", trial, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: got %v, want %v", trial, got, want)
-			}
-		}
-	}
-}
-
-func TestRangeDegenerate(t *testing.T) {
-	ds := randomDataset(t, 11, 50, 3)
-	tr, _ := Build(ds, vector.L2, DefaultConfig())
-	xs := NewSearcher(tr)
-	if xs.Range(ds.Point(0), subspace.Empty, 1, -1) != nil {
-		t.Fatal("empty subspace range should be nil")
-	}
-	if xs.Range(ds.Point(0), subspace.Full(3), -1, -1) != nil {
-		t.Fatal("negative radius range should be nil")
-	}
-}
-
 func TestNodeCountAndStats(t *testing.T) {
 	ds := randomDataset(t, 13, 800, 4)
 	tr, _ := Build(ds, vector.L2, DefaultConfig())
