@@ -22,7 +22,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/dataio"
@@ -71,9 +70,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	if *savePath != "" {
 		name := strings.TrimSuffix(filepath.Base(*savePath), ".snap")
-		snap, err := snapshot.FromDataset(name, snapshot.Provenance{
-			Generator: *typ, Seed: *seed, CreatedUnix: time.Now().Unix(),
-		}, ds)
+		snap, err := snapshot.FromDataset(name, snapshot.Provenance{Generator: *typ, Seed: *seed}, ds)
 		if err != nil {
 			return err
 		}

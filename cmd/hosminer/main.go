@@ -32,7 +32,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataio"
@@ -87,108 +86,69 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	// set lists the flags given explicitly: a full snapshot refuses
+	// every miner parameter among them, defaults included.
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 
-	var m *core.Miner
-	var ds *vector.Dataset
-	var cfg core.Config
-	// normRanges are the raw column ranges behind a normalized dataset
-	// (nil for raw data): -point is rescaled with them, and -save
-	// records them.
-	var normRanges []snapshot.ColumnRange
+	// Every source becomes a snapshot: a -load file as stored, a CSV
+	// as a dataset-only snapshot that records its path.
+	var snap *snapshot.Snapshot
+	var err error
 	switch {
 	case *dataPath != "" && *loadSnap != "":
 		return fmt.Errorf("use either -data or -load, not both")
-	case *dataPath == "" && *loadSnap == "":
-		return fmt.Errorf("-data (CSV) or -load (snapshot) is required")
 	case *loadSnap != "":
-		snap, err := snapshot.LoadFile(*loadSnap)
-		if err != nil {
-			return err
-		}
-		normRanges = snap.NormStats
-		if snap.HasState() {
-			// Full snapshot: it fixes dataset, threshold, priors, config
-			// and index, so every flag that would re-derive one of them is
-			// a conflict when set explicitly — silently ignoring it would
-			// let the caller believe they reconfigured the miner.
-			for _, name := range []string{"t", "tq", "samples", "normalize", "k", "seed", "shards", "backend", "policy", "partitioner"} {
-				if explicit[name] {
-					return fmt.Errorf("-load of a full snapshot conflicts with -%s (the snapshot supplies the dataset and miner configuration)", name)
-				}
-			}
-			if m, err = snap.Restore(); err != nil {
-				return err
-			}
-			ds, cfg = snap.Dataset, snap.Config
-			fmt.Fprintf(stderr, "restored snapshot %s (no index build, no learning)\n", *loadSnap)
-		} else {
-			// Dataset-only snapshot: the data rides in, flags configure
-			// the miner exactly as with -data.
-			ds = snap.Dataset
+		snap, err = snapshot.LoadFile(*loadSnap)
+	case *dataPath != "":
+		var raw *vector.Dataset
+		if raw, err = dataio.LoadFile(*dataPath); err == nil {
+			snap, err = snapshot.FromDataset(*dataPath, snapshot.Provenance{Source: *dataPath}, raw)
 		}
 	default:
-		var err error
-		if ds, err = dataio.LoadFile(*dataPath); err != nil {
+		return fmt.Errorf("-data (CSV) or -load (snapshot) is required")
+	}
+	if err != nil {
+		return err
+	}
+	if *normalize {
+		if err := snap.Normalize(); err != nil {
 			return err
 		}
 	}
-	if m == nil {
-		var err error
-		if *normalize {
-			if normRanges != nil {
-				return fmt.Errorf("-normalize conflicts with -load of an already normalized snapshot")
-			}
-			if ds, normRanges, err = snapshot.Normalize(ds); err != nil {
-				return err
-			}
-		}
-
-		cfg = core.Config{K: *k, T: *tAbs, TQuantile: *tq, SampleSize: *samples, Seed: *seed}
-		cfg.ClampSampleSize(ds.N())
-		cfg.Backend, err = core.ParseBackend(*backend)
-		if err != nil {
-			return err
-		}
-		cfg.Policy, err = core.ParsePolicy(*policy)
-		if err != nil {
-			return err
-		}
-		cfg.Shards = *shards
-		cfg.Partitioner, err = shard.ParsePartitioner(*partition)
-		if err != nil {
-			return err
-		}
-
-		if m, err = core.NewMiner(ds, cfg); err != nil {
-			return err
-		}
-		if err := m.Preprocess(); err != nil {
-			return err
-		}
+	cfg := core.Config{K: *k, T: *tAbs, TQuantile: *tq, SampleSize: *samples, Seed: *seed, Shards: *shards}
+	if cfg.Backend, err = core.ParseBackend(*backend); err != nil {
+		return err
+	}
+	if cfg.Policy, err = core.ParsePolicy(*policy); err != nil {
+		return err
+	}
+	if cfg.Partitioner, err = shard.ParsePartitioner(*partition); err != nil {
+		return err
+	}
+	m, err := snap.Miner(cfg, set)
+	if err != nil {
+		return err
+	}
+	if snap.HasState() {
+		fmt.Fprintf(stderr, "restored snapshot %s (no index build, no learning)\n", *loadSnap)
 	}
 	if *saveSnap != "" {
-		name := strings.TrimSuffix(filepath.Base(*saveSnap), ".snap")
-		prov := snapshot.Provenance{
-			Source: *dataPath, Seed: *seed, Normalized: *normalize,
-			CreatedUnix: time.Now().Unix(),
-		}
-		if *loadSnap != "" {
-			prov.Source = *loadSnap
-		}
-		snap, err := snapshot.Capture(name, prov, m)
+		// The saved snapshot keeps the opened one's provenance and
+		// normalization ranges.
+		out, err := snapshot.Capture(strings.TrimSuffix(filepath.Base(*saveSnap), ".snap"), snap.Provenance, m)
 		if err != nil {
 			return err
 		}
-		snap.NormStats = normRanges
-		if err := snapshot.SaveFile(*saveSnap, snap); err != nil {
+		out.NormStats = snap.NormStats
+		if err := snapshot.SaveFile(*saveSnap, out); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "saved snapshot to %s\n", *saveSnap)
 	}
+	ds := snap.Dataset
 	fmt.Fprintf(stdout, "dataset: %d points x %d dims; T = %.4g; backend = %s\n",
-		ds.N(), ds.Dim(), m.Threshold(), cfg.Backend)
+		ds.N(), ds.Dim(), m.Threshold(), m.Config().Backend)
 	if e := m.ShardEngine(); e != nil {
 		fmt.Fprintf(stdout, "sharding: %d shards (%s partitioner), sizes %v\n",
 			e.NumShards(), e.Config().Partitioner, e.ShardSizes())
@@ -205,7 +165,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	var res *core.QueryResult
-	var err error
 	switch {
 	case *index >= 0 && *pointStr != "":
 		return fmt.Errorf("use either -index or -point, not both")
@@ -216,8 +175,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if perr != nil {
 			return perr
 		}
-		if normRanges != nil {
-			point = snapshot.ScalePoint(normRanges, point)
+		if snap.NormStats != nil {
+			point = snapshot.ScalePoint(snap.NormStats, point)
 		}
 		res, err = m.OutlyingSubspaces(point)
 	default:

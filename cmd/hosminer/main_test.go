@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -389,5 +390,41 @@ func TestRunDatasetOnlySnapshot(t *testing.T) {
 	}
 	if err := run([]string{"-load", snapPath, "-normalize", "-k", "4", "-tq", "0.95", "-index", "2"}, &fromSnap, &errBuf); err == nil {
 		t.Fatal("-normalize accepted on an already normalized snapshot")
+	}
+}
+
+// TestRunResaveKeepsProvenance: a snapshot re-saved from -load keeps
+// the provenance and normalization ranges of the one it was loaded
+// from — the CSV source, not the intermediate file, and no miner seed
+// posing as a generation seed.
+func TestRunResaveKeepsProvenance(t *testing.T) {
+	csvPath := writeFixture(t)
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.snap"), filepath.Join(dir, "b.snap")
+	var out, errBuf bytes.Buffer
+	if err := run([]string{"-data", csvPath, "-normalize", "-k", "4", "-tq", "0.95", "-seed", "7",
+		"-index", "0", "-save", a}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-load", a, "-index", "0", "-save", b}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	sa, err := snapshot.LoadFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := snapshot.LoadFile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (snapshot.Provenance{Source: csvPath, Normalized: true, CreatedUnix: sa.Provenance.CreatedUnix}); sa.Provenance != want {
+		t.Fatalf("a.snap provenance = %+v, want %+v", sa.Provenance, want)
+	}
+	if sb.Provenance != sa.Provenance || !reflect.DeepEqual(sb.NormStats, sa.NormStats) || sb.Config != sa.Config {
+		t.Fatalf("re-saved snapshot drifted:\n a: %+v %v %+v\n b: %+v %v %+v",
+			sa.Provenance, sa.NormStats, sa.Config, sb.Provenance, sb.NormStats, sb.Config)
+	}
+	if sa.Config.Seed != 7 {
+		t.Fatalf("miner seed = %d, want 7 (kept in the config)", sa.Config.Seed)
 	}
 }

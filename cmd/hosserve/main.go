@@ -60,6 +60,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"syscall"
 	"time"
 
@@ -98,10 +99,10 @@ type cliConfig struct {
 	debug    bool
 	jobDrain time.Duration
 
-	// explicit records which flags the operator actually set (not
-	// defaults), so the snapshot-restore path can reject flags it
-	// would otherwise silently ignore.
-	explicit map[string]bool
+	// set lists the flags the operator gave explicitly: restoring a
+	// full default.snap refuses every miner parameter among them,
+	// defaults included.
+	set []string
 
 	srv server.Options
 }
@@ -198,7 +199,7 @@ func parseFlags(args []string, stderr io.Writer) (*cliConfig, error) {
 	fs.StringVar(&policy, "policy", "tsf", "search order: tsf|bottomup|topdown|random")
 	fs.StringVar(&cc.dataDir, "data-dir", "", "snapshot directory: warm-start every *.snap in it at boot (background jobs), enable POST /datasets/{name}/save and file loads; with no -data/-gen, serve default.snap from it as the default dataset")
 	fs.BoolVar(&cc.srv.WAL, "wal", true, "with -data-dir: write-ahead log live mutations (POST /datasets/{name}/append, DELETE .../rows) beside each snapshot and replay the log on restart")
-	fs.StringVar(&walSync, "wal-sync", "batch", "WAL fsync policy: batch (one fsync per coalesced append batch), always (fsync every record; durable through power loss), or interval=<duration> (time-coalesced; may lose acknowledged mutations inside the window)")
+	fs.StringVar(&walSync, "wal-sync", "batch", "WAL fsync policy: batch (one fsync per coalesced mutation batch, before it is acknowledged; durable through power loss; always is another spelling), or interval=<duration> (time-coalesced; may lose acknowledged mutations inside the window)")
 	fs.Int64Var(&cc.srv.WALCompactBytes, "wal-compact-bytes", 0, "auto-compact a dataset's WAL into a fresh snapshot once it exceeds this size (default 4 MiB, negative disables)")
 	fs.DurationVar(&cc.srv.RetentionAge, "retention-age", 0, "expire dataset rows older than this via background sweeps (0 disables; override per dataset with PUT /datasets/{name}/retention)")
 	fs.IntVar(&cc.srv.RetentionRows, "retention-rows", 0, "cap each dataset's row count, expiring the oldest rows (0 disables; same per-dataset override)")
@@ -227,8 +228,14 @@ func parseFlags(args []string, stderr io.Writer) (*cliConfig, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	cc.explicit = map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { cc.explicit[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { cc.set = append(cc.set, f.Name) })
+	if cc.gen == "" {
+		for _, name := range []string{"n", "d", "outliers", "deviants"} {
+			if slices.Contains(cc.set, name) {
+				return nil, fmt.Errorf("-%s configures the generator; it needs -gen", name)
+			}
+		}
+	}
 	var err error
 	if cc.srv.WALSync, err = wal.ParseSyncPolicy(walSync); err != nil {
 		return nil, err
@@ -245,104 +252,52 @@ func parseFlags(args []string, stderr io.Writer) (*cliConfig, error) {
 	return &cc, nil
 }
 
-// setup loads or generates the dataset (or restores it from a
-// snapshot), builds and preprocesses the miner, wraps it in a server
-// and warm-starts any remaining snapshots in -data-dir; stderr
-// receives debug-level serving events under -debug.
+// setup opens the default dataset's source as a snapshot — the -data
+// CSV, the -gen generator, or <data-dir>/default.snap when neither is
+// given — and turns it into a preprocessed miner with snapshot.Miner:
+// restored when default.snap is a full snapshot (the lossless-restart
+// path: no regeneration, no re-indexing, no re-learning), mined under
+// the flags otherwise. It wraps the miner in a server and warm-starts
+// the data dir's other snapshots; stderr receives debug-level serving
+// events under -debug.
 func setup(cc *cliConfig, stderr io.Writer) (*server.Server, *vector.Dataset, *core.Miner, error) {
-	cc.srv.DataDir = cc.dataDir
-	// With no dataset source but a data dir holding default.snap, the
-	// default dataset itself comes back from disk: the lossless-restart
-	// path, no regeneration, no re-indexing, no re-learning.
-	if cc.dataPath == "" && cc.gen == "" && cc.dataDir != "" {
-		if _, err := os.Stat(filepath.Join(cc.dataDir, server.DefaultDatasetName+".snap")); err == nil {
-			return setupFromSnapshot(cc, stderr)
-		}
-	}
-	ds, err := loadDataset(cc)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	cc.srv.Provenance = snapshot.Provenance{
-		Generator: cc.gen, Seed: cc.miner.Seed, Source: cc.dataPath,
-		Normalized: cc.normalize, CreatedUnix: time.Now().Unix(),
-	}
-	if cc.normalize {
+	snap, err := source(cc)
+	if err == nil && cc.normalize {
 		// The server rescales raw-unit ad-hoc points and appended rows
 		// with the recorded ranges, and a snapshot of this dataset
 		// carries them across a restart.
-		if ds, cc.srv.NormStats, err = snapshot.Normalize(ds); err != nil {
-			return nil, nil, nil, err
-		}
+		err = snap.Normalize()
 	}
-	cfg := cc.miner
-	cfg.ClampSampleSize(ds.N())
-	m, err := core.NewMiner(ds, cfg)
+	var m *core.Miner
+	if err == nil {
+		m, err = snap.Miner(cc.miner, cc.set)
+	}
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	if snap.HasState() {
+		fmt.Fprintf(stderr, "restored default dataset from %s (no regeneration)\n",
+			filepath.Join(cc.dataDir, server.DefaultDatasetName+".snap"))
+	}
+	cc.srv.DataDir = cc.dataDir
+	cc.srv.Provenance, cc.srv.NormStats = snap.Provenance, snap.NormStats
 	if cc.debug {
 		// The injected stderr, not the process-global logger: run()'s
 		// writer-injection contract is what lets tests (and multiple
 		// servers in one process) capture their own debug stream.
 		cc.srv.Logf = log.New(stderr, "", log.LstdFlags).Printf
 	}
-	srv, err := server.New(m, cc.srv) // runs Preprocess
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := warmStart(srv, cc, stderr); err != nil {
-		return nil, nil, nil, err
-	}
-	return srv, ds, m, nil
-}
-
-// setupFromSnapshot restores the default dataset wholesale from
-// <data-dir>/default.snap: dataset bytes, miner configuration,
-// threshold, priors and the serialized index all come from the file,
-// so flags that would re-derive any of them are conflicts.
-func setupFromSnapshot(cc *cliConfig, stderr io.Writer) (*server.Server, *vector.Dataset, *core.Miner, error) {
-	// Every flag the snapshot supersedes is a hard conflict when set
-	// explicitly — silently ignoring an operator's -k or -shards would
-	// let them believe they reconfigured a service that is in fact
-	// serving the snapshot's original topology.
-	for _, name := range []string{"t", "tq", "samples", "k", "seed", "shards", "backend", "policy", "partitioner",
-		"n", "d", "outliers", "deviants", "normalize"} {
-		if cc.explicit[name] {
-			return nil, nil, nil, fmt.Errorf("-%s conflicts with restoring from %s/default.snap (the snapshot supplies the dataset and miner configuration; use -gen/-data to build fresh instead)", name, cc.dataDir)
-		}
-	}
-	path := filepath.Join(cc.dataDir, server.DefaultDatasetName+".snap")
-	snap, err := snapshot.LoadFile(path)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if !snap.HasState() {
-		return nil, nil, nil, fmt.Errorf("%s is a dataset-only snapshot; serve it with -data/-gen parameters or re-save it from a running hosserve", path)
-	}
-	m, err := snap.Restore()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	fmt.Fprintf(stderr, "restored default dataset from %s (no regeneration)\n", path)
-	cc.srv.Provenance = snap.Provenance
-	// A normalized snapshot carries its raw column ranges, from which
-	// the server rescales raw-unit client vectors exactly as before
-	// the restart.
-	cc.srv.NormStats = snap.NormStats
-	if cc.debug {
-		cc.srv.Logf = log.New(stderr, "", log.LstdFlags).Printf
-	}
 	srv, err := server.New(m, cc.srv)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// Replay the default dataset's delta log over the restored base.
-	// This runs only on this boot path: after -gen/-data the base is
-	// fresh and a lingering default.wal belongs to an earlier dataset.
-	// A replay problem degrades to serving the base snapshot with a
-	// warning — the deltas are still on disk for a post-mortem.
-	if cc.srv.WAL {
+	// Replay the default dataset's delta log over a restored base. Only
+	// a full default.snap is a base: after -gen/-data, or over a
+	// dataset-only default.snap, the miner is fresh and a lingering
+	// default.wal belongs to an earlier dataset. A replay problem
+	// degrades to serving the base snapshot with a warning — the deltas
+	// are still on disk for a post-mortem.
+	if snap.HasState() && cc.srv.WAL {
 		switch n, err := srv.AttachDefaultWAL(); {
 		case err != nil:
 			fmt.Fprintf(stderr, "warning: default dataset WAL not replayed (serving the base snapshot): %v\n", err)
@@ -350,10 +305,38 @@ func setupFromSnapshot(cc *cliConfig, stderr io.Writer) (*server.Server, *vector
 			fmt.Fprintf(stderr, "replayed %d WAL record(s) onto the default dataset\n", n)
 		}
 	}
-	if err := warmStart(srv, cc, stderr); err != nil {
-		return nil, nil, nil, err
-	}
+	warmStart(srv, cc, stderr)
 	return srv, snap.Dataset, m, nil
+}
+
+// source opens the default dataset's source as a snapshot: a CSV as a
+// dataset-only snapshot that records its path, a generator as one that
+// records the generator and seed, and default.snap as stored.
+func source(cc *cliConfig) (*snapshot.Snapshot, error) {
+	switch {
+	case cc.dataPath != "" && cc.gen != "":
+		return nil, fmt.Errorf("use either -data or -gen, not both")
+	case cc.dataPath != "":
+		ds, err := dataio.LoadFile(cc.dataPath)
+		if err != nil {
+			return nil, err
+		}
+		return snapshot.FromDataset(server.DefaultDatasetName, snapshot.Provenance{Source: cc.dataPath}, ds)
+	case cc.gen != "":
+		planted := cc.outliers
+		if cc.gen != "synthetic" {
+			planted = cc.deviants
+		}
+		return snapshot.Generate(server.DefaultDatasetName, cc.gen, datagen.NamedConfig{
+			N: cc.n, D: cc.d, Planted: planted, Seed: cc.miner.Seed,
+		})
+	case cc.dataDir != "":
+		path := filepath.Join(cc.dataDir, server.DefaultDatasetName+".snap")
+		if _, err := os.Stat(path); err == nil {
+			return snapshot.LoadFile(path)
+		}
+	}
+	return nil, fmt.Errorf("provide a dataset: -data file.csv, -gen synthetic|uniform|athlete|medical|nba, or -data-dir with a default.snap")
 }
 
 // warmStart registers the data dir's remaining snapshots as
@@ -363,9 +346,9 @@ func setupFromSnapshot(cc *cliConfig, stderr io.Writer) (*server.Server, *vector
 // failed boot: the already-registered datasets are serving and the
 // rest can be loaded by hand, which beats an outage every time a
 // stale file accumulates in the directory.
-func warmStart(srv *server.Server, cc *cliConfig, stderr io.Writer) error {
+func warmStart(srv *server.Server, cc *cliConfig, stderr io.Writer) {
 	if cc.dataDir == "" {
-		return nil
+		return
 	}
 	n, err := srv.WarmStart()
 	if err != nil {
@@ -374,31 +357,6 @@ func warmStart(srv *server.Server, cc *cliConfig, stderr io.Writer) error {
 	if n > 0 {
 		fmt.Fprintf(stderr, "warm-starting %d snapshot(s) from %s in the background (progress: GET /jobs)\n", n, cc.dataDir)
 	}
-	return nil
-}
-
-func loadDataset(cc *cliConfig) (*vector.Dataset, error) {
-	switch {
-	case cc.dataPath != "" && cc.gen != "":
-		return nil, fmt.Errorf("use either -data or -gen, not both")
-	case cc.dataPath != "":
-		return dataio.LoadFile(cc.dataPath)
-	case cc.gen != "":
-		ds, _, err := generate(cc)
-		return ds, err
-	default:
-		return nil, fmt.Errorf("provide a dataset: -data file.csv, -gen synthetic|uniform|athlete|medical|nba, or -data-dir with a default.snap")
-	}
-}
-
-func generate(cc *cliConfig) (*vector.Dataset, datagen.GroundTruth, error) {
-	planted := cc.outliers
-	if cc.gen != "synthetic" {
-		planted = cc.deviants
-	}
-	return datagen.ByName(cc.gen, datagen.NamedConfig{
-		N: cc.n, D: cc.d, Planted: planted, Seed: cc.miner.Seed,
-	})
 }
 
 // serve listens on addr and blocks until ctx is cancelled, then

@@ -20,6 +20,7 @@ import (
 	"repro/internal/dataio"
 	"repro/internal/overload"
 	"repro/internal/server"
+	"repro/internal/snapshot"
 )
 
 func writeFixture(t *testing.T) string {
@@ -440,6 +441,57 @@ func TestSnapshotRestoreRejectsSupersededFlags(t *testing.T) {
 		}
 		if _, _, _, err := setup(cc, &errBuf); err == nil || !strings.Contains(err.Error(), "conflicts") {
 			t.Fatalf("flags %v silently accepted on snapshot restore: err = %v", extra, err)
+		}
+	}
+}
+
+// TestDatasetOnlyDefaultSnapServes: a dataset-only default.snap (the
+// hosgen form) is mined under the flags, like a CSV, and answers as
+// the generator it records would; without a threshold it is refused
+// like any other dataset.
+func TestDatasetOnlyDefaultSnapServes(t *testing.T) {
+	dir := t.TempDir()
+	ds, _, err := datagen.ByName("synthetic", datagen.NamedConfig{N: 130, D: 4, Planted: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.FromDataset(server.DefaultDatasetName, snapshot.Provenance{Generator: "synthetic", Seed: 1}, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshot.SaveFile(filepath.Join(dir, "default.snap"), snap); err != nil {
+		t.Fatal(err)
+	}
+	fromSnap := setupFromArgs(t, "-data-dir", dir, "-k", "4", "-tq", "0.95")
+	generated := setupFromArgs(t, "-gen", "synthetic", "-n", "130", "-d", "4", "-outliers", "3", "-k", "4", "-tq", "0.95")
+	for _, q := range []string{`{"index":0}`, `{"index":77}`} {
+		rec := doReq(t, fromSnap, "POST", "/query", q)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("query %s: %d (%s)", q, rec.Code, rec.Body.String())
+		}
+		if want := doReq(t, generated, "POST", "/query", q).Body.String(); zeroElapsed(rec.Body.String()) != zeroElapsed(want) {
+			t.Fatalf("dataset-only default.snap answers %s differently:\n snap: %s\n gen:  %s", q, rec.Body.String(), want)
+		}
+	}
+	var errBuf bytes.Buffer
+	cc, err := parseFlags([]string{"-data-dir", dir}, &errBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := setup(cc, &errBuf); err == nil {
+		t.Fatal("dataset-only default.snap served without a threshold")
+	}
+}
+
+// TestGeneratorFlagsNeedGen: -n, -d, -outliers and -deviants configure
+// the generator; without -gen they are refused, not ignored.
+func TestGeneratorFlagsNeedGen(t *testing.T) {
+	fixture := writeFixture(t)
+	for _, name := range []string{"n", "d", "outliers", "deviants"} {
+		var errBuf bytes.Buffer
+		_, err := parseFlags([]string{"-data", fixture, "-k", "4", "-tq", "0.95", "-" + name, "3"}, &errBuf)
+		if err == nil || !strings.Contains(err.Error(), "-"+name) {
+			t.Fatalf("-%s without -gen: err = %v", name, err)
 		}
 	}
 }

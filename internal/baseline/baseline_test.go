@@ -90,24 +90,6 @@ func TestTopNKNNOutliers(t *testing.T) {
 	}
 }
 
-func TestKNNWeightOutliers(t *testing.T) {
-	ds := clusterWithOutlier(t, 3, 50, 3)
-	ls := newSearcher(t, ds)
-	top, err := KNNWeightOutliers(ds, ls, subspace.Full(3), 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top[0].Index != 49 {
-		t.Fatalf("top = %d", top[0].Index)
-	}
-	// Weight score must equal OD of the same point.
-	eval, _ := od.NewEvaluator(ds, ls, vector.L2, 4, od.NormNone)
-	want := eval.ODOfPoint(49, subspace.Full(3))
-	if math.Abs(top[0].Score-want) > 1e-9 {
-		t.Fatalf("score %v != OD %v", top[0].Score, want)
-	}
-}
-
 func TestDetectorValidation(t *testing.T) {
 	ds := clusterWithOutlier(t, 4, 20, 2)
 	ls := newSearcher(t, ds)
@@ -126,49 +108,8 @@ func TestDetectorValidation(t *testing.T) {
 	if _, err := TopNKNNOutliers(ds, ls, subspace.Full(2), 2, 0); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := KNNWeightOutliers(ds, ls, subspace.Full(2), 2, 0); err == nil {
-		t.Fatal("weight n=0 accepted")
-	}
 	if _, err := LOF(ds, ls, subspace.Full(2), 0); err == nil {
 		t.Fatal("LOF minPts=0 accepted")
-	}
-}
-
-func TestDBOutliers(t *testing.T) {
-	ds := clusterWithOutlier(t, 5, 60, 3)
-	outs, err := DBOutliers(ds, vector.L2, subspace.Full(3), 0.95, 3.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 1 || outs[0] != 59 {
-		t.Fatalf("DB outliers = %v, want [59]", outs)
-	}
-	// Subspace-restricted: in a single constant-ish dim with huge δ,
-	// nobody is an outlier.
-	outs2, err := DBOutliers(ds, vector.L2, subspace.New(0), 0.95, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs2) != 0 {
-		t.Fatalf("loose δ outliers = %v", outs2)
-	}
-}
-
-func TestDBOutliersValidation(t *testing.T) {
-	ds := clusterWithOutlier(t, 5, 20, 2)
-	if _, err := DBOutliers(nil, vector.L2, subspace.Full(2), 0.9, 1); err == nil {
-		t.Fatal("nil ds")
-	}
-	if _, err := DBOutliers(ds, vector.L2, subspace.Empty, 0.9, 1); err == nil {
-		t.Fatal("empty subspace")
-	}
-	for _, pi := range []float64{0, 1, -0.5, 2} {
-		if _, err := DBOutliers(ds, vector.L2, subspace.Full(2), pi, 1); err == nil {
-			t.Fatalf("pi=%v accepted", pi)
-		}
-	}
-	if _, err := DBOutliers(ds, vector.L2, subspace.Full(2), 0.9, 0); err == nil {
-		t.Fatal("delta=0 accepted")
 	}
 }
 

@@ -42,71 +42,6 @@ func TopNKNNOutliers(ds *vector.Dataset, searcher knn.Searcher, s subspace.Mask,
 	return scored[:n], nil
 }
 
-// KNNWeightOutliers ranks points by the sum of distances to their k
-// nearest neighbours in subspace s — exactly the paper's OD measure
-// used as a classical whole-dataset detector — and returns the top n.
-func KNNWeightOutliers(ds *vector.Dataset, searcher knn.Searcher, s subspace.Mask, k, n int) ([]Scored, error) {
-	if err := checkDetectorArgs(ds, searcher, s, k); err != nil {
-		return nil, err
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("baseline: n = %d", n)
-	}
-	scored := make([]Scored, ds.N())
-	for i := 0; i < ds.N(); i++ {
-		nbs := searcher.KNN(ds.Point(i), s, k, i)
-		scored[i] = Scored{Index: i, Score: knn.SumDistances(nbs)}
-	}
-	sortScoredDesc(scored)
-	if n > len(scored) {
-		n = len(scored)
-	}
-	return scored[:n], nil
-}
-
-// DBOutliers implements Knorr & Ng's DB(π, δ) definition [5] in
-// subspace s: a point is an outlier when more than fraction π of the
-// dataset lies farther than δ from it — equivalently, fewer than
-// (1-π)·N points lie within δ. Returns outlier indices ascending.
-func DBOutliers(ds *vector.Dataset, metric vector.Metric, s subspace.Mask, pi, delta float64) ([]int, error) {
-	if ds == nil {
-		return nil, fmt.Errorf("baseline: nil dataset")
-	}
-	if s.IsEmpty() {
-		return nil, fmt.Errorf("baseline: empty subspace")
-	}
-	if pi <= 0 || pi >= 1 {
-		return nil, fmt.Errorf("baseline: pi = %v out of (0,1)", pi)
-	}
-	if delta <= 0 {
-		return nil, fmt.Errorf("baseline: delta = %v", delta)
-	}
-	n := ds.N()
-	// A point needs ≥ ceil((1-π)(n-1)) in-range neighbours (self
-	// excluded) to be an inlier.
-	needed := int((1 - pi) * float64(n-1))
-	var out []int
-	for i := 0; i < n; i++ {
-		within := 0
-		isInlier := false
-		for j := 0; j < n && !isInlier; j++ {
-			if j == i {
-				continue
-			}
-			if vector.Dist(metric, s, ds.Point(i), ds.Point(j)) <= delta {
-				within++
-				if within >= needed {
-					isInlier = true
-				}
-			}
-		}
-		if !isInlier {
-			out = append(out, i)
-		}
-	}
-	return out, nil
-}
-
 // LOF computes the Local Outlier Factor of Breunig et al. [3] for
 // every point in subspace s with neighbourhood size minPts. Scores
 // near 1 are inliers; substantially above 1 are outliers.

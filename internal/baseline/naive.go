@@ -1,11 +1,11 @@
 // Package baseline implements the comparison methods of the
 // reproduction's experiments: the naive exhaustive subspace search
-// (cost yardstick and correctness oracle for HOS-Miner) and three
-// classical "space → outliers" detectors the paper cites — the
-// distance-based DB(π,δ) outliers of Knorr & Ng [5], their
-// intentional-knowledge extension (strongest outlying spaces) [6],
-// the k-NN weight outliers of Ramaswamy et al. [8] and the
-// density-based LOF of Breunig et al. [3]. The search-ordering ablations (bottom-up,
+// (cost yardstick and correctness oracle for HOS-Miner) and classical
+// "space → outliers" detectors the paper cites — the
+// intentional-knowledge extension of Knorr & Ng's distance-based
+// outliers (strongest outlying spaces) [6], the top-n k-NN distance
+// outliers of Ramaswamy et al. [8] and the density-based LOF of
+// Breunig et al. [3]. The search-ordering ablations (bottom-up,
 // top-down, random) live in internal/core as Policy values since they
 // share the pruning machinery.
 package baseline

@@ -216,11 +216,14 @@ func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) writeAppendOutcome(w http.ResponseWriter, out appendOutcome) {
-	if out.resp != nil {
+	switch {
+	case out.resp != nil:
 		s.writeJSON(w, http.StatusOK, out.resp)
-		return
+	case out.status == http.StatusNotFound:
+		s.notFound(w, out.errMsg)
+	default:
+		s.error(w, out.status, out.errMsg)
 	}
-	s.error(w, out.status, out.errMsg)
 }
 
 // drainAppendsLocked applies every queued append as one amortized
@@ -275,9 +278,14 @@ func (s *Server) drainAppendsLocked(d *dataset) {
 	}
 	if err != nil {
 		// Every batch already passed ValidateRows, so this is an engine
-		// refusal or a WAL failure, not a malformed request.
+		// refusal, a WAL failure or an entry evicted under the requests,
+		// not a malformed request.
+		status := http.StatusInternalServerError
+		if errors.Is(err, ErrDatasetNotFound) {
+			status = http.StatusNotFound
+		}
 		for _, op := range accepted {
-			op.done <- appendOutcome{status: http.StatusInternalServerError, errMsg: err.Error()}
+			op.done <- appendOutcome{status: status, errMsg: err.Error()}
 		}
 		return
 	}
@@ -310,6 +318,10 @@ func (s *Server) handleDeleteRows(w http.ResponseWriter, r *http.Request) {
 
 	d.mut.Lock()
 	defer d.mut.Unlock()
+	if err := d.aliveLocked(); err != nil {
+		s.notFound(w, err.Error())
+		return
+	}
 	v := d.view()
 	var fromID, toID int64
 	switch {
@@ -457,6 +469,9 @@ func (s *Server) nextView(d *dataset, v *view, epoch int64, recs []wal.Record) (
 // to auto-compaction. Both live mutation paths commit through it. The
 // caller holds d.mut.
 func (s *Server) commitLocked(d *dataset, v, nv *view, recs []wal.Record) error {
+	if err := d.aliveLocked(); err != nil {
+		return err
+	}
 	if s.walActive() {
 		if err := s.ensureWALLocked(d, v); err != nil {
 			return fmt.Errorf("wal: %w", err)
@@ -474,15 +489,30 @@ func (s *Server) commitLocked(d *dataset, v, nv *view, recs []wal.Record) error 
 	return nil
 }
 
-// closeWAL closes the log a restore attached to an entry that never
-// became visible, so no handle on <name>.wal outlives it.
-func (d *dataset) closeWAL() {
+// retire ends the entry's life in the registry: under mut it closes
+// the entry's log and marks the entry retired, so no handle on
+// <name>.wal outlives it. Eviction, a failed registration and
+// Server.Close call it. Work that still holds the entry — a queued
+// compaction, an append drain, a row delete, a retention sweep, a
+// save — then fails in commitLocked or persistLocked with the
+// ErrDatasetNotFound of an unknown dataset, and never touches the data
+// directory the name's next entry owns.
+func (d *dataset) retire() {
 	d.mut.Lock()
 	defer d.mut.Unlock()
+	d.retired = true
 	if d.wal != nil {
 		_ = d.wal.Close()
 		d.wal = nil
 	}
+}
+
+// aliveLocked refuses work on a retired entry. The caller holds d.mut.
+func (d *dataset) aliveLocked() error {
+	if d.retired {
+		return fmt.Errorf("%w: %q was evicted", ErrDatasetNotFound, d.name)
+	}
+	return nil
 }
 
 // mirrorWAL copies the log's size, frame count and fsync count into
@@ -536,6 +566,9 @@ func (s *Server) ensureWALLocked(d *dataset, v *view) error {
 // explicit saves and compaction, so the snapshot+log pair can never
 // disagree about which base the deltas extend.
 func (s *Server) persistLocked(d *dataset, v *view) (string, int64, error) {
+	if err := d.aliveLocked(); err != nil {
+		return "", 0, err
+	}
 	snap, err := snapshot.Capture(d.name, d.prov, v.miner)
 	if err != nil {
 		return "", 0, err
@@ -615,8 +648,8 @@ func (s *Server) compactJob(d *dataset) func(ctx context.Context, report func(do
 }
 
 // attachWALLocked replays <name>.wal onto a freshly restored entry —
-// the restore path (restore, AttachDefaultWAL). The entry must not be
-// serving yet (its view is still the bare base restore). Returns the
+// the restoring paths (open, AttachDefaultWAL). The entry must not be
+// serving yet (its view is still the bare restored base). Returns the
 // number of replayed records. Failure modes:
 //   - no log, or a log bound to a different base (stale after a crash
 //     mid-compaction): nothing to do, serve the base;
@@ -681,7 +714,7 @@ func (s *Server) attachWALLocked(d *dataset, snapPath string) (int, error) {
 
 // AttachDefaultWAL replays the default dataset's delta log on top of
 // the default.snap the process restored from — the attach step of
-// restore, for the entry New built. hosserve calls it only on the
+// open, for the entry New built. hosserve calls it only on the
 // snapshot-restore boot path. After -gen/-data it must not be called:
 // a lingering default.wal is bound to the default.snap still on disk,
 // so its BaseCRC check would pass, and only a shape mismatch would

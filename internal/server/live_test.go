@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -315,6 +317,122 @@ func TestFileLoadReplaysWAL(t *testing.T) {
 		}
 	}
 	t.Fatalf("restart did not register foo: %+v", s2.Stats().Jobs)
+}
+
+// TestEvictRetiresEntryUnderStaleCompaction is the data-loss drill for
+// work that outlives an evicted entry: a compaction queued behind a
+// held scan runs after foo was evicted and loaded back from foo.snap.
+// The evicted entry is retired, so the stale compaction must not
+// rotate foo.wal under the reloaded entry, and a restart must serve
+// every acknowledged row.
+func TestEvictRetiresEntryUnderStaleCompaction(t *testing.T) {
+	held, hold := make(chan struct{}, 1), make(chan struct{})
+	s1, dir := newSnapshotServer(t, Options{WAL: true, JobWorkers: 1, CacheSize: -1,
+		FaultHook: func(op, _ string) (time.Duration, error) {
+			if op == "scan" {
+				held <- struct{}{}
+				<-hold
+			}
+			return 0, nil
+		}})
+	release := sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(release)
+	h := s1.Handler()
+	load := `{"name":"foo","gen":"synthetic","n":120,"d":4,"planted":3,"seed":21,"k":4,"tq":0.9}`
+	if rec := do(t, h, "POST", "/datasets/load", load, nil); rec.Code != http.StatusCreated {
+		t.Fatalf("load: %d (%s)", rec.Code, rec.Body.String())
+	}
+	if rec := do(t, h, "POST", "/datasets/foo/append", appendJSON(5, 4, 31), nil); rec.Code != http.StatusOK {
+		t.Fatalf("append: %d (%s)", rec.Code, rec.Body.String())
+	}
+	// Occupy the one job worker, then queue foo's compaction behind it.
+	if rec := do(t, h, "POST", "/jobs/scan", `{}`, nil); rec.Code != http.StatusAccepted {
+		t.Fatalf("scan job: %d (%s)", rec.Code, rec.Body.String())
+	}
+	<-held
+	if rec := do(t, h, "POST", "/datasets/foo/compact", "", nil); rec.Code != http.StatusAccepted {
+		t.Fatalf("compact: %d (%s)", rec.Code, rec.Body.String())
+	}
+	if rec := do(t, h, "POST", "/datasets/evict", `{"name":"foo"}`, nil); rec.Code != http.StatusOK {
+		t.Fatalf("evict: %d (%s)", rec.Code, rec.Body.String())
+	}
+	if rec := do(t, h, "POST", "/datasets/load", `{"name":"foo","file":"foo.snap"}`, nil); rec.Code != http.StatusCreated {
+		t.Fatalf("file load: %d (%s)", rec.Code, rec.Body.String())
+	}
+	release()
+	waitJobsSettled(t, s1)
+	var ap appendResponse
+	if rec := do(t, h, "POST", "/datasets/foo/append", appendJSON(1, 4, 32), &ap); rec.Code != http.StatusOK || ap.N != 126 {
+		t.Fatalf("append after reload: %d, N = %d (%s)", rec.Code, ap.N, rec.Body.String())
+	}
+
+	s2, err := New(newTestMiner(t), Options{DataDir: dir, WAL: true, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerClose(t, s2)
+	if n, err := s2.WarmStart(); err != nil || n != 1 {
+		t.Fatalf("warm start = (%d, %v), want (1, nil)", n, err)
+	}
+	waitJobsSettled(t, s2)
+	for _, ds := range s2.Stats().Datasets {
+		if ds.Name == "foo" {
+			if ds.N != ap.N {
+				t.Fatalf("restart serves foo with N = %d, want every acknowledged row (%d)", ds.N, ap.N)
+			}
+			return
+		}
+	}
+	t.Fatalf("restart did not register foo: %+v", s2.Stats().Jobs)
+}
+
+// TestRetiredEntryRefusesMutations: once an entry is retired — the
+// moment eviction starts, before its registry slot frees — every
+// mutation that still reaches it answers the 404 of an unknown
+// dataset, and a compaction job fails, all without touching its files.
+func TestRetiredEntryRefusesMutations(t *testing.T) {
+	s, dir := newSnapshotServer(t, Options{WAL: true, CacheSize: -1})
+	h := s.Handler()
+	load := `{"name":"bar","gen":"synthetic","n":80,"d":3,"planted":2,"seed":4,"k":3,"tq":0.9}`
+	if rec := do(t, h, "POST", "/datasets/load", load, nil); rec.Code != http.StatusCreated {
+		t.Fatalf("load: %d (%s)", rec.Code, rec.Body.String())
+	}
+	if rec := do(t, h, "POST", "/datasets/bar/append", appendJSON(2, 3, 5), nil); rec.Code != http.StatusOK {
+		t.Fatalf("append: %d (%s)", rec.Code, rec.Body.String())
+	}
+	walBefore, err := os.ReadFile(filepath.Join(dir, "bar.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := s.reg.resolve("bar")
+	d.retire()
+	before := s.Stats()
+	for _, req := range []struct{ method, path, body string }{
+		{"POST", "/datasets/bar/append", appendJSON(1, 3, 6)},
+		{"DELETE", "/datasets/bar/rows", `{"keep_last":10}`},
+		{"POST", "/datasets/bar/save", ""},
+	} {
+		if rec := do(t, h, req.method, req.path, req.body, nil); rec.Code != http.StatusNotFound {
+			t.Fatalf("%s %s on a retired entry: %d (%s)", req.method, req.path, rec.Code, rec.Body.String())
+		}
+	}
+	if got := s.Stats().DatasetNotFound - before.DatasetNotFound; got != 3 {
+		t.Fatalf("dataset_not_found += %d, want 3", got)
+	}
+	var job jobResponse
+	rec := do(t, h, "POST", "/datasets/bar/compact", "", nil)
+	if rec.Code != http.StatusAccepted || json.Unmarshal(rec.Body.Bytes(), &job) != nil {
+		t.Fatalf("compact: %d (%s)", rec.Code, rec.Body.String())
+	}
+	waitJobsSettled(t, s)
+	do(t, h, "GET", "/jobs/"+job.ID, "", &job)
+	if job.State != "failed" || !strings.Contains(job.Error, "not found") {
+		t.Fatalf("compaction of a retired entry: %+v", job)
+	}
+	walAfter, err := os.ReadFile(filepath.Join(dir, "bar.wal"))
+	if err != nil || !bytes.Equal(walAfter, walBefore) {
+		t.Fatalf("retired entry's log changed (err %v)", err)
+	}
 }
 
 // TestTornWALWarmStart is the crash-mid-append drill: the trailing WAL

@@ -4,8 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +19,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/snapshot"
 	"repro/internal/subspace"
-	"repro/internal/vector"
 	"repro/internal/wal"
 )
 
@@ -28,13 +30,14 @@ import (
 // datasets at runtime:
 //
 //	GET  /datasets        list every entry with shard topology
-//	POST /datasets/load   generate + preprocess + register a dataset
+//	POST /datasets/load   generate (or read from -data-dir) + preprocess
+//	                      + register a dataset
 //	POST /datasets/evict  drop a loaded dataset
 //
-// Loading is generator-based (datagen.ByName): the service stays
-// self-contained — no file-upload surface — while tests and operators
-// can still stand up arbitrarily shaped datasets on a running
-// process.
+// A load generates its dataset (datagen.ByName) or reads a snapshot
+// file from the data directory: the service stays self-contained — no
+// file-upload surface — while tests and operators can still stand up
+// arbitrarily shaped datasets on a running process.
 
 // dataset is one registry entry: the epoch-versioned serving state of
 // one named dataset. The queryable state — miner, result cache, stable
@@ -57,8 +60,8 @@ type dataset struct {
 	// normStats is the raw per-column [Min,Max] of a min-max
 	// normalized dataset (nil when it is served in raw units): ad-hoc
 	// query vectors and appended rows are rescaled with it
-	// (snapshot.ScalePoint), and it rides into snapshots so a restore
-	// rescales the same way.
+	// (snapshot.ScalePoint), and it rides into snapshots so a restored
+	// entry rescales the same way.
 	normStats []snapshot.ColumnRange
 	created   time.Time
 	// prov records where the dataset came from; it travels into
@@ -68,9 +71,11 @@ type dataset struct {
 	// mut serializes mutations — append, delete, compaction, save,
 	// retention. Readers never take it; they go through cur. wal
 	// (guarded by mut) is the entry's delta log once WAL persistence
-	// has been engaged.
-	mut sync.Mutex
-	wal *wal.Log
+	// has been engaged; retired (guarded by mut) is set once the entry
+	// has left the registry (retire).
+	mut     sync.Mutex
+	wal     *wal.Log
+	retired bool
 	// compacting gates auto-compaction so mutations do not pile up
 	// duplicate jobs while one is queued or running; retaining does
 	// the same for retention sweeps.
@@ -128,6 +133,9 @@ var (
 	ErrDatasetNotFound = errors.New("dataset not found")
 	// ErrNotEvictable: the default dataset cannot be evicted.
 	ErrNotEvictable = errors.New("dataset not evictable")
+	// errLoadInProgress: another POST /datasets/load holds the one
+	// build slot; refuse answers it 429 with Retry-After.
+	errLoadInProgress = errors.New("another dataset load is in progress")
 )
 
 // registry is the named-dataset table. Reads (request routing) take
@@ -208,14 +216,22 @@ func (r *registry) add(d *dataset) error {
 
 // remove drops name. The default dataset is not evictable: it is the
 // entry the process was configured with and the fallback for every
-// request that names none.
+// request that names none. The entry is retired before its slot frees,
+// so a reload of the name can never open <name>.wal while the evicted
+// entry still holds it; the registry lock is not held meanwhile, since
+// retiring waits for a mutation in progress.
 func (r *registry) remove(name string) error {
 	if name == DefaultDatasetName {
 		return fmt.Errorf("%w: %q is the default dataset", ErrNotEvictable, DefaultDatasetName)
 	}
+	d, ok := r.resolve(name)
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrDatasetNotFound, name)
+	}
+	d.retire()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.entries[name]; !ok {
+	if r.entries[name] != d {
 		return fmt.Errorf("%w: %q", ErrDatasetNotFound, name)
 	}
 	delete(r.entries, name)
@@ -235,12 +251,13 @@ type loadRequest struct {
 	// of generating: a bare file name, resolved inside the data
 	// directory only. A full snapshot (hosserve save, hosminer -save)
 	// restores dataset, configuration, state and index wholesale — the
-	// request must then carry no miner parameters. A dataset-only
-	// snapshot (hosgen -save) supplies just the data; the request
-	// configures the miner exactly as a generated load does.
+	// request must then carry no miner parameter (snapshot.Miner). A
+	// dataset-only snapshot (hosgen -save) supplies just the data; the
+	// request configures the miner exactly as a generated load does.
 	File string `json:"file,omitempty"`
 	// Gen selects the generator (datagen.ByName):
-	// synthetic|uniform|athlete|medical|nba.
+	// synthetic|uniform|athlete|medical|nba. N, D and Planted configure
+	// it and are refused without it; Seed seeds it and the miner.
 	Gen     string `json:"gen"`
 	N       int    `json:"n,omitempty"`
 	D       int    `json:"d,omitempty"`
@@ -335,6 +352,15 @@ func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
 		s.error(w, http.StatusBadRequest, "set either \"file\" or \"gen\", not both")
 		return
 	}
+	set := req.fields()
+	if req.Gen == "" {
+		for _, name := range []string{"n", "d", "planted"} {
+			if slices.Contains(set, name) {
+				s.error(w, http.StatusBadRequest, fmt.Sprintf("%q configures the generator; it needs \"gen\"", name))
+				return
+			}
+		}
+	}
 	// Generating + preprocessing allocates N×D floats and runs the
 	// full threshold/learning pipeline inline; bound the size before
 	// spending anything. (File loads re-check N after reading the
@@ -363,22 +389,16 @@ func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
 	case s.loadSem <- struct{}{}:
 		defer func() { <-s.loadSem }()
 	default:
-		s.error(w, http.StatusTooManyRequests, "another dataset load is in progress, retry later")
+		s.refuse(w, req.Name, overload.Bulk, errLoadInProgress)
 		return
 	}
-	var d *dataset
-	var err error
-	if req.File != "" {
-		d, err = s.loadDatasetFromFile(&req)
-	} else {
-		d, err = s.buildDataset(&req)
-	}
+	d, err := s.load(&req, set)
 	if err != nil {
 		s.error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if err := s.reg.add(d); err != nil {
-		d.closeWAL()
+		d.retire()
 		s.registryError(w, err)
 		return
 	}
@@ -402,29 +422,29 @@ func (s *Server) handleEvictDataset(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]string{"evicted": req.Name})
 }
 
-// buildDataset generates, mines and preprocesses one loadRequest —
-// the runtime twin of the hosserve startup path.
-func (s *Server) buildDataset(req *loadRequest) (*dataset, error) {
-	ds, _, err := datagen.ByName(req.Gen, datagen.NamedConfig{
-		N: req.N, D: req.D, Planted: req.Planted, Seed: req.Seed,
-	})
-	if err != nil {
-		return nil, err
+// fields returns the JSON names of the request's non-zero fields —
+// what the client set, as far as a zero value can tell.
+func (req *loadRequest) fields() []string {
+	v := reflect.ValueOf(*req)
+	var set []string
+	for i := range v.NumField() {
+		if !v.Field(i).IsZero() {
+			name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+			set = append(set, name)
+		}
 	}
-	prov := snapshot.Provenance{Generator: req.Gen, Seed: req.Seed, CreatedUnix: time.Now().Unix()}
-	return s.minedEntry(req, ds, nil, prov)
+	return set
 }
 
-// minedEntry is the one load tail for a bare dataset: it configures a
-// miner over ds from the request's miner parameters, preprocesses it
-// and wraps it as a registry entry. Generated loads and dataset-only
-// snapshot loads both end here.
-func (s *Server) minedEntry(req *loadRequest, ds *vector.Dataset, norm []snapshot.ColumnRange, prov snapshot.Provenance) (*dataset, error) {
+// load turns a loadRequest into an entry: it generates the dataset, or
+// reads the snapshot file from the data directory, and opens it under
+// the request's miner parameters; set names the fields the request
+// gave.
+func (s *Server) load(req *loadRequest, set []string) (*dataset, error) {
 	cfg := core.Config{
 		K: req.K, T: req.T, TQuantile: req.TQuantile,
 		SampleSize: req.Samples, Seed: req.Seed, Shards: req.Shards,
 	}
-	cfg.ClampSampleSize(ds.N())
 	var err error
 	if req.Backend != "" {
 		if cfg.Backend, err = core.ParseBackend(req.Backend); err != nil {
@@ -441,14 +461,27 @@ func (s *Server) minedEntry(req *loadRequest, ds *vector.Dataset, norm []snapsho
 			return nil, err
 		}
 	}
-	m, err := core.NewMiner(ds, cfg)
+	if req.File == "" {
+		snap, err := snapshot.Generate(req.Name, req.Gen, datagen.NamedConfig{
+			N: req.N, D: req.D, Planted: req.Planted, Seed: req.Seed,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return s.open(req.Name, "", snap, cfg, set)
+	}
+	path, err := s.snapshotPath(req.File)
 	if err != nil {
 		return nil, err
 	}
-	if err := m.Preprocess(); err != nil {
+	snap, err := snapshot.LoadFile(path)
+	if err != nil {
 		return nil, err
 	}
-	return s.newDatasetEntry(req.Name, m, norm, prov), nil
+	if snap.Dataset.N() > s.opts.MaxLoadPoints {
+		return nil, fmt.Errorf("snapshot holds %d points, exceeding the load limit %d", snap.Dataset.N(), s.opts.MaxLoadPoints)
+	}
+	return s.open(req.Name, path, snap, cfg, set)
 }
 
 // newDatasetEntry wraps a preprocessed miner in its serving state at

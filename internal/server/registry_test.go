@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -195,11 +196,14 @@ func TestLoadDatasetBounds(t *testing.T) {
 			t.Fatalf("entry %q missing created_at", d.Name)
 		}
 	}
-	// While a load is in flight, a second one is shed with 429.
+	// While a load is in flight, a second one is shed with 429 and a
+	// Retry-After a client can pace by.
 	s.loadSem <- struct{}{}
 	busy := `{"name":"later","gen":"uniform","n":100,"d":3,"k":3,"t":1}`
 	if rec := do(t, h, "POST", "/datasets/load", busy, nil); rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("concurrent load status %d: %s", rec.Code, rec.Body.String())
+	} else if secs, err := strconv.Atoi(rec.Header().Get("Retry-After")); err != nil || secs < 1 {
+		t.Fatalf("concurrent load Retry-After = %q, want an integer >= 1", rec.Header().Get("Retry-After"))
 	}
 	<-s.loadSem
 }

@@ -132,9 +132,9 @@ type Options struct {
 	// WALSync is the log's fsync policy (hosserve's -wal-sync flag,
 	// parsed by wal.ParseSyncPolicy). The zero value — SyncBatch —
 	// issues one fsync per drained mutation batch at the group-commit
-	// point, so coalesced appends amortize durability; SyncAlways
-	// fsyncs every record frame; SyncInterval coalesces fsyncs in time
-	// and may lose acknowledged mutations inside the window on power
+	// point, before any of it is acknowledged, so coalesced appends
+	// amortize durability; SyncInterval coalesces fsyncs in time and
+	// may lose acknowledged mutations inside the window on power
 	// failure (the documented trade).
 	WALSync wal.SyncPolicy
 	// WALCompactBytes auto-submits a compaction job when a dataset's
@@ -300,14 +300,19 @@ func New(m *core.Miner, opts Options) (*Server, error) {
 // Close stops the background retention sweeper, then drains the async
 // job subsystem: queued jobs still run, and Close blocks until the
 // pool is idle or ctx expires, at which point the stragglers are
-// cancelled. Call it after the HTTP listener has shut down so no new
-// jobs can arrive mid-drain.
+// cancelled. It then retires every entry, closing its log. Call it
+// after the HTTP listener has shut down so no new jobs can arrive
+// mid-drain.
 func (s *Server) Close(ctx context.Context) error {
 	s.retOnce.Do(func() {
 		close(s.retStop)
 		<-s.retDone
 	})
-	return s.jobs.Close(ctx)
+	err := s.jobs.Close(ctx)
+	for _, d := range s.reg.list() {
+		d.retire()
+	}
+	return err
 }
 
 // debugf emits a debug-level serving event through Options.Logf.
@@ -839,6 +844,7 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, d *dataset, cla
 //	batch or bulk at its class share      429, Retry-After
 //	job queue full                        429, Retry-After: the queue's estimate
 //	job manager draining                  503
+//	another dataset load in progress      429, Retry-After: 1
 func (s *Server) refuse(w http.ResponseWriter, dataset string, class overload.Priority, why error) {
 	var rej *overload.Rejection
 	errors.As(why, &rej)
@@ -863,6 +869,9 @@ func (s *Server) refuse(w http.ResponseWriter, dataset string, class overload.Pr
 			fmt.Sprintf("job queue full (%d queued), retry in ~%ds", s.opts.JobQueueDepth, retry))
 	case errors.Is(why, jobs.ErrClosed):
 		s.error(w, http.StatusServiceUnavailable, "server is draining, no new jobs")
+	case errors.Is(why, errLoadInProgress):
+		retry := retryAfter(w, 0)
+		s.error(w, http.StatusTooManyRequests, fmt.Sprintf("%v, retry in ~%ds", why, retry))
 	default:
 		s.error(w, http.StatusInternalServerError, why.Error())
 	}

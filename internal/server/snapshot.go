@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/snapshot"
 )
 
@@ -27,8 +28,9 @@ import (
 // directory of large snapshots loads in the background with observable
 // progress under GET /jobs while the listener is already accepting
 // traffic for the default dataset — readiness is not held hostage to
-// restore time. A file load and a warm start restore through the same
-// routine (restore), so both replay the entry's own <name>.wal.
+// restoring. A load and a warm start open their snapshot through
+// the same routine (open), so a full snapshot replays the entry's own
+// <name>.wal either way.
 
 // snapExt is the snapshot file suffix under DataDir.
 const snapExt = ".snap"
@@ -64,30 +66,12 @@ func (s *Server) handleSaveDataset(w http.ResponseWriter, r *http.Request) {
 	path, size, err := s.persistLocked(d, d.view())
 	d.mut.Unlock()
 	if err != nil {
-		s.error(w, http.StatusInternalServerError, err.Error())
+		// 404 when the entry was evicted under the request, else 500.
+		s.registryError(w, err)
 		return
 	}
 	s.debugf("server: saved dataset %s to %s (%d bytes)", d.name, path, size)
 	s.writeJSON(w, http.StatusOK, &saveDatasetResponse{Saved: d.name, File: path, Bytes: size})
-}
-
-// loadDatasetFromFile services the "file" arm of POST /datasets/load:
-// resolve the name inside DataDir, read the snapshot, and either
-// restore it wholesale (full snapshot) or build a miner over its
-// dataset from the request's parameters (dataset-only snapshot).
-func (s *Server) loadDatasetFromFile(req *loadRequest) (*dataset, error) {
-	path, err := s.snapshotPath(req.File)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := snapshot.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if snap.Dataset.N() > s.opts.MaxLoadPoints {
-		return nil, fmt.Errorf("snapshot holds %d points, exceeding the load limit %d", snap.Dataset.N(), s.opts.MaxLoadPoints)
-	}
-	return s.datasetFromSnapshot(req, path, snap)
 }
 
 // snapshotPath resolves a client-supplied snapshot file name inside
@@ -103,46 +87,33 @@ func (s *Server) snapshotPath(file string) (string, error) {
 	return filepath.Join(s.opts.DataDir, file), nil
 }
 
-// datasetFromSnapshot turns the snapshot parsed from path into a
-// registry entry under the request's name and parameters.
-func (s *Server) datasetFromSnapshot(req *loadRequest, path string, snap *snapshot.Snapshot) (*dataset, error) {
-	if snap.HasState() {
-		// Full snapshot: it already fixes every miner parameter, so a
-		// request that also specifies them is contradictory — honour
-		// neither silently.
-		if req.K != 0 || req.T != 0 || req.TQuantile != 0 || req.Samples != 0 ||
-			req.Shards != 0 || req.Backend != "" || req.Policy != "" || req.Partitioner != "" {
-			return nil, fmt.Errorf("a full snapshot supplies the miner configuration; remove k/t/tq/samples/shards/backend/policy/partitioner from the request")
-		}
-		return s.restore(req.Name, path, snap)
-	}
-	// Dataset-only snapshot: the request configures the miner, exactly
-	// like a generated load, with the snapshot supplying the bytes.
-	return s.minedEntry(req, snap.Dataset, snap.NormStats, snap.Provenance)
-}
-
-// restore is the one way a full snapshot becomes a registry entry:
-// warm start and the file arm of POST /datasets/load both call it. It
-// restores the miner, wraps it as the entry name and, while the entry
-// is still invisible, offers <name>.wal for replay. The log attaches
-// only when it is bound to the bytes at path (attachWALLocked), so a
-// load under another name, or a log written against another base,
-// serves the base alone. A log that does not attach is logged, not
-// fatal: the base serves without its deltas. The caller registers the
-// entry, and closes its log (closeWAL) if that fails.
-func (s *Server) restore(name, path string, snap *snapshot.Snapshot) (*dataset, error) {
-	m, err := snap.Restore()
+// open is the one way a snapshot becomes a registry entry: POST
+// /datasets/load, generated or from a file, and warm start all call
+// it. snap.Miner restores a full snapshot, refusing every miner
+// parameter set names, or mines a dataset-only one under cfg. While
+// the entry is still invisible, a full snapshot's <name>.wal is
+// offered for replay. The log attaches only when it is bound to the
+// bytes at path (attachWALLocked), so a load under another name, or a
+// log written against another base, serves the base alone. A log that
+// does not attach is logged, not fatal: the base serves without its
+// deltas. The caller registers the entry, and retires it if that
+// fails.
+func (s *Server) open(name, path string, snap *snapshot.Snapshot, cfg core.Config, set []string) (*dataset, error) {
+	m, err := snap.Miner(cfg, set)
 	if err != nil {
 		return nil, err
 	}
 	d := s.newDatasetEntry(name, m, snap.NormStats, snap.Provenance)
+	if !snap.HasState() {
+		return d, nil
+	}
 	d.mut.Lock()
 	replayed, err := s.attachWALLocked(d, path)
 	d.mut.Unlock()
 	if err != nil {
-		s.debugf("server: restoring %s from %s: WAL not attached: %v", name, path, err)
+		s.debugf("server: opening %s from %s: WAL not attached: %v", name, path, err)
 	} else if replayed > 0 {
-		s.debugf("server: restoring %s from %s: replayed %d WAL records", name, path, replayed)
+		s.debugf("server: opening %s from %s: replayed %d WAL records", name, path, replayed)
 	}
 	return d, nil
 }
@@ -196,8 +167,8 @@ func (s *Server) WarmStart() (int, error) {
 	return submitted, nil
 }
 
-// warmStartJob is one background restore: read, restore, register
-// under the file's stem, with coarse progress after each phase.
+// warmStartJob is one background load: read, open, register under
+// the file's stem, with coarse progress after each phase.
 func (s *Server) warmStartJob(path, stem string) func(ctx context.Context, report func(done, total int)) (any, error) {
 	return func(ctx context.Context, report func(done, total int)) (any, error) {
 		const steps = 3
@@ -221,7 +192,7 @@ func (s *Server) warmStartJob(path, stem string) func(ctx context.Context, repor
 			// drift so operators can re-save under a consistent name.
 			s.debugf("server: warm start %s: stored name %q differs from file stem, registering as %q", path, snap.Name, stem)
 		}
-		d, err := s.restore(stem, path, snap)
+		d, err := s.open(stem, path, snap, core.Config{}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -230,7 +201,7 @@ func (s *Server) warmStartJob(path, stem string) func(ctx context.Context, repor
 			err = s.reg.add(d)
 		}
 		if err != nil {
-			d.closeWAL()
+			d.retire()
 			return nil, err
 		}
 		report(3, steps)

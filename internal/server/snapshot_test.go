@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/shard"
+	"repro/internal/snapshot"
 )
 
 // newSnapshotServer builds a test server with snapshot persistence
@@ -142,6 +144,62 @@ func TestSaveLoadValidation(t *testing.T) {
 	// And without params it registers fine.
 	if rec := do(t, h, "POST", "/datasets/load", `{"name":"copy","file":"default.snap"}`, nil); rec.Code != http.StatusCreated {
 		t.Fatalf("full snapshot load: %d (%s)", rec.Code, rec.Body.String())
+	}
+}
+
+// TestFileLoadRefusesFieldsTheSnapshotFixes: a full snapshot fixes the
+// miner seed and the dataset, so a file load that sets "seed", "n",
+// "d" or "planted" is refused with a 400 naming the field, as one that
+// sets "k" is.
+func TestFileLoadRefusesFieldsTheSnapshotFixes(t *testing.T) {
+	s, _ := newSnapshotServer(t, Options{})
+	h := s.Handler()
+	if rec := do(t, h, "POST", "/datasets/default/save", "", nil); rec.Code != http.StatusOK {
+		t.Fatalf("save default: %d (%s)", rec.Code, rec.Body.String())
+	}
+	for _, field := range []string{"seed", "n", "d", "planted", "k"} {
+		body := fmt.Sprintf(`{"name":"c","file":"default.snap",%q:9}`, field)
+		rec := do(t, h, "POST", "/datasets/load", body, nil)
+		var resp errorResponse
+		if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &resp) != nil ||
+			!strings.Contains(resp.Error, fmt.Sprintf("%q", field)) {
+			t.Fatalf("full snapshot load with %q: %d (%s)", field, rec.Code, rec.Body.String())
+		}
+	}
+	if rec := do(t, h, "POST", "/datasets/load", `{"name":"c","file":"default.snap"}`, nil); rec.Code != http.StatusCreated {
+		t.Fatalf("full snapshot load: %d (%s)", rec.Code, rec.Body.String())
+	}
+}
+
+// TestDatasetOnlyFileLoadMinesUnderRequest: a dataset-only snapshot
+// in the data directory loads like its generator would — the request
+// configures the miner — and answers byte-identically to the
+// generated load it reproduces.
+func TestDatasetOnlyFileLoadMinesUnderRequest(t *testing.T) {
+	s, dir := newSnapshotServer(t, Options{CacheSize: -1})
+	h := s.Handler()
+	snap, err := snapshot.Generate("gen", "synthetic", datagen.NamedConfig{N: 90, D: 3, Planted: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshot.SaveFile(filepath.Join(dir, "gen.snap"), snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{
+		`{"name":"fromfile","file":"gen.snap","k":3,"tq":0.9,"seed":5}`,
+		`{"name":"generated","gen":"synthetic","n":90,"d":3,"planted":2,"seed":5,"k":3,"tq":0.9}`,
+	} {
+		if rec := do(t, h, "POST", "/datasets/load", body, nil); rec.Code != http.StatusCreated {
+			t.Fatalf("load %s: %d (%s)", body, rec.Code, rec.Body.String())
+		}
+	}
+	want := bodyOf(t, h, "POST", "/scan", `{"dataset":"generated","max_results":5,"sort_by_severity":true}`)
+	if got := bodyOf(t, h, "POST", "/scan", `{"dataset":"fromfile","max_results":5,"sort_by_severity":true}`); got != want {
+		t.Fatalf("dataset-only file load diverged from its generator:\n file: %s\n gen:  %s", got, want)
+	}
+	// Generator fields without a generator are refused, not ignored.
+	if rec := do(t, h, "POST", "/datasets/load", `{"name":"x","file":"gen.snap","n":90,"k":3,"tq":0.9}`, nil); rec.Code != http.StatusBadRequest {
+		t.Fatalf("file load with \"n\": %d (%s)", rec.Code, rec.Body.String())
 	}
 }
 

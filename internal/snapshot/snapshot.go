@@ -22,9 +22,10 @@
 // is bounds-checked and every enum validated, so a corrupt or hostile
 // file yields a typed error (ErrBadMagic, ErrVersion, ErrTruncated,
 // ErrChecksum, ErrCorrupt — all matching errors.Is(err, ErrSnapshot)),
-// never a panic. A snapshot may be dataset-only (hosgen -save): it
-// carries no preprocessed state or index and restores into a plain
-// dataset rather than a miner.
+// never a panic. A snapshot may be dataset-only (hosgen -save, or a CSV
+// or generator opened in memory): it carries no preprocessed state or
+// index, and Miner mines it under the caller's parameters instead of
+// restoring it.
 package snapshot
 
 import (
@@ -35,8 +36,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/shard"
 	"repro/internal/subspace"
 	"repro/internal/vector"
@@ -88,7 +92,8 @@ type Provenance struct {
 	// Normalized records that columns were min-max rescaled to [0,1]
 	// before the snapshot was taken.
 	Normalized bool
-	// CreatedUnix is the capture time (Unix seconds).
+	// CreatedUnix is when the dataset was read or generated (Unix
+	// seconds). A re-saved snapshot keeps it.
 	CreatedUnix int64
 }
 
@@ -194,19 +199,87 @@ func Capture(name string, prov Provenance, m *core.Miner) (*Snapshot, error) {
 }
 
 // FromDataset builds a dataset-only snapshot (no preprocessed state,
-// no index) — the hosgen form, loadable anywhere a CSV is.
+// no index): the in-memory form of a CSV or a generated dataset, and
+// the hosgen file form. A zero prov.CreatedUnix is stamped with the
+// current time.
 func FromDataset(name string, prov Provenance, ds *vector.Dataset) (*Snapshot, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("snapshot: nil dataset")
 	}
+	if prov.CreatedUnix == 0 {
+		prov.CreatedUnix = time.Now().Unix()
+	}
 	return &Snapshot{Name: name, Provenance: prov, Dataset: ds}, nil
+}
+
+// Generate runs the datagen generator gen and returns its dataset as a
+// dataset-only snapshot whose provenance records the generator and
+// its seed.
+func Generate(name, gen string, cfg datagen.NamedConfig) (*Snapshot, error) {
+	ds, _, err := datagen.ByName(gen, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return FromDataset(name, Provenance{Generator: gen, Seed: cfg.Seed}, ds)
+}
+
+// Normalize min-max scales a dataset-only snapshot in place with the
+// Normalize function, and records the raw ranges in NormStats and the
+// fact in Provenance.Normalized. It refuses a full snapshot, whose
+// miner was preprocessed over the stored coordinates, and an already
+// normalized one: scaling it again would record the ranges of scaled
+// data, not raw ones.
+func (s *Snapshot) Normalize() error {
+	switch {
+	case s.HasState():
+		return fmt.Errorf("snapshot %q supplies the miner configuration; normalization conflicts with it", s.Name)
+	case s.Provenance.Normalized || s.NormStats != nil:
+		return fmt.Errorf("snapshot %q is already normalized; normalizing it again conflicts with its recorded ranges", s.Name)
+	}
+	ds, ranges, err := Normalize(s.Dataset)
+	if err != nil {
+		return err
+	}
+	s.Dataset, s.NormStats, s.Provenance.Normalized = ds, ranges, true
+	return nil
+}
+
+// minerParams names, as the front doors spell them (hosminer and
+// hosserve flags, POST /datasets/load fields), the miner parameters a
+// full snapshot fixes.
+var minerParams = []string{"k", "t", "tq", "samples", "seed", "backend", "shards", "partitioner", "policy"}
+
+// Miner turns the snapshot into a preprocessed miner; it is the one
+// opener of hosminer, hosserve and the server. set names the
+// parameters the caller gave explicitly. A full snapshot fixes every
+// miner parameter, so each of minerParams in set is refused as a
+// conflict, and the snapshot is restored (Restore). A dataset-only
+// snapshot is mined under cfg, with the sample size clamped to the
+// rows, and preprocessed.
+func (s *Snapshot) Miner(cfg core.Config, set []string) (*core.Miner, error) {
+	if s.HasState() {
+		for _, name := range set {
+			if slices.Contains(minerParams, name) {
+				return nil, fmt.Errorf("snapshot %q supplies the miner configuration; %q conflicts with it", s.Name, name)
+			}
+		}
+		return s.Restore()
+	}
+	cfg.ClampSampleSize(s.Dataset.N())
+	m, err := core.NewMiner(s.Dataset, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.Preprocess(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // Restore reconstructs a ready-to-serve miner: the index is decoded
 // rather than rebuilt and the state imported rather than relearned,
 // so no OD evaluation or tree insertion runs. It fails on
-// dataset-only snapshots — build a miner over s.Dataset directly for
-// those.
+// dataset-only snapshots, which Miner mines instead.
 func (s *Snapshot) Restore() (*core.Miner, error) {
 	if !s.HasState() {
 		return nil, fmt.Errorf("snapshot: %q is dataset-only (no preprocessed state); configure a miner over its dataset instead", s.Name)

@@ -3,11 +3,13 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -432,5 +434,104 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadFile(csvPath); !errors.Is(err, ErrSnapshot) {
 		t.Fatalf("LoadFile(csv): err = %v, want a typed snapshot error", err)
+	}
+}
+
+// TestMinerRefusesFixedParams: a full snapshot restores through Miner,
+// and each miner parameter a caller sets is refused by name; names
+// outside the list (a source, a query flag) pass.
+func TestMinerRefusesFixedParams(t *testing.T) {
+	s := captureTest(t, core.Config{K: 4, TQuantile: 0.9, Seed: 2, Backend: core.BackendXTree})
+	for _, name := range minerParams {
+		_, err := s.Miner(core.Config{}, []string{"load", name})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q conflicts", name)) {
+			t.Fatalf("set %q: err = %v, want a conflict naming it", name, err)
+		}
+	}
+	m, err := s.Miner(core.Config{K: 9}, []string{"load", "index", "gen"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Config() != s.Config || m.Threshold() != s.State.Threshold {
+		t.Fatalf("restored config %+v T=%v, want the snapshot's %+v T=%v", m.Config(), m.Threshold(), s.Config, s.State.Threshold)
+	}
+}
+
+// TestMinerMinesDatasetOnly: a dataset-only snapshot is mined under
+// the caller's parameters — set is irrelevant — with the sample size
+// clamped to the rows, and answers like a miner built directly.
+func TestMinerMinesDatasetOnly(t *testing.T) {
+	s, err := Generate("g", "synthetic", datagen.NamedConfig{N: 60, D: 3, Planted: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{K: 3, TQuantile: 0.9, Seed: 4, SampleSize: 500}
+	m, err := s.Miner(cfg, []string{"k", "tq", "samples", "seed"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.Preprocessed() || m.Config().SampleSize != 30 {
+		t.Fatalf("preprocessed = %v, sample size = %d, want true and 30", m.Preprocessed(), m.Config().SampleSize)
+	}
+	cfg.SampleSize = 30
+	direct, err := core.NewMiner(s.Dataset, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := direct.Preprocess(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Threshold() != direct.Threshold() {
+		t.Fatalf("T = %v, direct miner T = %v", m.Threshold(), direct.Threshold())
+	}
+	if _, err := s.Miner(core.Config{}, nil); err == nil {
+		t.Fatal("dataset-only snapshot mined without a K or threshold")
+	}
+}
+
+// TestGenerateRecordsProvenance: a generated snapshot records its
+// generator and seed and a creation time; an unknown generator fails.
+func TestGenerateRecordsProvenance(t *testing.T) {
+	s, err := Generate("g", "uniform", datagen.NamedConfig{N: 20, D: 2, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Name != "g" || s.Provenance.Generator != "uniform" || s.Provenance.Seed != 8 ||
+		s.Provenance.Source != "" || s.Provenance.CreatedUnix == 0 || s.HasState() {
+		t.Fatalf("generated snapshot = %+v", s)
+	}
+	if _, err := Generate("g", "nope", datagen.NamedConfig{N: 20, D: 2}); err == nil {
+		t.Fatal("unknown generator accepted")
+	}
+}
+
+// TestNormalizeSnapshot: Normalize scales a dataset-only snapshot and
+// records its ranges and the fact together; it refuses a full snapshot
+// and a second normalization.
+func TestNormalizeSnapshot(t *testing.T) {
+	raw, err := vector.FromRows([][]float64{{100, 5}, {110, 7}, {90, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := FromDataset("n", Provenance{Source: "x.csv", CreatedUnix: 7}, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	norm, ranges, _ := Normalize(raw)
+	if !reflect.DeepEqual(s.Dataset.Rows(), norm.Rows()) || !reflect.DeepEqual(s.NormStats, ranges) {
+		t.Fatalf("normalized snapshot rows %v ranges %v, want %v %v", s.Dataset.Rows(), s.NormStats, norm.Rows(), ranges)
+	}
+	if want := (Provenance{Source: "x.csv", Normalized: true, CreatedUnix: 7}); s.Provenance != want {
+		t.Fatalf("provenance = %+v, want %+v", s.Provenance, want)
+	}
+	if err := s.Normalize(); err == nil || !strings.Contains(err.Error(), "already normalized") {
+		t.Fatalf("second normalization: err = %v", err)
+	}
+	full := captureTest(t, core.Config{K: 4, TQuantile: 0.9, Seed: 2})
+	if err := full.Normalize(); err == nil || !strings.Contains(err.Error(), "conflicts") {
+		t.Fatalf("normalizing a full snapshot: err = %v", err)
 	}
 }

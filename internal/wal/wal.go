@@ -32,8 +32,8 @@
 // its rename; the snapshot writer does the same for `.snap` files.
 //
 // Sync policy. When each appended record reaches stable storage is a
-// SyncPolicy decision: SyncAlways fsyncs per record, SyncBatch defers
-// to the caller's per-group-commit Commit(), SyncInterval coalesces
+// SyncPolicy decision: SyncBatch fsyncs at the caller's per-group-commit
+// Commit(), before the mutation is acknowledged; SyncInterval coalesces
 // fsyncs in time (acknowledged mutations inside the window can be
 // lost on power failure — the documented trade). A whole drained
 // mutation batch is journaled as one RecordBatch frame (one CRC, one
@@ -149,10 +149,11 @@ type SyncMode uint8
 
 const (
 	// SyncBatch (the default, zero value) defers durability to the
-	// caller's Commit() — one fsync per drained mutation batch.
+	// caller's Commit() — one fsync per drained mutation batch, before
+	// the batch is acknowledged. AppendBatch is the log's only writer
+	// and the server commits after every batch, so a per-frame fsync
+	// would be the same fsync: "always" is another spelling of batch.
 	SyncBatch SyncMode = iota
-	// SyncAlways fsyncs after every appended record frame.
-	SyncAlways
 	// SyncInterval fsyncs at most once per Interval: Commit() only
 	// touches the disk when the window has elapsed. Acknowledged
 	// mutations inside the window can be lost on power failure.
@@ -167,14 +168,12 @@ type SyncPolicy struct {
 }
 
 // ParseSyncPolicy parses the -wal-sync flag grammar:
-// "always" | "batch" | "interval=<duration>". The legacy boolean
-// spellings "true"/"false" map to always/batch. Empty means batch.
+// "batch" | "always" | "interval=<duration>". "always" and the legacy
+// boolean spellings "true"/"false" all mean batch, as does empty.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
-	case "", "batch", "false":
+	case "", "batch", "always", "true", "false":
 		return SyncPolicy{Mode: SyncBatch}, nil
-	case "always", "true":
-		return SyncPolicy{Mode: SyncAlways}, nil
 	}
 	if rest, ok := strings.CutPrefix(s, "interval="); ok {
 		d, err := time.ParseDuration(rest)
@@ -186,19 +185,15 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 		}
 		return SyncPolicy{Mode: SyncInterval, Interval: d}, nil
 	}
-	return SyncPolicy{}, fmt.Errorf("wal: sync policy %q: want always, batch or interval=<duration>", s)
+	return SyncPolicy{}, fmt.Errorf("wal: sync policy %q: want batch, always or interval=<duration>", s)
 }
 
 // String renders the policy in the flag grammar.
 func (p SyncPolicy) String() string {
-	switch p.Mode {
-	case SyncAlways:
-		return "always"
-	case SyncInterval:
+	if p.Mode == SyncInterval {
 		return "interval=" + p.Interval.String()
-	default:
-		return "batch"
 	}
+	return "batch"
 }
 
 // Fixed header prefix: magic + version(4) + dim(4) + baseCRC(4) +
@@ -654,8 +649,8 @@ func (l *Log) syncNow() error {
 	return nil
 }
 
-// append frames, writes and (under SyncAlways) syncs one record. The
-// log writes only batch frames; Replay still reads the single-record
+// append frames and writes one record; Commit syncs it. The log
+// writes only batch frames; Replay still reads the single-record
 // frames of older logs.
 func (l *Log) append(typ RecordType, payload []byte) error {
 	buf := encodeRecord(typ, payload)
@@ -665,26 +660,15 @@ func (l *Log) append(typ RecordType, payload []byte) error {
 	l.size += int64(len(buf))
 	l.records++
 	l.dirty = true
-	if l.policy.Mode == SyncAlways {
-		return l.syncNow()
-	}
 	return nil
 }
 
 // Commit is the group-commit durability point, called once per
-// drained mutation batch after its records are written. SyncAlways
-// already synced per record (no-op); SyncBatch fsyncs now; under
-// SyncInterval the fsync happens only when the window has elapsed.
+// drained mutation batch after its records are written. SyncBatch
+// fsyncs now; under SyncInterval the fsync happens only when the
+// window has elapsed. A clean log is not synced.
 func (l *Log) Commit() error {
-	switch l.policy.Mode {
-	case SyncAlways:
-		return nil
-	case SyncInterval:
-		if !l.dirty || time.Since(l.lastSync) < l.policy.Interval {
-			return nil
-		}
-	}
-	if !l.dirty {
+	if !l.dirty || (l.policy.Mode == SyncInterval && time.Since(l.lastSync) < l.policy.Interval) {
 		return nil
 	}
 	return l.syncNow()

@@ -299,20 +299,31 @@ func TestCreateRejectsBadDim(t *testing.T) {
 	}
 }
 
-// TestSyncMode: a SyncAlways log works end to end and counts one
-// fsync per appended record (the fsync itself is not observable, but
-// the code path and the ledger are).
+// TestSyncMode: a log opened under the "always" spelling works end to
+// end and syncs once per Commit — the batch policy, since the log's
+// only writer is AppendBatch and every batch is committed (the fsync
+// itself is not observable, but the code path and the ledger are).
 func TestSyncMode(t *testing.T) {
+	always, err := ParseSyncPolicy("always")
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "ds.wal")
-	l, err := Create(path, Header{Dim: 2, NextID: 0}, SyncPolicy{Mode: SyncAlways})
+	l, err := Create(path, Header{Dim: 2, NextID: 0}, always)
 	if err != nil {
 		t.Fatal(err)
 	}
 	appendRows(t, l, 0, [][]float64{{1, 2}})
-	if got := l.Syncs(); got != 1 {
-		t.Fatalf("syncs after one append = %d, want 1", got)
+	if got := l.Syncs(); got != 0 {
+		t.Fatalf("syncs after one append = %d, want 0 (Commit syncs)", got)
 	}
-	// Commit after a per-record sync is a no-op.
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Syncs(); got != 1 {
+		t.Fatalf("syncs after one commit = %d, want 1", got)
+	}
+	// A commit with nothing written since the last one is free.
 	if err := l.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +333,7 @@ func TestSyncMode(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, rep, err := Open(path, SyncPolicy{Mode: SyncAlways})
+	l2, rep, err := Open(path, always)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,8 +461,8 @@ func TestParseSyncPolicy(t *testing.T) {
 		"":              {Mode: SyncBatch},
 		"batch":         {Mode: SyncBatch},
 		"false":         {Mode: SyncBatch},
-		"always":        {Mode: SyncAlways},
-		"true":          {Mode: SyncAlways},
+		"always":        {Mode: SyncBatch},
+		"true":          {Mode: SyncBatch},
 		"interval=50ms": {Mode: SyncInterval, Interval: 50 * time.Millisecond},
 		"interval=2s":   {Mode: SyncInterval, Interval: 2 * time.Second},
 	} {
@@ -471,7 +482,6 @@ func TestParseSyncPolicy(t *testing.T) {
 	// String round-trips through the parser.
 	for _, p := range []SyncPolicy{
 		{Mode: SyncBatch},
-		{Mode: SyncAlways},
 		{Mode: SyncInterval, Interval: 250 * time.Millisecond},
 	} {
 		back, err := ParseSyncPolicy(p.String())
