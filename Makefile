@@ -34,6 +34,7 @@ cover:
 		repro/internal/core repro/internal/server repro/internal/shard \
 		repro/internal/jobs repro/internal/snapshot repro/internal/overload \
 		repro/internal/wal repro/internal/xtree repro/internal/knn \
+		repro/internal/binfmt \
 		repro/internal/analysis repro/internal/analysis/load \
 		repro/internal/analysis/antest repro/internal/analysis/viewpin \
 		repro/internal/analysis/durability repro/internal/analysis/statslock \

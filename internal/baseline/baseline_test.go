@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -107,77 +106,5 @@ func TestDetectorValidation(t *testing.T) {
 	}
 	if _, err := TopNKNNOutliers(ds, ls, subspace.Full(2), 2, 0); err == nil {
 		t.Fatal("n=0 accepted")
-	}
-	if _, err := LOF(ds, ls, subspace.Full(2), 0); err == nil {
-		t.Fatal("LOF minPts=0 accepted")
-	}
-}
-
-func TestLOFFlagsOutlier(t *testing.T) {
-	ds := clusterWithOutlier(t, 6, 80, 3)
-	ls := newSearcher(t, ds)
-	scores, err := LOF(ds, ls, subspace.Full(3), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scores) != 80 {
-		t.Fatalf("len = %d", len(scores))
-	}
-	// Outlier LOF far above 1; typical inliers near 1.
-	if scores[79] < 2 {
-		t.Fatalf("outlier LOF = %v, want >> 1", scores[79])
-	}
-	inlierMax := 0.0
-	for i := 0; i < 79; i++ {
-		if scores[i] > inlierMax {
-			inlierMax = scores[i]
-		}
-	}
-	if scores[79] <= inlierMax {
-		t.Fatalf("outlier LOF %v not above inlier max %v", scores[79], inlierMax)
-	}
-}
-
-func TestLOFUniformDataNearOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	rows := make([][]float64, 150)
-	for i := range rows {
-		rows[i] = []float64{rng.Float64() * 10, rng.Float64() * 10}
-	}
-	ds, _ := vector.FromRows(rows)
-	ls := newSearcher(t, ds)
-	scores, err := LOF(ds, ls, subspace.Full(2), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mean LOF over uniform data should hover around 1.
-	var sum float64
-	for _, s := range scores {
-		sum += s
-	}
-	mean := sum / float64(len(scores))
-	if mean < 0.8 || mean > 1.6 {
-		t.Fatalf("uniform mean LOF = %v", mean)
-	}
-}
-
-func TestLOFDuplicatesDegenerate(t *testing.T) {
-	// Many duplicates: lrd is infinite; the convention must keep
-	// scores finite and near 1.
-	rows := make([][]float64, 30)
-	for i := range rows {
-		rows[i] = []float64{1, 1}
-	}
-	rows[29] = []float64{9, 9}
-	ds, _ := vector.FromRows(rows)
-	ls := newSearcher(t, ds)
-	scores, err := LOF(ds, ls, subspace.Full(2), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range scores {
-		if math.IsNaN(s) || math.IsInf(s, 0) {
-			t.Fatalf("score[%d] = %v", i, s)
-		}
 	}
 }

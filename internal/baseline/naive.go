@@ -3,11 +3,10 @@
 // (cost yardstick and correctness oracle for HOS-Miner) and classical
 // "space → outliers" detectors the paper cites — the
 // intentional-knowledge extension of Knorr & Ng's distance-based
-// outliers (strongest outlying spaces) [6], the top-n k-NN distance
-// outliers of Ramaswamy et al. [8] and the density-based LOF of
-// Breunig et al. [3]. The search-ordering ablations (bottom-up,
-// top-down, random) live in internal/core as Policy values since they
-// share the pruning machinery.
+// outliers (strongest outlying spaces) [6] and the top-n k-NN
+// distance outliers of Ramaswamy et al. [8]. The search-ordering
+// ablations (bottom-up, top-down, random) live in internal/core as
+// Policy values since they share the pruning machinery.
 package baseline
 
 import (

@@ -564,7 +564,11 @@ func (s *Server) ensureWALLocked(d *dataset, v *view) error {
 // persistence is on — rotates <name>.wal to an empty log bound to the
 // new base. It is the one write path shared by first-mutation setup,
 // explicit saves and compaction, so the snapshot+log pair can never
-// disagree about which base the deltas extend.
+// disagree about which base the deltas extend. Once the base is
+// replaced the old log is detached whether or not its successor opens:
+// it is bound to the replaced base, so nothing appended to it would
+// replay, and the next mutation must re-persist (ensureWALLocked) or
+// fail instead of being acknowledged into it.
 func (s *Server) persistLocked(d *dataset, v *view) (string, int64, error) {
 	if err := d.aliveLocked(); err != nil {
 		return "", 0, err
@@ -578,6 +582,10 @@ func (s *Server) persistLocked(d *dataset, v *view) (string, int64, error) {
 	if err := snapshot.SaveFile(path, snap); err != nil {
 		return "", 0, err
 	}
+	if d.wal != nil {
+		_ = d.wal.Close()
+		d.wal = nil
+	}
 	st, err := os.Stat(path)
 	if err != nil {
 		return "", 0, err
@@ -587,19 +595,14 @@ func (s *Server) persistLocked(d *dataset, v *view) (string, int64, error) {
 		if err != nil {
 			return "", 0, err
 		}
-		nw, err := wal.Create(s.walPath(d.name), wal.Header{
+		if d.wal, err = wal.Create(s.walPath(d.name), wal.Header{
 			Dim:     v.miner.Dataset().Dim(),
 			BaseCRC: crc,
 			NextID:  v.nextID,
 			BaseIDs: v.ids,
-		}, s.opts.WALSync)
-		if err != nil {
+		}, s.opts.WALSync); err != nil {
 			return "", 0, err
 		}
-		if d.wal != nil {
-			_ = d.wal.Close()
-		}
-		d.wal = nw
 		d.mirrorWAL()
 	}
 	return path, st.Size(), nil

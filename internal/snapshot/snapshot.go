@@ -35,10 +35,10 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"slices"
 	"time"
 
+	"repro/internal/binfmt"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/shard"
@@ -296,48 +296,37 @@ func (s *Snapshot) Restore() (*core.Miner, error) {
 
 // Write serializes the snapshot: header, CRC, payload.
 func Write(w io.Writer, s *Snapshot) error {
-	if s == nil || s.Dataset == nil {
-		return fmt.Errorf("snapshot: nothing to write (nil snapshot or dataset)")
-	}
-	if s.State != nil {
-		// Guard invariants the reader will enforce, so a bad capture
-		// fails at write time (attributable) rather than at some future
-		// boot (not).
-		if err := s.Config.Validate(s.Dataset); err != nil {
-			return fmt.Errorf("snapshot: %w", err)
-		}
-	}
-	payload := encodePayload(s)
-	var hdr [24]byte
-	copy(hdr[:8], magic[:])
-	putU32(hdr[8:12], Version)
-	putU64(hdr[12:20], uint64(len(payload)))
-	putU32(hdr[20:24], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
+	b, err := encode(s)
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
+	_, err = w.Write(b)
 	return err
 }
+
+// headerLen is the fixed header: magic(8) + version(4) + payload
+// length(8) + payload CRC(4).
+const headerLen = 24
 
 // Read parses a snapshot stream, verifying magic, version, length and
 // checksum before decoding a single payload field.
 func Read(r io.Reader) (*Snapshot, error) {
-	var hdr [24]byte
+	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, ErrTruncated
 		}
 		return nil, err
 	}
-	if [8]byte(hdr[:8]) != magic {
+	h := binfmt.NewDecoder(hdr[:], ErrCorrupt)
+	if [8]byte(h.Raw(len(magic))) != magic {
 		return nil, ErrBadMagic
 	}
-	if v := getU32(hdr[8:12]); v != Version {
+	if v := h.U32(); v != Version {
 		return nil, fmt.Errorf("%w: have %d, support %d", ErrVersion, v, Version)
 	}
-	length := getU64(hdr[12:20])
-	want := getU32(hdr[20:24])
+	length := h.U64()
+	want := h.U32()
 	// Grow-as-you-read: never pre-allocate the declared length, which
 	// an adversarial header could set to anything.
 	payload, err := io.ReadAll(io.LimitReader(r, int64(length)))
@@ -353,40 +342,18 @@ func Read(r io.Reader) (*Snapshot, error) {
 	return decodePayload(payload)
 }
 
-// SaveFile writes the snapshot to path atomically and durably:
-// write(tmp) → fsync(tmp) → rename → fsync(directory). The rename
-// keeps a crash mid-write from leaving a half-snapshot where a warm
-// start would find it; the directory fsync makes the *name* durable —
-// without it, power loss after the rename can resurrect the old file
-// (or none), and a sibling WAL bound to the new file's CRC would be
-// rejected as stale on restart (see internal/wal's ordering contract).
+// SaveFile writes the snapshot to path atomically and durably through
+// binfmt.WriteFile: a crash mid-write never leaves a half-snapshot
+// where a warm start would find it, and once SaveFile returns the new
+// name survives power loss — so a sibling WAL bound to the new file's
+// CRC is never rejected as stale on restart (see internal/wal's
+// ordering contract).
 func SaveFile(path string, s *Snapshot) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".snap-*")
+	b, err := encode(s)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := Write(tmp, s); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return binfmt.WriteFile(path, b)
 }
 
 // LoadFile reads a snapshot file.
@@ -412,29 +379,51 @@ const (
 	flagNorm  = 1 << 2
 )
 
-func encodePayload(s *Snapshot) []byte {
-	e := &encoder{}
-	e.str(s.Name)
-	// Provenance.
-	e.str(s.Provenance.Generator)
-	e.i64(s.Provenance.Seed)
-	e.str(s.Provenance.Source)
-	e.bool(s.Provenance.Normalized)
-	e.i64(s.Provenance.CreatedUnix)
-	// Dataset.
-	ds := s.Dataset
-	e.u32(uint32(ds.N()))
-	e.u32(uint32(ds.Dim()))
-	cols := ds.Columns()
-	e.bool(cols != nil)
-	for _, c := range cols {
-		e.str(c)
+// encode renders the whole file: the header, then the payload it
+// checksums.
+func encode(s *Snapshot) ([]byte, error) {
+	if s == nil || s.Dataset == nil {
+		return nil, fmt.Errorf("snapshot: nothing to write (nil snapshot or dataset)")
 	}
-	for i := 0; i < ds.N(); i++ {
-		for _, v := range ds.Point(i) {
-			e.f64(v)
+	if s.State != nil {
+		// Guard invariants the reader will enforce, so a bad capture
+		// fails at write time (attributable) rather than at some future
+		// boot (not).
+		if err := s.Config.Validate(s.Dataset); err != nil {
+			return nil, fmt.Errorf("snapshot: %w", err)
 		}
 	}
+	var e binfmt.Encoder
+	e.Raw(magic[:])
+	e.U32(Version)
+	lenAt := e.Len()
+	e.U64(0)
+	e.U32(0)
+	encodePayload(&e, s)
+	payload := e.Bytes()[headerLen:]
+	e.PutU64(lenAt, uint64(len(payload)))
+	e.PutU32(lenAt+8, crc32.ChecksumIEEE(payload))
+	return e.Bytes(), nil
+}
+
+func encodePayload(e *binfmt.Encoder, s *Snapshot) {
+	e.Str(s.Name)
+	// Provenance.
+	e.Str(s.Provenance.Generator)
+	e.I64(s.Provenance.Seed)
+	e.Str(s.Provenance.Source)
+	e.Bool(s.Provenance.Normalized)
+	e.I64(s.Provenance.CreatedUnix)
+	// Dataset.
+	ds := s.Dataset
+	e.U32(uint32(ds.N()))
+	e.U32(uint32(ds.Dim()))
+	cols := ds.Columns()
+	e.Bool(cols != nil)
+	for _, c := range cols {
+		e.Str(c)
+	}
+	e.Floats(ds.Slab())
 	// Sections.
 	var flags uint8
 	if s.State != nil {
@@ -446,83 +435,75 @@ func encodePayload(s *Snapshot) []byte {
 	if len(s.NormStats) > 0 {
 		flags |= flagNorm
 	}
-	e.u8(flags)
+	e.U8(flags)
 	if s.State != nil {
 		encodeConfig(e, s.Config)
-		e.f64(s.State.Threshold)
-		e.bool(s.State.Learned)
-		e.f64s(s.State.PUp)
-		e.f64s(s.State.PDown)
+		e.F64(s.State.Threshold)
+		e.Bool(s.State.Learned)
+		e.F64s(s.State.PUp)
+		e.F64s(s.State.PDown)
 	}
 	if s.Index != nil {
-		e.bytes(s.Index.Tree)
-		e.bool(s.Index.ShardTrees != nil)
+		e.Blob(s.Index.Tree)
+		e.Bool(s.Index.ShardTrees != nil)
 		if s.Index.ShardTrees != nil {
-			e.u32(uint32(len(s.Index.ShardTrees)))
+			e.U32(uint32(len(s.Index.ShardTrees)))
 			for _, b := range s.Index.ShardTrees {
-				e.bytes(b)
+				e.Blob(b)
 			}
 		}
 	}
 	if len(s.NormStats) > 0 {
-		e.u32(uint32(len(s.NormStats)))
+		e.U32(uint32(len(s.NormStats)))
 		for _, c := range s.NormStats {
-			e.f64(c.Min)
-			e.f64(c.Max)
+			e.F64(c.Min)
+			e.F64(c.Max)
 		}
 	}
-	return e.buf
 }
 
-func encodeConfig(e *encoder, c core.Config) {
-	e.u32(uint32(c.K))
-	e.f64(c.T)
-	e.f64(c.TQuantile)
-	e.u8(uint8(c.Metric))
-	e.u32(uint32(c.SampleSize))
-	e.i64(c.Seed)
-	e.u8(uint8(c.Policy))
-	e.u8(uint8(c.Backend))
-	e.u32(uint32(c.Shards))
-	e.u8(uint8(c.Partitioner))
+func encodeConfig(e *binfmt.Encoder, c core.Config) {
+	e.U32(uint32(c.K))
+	e.F64(c.T)
+	e.F64(c.TQuantile)
+	e.U8(uint8(c.Metric))
+	e.U32(uint32(c.SampleSize))
+	e.I64(c.Seed)
+	e.U8(uint8(c.Policy))
+	e.U8(uint8(c.Backend))
+	e.U32(uint32(c.Shards))
+	e.U8(uint8(c.Partitioner))
 }
 
+// decodePayload parses a checksummed payload. Every read is bounded by
+// the bytes that remain, so no header value can size an allocation;
+// every failure is ErrCorrupt, since the CRC already passed and a
+// short field is structural corruption, not truncation.
 func decodePayload(payload []byte) (*Snapshot, error) {
-	d := &decoder{buf: payload}
-	s := &Snapshot{}
-	s.Name = d.str()
-	s.Provenance.Generator = d.str()
-	s.Provenance.Seed = d.i64()
-	s.Provenance.Source = d.str()
-	s.Provenance.Normalized = d.bool()
-	s.Provenance.CreatedUnix = d.i64()
-
-	n := int(d.u32())
-	dim := int(d.u32())
-	if d.err != nil {
-		return nil, d.err
+	d := binfmt.NewDecoder(payload, ErrCorrupt)
+	s := &Snapshot{Name: d.Str()}
+	s.Provenance = Provenance{
+		Generator:   d.Str(),
+		Seed:        d.I64(),
+		Source:      d.Str(),
+		Normalized:  d.Bool(),
+		CreatedUnix: d.I64(),
 	}
-	if dim < 1 || dim > subspace.MaxDim {
-		return nil, fmt.Errorf("%w: dimensionality %d out of [1,%d]", ErrCorrupt, dim, subspace.MaxDim)
+
+	n, dim := int(d.U32()), int(d.U32())
+	if d.Err() == nil && (dim < 1 || dim > subspace.MaxDim) {
+		d.Failf("dimensionality %d out of [1,%d]", dim, subspace.MaxDim)
 	}
 	var cols []string
-	if d.bool() {
+	if d.Bool() {
 		cols = make([]string, dim)
 		for i := range cols {
-			cols[i] = d.str()
+			cols[i] = d.Str()
 		}
 	}
-	// Bound the allocation by the bytes actually present: n*dim floats
-	// need n*dim*8 payload bytes.
-	if d.err == nil && d.remaining()/8 < n*dim {
-		return nil, fmt.Errorf("%w: dataset claims %d×%d values, payload too short", ErrCorrupt, n, dim)
-	}
-	flat := make([]float64, n*dim)
-	for i := range flat {
-		flat[i] = d.f64()
-	}
-	if d.err != nil {
-		return nil, d.err
+	flat := d.Floats(n * dim)
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	// The same finiteness contract dataio enforces on CSV: mining over
 	// NaN/±Inf is undefined (every distance comparison involving NaN
@@ -545,105 +526,81 @@ func decodePayload(payload []byte) (*Snapshot, error) {
 	}
 	s.Dataset = ds
 
-	flags := d.u8()
-	if d.err != nil {
-		return nil, d.err
-	}
+	flags := d.U8()
 	if flags&^(flagState|flagIndex|flagNorm) != 0 {
-		return nil, fmt.Errorf("%w: unknown section flags %#x", ErrCorrupt, flags)
+		d.Failf("unknown section flags %#x", flags)
 	}
 	if flags&flagState != 0 {
-		cfg, err := decodeConfig(d)
-		if err != nil {
-			return nil, err
-		}
-		s.Config = cfg
-		st := &core.State{
+		s.Config = decodeConfig(d)
+		s.State = &core.State{
 			Version:   core.StateVersion,
 			Dim:       dim,
-			K:         cfg.K,
-			Metric:    cfg.Metric.String(),
-			Threshold: d.f64(),
-			Learned:   d.bool(),
+			K:         s.Config.K,
+			Metric:    s.Config.Metric.String(),
+			Threshold: d.F64(),
+			Learned:   d.Bool(),
+			PUp:       d.F64s(),
+			PDown:     d.F64s(),
 		}
-		st.PUp = d.f64s()
-		st.PDown = d.f64s()
-		if d.err != nil {
-			return nil, d.err
+		if err := d.Err(); err != nil {
+			return nil, err
 		}
-		s.State = st
 		if err := s.Config.Validate(ds); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 	}
 	if flags&flagIndex != 0 {
-		idx := &core.IndexSnapshot{}
-		idx.Tree = d.bytes()
-		if d.bool() {
-			count := int(d.u32())
-			if d.err != nil {
-				return nil, d.err
-			}
-			if count > d.remaining() {
-				return nil, fmt.Errorf("%w: %d shard trees in %d remaining bytes", ErrCorrupt, count, d.remaining())
-			}
-			idx.ShardTrees = make([][]byte, count)
-			for i := range idx.ShardTrees {
-				idx.ShardTrees[i] = d.bytes()
+		s.Index = &core.IndexSnapshot{Tree: d.Blob()}
+		if d.Bool() {
+			// Each encoded tree carries at least its u32 length.
+			s.Index.ShardTrees = make([][]byte, d.Count(4))
+			for i := range s.Index.ShardTrees {
+				s.Index.ShardTrees[i] = d.Blob()
 			}
 		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		s.Index = idx
 	}
 	if flags&flagNorm != 0 {
-		count := int(d.u32())
-		if d.err != nil {
-			return nil, d.err
+		if count := d.Count(16); d.Err() == nil && count != dim {
+			d.Failf("%d normalization ranges for %d dims", count, dim)
 		}
-		if count != dim {
-			return nil, fmt.Errorf("%w: %d normalization ranges for %d dims", ErrCorrupt, count, dim)
-		}
-		s.NormStats = make([]ColumnRange, count)
-		for i := range s.NormStats {
-			s.NormStats[i] = ColumnRange{Min: d.f64(), Max: d.f64()}
-		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		for i, c := range s.NormStats {
-			if math.IsNaN(c.Min) || math.IsInf(c.Min, 0) || math.IsNaN(c.Max) || math.IsInf(c.Max, 0) || c.Max < c.Min {
-				return nil, fmt.Errorf("%w: invalid normalization range [%v,%v] for dim %d", ErrCorrupt, c.Min, c.Max, i)
+		if d.Err() == nil {
+			s.NormStats = make([]ColumnRange, dim)
+			for i := range s.NormStats {
+				c := ColumnRange{Min: d.F64(), Max: d.F64()}
+				if math.IsNaN(c.Min) || math.IsInf(c.Min, 0) || math.IsNaN(c.Max) || math.IsInf(c.Max, 0) || c.Max < c.Min {
+					d.Failf("invalid normalization range [%v,%v] for dim %d", c.Min, c.Max, i)
+				}
+				s.NormStats[i] = c
 			}
 		}
 	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.remaining())
+	if d.Remaining() != 0 {
+		d.Failf("%d trailing bytes", d.Remaining())
 	}
-	return s, d.err
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
-func decodeConfig(d *decoder) (core.Config, error) {
+// decodeConfig reads the miner configuration, failing d on an enum
+// outside what Config.Validate covers (it assumes values produced by
+// parsers, not by a file).
+func decodeConfig(d *binfmt.Decoder) core.Config {
 	cfg := core.Config{
-		K:         int(d.u32()),
-		T:         d.f64(),
-		TQuantile: d.f64(),
-		Metric:    vector.Metric(d.u8()),
+		K:           int(d.U32()),
+		T:           d.F64(),
+		TQuantile:   d.F64(),
+		Metric:      vector.Metric(d.U8()),
+		SampleSize:  int(d.U32()),
+		Seed:        d.I64(),
+		Policy:      core.Policy(d.U8()),
+		Backend:     core.Backend(d.U8()),
+		Shards:      int(d.U32()),
+		Partitioner: shard.Partitioner(d.U8()),
 	}
-	cfg.SampleSize = int(d.u32())
-	cfg.Seed = d.i64()
-	cfg.Policy = core.Policy(d.u8())
-	cfg.Backend = core.Backend(d.u8())
-	cfg.Shards = int(d.u32())
-	cfg.Partitioner = shard.Partitioner(d.u8())
-	if d.err != nil {
-		return cfg, d.err
+	if d.Err() == nil && (!cfg.Metric.Valid() || !cfg.Policy.Valid() || cfg.Backend > core.BackendXTree || !cfg.Partitioner.Valid()) {
+		d.Failf("invalid enum in config")
 	}
-	// Enum sanity beyond what Config.Validate covers (it assumes values
-	// produced by parsers, not by a file).
-	if !cfg.Metric.Valid() || !cfg.Policy.Valid() || cfg.Backend > core.BackendXTree || !cfg.Partitioner.Valid() {
-		return cfg, fmt.Errorf("%w: invalid enum in config", ErrCorrupt)
-	}
-	return cfg, nil
+	return cfg
 }

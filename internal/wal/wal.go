@@ -23,13 +23,15 @@
 // every allocation by the remaining input.
 //
 // Durability ordering contract. Creating or rotating a log (and the
-// base snapshot it binds to) follows write(tmp) → fsync(tmp) →
-// rename(tmp, final) → fsync(directory). The final fsync is load-
-// bearing: rename alone orders the data blocks, but the *name* lives
-// in the directory inode, and on power loss an unsynced directory can
-// forget the rename entirely — leaving a stale (or absent) file whose
-// BaseCRC no longer matches. Create fsyncs the parent directory after
-// its rename; the snapshot writer does the same for `.snap` files.
+// base snapshot it binds to) goes through binfmt.WriteFile: write a
+// temp file beside the target, fsync it, rename it over the target,
+// fsync the directory. The final fsync is load-bearing: rename alone
+// orders the data blocks, but the *name* lives in the directory inode,
+// and on power loss an unsynced directory can forget the rename
+// entirely — leaving a stale (or absent) file whose BaseCRC no longer
+// matches. A caller that replaces the base snapshot must drop the old
+// log whether or not its successor opens: the old log is bound to the
+// replaced base, so nothing appended to it would ever replay.
 //
 // Sync policy. When each appended record reaches stable storage is a
 // SyncPolicy decision: SyncBatch fsyncs at the caller's per-group-commit
@@ -40,20 +42,21 @@
 // fsync), which is what makes group commit cheaper than N single-row
 // records.
 //
-// All integers are little-endian, matching the snapshot codec.
+// All integers are little-endian, encoded by internal/binfmt like the
+// snapshot and X-tree formats.
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
+
+	"repro/internal/binfmt"
 )
 
 // Magic opens every WAL file.
@@ -207,108 +210,96 @@ const recordFrame = 1 + 4 + 4
 // per-sub CRC — the batch frame's single CRC covers everything.
 const subFrame = 1 + 4
 
-// maxRecordPayload caps a single record's payload; a frame declaring
-// more is treated as corruption (torn tail), not an allocation order.
-const maxRecordPayload = 1 << 30
+// errTorn is the class of every record-level decode failure: Replay
+// reports it as a torn tail, never as an error.
+var errTorn = errors.New("wal: torn record")
 
 // encodeHeader renders the header block, CRC included.
 func encodeHeader(h Header) []byte {
-	buf := make([]byte, 0, headerFixed+len(h.BaseIDs)*8+4)
-	buf = append(buf, Magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, Version)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(h.Dim))
-	buf = binary.LittleEndian.AppendUint32(buf, h.BaseCRC)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(h.NextID))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(h.BaseIDs)))
+	var e binfmt.Encoder
+	e.Grow(headerFixed + len(h.BaseIDs)*8 + 4)
+	e.Raw([]byte(Magic))
+	e.U32(Version)
+	e.U32(uint32(h.Dim))
+	e.U32(h.BaseCRC)
+	e.I64(h.NextID)
+	e.U32(uint32(len(h.BaseIDs)))
 	for _, id := range h.BaseIDs {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
+		e.I64(id)
 	}
-	crc := crc32.ChecksumIEEE(buf[len(Magic):])
-	buf = binary.LittleEndian.AppendUint32(buf, crc)
-	return buf
+	e.U32(crc32.ChecksumIEEE(e.Bytes()[len(Magic):]))
+	return e.Bytes()
 }
 
-// decodeHeader parses and verifies the header block, returning the
-// header and the number of bytes it occupied.
+// decodeHeader parses and verifies the header block at the start of
+// data, returning the header and the number of bytes it occupied.
 func decodeHeader(data []byte) (Header, int, error) {
 	var h Header
 	if len(data) < headerFixed {
 		return h, 0, fmt.Errorf("%w: %d bytes, need %d", ErrHeader, len(data), headerFixed)
 	}
-	if string(data[:len(Magic)]) != Magic {
+	d := binfmt.NewDecoder(data, ErrHeader)
+	if string(d.Raw(len(Magic))) != Magic {
 		return h, 0, ErrBadMagic
 	}
-	off := len(Magic)
-	ver := binary.LittleEndian.Uint32(data[off:])
-	if ver != Version {
-		return h, 0, fmt.Errorf("%w: %d (have %d)", ErrVersion, ver, Version)
+	if v := d.U32(); v != Version {
+		return h, 0, fmt.Errorf("%w: %d (have %d)", ErrVersion, v, Version)
 	}
-	dim := binary.LittleEndian.Uint32(data[off+4:])
-	h.BaseCRC = binary.LittleEndian.Uint32(data[off+8:])
-	h.NextID = int64(binary.LittleEndian.Uint64(data[off+12:]))
-	count := binary.LittleEndian.Uint32(data[off+20:])
+	dim := d.U32()
+	h.BaseCRC = d.U32()
+	h.NextID = d.I64()
 	if dim == 0 || dim > 1<<20 {
 		return h, 0, fmt.Errorf("%w: dimensionality %d", ErrHeader, dim)
 	}
 	h.Dim = int(dim)
-	end := headerFixed + int(count)*8 + 4
-	if count > uint32(len(data)/8) || len(data) < end {
-		return h, 0, fmt.Errorf("%w: truncated ID table", ErrHeader)
-	}
-	want := binary.LittleEndian.Uint32(data[end-4:])
-	if crc32.ChecksumIEEE(data[len(Magic):end-4]) != want {
-		return h, 0, fmt.Errorf("%w: checksum mismatch", ErrHeader)
-	}
-	h.BaseIDs = make([]int64, count)
+	h.BaseIDs = make([]int64, d.Count(8))
 	for i := range h.BaseIDs {
-		h.BaseIDs[i] = int64(binary.LittleEndian.Uint64(data[headerFixed+i*8:]))
+		h.BaseIDs[i] = d.I64()
+	}
+	sum := crc32.ChecksumIEEE(data[len(Magic):d.Offset()])
+	if d.U32() != sum {
+		d.Failf("checksum mismatch")
 	}
 	if h.NextID < 0 {
-		return h, 0, fmt.Errorf("%w: negative next ID", ErrHeader)
+		d.Failf("negative next ID")
 	}
 	prev := int64(-1)
 	for _, id := range h.BaseIDs {
 		if id <= prev || id >= h.NextID {
-			return h, 0, fmt.Errorf("%w: ID table not ascending below next ID", ErrHeader)
+			d.Failf("ID table not ascending below next ID")
+			break
 		}
 		prev = id
 	}
-	return h, end, nil
+	return h, d.Offset(), d.Err()
 }
 
-// encodeRecord renders one framed record.
-func encodeRecord(typ RecordType, payload []byte) []byte {
-	buf := make([]byte, 0, recordFrame+len(payload))
-	buf = append(buf, byte(typ))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
-}
-
-// encodeAppendPayload renders the append payload shared by single and
-// batched records: count(4) + firstID(8) + rows. Rows must already be
-// validated (width and finiteness).
-func encodeAppendPayload(firstID int64, rows [][]float64, dim int) []byte {
-	payload := make([]byte, 0, 12+len(rows)*dim*8)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(rows)))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(firstID))
-	for _, row := range rows {
-		for _, v := range row {
-			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(v))
+// encodePayload appends rec's payload: for an append count(4) +
+// firstID(8) + rows, for a delete fromID(8) + toID(8). Rows must
+// already be validated (width and finiteness).
+func encodePayload(e *binfmt.Encoder, rec Record) {
+	if rec.Type == RecordAppend {
+		e.U32(uint32(len(rec.Rows)))
+		e.I64(rec.FirstID)
+		for _, row := range rec.Rows {
+			e.Floats(row)
 		}
+		return
 	}
-	return payload
+	e.I64(rec.FromID)
+	e.I64(rec.ToID)
 }
 
-// encodeDeletePayload renders the delete payload: fromID(8) + toID(8).
-func encodeDeletePayload(fromID, toID int64) []byte {
-	payload := make([]byte, 0, 16)
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(fromID))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(toID))
-	return payload
+// payloadLen is the length encodePayload gives rec's payload.
+func payloadLen(rec Record, dim int) int {
+	if rec.Type == RecordAppend {
+		return 12 + len(rec.Rows)*dim*8
+	}
+	return 16
 }
 
-// validateAppend is the writer-side twin of decodeAppendPayload.
+// validateAppend is the writer-side twin of decodePayload's append
+// checks.
 func validateAppend(firstID int64, rows [][]float64, dim int) error {
 	if len(rows) == 0 {
 		return fmt.Errorf("wal: append: no rows")
@@ -329,145 +320,69 @@ func validateAppend(firstID int64, rows [][]float64, dim int) error {
 	return nil
 }
 
-// decodeAppendPayload parses an append payload. ok=false on any
-// framing, identity or finiteness violation.
-func decodeAppendPayload(payload []byte, dim int) (rows [][]float64, firstID int64, ok bool) {
-	if len(payload) < 12 {
-		return nil, 0, false
-	}
-	count := binary.LittleEndian.Uint32(payload)
-	firstID = int64(binary.LittleEndian.Uint64(payload[4:]))
-	if count == 0 || firstID < 0 {
-		return nil, 0, false
-	}
-	if uint64(len(payload)-12) != uint64(count)*uint64(dim)*8 {
-		return nil, 0, false
-	}
-	rows = make([][]float64, count)
-	p := 12
-	for i := range rows {
-		row := make([]float64, dim)
-		for j := range row {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(payload[p:]))
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, 0, false
-			}
-			row[j] = v
-			p += 8
-		}
-		rows[i] = row
-	}
-	return rows, firstID, true
-}
-
-// decodeDeletePayload parses a delete payload.
-func decodeDeletePayload(payload []byte) (fromID, toID int64, ok bool) {
-	if len(payload) != 16 {
-		return 0, 0, false
-	}
-	fromID = int64(binary.LittleEndian.Uint64(payload))
-	toID = int64(binary.LittleEndian.Uint64(payload[8:]))
-	if fromID < 0 || toID < fromID {
-		return 0, 0, false
-	}
-	return fromID, toID, true
-}
-
-// decodeBatchPayload parses a batch payload — stamp(8) + subCount(4) +
-// per sub type(1)+len(4)+payload — into flattened records, each
-// stamped with the frame's ingest time.
-func decodeBatchPayload(payload []byte, dim int) ([]Record, bool) {
-	if len(payload) < 12 {
-		return nil, false
-	}
-	stamp := int64(binary.LittleEndian.Uint64(payload))
-	count := binary.LittleEndian.Uint32(payload[8:])
-	// Each sub-record needs at least its frame; a count beyond that is
-	// garbage, and rejecting it here bounds the slice allocation below.
-	if stamp < 0 || count == 0 || count > uint32((len(payload)-12)/subFrame) {
-		return nil, false
-	}
-	recs := make([]Record, 0, count)
-	off := 12
-	for i := uint32(0); i < count; i++ {
-		if len(payload)-off < subFrame {
-			return nil, false
-		}
-		typ := RecordType(payload[off])
-		slen := binary.LittleEndian.Uint32(payload[off+1:])
-		off += subFrame
-		if slen > maxRecordPayload || len(payload)-off < int(slen) {
-			return nil, false
-		}
-		sub := payload[off : off+int(slen)]
-		off += int(slen)
-		switch typ {
-		case RecordAppend:
-			rows, firstID, ok := decodeAppendPayload(sub, dim)
-			if !ok {
-				return nil, false
-			}
-			recs = append(recs, Record{Type: RecordAppend, Rows: rows, FirstID: firstID, Stamp: stamp})
-		case RecordDelete:
-			from, to, ok := decodeDeletePayload(sub)
-			if !ok {
-				return nil, false
-			}
-			recs = append(recs, Record{Type: RecordDelete, FromID: from, ToID: to, Stamp: stamp})
-		default:
-			// Batches never nest, and unknown sub-types poison the
-			// whole frame (its CRC passed, so this is a writer bug or
-			// a future format — either way, stop trusting it).
-			return nil, false
-		}
-	}
-	if off != len(payload) {
-		return nil, false
-	}
-	return recs, true
-}
-
-// decodeRecord parses one record at data[off:], appending the decoded
-// (and, for batches, flattened) records to out. ok=false means the
-// bytes from off on do not form a complete valid record — the torn
-// tail (or trailing garbage, indistinguishable by design).
-func decodeRecord(data []byte, off, dim int, out []Record) ([]Record, int, bool) {
-	if len(data)-off < recordFrame {
-		return out, 0, false
-	}
-	typ := RecordType(data[off])
-	plen := binary.LittleEndian.Uint32(data[off+1:])
-	pcrc := binary.LittleEndian.Uint32(data[off+5:])
-	if plen > maxRecordPayload || len(data)-off-recordFrame < int(plen) {
-		return out, 0, false
-	}
-	payload := data[off+recordFrame : off+recordFrame+int(plen)]
-	if crc32.ChecksumIEEE(payload) != pcrc {
-		return out, 0, false
-	}
+// decodePayload decodes one record payload of type typ — all of p —
+// and appends what it holds to out: the append or delete, stamped
+// with stamp, or a batch frame's sub-records, each stamped with the
+// frame's ingest time. Any framing, identity or finiteness violation
+// fails p; the caller then discards whatever was appended.
+func decodePayload(p *binfmt.Decoder, typ RecordType, dim int, stamp int64, out []Record) []Record {
 	switch typ {
 	case RecordAppend:
-		rows, firstID, ok := decodeAppendPayload(payload, dim)
-		if !ok {
-			return out, 0, false
+		count := p.Count(dim * 8)
+		first := p.I64()
+		if count == 0 || first < 0 {
+			p.Failf("append of %d rows from ID %d", count, first)
 		}
-		out = append(out, Record{Type: RecordAppend, Rows: rows, FirstID: firstID})
+		flat := p.Floats(count * dim)
+		for _, v := range flat {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				p.Failf("non-finite value")
+				break
+			}
+		}
+		if p.Err() != nil {
+			return out
+		}
+		rows := make([][]float64, count)
+		for i := range rows {
+			rows[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+		}
+		out = append(out, Record{Type: RecordAppend, Rows: rows, FirstID: first, Stamp: stamp})
 	case RecordDelete:
-		from, to, ok := decodeDeletePayload(payload)
-		if !ok {
-			return out, 0, false
+		rec := Record{Type: RecordDelete, FromID: p.I64(), ToID: p.I64(), Stamp: stamp}
+		if rec.FromID < 0 || rec.ToID < rec.FromID {
+			p.Failf("delete range [%d,%d)", rec.FromID, rec.ToID)
 		}
-		out = append(out, Record{Type: RecordDelete, FromID: from, ToID: to})
+		out = append(out, rec)
 	case RecordBatch:
-		recs, ok := decodeBatchPayload(payload, dim)
-		if !ok {
-			return out, 0, false
+		stamp := p.I64()
+		// Each sub-record needs at least its frame; a count beyond
+		// that is garbage.
+		count := p.Count(subFrame)
+		if stamp < 0 || count == 0 {
+			p.Failf("batch of %d records stamped %d", count, stamp)
 		}
-		out = append(out, recs...)
+		for i := 0; i < count && p.Err() == nil; i++ {
+			// Batches never nest, and an unknown sub-type poisons the
+			// whole frame (its CRC passed, so this is a writer bug or
+			// a future format — either way, stop trusting it).
+			typ := RecordType(p.U8())
+			sub := binfmt.NewDecoder(p.Raw(int(p.U32())), errTorn)
+			if typ == RecordBatch {
+				sub.Failf("nested batch")
+			}
+			out = decodePayload(sub, typ, dim, stamp, out)
+			if err := sub.Err(); err != nil {
+				p.Failf("batch record %d: %v", i, err)
+			}
+		}
 	default:
-		return out, 0, false
+		p.Failf("unknown record type %d", typ)
 	}
-	return out, recordFrame + int(plen), true
+	if p.Remaining() != 0 {
+		p.Failf("%d trailing payload bytes", p.Remaining())
+	}
+	return out
 }
 
 // Replayed is the result of decoding a log image.
@@ -492,21 +407,34 @@ type Replayed struct {
 // the crash-mid-append recovery story. Replay never panics on
 // arbitrary input.
 func Replay(data []byte) (*Replayed, error) {
-	h, off, err := decodeHeader(data)
+	h, n, err := decodeHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	out := &Replayed{Header: h, ValidLen: int64(off)}
-	for off < len(data) {
-		recs, n, ok := decodeRecord(data, off, h.Dim, out.Records)
-		if !ok {
-			out.Torn = true
-			return out, nil
+	out := &Replayed{Header: h, ValidLen: int64(n)}
+	d := binfmt.NewDecoder(data[n:], errTorn)
+	for d.Remaining() > 0 {
+		typ := RecordType(d.U8())
+		size := d.U32()
+		sum := d.U32()
+		payload := d.Raw(int(size))
+		if d.Err() == nil && crc32.ChecksumIEEE(payload) != sum {
+			d.Failf("checksum mismatch")
 		}
-		out.Records = recs
+		if d.Err() == nil {
+			p := binfmt.NewDecoder(payload, errTorn)
+			if recs := decodePayload(p, typ, h.Dim, 0, out.Records); p.Err() == nil {
+				out.Records = recs
+			} else {
+				d.Failf("%v", p.Err())
+			}
+		}
+		if d.Err() != nil {
+			out.Torn = true
+			break
+		}
 		out.Frames++
-		off += n
-		out.ValidLen = int64(off)
+		out.ValidLen = int64(n + d.Offset())
 	}
 	return out, nil
 }
@@ -534,55 +462,17 @@ type Log struct {
 	lastSync time.Time
 }
 
-// syncDir fsyncs the directory holding path, making a just-completed
-// rename durable (see the package-level ordering contract). Some
-// filesystems refuse fsync on a directory handle; that is reported,
-// not ignored, because silently skipping it would reintroduce the
-// lost-rename window this exists to close.
-func syncDir(path string) error {
-	dir := filepath.Dir(path)
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
 // Create atomically writes a fresh log containing only the header and
-// opens it for appending. The write follows the full ordering
-// contract — temp file, fsync, rename, directory fsync — so a crash
-// at any point leaves either no log or a complete, durably named one.
+// opens it for appending. The header goes down through
+// binfmt.WriteFile — temp file beside path, fsync, rename, directory
+// fsync — so a crash at any point leaves either no log or a complete,
+// durably named one.
 func Create(path string, h Header, policy SyncPolicy) (*Log, error) {
 	if h.Dim < 1 {
 		return nil, fmt.Errorf("wal: create: dimensionality %d", h.Dim)
 	}
 	buf := encodeHeader(h)
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return nil, err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return nil, err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return nil, err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return nil, err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return nil, err
-	}
-	if err := syncDir(path); err != nil {
+	if err := binfmt.WriteFile(path, buf); err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -649,15 +539,12 @@ func (l *Log) syncNow() error {
 	return nil
 }
 
-// append frames and writes one record; Commit syncs it. The log
-// writes only batch frames; Replay still reads the single-record
-// frames of older logs.
-func (l *Log) append(typ RecordType, payload []byte) error {
-	buf := encodeRecord(typ, payload)
-	if _, err := l.f.Write(buf); err != nil {
+// write appends one encoded frame to the file; Commit syncs it.
+func (l *Log) write(frame []byte) error {
+	if _, err := l.f.Write(frame); err != nil {
 		return err
 	}
-	l.size += int64(len(buf))
+	l.size += int64(len(frame))
 	l.records++
 	l.dirty = true
 	return nil
@@ -702,21 +589,27 @@ func (l *Log) AppendBatch(stamp int64, recs []Record) error {
 			return fmt.Errorf("wal: batch record %d: type %d not batchable", i, rec.Type)
 		}
 	}
-	payload := make([]byte, 0, 12+len(recs)*subFrame)
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(stamp))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(recs)))
+	// One frame in one buffer: the sizes are known up front, and only
+	// the CRC is filled in after the payload it covers.
+	size := 12
 	for _, rec := range recs {
-		var sub []byte
-		if rec.Type == RecordAppend {
-			sub = encodeAppendPayload(rec.FirstID, rec.Rows, l.dim)
-		} else {
-			sub = encodeDeletePayload(rec.FromID, rec.ToID)
-		}
-		payload = append(payload, byte(rec.Type))
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(sub)))
-		payload = append(payload, sub...)
+		size += subFrame + payloadLen(rec, l.dim)
 	}
-	return l.append(RecordBatch, payload)
+	var e binfmt.Encoder
+	e.Grow(recordFrame + size)
+	e.U8(uint8(RecordBatch))
+	e.U32(uint32(size))
+	crcAt := e.Len()
+	e.U32(0)
+	e.I64(stamp)
+	e.U32(uint32(len(recs)))
+	for _, rec := range recs {
+		e.U8(uint8(rec.Type))
+		e.U32(uint32(payloadLen(rec, l.dim)))
+		encodePayload(&e, rec)
+	}
+	e.PutU32(crcAt, crc32.ChecksumIEEE(e.Bytes()[recordFrame:]))
+	return l.write(e.Bytes())
 }
 
 // Sync flushes the log to stable storage unconditionally.

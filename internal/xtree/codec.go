@@ -1,12 +1,11 @@
 package xtree
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
+	"repro/internal/binfmt"
 	"repro/internal/subspace"
 	"repro/internal/vector"
 )
@@ -48,44 +47,50 @@ const maxDecodeDepth = 512
 // itself is not written; Decode must be given the same dataset (same
 // point order and values) to rebuild an equivalent tree.
 func (t *Tree) Encode(w io.Writer) error {
-	e := &treeEncoder{w: w}
-	e.u32(codecMagic)
-	e.u32(codecVersion)
-	e.u32(uint32(t.cfg.MaxEntries))
-	e.f64(t.cfg.MinFillFraction)
-	e.f64(t.cfg.MaxOverlapFraction)
-	e.u8(uint8(t.metric))
-	e.u32(uint32(t.size))
-	e.u32(uint32(t.supernodes))
-	e.anode(&t.ar, 0)
-	return e.err
+	var e binfmt.Encoder
+	e.U32(codecMagic)
+	e.U32(codecVersion)
+	e.U32(uint32(t.cfg.MaxEntries))
+	e.F64(t.cfg.MinFillFraction)
+	e.F64(t.cfg.MaxOverlapFraction)
+	e.U8(uint8(t.metric))
+	e.U32(uint32(t.size))
+	e.U32(uint32(t.supernodes))
+	encodeNode(&e, &t.ar, 0)
+	_, err := w.Write(e.Bytes())
+	return err
 }
 
 // Decode reads a tree previously written by Encode, binds it to ds,
-// recomputes all MBRs and validates the result. The metric the tree
-// was built with is restored from the stream; callers that require a
-// particular metric should check Metric() afterwards.
+// recomputes all MBRs and validates the result. The stream must end
+// where the tree does. The metric the tree was built with is restored
+// from the stream; callers that require a particular metric should
+// check Metric() afterwards.
 func Decode(r io.Reader, ds *vector.Dataset) (*Tree, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("%w: nil dataset", ErrDecode)
 	}
-	d := &treeDecoder{r: r}
-	if magic := d.u32(); d.err == nil && magic != codecMagic {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrDecode, err)
+	}
+	d := binfmt.NewDecoder(data, ErrDecode)
+	if magic := d.U32(); d.Err() == nil && magic != codecMagic {
 		return nil, fmt.Errorf("%w: bad magic %#x", ErrDecode, magic)
 	}
-	if version := d.u32(); d.err == nil && version != codecVersion {
+	if version := d.U32(); d.Err() == nil && version != codecVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrDecode, version)
 	}
 	cfg := Config{
-		MaxEntries:         int(d.u32()),
-		MinFillFraction:    d.f64(),
-		MaxOverlapFraction: d.f64(),
+		MaxEntries:         int(d.U32()),
+		MinFillFraction:    d.F64(),
+		MaxOverlapFraction: d.F64(),
 	}
-	metric := vector.Metric(d.u8())
-	size := int(d.u32())
-	supernodes := int(d.u32())
-	if d.err != nil {
-		return nil, d.err
+	metric := vector.Metric(d.U8())
+	size := int(d.U32())
+	supernodes := int(d.U32())
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	if err := cfg.normalize(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrDecode, err)
@@ -99,14 +104,15 @@ func Decode(r io.Reader, ds *vector.Dataset) (*Tree, error) {
 	// Budgets: a tree over n points has at most n leaf entries, and
 	// its node count is bounded by the entry count (every non-root
 	// node holds ≥ 1 entry). The +8 keeps tiny/empty trees legal.
-	d.pointBudget = size
-	d.maxIndex = size
-	d.nodeBudget = 2*size + 8
-	t := &Tree{ds: ds, metric: metric, cfg: cfg, size: size, supernodes: supernodes}
-	root, err := d.node(0, subspace.Full(ds.Dim()))
-	if err != nil {
+	nd := &nodeDecoder{Decoder: d, full: subspace.Full(ds.Dim()), pointBudget: size, maxIndex: size, nodeBudget: 2*size + 8}
+	root := nd.node(0)
+	if d.Remaining() != 0 {
+		d.Failf("%d trailing bytes", d.Remaining())
+	}
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
+	t := &Tree{ds: ds, metric: metric, cfg: cfg, size: size, supernodes: supernodes}
 	t.pack(root)
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrDecode, err)
@@ -126,40 +132,10 @@ const (
 	flagSuper = 1 << 1
 )
 
-// treeEncoder writes fixed-width little-endian values with a sticky
-// error, so Encode reads as straight-line code.
-type treeEncoder struct {
-	w   io.Writer
-	err error
-	buf [8]byte
-}
-
-func (e *treeEncoder) write(b []byte) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = e.w.Write(b)
-}
-
-func (e *treeEncoder) u8(v uint8) { e.write([]byte{v}) }
-
-func (e *treeEncoder) u32(v uint32) {
-	binary.LittleEndian.PutUint32(e.buf[:4], v)
-	e.write(e.buf[:4])
-}
-
-func (e *treeEncoder) f64(v float64) {
-	binary.LittleEndian.PutUint64(e.buf[:8], math.Float64bits(v))
-	e.write(e.buf[:8])
-}
-
-// anode writes arena node id and its subtree. Arena order is DFS
+// encodeNode writes arena node id and its subtree. Arena order is DFS
 // preorder, exactly the recursion order here, so the stream is
 // byte-for-byte the one the original pointer walk produced.
-func (e *treeEncoder) anode(a *arena, id int32) {
-	if e.err != nil {
-		return
-	}
+func encodeNode(e *binfmt.Encoder, a *arena, id int32) {
 	n := &a.nodes[id]
 	var flags uint8
 	if n.isLeaf() {
@@ -168,98 +144,87 @@ func (e *treeEncoder) anode(a *arena, id int32) {
 	if n.isSuper() {
 		flags |= flagSuper
 	}
-	e.u8(flags)
-	e.u32(uint32(n.history))
+	e.U8(flags)
+	e.U32(uint32(n.history))
 	if n.isLeaf() {
-		e.u32(uint32(n.pointCount))
+		e.U32(uint32(n.pointCount))
 		for _, idx := range a.rows(id) {
-			e.u32(uint32(idx))
+			e.U32(uint32(idx))
 		}
 		return
 	}
-	e.u32(uint32(n.childCount))
+	e.U32(uint32(n.childCount))
 	for _, c := range a.kids(id) {
-		e.anode(a, c)
+		encodeNode(e, a, c)
 	}
 }
 
-// treeDecoder reads the same stream back with bounds checks and
-// allocation budgets.
-type treeDecoder struct {
-	r           io.Reader
-	err         error
-	buf         [8]byte
+// nodeDecoder reads the node records back under structural budgets
+// that cap allocation and recursion before they happen.
+type nodeDecoder struct {
+	*binfmt.Decoder
+	full        subspace.Mask
 	pointBudget int
 	maxIndex    int
 	nodeBudget  int
 }
 
-func (d *treeDecoder) read(n int) []byte {
-	if d.err != nil {
-		return d.buf[:n]
-	}
-	if _, err := io.ReadFull(d.r, d.buf[:n]); err != nil {
-		d.err = fmt.Errorf("%w: truncated stream: %v", ErrDecode, err)
-	}
-	return d.buf[:n]
-}
+// nodeHeader is the smallest node record: flags(1) + history(4) +
+// count(4).
+const nodeHeader = 1 + 4 + 4
 
-func (d *treeDecoder) u8() uint8   { return d.read(1)[0] }
-func (d *treeDecoder) u32() uint32 { return binary.LittleEndian.Uint32(d.read(4)) }
-func (d *treeDecoder) f64() float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(d.read(8)))
-}
-
-func (d *treeDecoder) node(depth int, full subspace.Mask) (*node, error) {
+// node decodes one node and its subtree; it returns nil once the
+// decoder has failed.
+func (d *nodeDecoder) node(depth int) *node {
 	if depth > maxDecodeDepth {
-		return nil, fmt.Errorf("%w: nesting deeper than %d", ErrDecode, maxDecodeDepth)
+		d.Failf("nesting deeper than %d", maxDecodeDepth)
+		return nil
 	}
 	if d.nodeBudget--; d.nodeBudget < 0 {
-		return nil, fmt.Errorf("%w: more nodes than the dataset can populate", ErrDecode)
+		d.Failf("more nodes than the dataset can populate")
+		return nil
 	}
-	flags := d.u8()
-	history := subspace.Mask(d.u32())
-	count := int(d.u32())
-	if d.err != nil {
-		return nil, d.err
-	}
+	flags := d.U8()
+	history := subspace.Mask(d.U32())
 	if flags&^(flagLeaf|flagSuper) != 0 {
-		return nil, fmt.Errorf("%w: unknown node flags %#x", ErrDecode, flags)
+		d.Failf("unknown node flags %#x", flags)
 	}
-	if !history.SubsetOf(full) {
-		return nil, fmt.Errorf("%w: split history %v outside dimensionality", ErrDecode, history)
+	if !history.SubsetOf(d.full) {
+		d.Failf("split history %v outside dimensionality", history)
 	}
 	n := &node{leaf: flags&flagLeaf != 0, super: flags&flagSuper != 0, splitHistory: history}
 	if n.leaf {
+		count := d.Count(4)
 		if count > d.pointBudget {
-			return nil, fmt.Errorf("%w: leaf claims %d points, only %d remain", ErrDecode, count, d.pointBudget)
+			d.Failf("leaf claims %d points, only %d remain", count, d.pointBudget)
+		}
+		if d.Err() != nil {
+			return nil
 		}
 		d.pointBudget -= count
 		n.points = make([]int, count)
 		for i := range n.points {
-			idx := d.u32()
-			if d.err != nil {
-				return nil, d.err
-			}
 			// Guard before anything dereferences the dataset: an
 			// out-of-range index would panic in recomputeMBR.
-			if int(idx) >= d.maxIndex {
-				return nil, fmt.Errorf("%w: point index %d out of range [0,%d)", ErrDecode, idx, d.maxIndex)
+			if n.points[i] = int(d.U32()); n.points[i] >= d.maxIndex {
+				d.Failf("point index %d out of range [0,%d)", n.points[i], d.maxIndex)
+				return nil
 			}
-			n.points[i] = int(idx)
 		}
-		return n, nil
+		return n
 	}
+	count := d.Count(nodeHeader)
 	if count > d.nodeBudget {
-		return nil, fmt.Errorf("%w: directory claims %d children, budget %d", ErrDecode, count, d.nodeBudget)
+		d.Failf("directory claims %d children, budget %d", count, d.nodeBudget)
+	}
+	if d.Err() != nil {
+		return nil
 	}
 	n.children = make([]*node, count)
 	for i := range n.children {
-		c, err := d.node(depth+1, full)
-		if err != nil {
-			return nil, err
+		if n.children[i] = d.node(depth + 1); n.children[i] == nil {
+			return nil
 		}
-		n.children[i] = c
 	}
-	return n, nil
+	return n
 }
