@@ -155,16 +155,6 @@ func NamedType(t types.Type) *types.Named {
 	return named
 }
 
-// IsPkgCall reports whether call is pkgpath.name(...) — a call of a
-// package-level function of the package with import path pkgpath.
-func IsPkgCall(info *types.Info, call *ast.CallExpr, pkgpath, name string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
-		return false
-	}
-	return isPkgSelector(info, sel, pkgpath)
-}
-
 // PkgFunc returns (pkgpath, funcname) when call's function is a
 // selector on an imported package, else ("", "").
 func PkgFunc(info *types.Info, call *ast.CallExpr) (string, string) {
@@ -199,15 +189,6 @@ func CalleeInPkg(info *types.Info, pkg *types.Package, call *ast.CallExpr) *type
 		return nil
 	}
 	return f
-}
-
-func isPkgSelector(info *types.Info, sel *ast.SelectorExpr, pkgpath string) bool {
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := info.Uses[id].(*types.PkgName)
-	return ok && pn.Imported().Path() == pkgpath
 }
 
 // FuncScopes yields every function body in the file as an independent

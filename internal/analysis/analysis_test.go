@@ -163,7 +163,7 @@ func TestCallHelpers(t *testing.T) {
 	p := loadTestPkg(t)
 	var fmtCall, helperCall *ast.CallExpr
 	for _, c := range calls(p.Files[0]) {
-		if analysis.IsPkgCall(p.Info, c, "fmt", "Println") {
+		if pkg, name := analysis.PkgFunc(p.Info, c); pkg == "fmt" && name == "Println" {
 			fmtCall = c
 		}
 		if id, ok := c.Fun.(*ast.Ident); ok && id.Name == "helper" {

@@ -70,41 +70,3 @@ func TestNaiveSearchCountsAndFindsOutlier(t *testing.T) {
 		t.Fatal("nil evaluator accepted")
 	}
 }
-
-func TestTopNKNNOutliers(t *testing.T) {
-	ds := clusterWithOutlier(t, 2, 50, 3)
-	ls := newSearcher(t, ds)
-	top, err := TopNKNNOutliers(ds, ls, subspace.Full(3), 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 3 {
-		t.Fatalf("len = %d", len(top))
-	}
-	if top[0].Index != 49 {
-		t.Fatalf("top outlier = %d, want 49", top[0].Index)
-	}
-	if top[0].Score <= top[1].Score {
-		t.Fatal("scores not descending")
-	}
-}
-
-func TestDetectorValidation(t *testing.T) {
-	ds := clusterWithOutlier(t, 4, 20, 2)
-	ls := newSearcher(t, ds)
-	if _, err := TopNKNNOutliers(nil, ls, subspace.Full(2), 2, 1); err == nil {
-		t.Fatal("nil ds accepted")
-	}
-	if _, err := TopNKNNOutliers(ds, nil, subspace.Full(2), 2, 1); err == nil {
-		t.Fatal("nil searcher accepted")
-	}
-	if _, err := TopNKNNOutliers(ds, ls, subspace.Empty, 2, 1); err == nil {
-		t.Fatal("empty subspace accepted")
-	}
-	if _, err := TopNKNNOutliers(ds, ls, subspace.Full(2), 0, 1); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	if _, err := TopNKNNOutliers(ds, ls, subspace.Full(2), 2, 0); err == nil {
-		t.Fatal("n=0 accepted")
-	}
-}

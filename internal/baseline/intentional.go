@@ -34,6 +34,8 @@ type IntentionalResult struct {
 // IntentionalOutlyingSpaces finds the strongest (minimal) outlying
 // spaces of the query point under the DB(π, δ) definition. exclude is
 // the dataset index of the point itself (-1 for external points).
+// Only tests call it: TestIntentionalMatchesBruteForce checks the
+// lattice.Tracker pruning it shares with HOS-Miner against brute force.
 func IntentionalOutlyingSpaces(ds *vector.Dataset, metric vector.Metric, query []float64, exclude int, pi, delta float64) (*IntentionalResult, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("baseline: nil dataset")

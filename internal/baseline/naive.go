@@ -1,10 +1,9 @@
 // Package baseline implements the comparison methods of the
 // reproduction's experiments: the naive exhaustive subspace search
-// (cost yardstick and correctness oracle for HOS-Miner) and classical
-// "space → outliers" detectors the paper cites — the
+// (cost yardstick and correctness oracle for HOS-Miner) and the
+// "space → outliers" relative the paper cites, the
 // intentional-knowledge extension of Knorr & Ng's distance-based
-// outliers (strongest outlying spaces) [6] and the top-n k-NN
-// distance outliers of Ramaswamy et al. [8]. The search-ordering
+// outliers (strongest outlying spaces) [6]. The search-ordering
 // ablations (bottom-up, top-down, random) live in internal/core as
 // Policy values since they share the pruning machinery.
 package baseline
@@ -27,7 +26,7 @@ type NaiveResult struct {
 // NaiveSearch evaluates OD in every non-empty subspace — no pruning,
 // no ordering. It is exponential in d and exists as the yardstick
 // (experiments F1, F3, F7) and as the oracle HOS-Miner is validated
-// against.
+// against in TestEndToEndAgainstNaiveOracle.
 func NaiveSearch(eval *od.Evaluator, point []float64, exclude int, T float64) (*NaiveResult, error) {
 	if eval == nil {
 		return nil, fmt.Errorf("baseline: nil evaluator")

@@ -5,7 +5,9 @@
 // paths, and sharded scatter-gather engines versus single-index ones
 // (widths 1/2/7, both partitioners) — over the same seeded synthetic
 // datasets and asserts that they produce byte-identical minimal
-// outlying subspaces.
+// outlying subspaces. FuzzEngineEquivalence adds tie-heavy grid data
+// (duplicate rows, a constant column) and compares full results:
+// outlying sets, lattice counters, layer order and OD evaluations.
 //
 // The harness exists so the hot path can be refactored without fear:
 // any divergence between two engines that are supposed to be

@@ -138,7 +138,7 @@ func TestSearchRoutineMatchesSearch(t *testing.T) {
 					}
 					d := m.Dataset().Dim()
 					for _, i := range rand.New(rand.NewSource(sp.Seed)).Perm(m.Dataset().N()) {
-						got, err := m.QueryPointWith(reused, i)
+						got, err := m.QueryWith(reused, m.Dataset().Point(i), i)
 						if err != nil {
 							t.Fatal(err)
 						}

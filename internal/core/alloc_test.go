@@ -44,14 +44,15 @@ func TestQueryWithZeroAlloc(t *testing.T) {
 	}
 	// Warm the scratch (tracker, heaps, buffers) across a spread of
 	// points so every buffer reaches its steady-state capacity.
+	ds := m.Dataset()
 	for i := 0; i < 20; i++ {
-		if _, err := m.QueryPointWith(eval, i%m.Dataset().N()); err != nil {
+		if _, err := m.QueryWith(eval, ds.Point(i%ds.N()), i%ds.N()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	i := 0
 	n := testing.AllocsPerRun(50, func() {
-		if _, err := m.QueryPointWith(eval, i%m.Dataset().N()); err != nil {
+		if _, err := m.QueryWith(eval, ds.Point(i%ds.N()), i%ds.N()); err != nil {
 			t.Fatal(err)
 		}
 		i++

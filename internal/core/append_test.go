@@ -61,12 +61,12 @@ func minersEqual(t *testing.T, got, want *Miner) {
 		t.Fatal(err)
 	}
 	for i := 0; i < got.Dataset().N(); i += 13 {
-		gr, err := got.QueryPointWith(ge, i)
+		gr, err := got.QueryWith(ge, got.Dataset().Point(i), i)
 		if err != nil {
 			t.Fatal(err)
 		}
 		gc := gr.Clone()
-		wr, err := want.QueryPointWith(we, i)
+		wr, err := want.QueryWith(we, want.Dataset().Point(i), i)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,14 +44,6 @@ func BatchIndex(idx int) BatchQuery { return BatchQuery{kind: batchKindRow, inde
 // BatchPoint makes a BatchQuery for an external point.
 func BatchPoint(p []float64) BatchQuery { return BatchQuery{kind: batchKindPoint, point: p} }
 
-// Row returns the dataset row the item addresses, or (0, false) for
-// external-point and zero-value items.
-func (q BatchQuery) Row() (int, bool) { return q.index, q.kind == batchKindRow }
-
-// ExternalPoint returns the external point the item addresses, or
-// (nil, false).
-func (q BatchQuery) ExternalPoint() ([]float64, bool) { return q.point, q.kind == batchKindPoint }
-
 // BatchOptions tunes QueryBatch. The zero value selects the defaults
 // noted on each field.
 type BatchOptions struct {

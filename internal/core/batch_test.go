@@ -38,11 +38,10 @@ func TestQueryBatchMatchesSingleQueries(t *testing.T) {
 			t.Fatalf("item %d: %v", i, item.Err)
 		}
 		var want *QueryResult
-		if row, ok := queries[i].Row(); ok {
-			want, err = m.OutlyingSubspacesOfPoint(row)
+		if q := queries[i]; q.kind == batchKindRow {
+			want, err = m.OutlyingSubspacesOfPoint(q.index)
 		} else {
-			p, _ := queries[i].ExternalPoint()
-			want, err = m.OutlyingSubspaces(p)
+			want, err = m.OutlyingSubspaces(q.point)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -177,10 +176,10 @@ func TestQueryBatchDeduplicatesIdenticalItems(t *testing.T) {
 					t.Fatalf("item %d: error %v, its first occurrence %d has %v", i, item.Err, f, res.Items[f].Err)
 				}
 				var want *QueryResult
-				if row, ok := queries[i].Row(); ok && row >= 0 && row < n {
-					want, err = m.OutlyingSubspacesOfPoint(row)
-				} else if p, ok := queries[i].ExternalPoint(); ok && len(p) == m.Dataset().Dim() {
-					want, err = m.OutlyingSubspaces(p)
+				if q := queries[i]; q.kind == batchKindRow && q.index >= 0 && q.index < n {
+					want, err = m.OutlyingSubspacesOfPoint(q.index)
+				} else if q.kind == batchKindPoint && len(q.point) == m.Dataset().Dim() {
+					want, err = m.OutlyingSubspaces(q.point)
 				} else {
 					if item.Err == nil {
 						t.Fatalf("invalid item %d succeeded", i)

@@ -39,10 +39,11 @@ func BenchmarkQueryWith(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			ds := m.Dataset()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.QueryPointWith(eval, i%m.Dataset().N()); err != nil {
+				if _, err := m.QueryWith(eval, ds.Point(i%ds.N()), i%ds.N()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -27,10 +27,6 @@ import (
 // goroutines fan out.
 var ErrNotPreprocessed = errors.New("core: miner not preprocessed (call Preprocess or ImportState before concurrent queries)")
 
-// Preprocessed reports whether Preprocess or ImportState has
-// completed, i.e. whether the Miner is ready for concurrent use.
-func (m *Miner) Preprocessed() bool { return m.preprocessed }
-
 // Config returns the Miner's configuration (a copy).
 func (m *Miner) Config() Config { return m.cfg }
 
@@ -106,12 +102,4 @@ func scratchFor(eval *od.Evaluator) *searchScratch {
 	sc := &searchScratch{}
 	eval.SetScratch(sc)
 	return sc
-}
-
-// QueryPointWith is QueryWith for dataset member idx.
-func (m *Miner) QueryPointWith(eval *od.Evaluator, idx int) (*QueryResult, error) {
-	if idx < 0 || idx >= m.ds.N() {
-		return nil, fmt.Errorf("core: point index %d out of range [0,%d)", idx, m.ds.N())
-	}
-	return m.QueryWith(eval, m.ds.Point(idx), idx)
 }

@@ -51,7 +51,7 @@ func TestQueryWithMatchesSequentialQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := m.QueryPointWith(eval, idx)
+		got, err := m.QueryWith(eval, m.Dataset().Point(idx), idx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,8 +85,8 @@ func TestQueryWithValidation(t *testing.T) {
 	if _, err := m.QueryWith(eval, m.Dataset().Point(0), m.Dataset().N()); err == nil {
 		t.Fatal("out-of-range exclude accepted")
 	}
-	if _, err := m.QueryPointWith(eval, -1); err == nil {
-		t.Fatal("negative index accepted")
+	if _, err := m.QueryWith(eval, m.Dataset().Point(0), -2); err == nil {
+		t.Fatal("negative exclude accepted")
 	}
 }
 
@@ -122,7 +122,7 @@ func TestQueryWithConcurrent(t *testing.T) {
 				return
 			}
 			for i := 0; i < points; i++ {
-				got, err := m.QueryPointWith(eval, i)
+				got, err := m.QueryWith(eval, m.Dataset().Point(i), i)
 				if err != nil {
 					errCh <- err
 					return

@@ -58,7 +58,8 @@ func coveredBy(s subspace.Mask, kept []subspace.Mask) bool {
 // ExpandMinimal is the inverse view of the filter: given the minimal
 // outlying subspaces and the space dimensionality, it enumerates the
 // full outlying set (every superset of any minimal subspace),
-// canonically sorted. It is used by tests to confirm the filter loses
+// canonically sorted. Only tests call it: TestSearchMatchesNaiveAllPolicies
+// expands the search's minimal set with it to confirm the filter loses
 // no information.
 func ExpandMinimal(minimal []subspace.Mask, d int) []subspace.Mask {
 	seen := make(map[subspace.Mask]bool)

@@ -323,8 +323,8 @@ func (m *Miner) Preprocess() error {
 
 // QueryResult is what a caller receives for one query point.
 //
-// Results from the scratch-backed paths (QueryWith, QueryPointWith)
-// alias their evaluator's reusable buffers; Clone detaches them.
+// Results from the scratch-backed path (QueryWith) alias their
+// evaluator's reusable buffers; Clone detaches them.
 type QueryResult struct {
 	SearchResult
 	// Threshold is the effective T the search used.

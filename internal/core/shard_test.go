@@ -103,7 +103,7 @@ func TestShardedMinerWorkerEvaluators(t *testing.T) {
 		t.Fatal(err)
 	}
 	for idx := 0; idx < ds.N(); idx += 13 {
-		got, err := m.QueryPointWith(eval, idx)
+		got, err := m.QueryWith(eval, m.Dataset().Point(idx), idx)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,15 +42,6 @@ func (g GroundTruth) ByIndex(idx int) (subspace.Mask, bool) {
 	return subspace.Empty, false
 }
 
-// Indices returns the planted outlier indices in ascending order.
-func (g GroundTruth) Indices() []int {
-	out := make([]int, len(g.Outliers))
-	for i, o := range g.Outliers {
-		out[i] = o.Index
-	}
-	return out
-}
-
 // SyntheticConfig parameterises GenerateSynthetic.
 type SyntheticConfig struct {
 	// N is the total number of points (inliers + outliers).

@@ -128,9 +128,8 @@ func TestGroundTruthLookup(t *testing.T) {
 	if _, ok := truth.ByIndex(49); ok {
 		t.Fatal("inlier reported as planted")
 	}
-	idx := truth.Indices()
-	if len(idx) != 2 || idx[0] != 0 || idx[1] != 1 {
-		t.Fatalf("Indices = %v", idx)
+	if len(truth.Outliers) != 2 || truth.Outliers[0].Index != 0 || truth.Outliers[1].Index != 1 {
+		t.Fatalf("planted outliers = %+v, want indexes 0 and 1", truth.Outliers)
 	}
 }
 

@@ -399,23 +399,3 @@ func (r *Result) OutlyingSubspacesOf(g *Grid, pointIdx int) []subspace.Mask {
 	subspace.SortMasks(out)
 	return out
 }
-
-// OutlierIndices returns the union of points across all
-// negative-sparsity cells, ascending — the method's classical output.
-func (r *Result) OutlierIndices() []int {
-	seen := make(map[int]bool)
-	for _, c := range r.Cells {
-		if c.Sparsity >= 0 {
-			continue
-		}
-		for _, p := range c.Points {
-			seen[p] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
-}

@@ -93,14 +93,6 @@ func (g *Grid) rangeOf(j int, v float64) uint8 {
 	return uint8(lo)
 }
 
-// RangeOfPoint returns the precomputed range index of dataset point i
-// in dimension j.
-func (g *Grid) RangeOfPoint(i, j int) uint8 { return g.cellOf[i*g.ds.Dim()+j] }
-
-// RangeOfValue maps an arbitrary value to its range in dimension j
-// (for external query points).
-func (g *Grid) RangeOfValue(j int, v float64) uint8 { return g.rangeOf(j, v) }
-
 // Count returns n(C): the number of dataset points inside the cell
 // described by the individual (see Individual); unconstrained
 // dimensions match everything.
@@ -176,16 +168,6 @@ func (g *Grid) ContainsPoint(ind Individual, i int) bool {
 	base := i * d
 	for j := 0; j < d; j++ {
 		if ind[j] != Wildcard && g.cellOf[base+j] != ind[j]-1 {
-			return false
-		}
-	}
-	return true
-}
-
-// ContainsValue reports whether an arbitrary point lies in the cell.
-func (g *Grid) ContainsValue(ind Individual, p []float64) bool {
-	for j := 0; j < g.ds.Dim(); j++ {
-		if ind[j] != Wildcard && g.rangeOf(j, p[j]) != ind[j]-1 {
 			return false
 		}
 	}

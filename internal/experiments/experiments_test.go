@@ -73,18 +73,17 @@ func TestIDsCoverByID(t *testing.T) {
 	}
 }
 
+// TestAllRunsEveryExperiment runs every id through ByID, the path
+// hosbench takes.
 func TestAllRunsEveryExperiment(t *testing.T) {
 	r := NewRunner(Quick, 2)
-	tabs, err := r.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs) != len(IDs()) {
-		t.Fatalf("All produced %d tables, want %d", len(tabs), len(IDs()))
-	}
-	for i, tab := range tabs {
-		if tab.ID != IDs()[i] {
-			t.Fatalf("table %d id %s, want %s", i, tab.ID, IDs()[i])
+	for _, id := range IDs() {
+		tab, err := r.ByID(id)
+		if err != nil {
+			t.Fatalf("experiment %s: %v", id, err)
+		}
+		if tab.ID != id {
+			t.Fatalf("ByID(%s) returned table %s", id, tab.ID)
 		}
 	}
 }

@@ -58,40 +58,6 @@ func pickInts(s Scale, q, f []int) []int {
 	return q
 }
 
-// All runs every experiment in DESIGN.md order.
-func (r *Runner) All() ([]*Table, error) {
-	type namedExp struct {
-		name string
-		fn   func() (*Table, error)
-	}
-	exps := []namedExp{
-		{"T1", r.T1SavingFactors},
-		{"F1", r.F1RuntimeVsDim},
-		{"F2", r.F2RuntimeVsN},
-		{"F3", r.F3PruningPower},
-		{"F4", r.F4SampleSize},
-		{"F5", r.F5Threshold},
-		{"F6", r.F6K},
-		{"T2", r.T2Effectiveness},
-		{"F7", r.F7VsEvolutionary},
-		{"T3", r.T3XTreeKNN},
-		{"T4", r.T4FilterReduction},
-		{"F8", r.F8OrderingAblation},
-		{"T5", r.T5XTreeSplitAblation},
-		{"F9", r.F9MetricSweep},
-		{"SH", r.SHShardScaling},
-	}
-	out := make([]*Table, 0, len(exps))
-	for _, e := range exps {
-		t, err := e.fn()
-		if err != nil {
-			return nil, fmt.Errorf("experiment %s: %w", e.name, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
 // ByID runs a single experiment by its DESIGN.md id (e.g. "F3").
 func (r *Runner) ByID(id string) (*Table, error) {
 	switch id {

@@ -238,10 +238,6 @@ func (t *Tracker) UnknownInLayer(m int) int64 {
 	return t.unknownPerLayer[m]
 }
 
-// UnknownTotal returns the number of Unknown subspaces in the whole
-// lattice.
-func (t *Tracker) UnknownTotal() int64 { return t.unknownTotal }
-
 // Done reports whether every subspace has a definite status.
 func (t *Tracker) Done() bool { return t.unknownTotal == 0 }
 
@@ -323,19 +319,6 @@ func (t *Tracker) AppendOutliers(dst []subspace.Mask) []subspace.Mask {
 		}
 	}
 	return dst
-}
-
-// OutlierCountInLayer returns how many cardinality-m subspaces are
-// known outlying.
-func (t *Tracker) OutlierCountInLayer(m int) int64 {
-	var n int64
-	subspace.EachOfDim(t.d, m, func(s subspace.Mask) bool {
-		if t.status[s].IsOutlier() {
-			n++
-		}
-		return true
-	})
-	return n
 }
 
 // Counters is a snapshot of the tracker's work accounting.

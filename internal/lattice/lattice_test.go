@@ -28,8 +28,8 @@ func TestNewTrackerValidation(t *testing.T) {
 	if tr.Dim() != 5 {
 		t.Fatalf("Dim = %d", tr.Dim())
 	}
-	if tr.UnknownTotal() != subspace.TotalSubspaces(5) {
-		t.Fatalf("initial unknown = %d", tr.UnknownTotal())
+	if tr.unknownTotal != subspace.TotalSubspaces(5) {
+		t.Fatalf("initial unknown = %d", tr.unknownTotal)
 	}
 	if tr.Done() {
 		t.Fatal("fresh tracker cannot be done")
@@ -223,8 +223,8 @@ func TestDoneAfterFullSettlement(t *testing.T) {
 		}
 		return true
 	})
-	if !tr.Done() || tr.UnknownTotal() != 0 {
-		t.Fatalf("not done: %d unknown", tr.UnknownTotal())
+	if !tr.Done() || tr.unknownTotal != 0 {
+		t.Fatalf("not done: %d unknown", tr.unknownTotal)
 	}
 	c := tr.Counters()
 	if c.Evaluations+c.ImpliedUp+c.ImpliedDown != c.Total {
@@ -358,12 +358,16 @@ func TestOutliersSortedAndComplete(t *testing.T) {
 		}
 		return true
 	})
-	if got := tr.OutlierCountInLayer(1); got != 1 {
+	perLayer := map[int]int{}
+	for _, s := range outs {
+		perLayer[s.Card()]++
+	}
+	if got := perLayer[1]; got != 1 {
 		t.Fatalf("layer-1 outliers = %d, want 1 ([4])", got)
 	}
 	// Layer 2: supersets of [4] are C(4,1)=4 many 2-dim subspaces, plus
 	// the evaluated [1,2] = 5.
-	if got := tr.OutlierCountInLayer(2); got != 5 {
+	if got := perLayer[2]; got != 5 {
 		t.Fatalf("layer-2 outliers = %d, want 5", got)
 	}
 }

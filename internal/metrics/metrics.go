@@ -125,30 +125,6 @@ func matches(p, tr subspace.Mask, mode MatchMode) bool {
 	}
 }
 
-// Jaccard returns |a ∩ b| / |a ∪ b| over subspace sets (1 when both
-// empty).
-func Jaccard(a, b []subspace.Mask) float64 {
-	setA := make(map[subspace.Mask]bool, len(a))
-	for _, s := range a {
-		setA[s] = true
-	}
-	setB := make(map[subspace.Mask]bool, len(b))
-	for _, s := range b {
-		setB[s] = true
-	}
-	var inter int
-	for s := range setA {
-		if setB[s] {
-			inter++
-		}
-	}
-	union := len(setA) + len(setB) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
 // Mean returns the arithmetic mean (0 for an empty slice).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -97,28 +97,6 @@ func TestMatchModeString(t *testing.T) {
 	}
 }
 
-func TestJaccard(t *testing.T) {
-	a := []subspace.Mask{subspace.New(0), subspace.New(1)}
-	b := []subspace.Mask{subspace.New(1), subspace.New(2)}
-	if got := Jaccard(a, b); math.Abs(got-1.0/3) > 1e-12 {
-		t.Fatalf("jaccard = %v", got)
-	}
-	if Jaccard(nil, nil) != 1 {
-		t.Fatal("both empty jaccard")
-	}
-	if Jaccard(a, nil) != 0 {
-		t.Fatal("one empty jaccard")
-	}
-	if Jaccard(a, a) != 1 {
-		t.Fatal("self jaccard")
-	}
-	// duplicates collapse
-	dup := []subspace.Mask{subspace.New(0), subspace.New(0), subspace.New(1)}
-	if Jaccard(dup, a) != 1 {
-		t.Fatal("duplicate handling")
-	}
-}
-
 func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("empty mean")

@@ -3,47 +3,35 @@
 //	OD(p, s) = Σ_{i=1..k} Dist_s(p, p_i),  p_i ∈ KNNSet(p, s)
 //
 // the sum of distances from p to its k nearest neighbours in subspace
-// s. The Evaluator wraps a knn.Searcher and adds the optional
-// dimensionality normalization discussed in DESIGN.md; a Query binds
-// it to one query point and counts the evaluations spent on it.
+// s. The Evaluator wraps a knn.Searcher; a Query binds it to one query
+// point and counts the evaluations spent on it. OD is a raw distance
+// sum, so it is monotone over the subspace lattice, the property
+// HOS-Miner's pruning rests on.
 package od
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/knn"
 	"repro/internal/subspace"
 	"repro/internal/vector"
 )
 
-// Normalization selects how OD values are made comparable across
-// subspace dimensionalities.
+// Normalization is NewEvaluator's OD normalization. It has one value,
+// NormNone, and stays only because the bench/ module, which builds
+// against this package, passes it.
 type Normalization uint8
 
-const (
-	// NormNone is the paper's literal definition: raw distance sums
-	// compared against one global threshold T.
-	NormNone Normalization = iota
-	// NormDim divides each distance by sqrt(|s|) (L2), |s| (L1) or 1
-	// (LInf), removing the systematic growth of distances with
-	// dimensionality. OD monotonicity across the lattice no longer
-	// holds under NormDim, so HOS-Miner's pruning must not be combined
-	// with it; it exists for the naive baseline and for effectiveness
-	// studies.
-	NormDim
-)
+// NormNone is the paper's literal definition: raw distance sums
+// compared against one global threshold T.
+const NormNone Normalization = 0
 
 // String names the normalization.
 func (n Normalization) String() string {
-	switch n {
-	case NormNone:
+	if n == NormNone {
 		return "none"
-	case NormDim:
-		return "dim"
-	default:
-		return fmt.Sprintf("Normalization(%d)", uint8(n))
 	}
+	return fmt.Sprintf("Normalization(%d)", uint8(n))
 }
 
 // Evaluator computes OD values for query points against a dataset.
@@ -54,7 +42,6 @@ type Evaluator struct {
 	searcher knn.Searcher
 	metric   vector.Metric
 	k        int
-	norm     Normalization
 
 	evaluations int64
 
@@ -67,7 +54,7 @@ type Evaluator struct {
 }
 
 // NewEvaluator builds an Evaluator. searcher must be constructed over
-// the same dataset and metric.
+// the same dataset and metric. norm must be NormNone.
 func NewEvaluator(ds *vector.Dataset, searcher knn.Searcher, metric vector.Metric, k int, norm Normalization) (*Evaluator, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("od: nil dataset")
@@ -84,10 +71,10 @@ func NewEvaluator(ds *vector.Dataset, searcher knn.Searcher, metric vector.Metri
 	if k >= ds.N() {
 		return nil, fmt.Errorf("od: k = %d must be smaller than the dataset size %d (self excluded)", k, ds.N())
 	}
-	if norm > NormDim {
+	if norm != NormNone {
 		return nil, fmt.Errorf("od: invalid normalization %v", norm)
 	}
-	return &Evaluator{ds: ds, searcher: searcher, metric: metric, k: k, norm: norm}, nil
+	return &Evaluator{ds: ds, searcher: searcher, metric: metric, k: k}, nil
 }
 
 // K returns the neighbourhood size.
@@ -123,12 +110,7 @@ func (e *Evaluator) OD(p []float64, s subspace.Mask, exclude int) float64 {
 		return 0
 	}
 	e.evaluations++
-	nbs := e.searcher.KNN(p, s, e.k, exclude)
-	sum := knn.SumDistances(nbs)
-	if e.norm == NormDim {
-		sum = normalizeSum(sum, e.metric, s)
-	}
-	return sum
+	return knn.SumDistances(e.searcher.KNN(p, s, e.k, exclude))
 }
 
 // ODOfPoint computes OD for dataset point idx (self-excluding).
@@ -146,17 +128,6 @@ func (e *Evaluator) FullSpaceODs() []float64 {
 		out[i] = e.ODOfPoint(i, full)
 	}
 	return out
-}
-
-func normalizeSum(sum float64, m vector.Metric, s subspace.Mask) float64 {
-	switch m {
-	case vector.L2:
-		return sum / math.Sqrt(float64(s.Card()))
-	case vector.L1:
-		return sum / float64(s.Card())
-	default:
-		return sum
-	}
 }
 
 // Query is the OD oracle for one query point: a private copy of the

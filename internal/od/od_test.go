@@ -41,6 +41,7 @@ func TestNewEvaluatorValidation(t *testing.T) {
 		{"k=0", func() error { _, err := NewEvaluator(ds, ls, vector.L2, 0, NormNone); return err }},
 		{"k too large", func() error { _, err := NewEvaluator(ds, ls, vector.L2, 3, NormNone); return err }},
 		{"bad norm", func() error { _, err := NewEvaluator(ds, ls, vector.L2, 1, Normalization(9)); return err }},
+		{"norm 1", func() error { _, err := NewEvaluator(ds, ls, vector.L2, 1, Normalization(1)); return err }},
 	}
 	for _, c := range cases {
 		if c.fn() == nil {
@@ -118,28 +119,8 @@ func TestODMonotonicity(t *testing.T) {
 	}
 }
 
-func TestNormDimRemovesDimBias(t *testing.T) {
-	// A regular grid: with NormDim the OD of a central point should
-	// stay roughly flat as dims are added, instead of growing.
-	rng := rand.New(rand.NewSource(4))
-	rows := make([][]float64, 200)
-	for i := range rows {
-		rows[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
-	}
-	ds, _ := vector.FromRows(rows)
-	ls, _ := knn.NewLinear(ds, vector.L2)
-	raw, _ := NewEvaluator(ds, ls, vector.L2, 5, NormNone)
-	norm, _ := NewEvaluator(ds, ls, vector.L2, 5, NormDim)
-
-	rawGrowth := raw.ODOfPoint(0, subspace.Full(4)) / raw.ODOfPoint(0, subspace.New(0))
-	normGrowth := norm.ODOfPoint(0, subspace.Full(4)) / norm.ODOfPoint(0, subspace.New(0))
-	if normGrowth >= rawGrowth {
-		t.Fatalf("NormDim growth %v should be below raw growth %v", normGrowth, rawGrowth)
-	}
-}
-
 func TestNormalizationString(t *testing.T) {
-	if NormNone.String() != "none" || NormDim.String() != "dim" {
+	if NormNone.String() != "none" {
 		t.Fatal("names")
 	}
 	if Normalization(9).String() == "" {

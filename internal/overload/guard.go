@@ -59,9 +59,6 @@ type Permit struct {
 	released bool
 }
 
-// Probe reports whether the permit is a half-open breaker probe.
-func (p *Permit) Probe() bool { return p.probe }
-
 // Release finishes the request: the slot frees, the breaker learns
 // the outcome, and (for successful interactive requests) the latency
 // feeds the AIMD signal. Releasing twice panics — a leaked or

@@ -123,7 +123,7 @@ func TestGuardBreakerOpenSheds(t *testing.T) {
 	if rej != nil {
 		t.Fatalf("probe admission: %v", rej)
 	}
-	if !permit.Probe() {
+	if !permit.probe {
 		t.Fatal("post-cool-down admission was not marked as a probe")
 	}
 	permit.Release(Success, time.Millisecond)
@@ -163,7 +163,7 @@ func TestGuardReturnsProbeOnLimiterShed(t *testing.T) {
 		g.Limiter().Release(Interactive, Cancelled, 0)
 	}
 	permit, rej := g.Admit(context.Background(), Interactive, false)
-	if rej != nil || !permit.Probe() {
+	if rej != nil || !permit.probe {
 		t.Fatalf("follow-up probe admission = (%v, %v), want a probe grant", permit, rej)
 	}
 	permit.Release(Success, time.Millisecond)

@@ -516,11 +516,16 @@ func (d *dataset) aliveLocked() error {
 }
 
 // mirrorWAL copies the log's size, frame count and fsync count into
-// the entry's atomic /stats shadows. The caller holds d.mut.
+// the entry's atomic /stats shadows, or zeros when no log is attached.
+// The caller holds d.mut.
 func (d *dataset) mirrorWAL() {
-	d.walBytes.Store(d.wal.Size())
-	d.walRecords.Store(d.wal.Records())
-	d.walSyncs.Store(d.wal.Syncs())
+	var size, records, syncs int64
+	if d.wal != nil {
+		size, records, syncs = d.wal.Size(), d.wal.Records(), d.wal.Syncs()
+	}
+	d.walBytes.Store(size)
+	d.walRecords.Store(records)
+	d.walSyncs.Store(syncs)
 }
 
 // handleCompact submits a compaction job: fold the dataset's WAL
@@ -585,6 +590,7 @@ func (s *Server) persistLocked(d *dataset, v *view) (string, int64, error) {
 	if d.wal != nil {
 		_ = d.wal.Close()
 		d.wal = nil
+		d.mirrorWAL()
 	}
 	st, err := os.Stat(path)
 	if err != nil {

@@ -43,8 +43,14 @@ func TestFailedRotationDetachesWAL(t *testing.T) {
 		t.Fatalf("compact: %d (%s)", rec.Code, rec.Body.String())
 	}
 	waitJobsSettled(t, s1)
-	if n := s1.Stats().Datasets[0].Live.Compactions; n != 0 {
-		t.Fatalf("compaction succeeded %d times with default.wal unwritable", n)
+	live := s1.Stats().Datasets[0].Live
+	if live.Compactions != 0 {
+		t.Fatalf("compaction succeeded %d times with default.wal unwritable", live.Compactions)
+	}
+	// No log is attached any more, so /stats must not report one.
+	if live.WALBytes != 0 || live.WALRecords != 0 || live.WALSyncs != 0 {
+		t.Fatalf("detached log still reported: wal_bytes=%d wal_records=%d wal_syncs=%d",
+			live.WALBytes, live.WALRecords, live.WALSyncs)
 	}
 	// The log cannot be rotated, so this append may not be acknowledged
 	// into the detached one.

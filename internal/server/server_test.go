@@ -129,11 +129,12 @@ func TestQueryByIndex(t *testing.T) {
 		t.Fatal("full outlying set included without include_all")
 	}
 	// The response must agree with a direct library query.
-	eval, err := s.def.view().miner.NewWorkerEvaluator()
+	m := s.def.view().miner
+	eval, err := m.NewWorkerEvaluator()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.def.view().miner.QueryPointWith(eval, 3)
+	want, err := m.QueryWith(eval, m.Dataset().Point(3), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,12 +583,13 @@ func TestConcurrentQueriesRace(t *testing.T) {
 	h := s.Handler()
 	const points = 10
 	want := make([][]byte, points)
-	eval, err := s.def.view().miner.NewWorkerEvaluator()
+	m := s.def.view().miner
+	eval, err := m.NewWorkerEvaluator()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < points; i++ {
-		r, err := s.def.view().miner.QueryPointWith(eval, i)
+		r, err := m.QueryWith(eval, m.Dataset().Point(i), i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -785,12 +787,13 @@ func TestBatchEndpoint(t *testing.T) {
 		t.Fatalf("item 4 error = %q", resp.Results[4].Error)
 	}
 	// Every successful item must agree with the single-query path.
-	eval, err := s.def.view().miner.NewWorkerEvaluator()
+	m := s.def.view().miner
+	eval, err := m.NewWorkerEvaluator()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, idx := range []int{0, 7} {
-		want, err := s.def.view().miner.QueryPointWith(eval, idx)
+		want, err := m.QueryWith(eval, m.Dataset().Point(idx), idx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -950,12 +953,13 @@ func TestConcurrentBatchesRace(t *testing.T) {
 	h := s.Handler()
 	const points = 8
 	want := make([][]byte, points)
-	eval, err := s.def.view().miner.NewWorkerEvaluator()
+	m := s.def.view().miner
+	eval, err := m.NewWorkerEvaluator()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < points; i++ {
-		r, err := s.def.view().miner.QueryPointWith(eval, i)
+		r, err := m.QueryWith(eval, m.Dataset().Point(i), i)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -194,7 +194,9 @@ type DatasetStats struct {
 
 // LiveStats is one dataset's streaming-mutation section of /stats.
 // Epoch counts view swaps (0 = never mutated); the WAL fields are 0
-// until persistence engages (first mutation with -data-dir and -wal).
+// whenever no log is attached: until persistence engages (first
+// mutation with -data-dir and -wal), and after a failed rotation
+// detaches the log until the next mutation re-persists.
 // Appends counts client append operations; AppendBatches counts the
 // coalescer drains that applied them, so appends/append_batches is
 // the observed group-commit amortization factor. WALSyncs is the

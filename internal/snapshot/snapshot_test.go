@@ -470,8 +470,11 @@ func TestMinerMinesDatasetOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Preprocessed() || m.Config().SampleSize != 30 {
-		t.Fatalf("preprocessed = %v, sample size = %d, want true and 30", m.Preprocessed(), m.Config().SampleSize)
+	if _, err := m.ExportState(); err != nil {
+		t.Fatalf("mined miner is not preprocessed: %v", err)
+	}
+	if m.Config().SampleSize != 30 {
+		t.Fatalf("sample size = %d, want 30", m.Config().SampleSize)
 	}
 	cfg.SampleSize = 30
 	direct, err := core.NewMiner(s.Dataset, cfg)

@@ -5,7 +5,8 @@ package subspace
 // layer m holds the C(d, m) subspaces of cardinality m.
 
 // All returns every non-empty subspace of a d-dimensional space in
-// ascending mask order. The result has 2^d - 1 entries.
+// ascending mask order. The result has 2^d - 1 entries. Only tests
+// call it: TestPropagationMatchesBruteForce checks the tracker against it.
 func All(d int) []Mask {
 	checkDim(d)
 	n := (1 << uint(d)) - 1
@@ -33,7 +34,8 @@ func EachAll(d int, fn func(Mask) bool) {
 
 // OfDim returns every subspace of cardinality m within a d-dimensional
 // space, in ascending mask order. It returns nil when m is out of
-// [1, d].
+// [1, d]. Only tests call it: TestSavingsPartition draws its chain
+// from it.
 func OfDim(d, m int) []Mask {
 	checkDim(d)
 	if m < 1 || m > d {
@@ -70,7 +72,8 @@ func EachOfDim(d, m int, fn func(Mask) bool) {
 
 // Subsets calls fn for every non-empty proper subset of s, stopping
 // early if fn returns false. The subsets are visited in descending mask
-// order via the standard submask-enumeration loop.
+// order via the standard submask-enumeration loop. Only tests call it:
+// TestMarkNonOutlierPropagatesDown checks downward pruning against it.
 func Subsets(s Mask, fn func(Mask) bool) {
 	if s == 0 {
 		return
@@ -98,9 +101,6 @@ func Supersets(d int, s Mask, fn func(Mask) bool) {
 		}
 	}
 }
-
-// CountOfDim returns C(d, m), the number of cardinality-m subspaces.
-func CountOfDim(d, m int) int64 { return Binomial(d, m) }
 
 // TotalSubspaces returns 2^d - 1.
 func TotalSubspaces(d int) int64 {

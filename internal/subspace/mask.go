@@ -61,21 +61,11 @@ func (m Mask) IsEmpty() bool { return m == 0 }
 // Contains reports whether dimension dim belongs to the subspace.
 func (m Mask) Contains(dim int) bool { return m&(1<<uint(dim)) != 0 }
 
-// ContainsAll reports whether every dimension of o belongs to m,
-// i.e. o ⊆ m.
-func (m Mask) ContainsAll(o Mask) bool { return m&o == o }
-
 // SubsetOf reports m ⊆ o.
 func (m Mask) SubsetOf(o Mask) bool { return m&o == m }
 
-// ProperSubsetOf reports m ⊂ o.
-func (m Mask) ProperSubsetOf(o Mask) bool { return m != o && m.SubsetOf(o) }
-
 // SupersetOf reports m ⊇ o.
 func (m Mask) SupersetOf(o Mask) bool { return m&o == o }
-
-// ProperSupersetOf reports m ⊃ o.
-func (m Mask) ProperSupersetOf(o Mask) bool { return m != o && m.SupersetOf(o) }
 
 // Union returns m ∪ o.
 func (m Mask) Union(o Mask) Mask { return m | o }

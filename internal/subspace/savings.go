@@ -80,9 +80,3 @@ func WorkloadAbove(m, d int) int64 {
 	}
 	return sum
 }
-
-// TotalWorkload returns the evaluation work of the entire lattice,
-// Σ_{i=1}^{d} C(d, i) · i = d · 2^(d-1).
-func TotalWorkload(d int) int64 {
-	return int64(d) * (int64(1) << uint(d-1))
-}

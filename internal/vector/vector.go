@@ -193,7 +193,8 @@ func Dist(m Metric, s subspace.Mask, a, b []float64) float64 {
 
 // SqDistL2 returns the squared Euclidean distance in subspace s; it is
 // cheaper than Dist(L2, ...) and order-equivalent, which suffices for
-// nearest-neighbour ranking.
+// nearest-neighbour ranking. Only tests call it:
+// TestKernelsBitIdenticalToEachDim compares SqDistL2Dims with it.
 func SqDistL2(s subspace.Mask, a, b []float64) float64 {
 	var sum float64
 	s.EachDim(func(d int) {

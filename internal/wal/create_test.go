@@ -38,7 +38,7 @@ func TestCreateBarePath(t *testing.T) {
 	if len(entries) != 1 || entries[0].Name() != "x.wal" {
 		t.Fatalf("directory holds %v, want just x.wal", entries)
 	}
-	rep, err := ReplayFile(filepath.Join(dir, "x.wal"))
+	rep, err := replayFile(filepath.Join(dir, "x.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}

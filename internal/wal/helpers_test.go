@@ -2,9 +2,19 @@ package wal
 
 import (
 	"hash/crc32"
+	"os"
 
 	"repro/internal/binfmt"
 )
+
+// replayFile reads and decodes the log at path.
+func replayFile(path string) (*Replayed, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return Replay(data)
+}
 
 // The single-record frames below are the layout logs written before
 // batch frames hold. The log no longer writes them, but Replay must

@@ -439,15 +439,6 @@ func Replay(data []byte) (*Replayed, error) {
 	return out, nil
 }
 
-// ReplayFile reads and decodes path.
-func ReplayFile(path string) (*Replayed, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Replay(data)
-}
-
 // Log is an open WAL accepting appends. Not safe for concurrent use;
 // the serving layer serializes dataset mutations anyway.
 type Log struct {

@@ -99,7 +99,7 @@ func TestRoundTrip(t *testing.T) {
 
 	// The reopened log accepts further appends that replay too.
 	appendDelete(t, l2, 0, 1)
-	rep2, err := ReplayFile(path)
+	rep2, err := replayFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestTornTailTruncated(t *testing.T) {
 			if err := l2.Close(); err != nil {
 				t.Fatal(err)
 			}
-			rep2, err := ReplayFile(path)
+			rep2, err := replayFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -397,7 +397,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 	// Mixing batch frames and legacy single records is fine.
 	appendDelete(t, l2, 0, 1)
-	rep2, err := ReplayFile(path)
+	rep2, err := replayFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

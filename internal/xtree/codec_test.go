@@ -55,10 +55,10 @@ func TestCodecRoundTrip(t *testing.T) {
 			if err := got.Validate(); err != nil {
 				t.Fatalf("decoded tree invalid: %v", err)
 			}
-			if got.Size() != tree.Size() || got.Height() != tree.Height() ||
+			if got.Size() != tree.Size() || height(got) != height(tree) ||
 				got.NodeCount() != tree.NodeCount() || got.SupernodeCount() != tree.SupernodeCount() {
 				t.Fatalf("structure diverged: size %d/%d height %d/%d nodes %d/%d supernodes %d/%d",
-					got.Size(), tree.Size(), got.Height(), tree.Height(),
+					got.Size(), tree.Size(), height(got), height(tree),
 					got.NodeCount(), tree.NodeCount(), got.SupernodeCount(), tree.SupernodeCount())
 			}
 			if got.Metric() != tree.Metric() || got.Config() != tree.Config() {

@@ -106,7 +106,7 @@ func TestIncrementalValidity(t *testing.T) {
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if tree.Height() < 3 {
-		t.Fatalf("sorted insert should deepen the tree, height = %d", tree.Height())
+	if height(tree) < 3 {
+		t.Fatalf("sorted insert should deepen the tree, height = %d", height(tree))
 	}
 }

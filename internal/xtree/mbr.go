@@ -13,13 +13,7 @@
 // every subspace.
 package xtree
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/subspace"
-	"repro/internal/vector"
-)
+import "math"
 
 // MBR is a minimum bounding rectangle in d dimensions.
 type MBR struct {
@@ -151,49 +145,6 @@ func Overlap(a, b MBR) float64 {
 // other.
 func Enlargement(r, other MBR) float64 {
 	return Union(r, other).Area() - r.Area()
-}
-
-// MinDist returns the minimum distance from point q to any point of
-// the rectangle, restricted to the dimensions of s, under metric m.
-// It is the classical MINDIST lower bound used to order best-first
-// traversal.
-func (r MBR) MinDist(m vector.Metric, s subspace.Mask, q []float64) float64 {
-	switch m {
-	case vector.L2:
-		var sum float64
-		s.EachDim(func(d int) {
-			diff := axisGap(q[d], r.Min[d], r.Max[d])
-			sum += diff * diff
-		})
-		return math.Sqrt(sum)
-	case vector.L1:
-		var sum float64
-		s.EachDim(func(d int) {
-			sum += axisGap(q[d], r.Min[d], r.Max[d])
-		})
-		return sum
-	case vector.LInf:
-		var max float64
-		s.EachDim(func(d int) {
-			if diff := axisGap(q[d], r.Min[d], r.Max[d]); diff > max {
-				max = diff
-			}
-		})
-		return max
-	default:
-		panic(fmt.Sprintf("xtree: unknown metric %v", m))
-	}
-}
-
-// MinDistSqL2 is MinDist for L2 without the final square root
-// (order-equivalent, cheaper).
-func (r MBR) MinDistSqL2(s subspace.Mask, q []float64) float64 {
-	var sum float64
-	s.EachDim(func(d int) {
-		diff := axisGap(q[d], r.Min[d], r.Max[d])
-		sum += diff * diff
-	})
-	return sum
 }
 
 func axisGap(v, lo, hi float64) float64 {

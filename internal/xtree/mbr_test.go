@@ -88,7 +88,7 @@ func TestMinDistInsideIsZero(t *testing.T) {
 	r := MBR{Min: []float64{0, 0, 0}, Max: []float64{1, 1, 1}}
 	q := []float64{0.5, 0.5, 0.5}
 	for _, m := range []vector.Metric{vector.L2, vector.L1, vector.LInf} {
-		if d := r.MinDist(m, subspace.Full(3), q); d != 0 {
+		if d := minDistDims(m, subspace.Full(3).AppendDims(nil), q, r.Min, r.Max); d != 0 {
 			t.Fatalf("%v: inside mindist = %v", m, d)
 		}
 	}
@@ -97,23 +97,23 @@ func TestMinDistInsideIsZero(t *testing.T) {
 func TestMinDistKnown(t *testing.T) {
 	r := MBR{Min: []float64{0, 0}, Max: []float64{1, 1}}
 	q := []float64{4, 5}
-	if d := r.MinDist(vector.L2, subspace.Full(2), q); math.Abs(d-5) > 1e-12 {
+	if d := minDistDims(vector.L2, subspace.Full(2).AppendDims(nil), q, r.Min, r.Max); math.Abs(d-5) > 1e-12 {
 		t.Fatalf("L2 mindist = %v, want 5", d)
 	}
-	if d := r.MinDist(vector.L1, subspace.Full(2), q); math.Abs(d-7) > 1e-12 {
+	if d := minDistDims(vector.L1, subspace.Full(2).AppendDims(nil), q, r.Min, r.Max); math.Abs(d-7) > 1e-12 {
 		t.Fatalf("L1 mindist = %v, want 7", d)
 	}
-	if d := r.MinDist(vector.LInf, subspace.Full(2), q); math.Abs(d-4) > 1e-12 {
+	if d := minDistDims(vector.LInf, subspace.Full(2).AppendDims(nil), q, r.Min, r.Max); math.Abs(d-4) > 1e-12 {
 		t.Fatalf("LInf mindist = %v, want 4", d)
 	}
 	// Restricted to dim 0 only.
-	if d := r.MinDist(vector.L2, subspace.New(0), q); math.Abs(d-3) > 1e-12 {
+	if d := minDistDims(vector.L2, subspace.New(0).AppendDims(nil), q, r.Min, r.Max); math.Abs(d-3) > 1e-12 {
 		t.Fatalf("subspace mindist = %v, want 3", d)
 	}
 }
 
 // TestMinDistLowerBound (property): for any point p inside the MBR,
-// MinDist(q, MBR) ≤ Dist(q, p) in every subspace and metric. This is
+// minDistDims(q, MBR) ≤ Dist(q, p) in every subspace and metric. This is
 // the contract the best-first search relies on.
 func TestMinDistLowerBound(t *testing.T) {
 	f := func(seed int64) bool {
@@ -140,13 +140,13 @@ func TestMinDistLowerBound(t *testing.T) {
 			s = subspace.Full(d)
 		}
 		for _, m := range []vector.Metric{vector.L2, vector.L1, vector.LInf} {
-			if r.MinDist(m, s, q) > vector.Dist(m, s, q, p)+1e-9 {
+			if minDistDims(m, s.AppendDims(nil), q, r.Min, r.Max) > vector.Dist(m, s, q, p)+1e-9 {
 				return false
 			}
 		}
 		// Squared variant consistent.
-		md := r.MinDist(vector.L2, s, q)
-		if math.Abs(md*md-r.MinDistSqL2(s, q)) > 1e-9*(1+md*md) {
+		md := minDistDims(vector.L2, s.AppendDims(nil), q, r.Min, r.Max)
+		if math.Abs(md*md-minDistSqL2Dims(s.AppendDims(nil), q, r.Min, r.Max)) > 1e-9*(1+md*md) {
 			return false
 		}
 		return true

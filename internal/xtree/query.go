@@ -71,9 +71,9 @@ func pqPop(pq []queueItem) (queueItem, []queueItem) {
 	return top, pq
 }
 
-// minDistSqL2Dims is MBR.MinDistSqL2 over precomputed dimension
-// indices and the arena's flat bound rows. One accumulator, ascending
-// dimension order — bit-identical to the closure form it replaces.
+// minDistSqL2Dims is minDistDims for L2 without the final square root
+// (order-equivalent, cheaper). One accumulator, ascending dimension
+// order.
 func minDistSqL2Dims(dims []int, q, lo, hi []float64) float64 {
 	var sum float64
 	for _, d := range dims {
@@ -83,7 +83,9 @@ func minDistSqL2Dims(dims []int, q, lo, hi []float64) float64 {
 	return sum
 }
 
-// minDistDims is MBR.MinDist over precomputed dimension indices.
+// minDistDims is the classical MINDIST lower bound that orders the
+// best-first traversal: the least metric-m distance from q to the box
+// [lo, hi] over the dimension indices dims.
 func minDistDims(m vector.Metric, dims []int, q, lo, hi []float64) float64 {
 	switch m {
 	case vector.L2:

@@ -112,17 +112,6 @@ func Build(ds *vector.Dataset, metric vector.Metric, cfg Config) (*Tree, error) 
 // Size returns the number of indexed points.
 func (t *Tree) Size() int { return t.size }
 
-// Height returns the height of the tree (a single leaf root has
-// height 1). All leaves share one depth, so following first children
-// from the root measures it.
-func (t *Tree) Height() int {
-	h := 1
-	for id := int32(0); !t.ar.nodes[id].isLeaf(); id = t.ar.kids(id)[0] {
-		h++
-	}
-	return h
-}
-
 // SupernodeCount returns how many supernodes exist in the tree.
 func (t *Tree) SupernodeCount() int {
 	count := 0

@@ -69,8 +69,8 @@ func TestBuildSmallAndEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Size() != 1 || tr.Height() != 1 {
-		t.Fatalf("size=%d height=%d", tr.Size(), tr.Height())
+	if tr.Size() != 1 || height(tr) != 1 {
+		t.Fatalf("size=%d height=%d", tr.Size(), height(tr))
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
@@ -92,8 +92,8 @@ func TestBuildInvariantsAcrossShapes(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("n=%d d=%d: %v", tc.n, tc.d, err)
 		}
-		if tc.n > 100 && tr.Height() < 2 {
-			t.Fatalf("n=%d: tree did not grow (height %d)", tc.n, tr.Height())
+		if tc.n > 100 && height(tr) < 2 {
+			t.Fatalf("n=%d: tree did not grow (height %d)", tc.n, height(tr))
 		}
 	}
 }
