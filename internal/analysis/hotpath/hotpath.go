@@ -17,9 +17,9 @@
 // benchmark loop).
 //
 // A meta-check defends the annotation itself: methods named after the
-// benchmarked zero-alloc entry points (QueryWith, QueryBatch, KNN)
-// must carry the directive, so the contract cannot silently rot when
-// files are refactored.
+// benchmarked zero-alloc entry points (QueryWith, QueryBatch, KNN,
+// AtLeast) must carry the directive, so the contract cannot silently
+// rot when files are refactored.
 package hotpath
 
 import (
@@ -46,6 +46,7 @@ var hotRoots = map[string]bool{
 	"QueryWith":  true,
 	"QueryBatch": true,
 	"KNN":        true,
+	"AtLeast":    true,
 }
 
 func run(pass *analysis.Pass) {

@@ -142,6 +142,17 @@ func (ix *index) KNN(q []float64, k int) int { // want `missing the //hos:hotpat
 	return k
 }
 
+type decider struct{}
+
+// AtLeast, the k-NN decision every lattice evaluation asks, is a
+// benchmarked entry-point name too.
+func (dc *decider) AtLeast(q []float64, t float64) bool { // want `missing the //hos:hotpath annotation`
+	return dist(q, q) >= t
+}
+
+// A plain function of that name is not a method and needs nothing.
+func AtLeast(sum, t float64) bool { return sum >= t }
+
 type miner struct{}
 
 //hos:hotpath

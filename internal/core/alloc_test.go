@@ -13,7 +13,19 @@ import (
 // here deterministically, long before it shows up as GC pressure in
 // production profiles.
 
+// allocBackends are the two k-NN engines every budget runs on: the
+// linear oracle, and the X-tree, which serves every dataset of 512
+// rows or more under BackendAuto; BackendXTree forces it at N=300.
+var allocBackends = []Backend{BackendLinear, BackendXTree}
+
+// allocTestMiner is the N=300 miner the budgets run on, over the
+// linear backend.
 func allocTestMiner(t *testing.T) *Miner {
+	t.Helper()
+	return allocMinerOn(t, BackendLinear)
+}
+
+func allocMinerOn(t *testing.T, backend Backend) *Miner {
 	t.Helper()
 	ds, _, err := datagen.GenerateSynthetic(datagen.SyntheticConfig{
 		N: 300, D: 5, NumOutliers: 3, Seed: 11,
@@ -21,7 +33,7 @@ func allocTestMiner(t *testing.T) *Miner {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMiner(ds, Config{K: 5, TQuantile: 0.95, Seed: 1, Backend: BackendLinear})
+	m, err := NewMiner(ds, Config{K: 5, TQuantile: 0.95, Seed: 1, Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +46,16 @@ func allocTestMiner(t *testing.T) *Miner {
 // TestQueryWithZeroAlloc: a steady-state QueryWith on a warm evaluator
 // allocates nothing — results live in the evaluator's scratch.
 func TestQueryWithZeroAlloc(t *testing.T) {
+	for _, backend := range allocBackends {
+		t.Run(backend.String(), func(t *testing.T) { testQueryWithZeroAlloc(t, backend) })
+	}
+}
+
+func testQueryWithZeroAlloc(t *testing.T, backend Backend) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the budget holds only uninstrumented")
 	}
-	m := allocTestMiner(t)
+	m := allocMinerOn(t, backend)
 	eval, err := m.NewWorkerEvaluator()
 	if err != nil {
 		t.Fatal(err)
@@ -67,10 +85,16 @@ func TestQueryWithZeroAlloc(t *testing.T) {
 // warm — per item and per batch, for row and external-point items
 // alike, including the grouping of repeats.
 func TestQueryBatchSteadyStateZeroAlloc(t *testing.T) {
+	for _, backend := range allocBackends {
+		t.Run(backend.String(), func(t *testing.T) { testQueryBatchSteadyStateZeroAlloc(t, backend) })
+	}
+}
+
+func testQueryBatchSteadyStateZeroAlloc(t *testing.T, backend Backend) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the budget holds only uninstrumented")
 	}
-	m := allocTestMiner(t)
+	m := allocMinerOn(t, backend)
 	queries := make([]BatchQuery, 24)
 	for i := 0; i < 16; i++ {
 		queries[i] = BatchIndex(i % 8) // repeated rows
@@ -114,10 +138,16 @@ func TestQueryBatchSteadyStateZeroAlloc(t *testing.T) {
 // list. This was ~23 allocs/op before the fan-out state moved into
 // BatchResult.
 func TestQueryBatchParallelZeroAlloc(t *testing.T) {
+	for _, backend := range allocBackends {
+		t.Run(backend.String(), func(t *testing.T) { testQueryBatchParallelZeroAlloc(t, backend) })
+	}
+}
+
+func testQueryBatchParallelZeroAlloc(t *testing.T, backend Backend) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the budget holds only uninstrumented")
 	}
-	m := allocTestMiner(t)
+	m := allocMinerOn(t, backend)
 	queries := make([]BatchQuery, 32)
 	for i := range queries {
 		queries[i] = BatchIndex(i % 16) // repeats are evaluated once

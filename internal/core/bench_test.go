@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/vector"
 )
 
 // benchMiner builds one preprocessed miner for the query benchmarks.
@@ -48,6 +49,47 @@ func BenchmarkQueryWith(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkQueryWithXTree is the single-query hot path on the X-tree
+// engine, which serves every dataset of 512 rows or more under
+// BackendAuto: N=4000, d=10, queried alternately with a member row
+// and a fresh point from the rows that follow in the same synthetic
+// stream.
+func BenchmarkQueryWithXTree(b *testing.B) {
+	const n, d, fresh = 4000, 10, 256
+	all, _, err := datagen.GenerateSynthetic(datagen.SyntheticConfig{N: n + fresh, D: d, NumOutliers: 5, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := vector.NewDataset(all.Slab()[:n*d], n, d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := NewMiner(ds, Config{K: 5, TQuantile: 0.95, Seed: 1, Backend: BackendXTree})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := m.Preprocess(); err != nil {
+		b.Fatal(err)
+	}
+	eval, err := m.NewWorkerEvaluator()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % (2 * fresh)
+		point, exclude := all.Point(n+j/2), -1
+		if j%2 == 0 {
+			exclude = j / 2 * (n / fresh)
+			point = ds.Point(exclude)
+		}
+		if _, err := m.QueryWith(eval, point, exclude); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -91,9 +91,10 @@ func Search(q *od.Query, d int, T float64, priors Priors, policy Policy, rng *ra
 }
 
 // searchCtxStride is how many OD evaluations a layer sweep performs
-// between context checks. Each evaluation is a full k-NN search
-// (O(N·d) at least), so the check overhead is negligible while
-// cancellation latency stays bounded by a handful of evaluations.
+// between context checks. Each evaluation is a k-NN search that visits
+// at least one leaf, and often a large share of the dataset, so the
+// check overhead is negligible while cancellation latency stays
+// bounded by a handful of evaluations.
 const searchCtxStride = 16
 
 // searchScratch is the reusable working set of one evaluator's
@@ -170,7 +171,7 @@ func searchInto(ctx context.Context, sc *searchScratch, q *od.Query, d int, T fl
 				}
 			}
 			evals++
-			if q.OD(s) >= T {
+			if q.AtLeast(s, T) {
 				tr.MarkOutlier(s, true)
 			} else {
 				tr.MarkNonOutlier(s, true)

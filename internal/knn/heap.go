@@ -32,7 +32,7 @@ func (h *BoundedHeap) Reset(k int) {
 	h.drained = false
 }
 
-// less orders the heap: a dominates b (sits closer to the top) when a
+// worse orders the heap: a dominates b (sits closer to the top) when a
 // is farther, or equally far with a larger index.
 func worse(a, b Neighbor) bool {
 	if a.Dist != b.Dist {
@@ -78,6 +78,16 @@ func (h *BoundedHeap) WorstDist() (float64, bool) {
 		return 0, false
 	}
 	return h.items[0].Dist, true
+}
+
+// AppendDists appends the retained distances, in heap order, to dst.
+//
+//hos:hotpath
+func (h *BoundedHeap) AppendDists(dst []float64) []float64 {
+	for _, nb := range h.items {
+		dst = append(dst, nb.Dist)
+	}
+	return dst
 }
 
 // Sorted drains the heap in place into a slice sorted by ascending

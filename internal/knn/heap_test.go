@@ -9,6 +9,26 @@ import (
 	"repro/internal/vector"
 )
 
+// TestBoundedHeapAppendDists: AppendDists appends exactly the
+// retained distances after dst's contents, whatever their heap order.
+func TestBoundedHeapAppendDists(t *testing.T) {
+	h := NewBoundedHeap(3)
+	for i, d := range []float64{5, 1, 4, 2, 3} {
+		h.Push(i, d)
+	}
+	got := h.AppendDists([]float64{-1})
+	if len(got) != 4 || got[0] != -1 {
+		t.Fatalf("AppendDists = %v, want -1 then the three kept distances", got)
+	}
+	kept := map[float64]bool{1: true, 2: true, 3: true}
+	for _, d := range got[1:] {
+		if !kept[d] {
+			t.Fatalf("AppendDists = %v, want 1, 2 and 3 after -1", got)
+		}
+		delete(kept, d)
+	}
+}
+
 // TestBoundedHeapResetReuses: Reset returns a drained heap to service,
 // retaining its backing storage, and the results after reuse are
 // exactly what a fresh heap would produce.

@@ -1,8 +1,9 @@
 // Package knn provides k-nearest-neighbour search over a Dataset
 // restricted to an arbitrary subspace, the primitive underlying the
-// paper's Outlying Degree (§2). Two engines implement the Searcher
-// interface: the exhaustive LinearSearcher here and the X-tree-backed
-// searcher in internal/xtree.
+// paper's Outlying Degree (§2). Three engines implement the Searcher
+// interface: the exhaustive LinearSearcher here, the X-tree-backed
+// searcher in internal/xtree and the scatter-gather searcher in
+// internal/shard. The X-tree searcher also implements Decider.
 package knn
 
 import (
@@ -45,6 +46,15 @@ type Searcher interface {
 	Stats() SearchStats
 	// ResetStats zeroes the work counters.
 	ResetStats()
+}
+
+// Decider is the optional decision a Searcher may offer beside KNN:
+// whether the k nearest distances sum to at least T. A Decider may
+// stop searching as soon as the comparison is settled, but its answer
+// must equal SumDistances(KNN(query, s, k, exclude)) >= T bit for bit.
+// The same single-goroutine and Stats contract as Searcher applies.
+type Decider interface {
+	AtLeast(query []float64, s subspace.Mask, k int, exclude int, T float64) bool
 }
 
 // SearchStats counts the work a Searcher has performed. PointsExamined

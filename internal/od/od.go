@@ -6,7 +6,9 @@
 // s. The Evaluator wraps a knn.Searcher; a Query binds it to one query
 // point and counts the evaluations spent on it. OD is a raw distance
 // sum, so it is monotone over the subspace lattice, the property
-// HOS-Miner's pruning rests on.
+// HOS-Miner's pruning rests on. The dynamic search only compares OD
+// with T, so a Query answers that comparison (AtLeast), through the
+// searcher's knn.Decider when it has one.
 package od
 
 import (
@@ -40,6 +42,7 @@ func (n Normalization) String() string {
 type Evaluator struct {
 	ds       *vector.Dataset
 	searcher knn.Searcher
+	decider  knn.Decider // searcher's decision, nil when it offers none
 	metric   vector.Metric
 	k        int
 
@@ -74,7 +77,8 @@ func NewEvaluator(ds *vector.Dataset, searcher knn.Searcher, metric vector.Metri
 	if norm != NormNone {
 		return nil, fmt.Errorf("od: invalid normalization %v", norm)
 	}
-	return &Evaluator{ds: ds, searcher: searcher, metric: metric, k: k}, nil
+	decider, _ := searcher.(knn.Decider)
+	return &Evaluator{ds: ds, searcher: searcher, decider: decider, metric: metric, k: k}, nil
 }
 
 // K returns the neighbourhood size.
@@ -86,8 +90,8 @@ func (e *Evaluator) Metric() vector.Metric { return e.metric }
 // Dataset returns the underlying dataset.
 func (e *Evaluator) Dataset() *vector.Dataset { return e.ds }
 
-// Evaluations returns how many OD computations the evaluator has
-// performed (the empty subspace costs none).
+// Evaluations returns how many OD computations and decisions the
+// evaluator has performed (the empty subspace costs none).
 func (e *Evaluator) Evaluations() int64 { return e.evaluations }
 
 // Scratch returns the engine-attached opaque scratch value, or nil.
@@ -118,9 +122,8 @@ func (e *Evaluator) ODOfPoint(idx int, s subspace.Mask) float64 {
 	return e.OD(e.ds.Point(idx), s, idx)
 }
 
-// FullSpaceODs computes OD in the full space for every dataset point.
-// It is the workhorse behind quantile-based threshold selection and
-// the classical "space → outliers" baselines.
+// FullSpaceODs computes OD in the full space for every dataset point:
+// the distribution quantile-based threshold selection reads T from.
 func (e *Evaluator) FullSpaceODs() []float64 {
 	full := subspace.Full(e.ds.Dim())
 	out := make([]float64, e.ds.N())
@@ -134,7 +137,7 @@ func (e *Evaluator) FullSpaceODs() []float64 {
 // point, its self-exclusion index and an exact count of the OD
 // evaluations spent on it. It memoises nothing — HOS-Miner's dynamic
 // search settles each lattice subspace exactly once, either by
-// evaluating its OD or by pruning, so no subspace is probed twice.
+// evaluating OD ≥ T or by pruning, so no subspace is probed twice.
 type Query struct {
 	eval    *Evaluator
 	point   []float64
@@ -172,13 +175,21 @@ func (e *Evaluator) NewQueryForPoint(idx int) *Query {
 	return e.NewQuery(e.ds.Point(idx), idx)
 }
 
-// OD returns the outlying degree of the query point in subspace s.
+// AtLeast reports whether the query point's outlying degree in
+// subspace s is at least T, counting one evaluation. It equals
+// Evaluator.OD(…) >= T bit for bit; a searcher that is a knn.Decider
+// answers it, and may stop its k-NN search once the answer is settled.
 //
 //hos:hotpath
-func (q *Query) OD(s subspace.Mask) float64 {
+func (q *Query) AtLeast(s subspace.Mask, T float64) bool {
 	q.evals++
-	return q.eval.OD(q.point, s, q.exclude)
+	e := q.eval
+	if e.decider == nil || s.IsEmpty() {
+		return e.OD(q.point, s, q.exclude) >= T
+	}
+	e.evaluations++
+	return e.decider.AtLeast(q.point, s, e.k, q.exclude, T)
 }
 
-// Evaluations returns how many OD values this Query has computed.
+// Evaluations returns how many OD evaluations this Query has made.
 func (q *Query) Evaluations() int64 { return q.evals }

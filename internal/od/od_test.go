@@ -142,17 +142,36 @@ func TestFullSpaceODs(t *testing.T) {
 	}
 }
 
-// A Query memoises nothing: every OD call is one evaluation, counted
-// both by the Query and by its evaluator.
+// checkAtLeast asks q.AtLeast at the exact OD want and one ulp either
+// side of it: the decision must flip exactly at want.
+func checkAtLeast(t *testing.T, q *Query, s subspace.Mask, want float64) {
+	t.Helper()
+	for _, c := range []struct {
+		T    float64
+		want bool
+	}{
+		{math.Nextafter(want, math.Inf(-1)), true},
+		{want, true},
+		{math.Nextafter(want, math.Inf(1)), false},
+	} {
+		if got := q.AtLeast(s, c.T); got != c.want {
+			t.Fatalf("s=%v: AtLeast(T=%v) = %v, want %v for OD %v", s, c.T, got, c.want, want)
+		}
+	}
+}
+
+// A Query memoises nothing: every AtLeast call is one evaluation,
+// counted both by the Query and by its evaluator.
 func TestQueryCountsEvaluations(t *testing.T) {
 	e := newEval(t, [][]float64{{0, 0}, {1, 1}, {2, 2}, {3, 3}}, 2, NormNone)
 	q := e.NewQueryForPoint(1)
 	s := subspace.New(0, 1)
+	T := e.ODOfPoint(1, s)
 	before := e.Evaluations()
-	v1 := q.OD(s)
-	v2 := q.OD(s)
-	if v1 != v2 {
-		t.Fatalf("repeated OD differs: %v vs %v", v1, v2)
+	v1 := q.AtLeast(s, T)
+	v2 := q.AtLeast(s, T)
+	if !v1 || !v2 {
+		t.Fatalf("AtLeast at T = OD answered %v then %v, want true twice", v1, v2)
 	}
 	if got := q.Evaluations(); got != 2 {
 		t.Fatalf("query counted %d evaluations, want 2", got)
@@ -170,9 +189,7 @@ func TestQueryPointIsolation(t *testing.T) {
 	q := e.NewQuery(p, -1)
 	p[0] = 999 // mutate the caller's slice
 	full := subspace.Full(1)
-	if got, want := q.OD(full), e.OD([]float64{5}, full, -1); got != want {
-		t.Fatalf("query OD %v, want %v for the point as it was passed", got, want)
-	}
+	checkAtLeast(t, q, full, e.OD([]float64{5}, full, -1))
 }
 
 // A dataset member queried as itself (self-excluded) and the same
@@ -186,15 +203,17 @@ func TestSharedCacheSeparatesMemberFromExternal(t *testing.T) {
 
 	member := e.NewQuery(rows[0], 0)
 	external := e.NewQuery(rows[0], -1)
-	vm := member.OD(s)
-	ve := external.OD(s)
-	if vm != e.ODOfPoint(0, s) {
-		t.Fatalf("member OD %v differs from ODOfPoint %v", vm, e.ODOfPoint(0, s))
-	}
+	vm := e.ODOfPoint(0, s)
+	ve := e.OD(rows[0], s, -1)
+	checkAtLeast(t, member, s, vm)
+	checkAtLeast(t, external, s, ve)
 	// The member excludes itself; the external clone counts the member
 	// as a zero-distance neighbour, so its OD must be strictly smaller.
 	if ve >= vm {
 		t.Fatalf("external OD %v not below member OD %v", ve, vm)
+	}
+	if external.AtLeast(s, vm) {
+		t.Fatalf("external point reaches the member's OD %v", vm)
 	}
 }
 
@@ -202,8 +221,54 @@ func TestQueryMatchesEvaluator(t *testing.T) {
 	e := newEval(t, [][]float64{{0, 5}, {1, 4}, {2, 3}, {9, 9}}, 2, NormNone)
 	q := e.NewQueryForPoint(3)
 	for _, s := range subspace.All(2) {
-		if got, want := q.OD(s), e.ODOfPoint(3, s); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("s=%v: query OD %v, evaluator OD %v", s, got, want)
+		checkAtLeast(t, q, s, e.ODOfPoint(3, s))
+	}
+}
+
+// decidingSearcher is a linear searcher that also offers a decision,
+// counting how often it is asked.
+type decidingSearcher struct {
+	*knn.LinearSearcher
+	decisions int
+}
+
+func (d *decidingSearcher) AtLeast(query []float64, s subspace.Mask, k int, exclude int, T float64) bool {
+	d.decisions++
+	return knn.SumDistances(d.KNN(query, s, k, exclude)) >= T
+}
+
+// An evaluator over a knn.Decider asks it, not KNN, for every
+// non-empty decision, and counts each one as an evaluation; values
+// (Evaluator.OD) still come from KNN.
+func TestQueryAtLeastAsksDecider(t *testing.T) {
+	rows := randomRows(7, 20, 3)
+	ds, err := vector.FromRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := knn.NewLinear(ds, vector.L2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := &decidingSearcher{LinearSearcher: ls}
+	e, err := NewEvaluator(ds, dec, vector.L2, 3, NormNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := e.NewQueryForPoint(2)
+	for _, s := range subspace.All(3) {
+		checkAtLeast(t, q, s, e.ODOfPoint(2, s))
+	}
+	nonEmpty := 0
+	for _, s := range subspace.All(3) {
+		if !s.IsEmpty() {
+			nonEmpty++
 		}
+	}
+	if want := 3 * nonEmpty; dec.decisions != want {
+		t.Fatalf("decider asked %d times, want %d", dec.decisions, want)
+	}
+	if got, want := q.Evaluations(), int64(3*len(subspace.All(3))); got != want {
+		t.Fatalf("query counted %d evaluations, want %d", got, want)
 	}
 }
