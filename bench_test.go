@@ -144,7 +144,8 @@ func BenchmarkODEvaluation(b *testing.B) {
 	s := subspace.New(0, 3, 6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eval.ODOfPoint(i%ds.N(), s)
+		j := i % ds.N()
+		eval.OD(ds.Point(j), s, j)
 	}
 }
 

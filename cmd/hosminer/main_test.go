@@ -174,6 +174,9 @@ func TestRunErrors(t *testing.T) {
 		{"-data", path, "-index", "0"},                      // no threshold
 		{"-data", path, "-t", "1", "-point", "1,2"},         // wrong dim
 		{"-data", path, "-t", "1", "-point", "a,b,c,d"},     // non-numeric
+		{"-data", path, "-t", "1", "-point", "NaN,0,0,0"},   // non-finite
+		{"-data", path, "-t", "1", "-point", "0,+Inf,0,0"},
+		{"-data", path, "-k", "5", "-tq", "0.95", "-point", "0,0,0,-Inf"},
 		{"-data", path, "-t", "1", "-backend", "bogus", "-index", "0"},
 		{"-data", path, "-t", "1", "-policy", "bogus", "-index", "0"},
 		// The JSON state flags are gone; .snap is the one format.

@@ -6,13 +6,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/shard"
+	"repro/internal/vector"
 )
 
 // Differential tests for live ingestion: a dataset grown by streaming
-// appends must be indistinguishable from the same dataset built in one
-// shot. These are the conformance backing for POST /datasets/{name}/append
-// — the server's incremental path is core.Miner.WithAppended, which is
-// exactly what AppendedMiner drives.
+// appends, or shrunk by a delete, must be indistinguishable from the
+// same dataset built in one shot. These are the conformance backing
+// for POST /datasets/{name}/append and DELETE /datasets/{name}/rows —
+// the server's incremental paths are core.Miner.WithAppended and
+// WithoutRows, which AppendedMiner and TestDeletedMatchesRebuilt drive.
 
 // appendPrefix picks how much of the spec's dataset the base miner is
 // built over before the rest streams in: roughly two thirds, so both
@@ -168,5 +170,54 @@ func TestShardedAppendedMatchesUnsharded(t *testing.T) {
 	}
 	if d := Diff("sharded-appended", got, "unsharded", want); d != "" {
 		t.Fatalf("sharded appended engine diverged from the unsharded build:\n%s", d)
+	}
+}
+
+// Every spec, both backends, unsharded and on a 2-shard engine: an
+// append chain followed by a WithoutRows of a scattered keep list —
+// base and appended rows alike, every fifth row and every seventh
+// from the third — ≡ NewMiner + Preprocess over the survivors. The
+// derived miner carries its parent's full-space columns and
+// recomputes only the rows the deleted ones can change; the rebuilt
+// one computes every row.
+func TestDeletedMatchesRebuilt(t *testing.T) {
+	for _, sp := range DefaultSpecs() {
+		sp := sp
+		t.Run(sp.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, backend := range Backends() {
+				for _, width := range []int{0, 2} {
+					appended, err := sp.AppendedMiner(backend, core.PolicyTSF, width, shard.RoundRobin, appendPrefix(sp))
+					if err != nil {
+						t.Fatalf("%v/%d: %v", backend, width, err)
+					}
+					ds := appended.Dataset()
+					var keep []int
+					var kept [][]float64
+					for i := range ds.N() {
+						if i%5 != 1 && i%7 != 3 {
+							keep = append(keep, i)
+							kept = append(kept, ds.Point(i))
+						}
+					}
+					deleted, err := appended.WithoutRows(keep)
+					if err != nil {
+						t.Fatalf("%v/%d: %v", backend, width, err)
+					}
+					survivors, err := vector.FromRows(kept)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rebuilt, err := core.NewMiner(survivors, sp.Config(backend, core.PolicyTSF, width, shard.RoundRobin))
+					if err != nil {
+						t.Fatalf("%v/%d: %v", backend, width, err)
+					}
+					if err := rebuilt.Preprocess(); err != nil {
+						t.Fatalf("%v/%d: %v", backend, width, err)
+					}
+					assertAppendEqualsRebuild(t, deleted, rebuilt)
+				}
+			}
+		})
 	}
 }

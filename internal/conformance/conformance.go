@@ -106,12 +106,7 @@ func (sp Spec) ShardedMiner(backend core.Backend, policy core.Policy, shards int
 	if err != nil {
 		return nil, err
 	}
-	m, err := core.NewMiner(ds, core.Config{
-		K: sp.K, T: sp.T, TQuantile: sp.TQuantile,
-		SampleSize: sp.SampleSize, Seed: sp.Seed,
-		Backend: backend, Policy: policy,
-		Shards: shards, Partitioner: part,
-	})
+	m, err := core.NewMiner(ds, sp.Config(backend, policy, shards, part))
 	if err != nil {
 		return nil, err
 	}
@@ -119,6 +114,17 @@ func (sp Spec) ShardedMiner(backend core.Backend, policy core.Policy, shards int
 		return nil, err
 	}
 	return m, nil
+}
+
+// Config is the miner configuration the spec's miners share for the
+// given backend, policy and shard layout.
+func (sp Spec) Config(backend core.Backend, policy core.Policy, shards int, part shard.Partitioner) core.Config {
+	return core.Config{
+		K: sp.K, T: sp.T, TQuantile: sp.TQuantile,
+		SampleSize: sp.SampleSize, Seed: sp.Seed,
+		Backend: backend, Policy: policy,
+		Shards: shards, Partitioner: part,
+	}
 }
 
 // AppendedMiner builds the spec's miner over only the first prefix
@@ -179,12 +185,7 @@ func (sp Spec) appendBase(backend core.Backend, policy core.Policy, shards int, 
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := core.NewMiner(base, core.Config{
-		K: sp.K, T: sp.T, TQuantile: sp.TQuantile,
-		SampleSize: sp.SampleSize, Seed: sp.Seed,
-		Backend: backend, Policy: policy,
-		Shards: shards, Partitioner: part,
-	})
+	m, err := core.NewMiner(base, sp.Config(backend, policy, shards, part))
 	if err != nil {
 		return nil, nil, err
 	}

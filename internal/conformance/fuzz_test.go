@@ -21,15 +21,18 @@ type fuzzCase struct {
 	points [][]float64
 	k      int
 	tq     float64
+	// keep lists the rows the deleted engine keeps.
+	keep []int
 }
 
 // decodeFuzzCase turns fuzz bytes into data built to tie: d in 2–6
 // columns on 2–5 integer grid levels, N in 40–208 rows, column 0
 // constant and the last quarter of the rows copies of the first
-// quarter; k in 2–5, TQuantile in 0.80–0.95, and four external points
-// on the same grid. Once the input runs out, bytes come from a
-// generator seeded by the whole input, so short inputs still fill the
-// grid.
+// quarter; k in 2–5, TQuantile in 0.80–0.95, four external points
+// on the same grid, and a keep list that drops every row i with
+// i mod s = o for a stride s in 2–6, copies and originals alike. Once
+// the input runs out, bytes come from a generator seeded by the whole
+// input, so short inputs still fill the grid.
 func decodeFuzzCase(data []byte) fuzzCase {
 	h := fnv.New64a()
 	h.Write(data)
@@ -65,6 +68,13 @@ func decodeFuzzCase(data []byte) fuzzCase {
 		c.points[i] = make([]float64, d)
 		for j := range c.points[i] {
 			c.points[i][j] = cell()
+		}
+	}
+	b := int(next())
+	stride := 2 + b%5
+	for i := range c.rows {
+		if i%stride != b/5%stride {
+			c.keep = append(c.keep, i)
 		}
 	}
 	return c
@@ -130,7 +140,10 @@ func answerAll(m *core.Miner, points [][]float64) ([]*core.QueryResult, error) {
 // evaluations. Ties, duplicate rows and a constant column are where a
 // bound written with < instead of ≤ goes wrong. A Preprocess refusal
 // (duplicate-heavy data can resolve to a non-positive threshold) is a
-// valid outcome when both backends refuse alike.
+// valid outcome when both backends refuse alike. A sixth engine drops
+// the case's rows with WithoutRows, from the appended miner when there
+// is one, and must answer as a fresh linear miner over the survivors
+// does, or refuse alike.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 3, 160, 3, 15})
@@ -192,6 +205,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 
 		prefix := len(c.rows) * 2 / 3
 		mid := prefix + (len(c.rows)-prefix)/3
+		source := xt
 		if base, err := fuzzMiner(c, c.rows[:prefix], core.BackendXTree); err == nil {
 			appended, err := base.WithAppendedBatch(c.rows[prefix:mid], c.rows[mid:])
 			if err != nil {
@@ -201,6 +215,33 @@ func FuzzEngineEquivalence(f *testing.F) {
 				t.Fatalf("appended: %v", err)
 			}
 			check("appended", got)
+			source = appended
+		}
+
+		survivors := make([][]float64, len(c.keep))
+		for j, i := range c.keep {
+			survivors[j] = c.rows[i]
+		}
+		deleted, errD := source.WithoutRows(c.keep)
+		fresh, errF := fuzzMiner(c, survivors, core.BackendLinear)
+		if errD != nil || errF != nil {
+			if errD == nil || errF == nil || errD.Error() != errF.Error() {
+				t.Fatalf("delete: derived %v, fresh %v", errD, errF)
+			}
+		} else {
+			wantDel, err := answerAll(fresh, c.points)
+			if err != nil {
+				t.Fatalf("fresh survivors: %v", err)
+			}
+			gotDel, err := answerAll(deleted, c.points)
+			if err != nil {
+				t.Fatalf("deleted: %v", err)
+			}
+			for i, r := range gotDel {
+				if s, w := describe(r, r.ODEvaluations), describe(wantDel[i], wantDel[i].ODEvaluations); s != w {
+					t.Fatalf("deleted diverges from a fresh miner over the survivors at item %d:\n%s\n%s", i, s, w)
+				}
+			}
 		}
 
 		items := make([]core.BatchQuery, 0, len(ref))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -51,6 +52,36 @@ type ledgerEntry struct {
 	Decision      ledgerWork `json:"decision"`
 }
 
+// ledger is the golden file: the query streams, and the mutation
+// streams.
+type ledger struct {
+	Queries   []ledgerEntry    `json:"queries"`
+	Mutations []mutationLedger `json:"mutations"`
+}
+
+// mutationLedger is live_ingest's write cycle at small N over an
+// X-tree miner: Cycles times, Appends appends of Batch fresh rows,
+// then a trim back to the newest N rows. Each step records the rows
+// the derived miner recomputed in its full-space columns
+// (core.Miner.ColumnRowsComputed); a full pass would recompute every
+// row.
+type mutationLedger struct {
+	N       int            `json:"n"`
+	D       int            `json:"d"`
+	Batch   int            `json:"batch"`
+	Appends int            `json:"appends"`
+	Cycles  int            `json:"cycles"`
+	Full    int            `json:"full_pass_rows"`
+	Steps   []mutationStep `json:"steps"`
+}
+
+// mutationStep is one mutation of the stream.
+type mutationStep struct {
+	Op         string `json:"op"`
+	Rows       int    `json:"rows"`
+	ColumnRows int    `json:"column_rows"`
+}
+
 // ledgerShapes are shaped like the bench workloads at smaller N, with
 // k 5, TQuantile 0.95 and seed 1 throughout.
 var ledgerShapes = []ledgerShape{
@@ -69,14 +100,26 @@ var ledgerShapes = []ledgerShape{
 // testdata/work_ledger.json. `go test ./internal/conformance -run
 // TestWorkLedger -update` rewrites it; every diff belongs in
 // CHANGES.md. The decision must examine at most half the points.
+// The file also holds the mutation streams (runMutationLedger), whose
+// every step must recompute fewer column rows than the dataset holds.
 func TestWorkLedger(t *testing.T) {
-	got := make([]ledgerEntry, len(ledgerShapes))
-	for i, sh := range ledgerShapes {
-		got[i] = runLedgerShape(t, sh)
-		if e := got[i]; 2*e.Decision.PointsExamined > e.Exact.PointsExamined {
+	var got ledger
+	for _, sh := range ledgerShapes {
+		e := runLedgerShape(t, sh)
+		if 2*e.Decision.PointsExamined > e.Exact.PointsExamined {
 			t.Errorf("%s: the decision examined %d points, over half the exact path's %d",
 				sh.Name, e.Decision.PointsExamined, e.Exact.PointsExamined)
 		}
+		got.Queries = append(got.Queries, e)
+	}
+	for _, n := range []int{1000, 3000} {
+		ml := runMutationLedger(t, n)
+		for _, st := range ml.Steps {
+			if st.ColumnRows >= st.Rows {
+				t.Errorf("N=%d: a %s recomputed %d column rows of %d: a full pass", n, st.Op, st.ColumnRows, st.Rows)
+			}
+		}
+		got.Mutations = append(got.Mutations, ml)
 	}
 	path := filepath.Join("testdata", ledgerFile)
 	enc, err := json.MarshalIndent(got, "", "  ")
@@ -172,4 +215,74 @@ func runLedgerShape(t *testing.T, sh ledgerShape) ledgerEntry {
 		entry.Exact.PointsExamined, entry.Decision.PointsExamined,
 		float64(entry.Exact.PointsExamined)/float64(max(entry.Decision.PointsExamined, 1)))
 	return entry
+}
+
+// runMutationLedger runs live_ingest's write cycle — four 64-row
+// appends of fresh rows from the same synthetic stream, then a trim
+// back to the newest n rows, twice — at d=8, and records the column
+// rows each derived miner recomputed. Each step's threshold must equal
+// a fresh build's over the same rows.
+func runMutationLedger(t *testing.T, n int) mutationLedger {
+	t.Helper()
+	ml := mutationLedger{N: n, D: 8, Batch: 64, Appends: 4, Cycles: 2}
+	all, _, err := datagen.GenerateSynthetic(datagen.SyntheticConfig{
+		N: ml.N + ml.Cycles*ml.Appends*ml.Batch, D: ml.D, NumOutliers: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{K: 5, TQuantile: 0.95, Seed: 1, Backend: core.BackendXTree}
+	stream := all.Rows()
+	rows := stream[:ml.N]
+	m := freshLedgerMiner(t, rows, cfg)
+	ml.Full = m.ColumnRowsComputed()
+	next := ml.N
+	step := func(op string, nm *core.Miner) {
+		t.Helper()
+		want := freshLedgerMiner(t, rows, cfg)
+		if math.Float64bits(nm.Threshold()) != math.Float64bits(want.Threshold()) {
+			t.Fatalf("after %s %d: threshold %v, a fresh build's %v", op, len(ml.Steps), nm.Threshold(), want.Threshold())
+		}
+		ml.Steps = append(ml.Steps, mutationStep{Op: op, Rows: len(rows), ColumnRows: nm.ColumnRowsComputed()})
+		m = nm
+	}
+	for range ml.Cycles {
+		for range ml.Appends {
+			batch := stream[next : next+ml.Batch]
+			next += ml.Batch
+			nm, err := m.WithAppendedBatch(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows[:len(rows):len(rows)], batch...)
+			step("append", nm)
+		}
+		keep := make([]int, ml.N)
+		for j := range keep {
+			keep[j] = len(rows) - ml.N + j
+		}
+		nm, err := m.WithoutRows(keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = rows[len(rows)-ml.N:]
+		step("trim", nm)
+	}
+	return ml
+}
+
+// freshLedgerMiner builds and preprocesses a miner over rows.
+func freshLedgerMiner(t *testing.T, rows [][]float64, cfg core.Config) *core.Miner {
+	t.Helper()
+	ds, err := vector.FromRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.NewMiner(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Preprocess(); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

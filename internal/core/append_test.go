@@ -258,3 +258,191 @@ func TestWithoutRowsRejectsInvalid(t *testing.T) {
 		t.Fatal("keep smaller than K accepted")
 	}
 }
+
+// columnsEqual asserts that got's columns and threshold equal want's
+// bit for bit.
+func columnsEqual(t *testing.T, what string, got, want *Miner) {
+	t.Helper()
+	if math.Float64bits(got.Threshold()) != math.Float64bits(want.Threshold()) {
+		t.Fatalf("%s: thresholds differ: %v vs %v", what, got.Threshold(), want.Threshold())
+	}
+	if len(got.fullOD) != len(want.fullOD) || len(got.kthDist) != len(want.kthDist) {
+		t.Fatalf("%s: column lengths differ", what)
+	}
+	for i := range want.fullOD {
+		if math.Float64bits(got.fullOD[i]) != math.Float64bits(want.fullOD[i]) ||
+			math.Float64bits(got.kthDist[i]) != math.Float64bits(want.kthDist[i]) {
+			t.Fatalf("%s: row %d: derived (%v, %v), fresh (%v, %v)", what, i,
+				got.fullOD[i], got.kthDist[i], want.fullOD[i], want.kthDist[i])
+		}
+	}
+}
+
+// freshMiner builds and preprocesses a miner over rows, or returns the
+// Preprocess refusal.
+func freshMiner(t *testing.T, rows [][]float64, cfg Config) (*Miner, error) {
+	t.Helper()
+	ds, err := vector.FromRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMiner(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, m.Preprocess()
+}
+
+// TestDerivedColumnsMatchFresh: on grid data built to tie — few
+// levels, the last quarter of the rows copies of the first, an append
+// that repeats existing rows — the columns a chain of appends and a
+// scattered delete derive equal a fresh build's bit for bit, under
+// every metric, on the linear, X-tree and sharded engines. A derivation
+// recomputes fewer rows than the dataset holds.
+func TestDerivedColumnsMatchFresh(t *testing.T) {
+	compared := 0
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d, levels, n := 2+rng.Intn(4), 3+rng.Intn(8), 80+rng.Intn(120)
+		rows := make([][]float64, n)
+		copies := n - n/4
+		for i := range rows {
+			if i >= copies {
+				rows[i] = rows[i-copies]
+				continue
+			}
+			rows[i] = make([]float64, d)
+			for j := range rows[i] {
+				rows[i][j] = float64(rng.Intn(levels))
+			}
+		}
+		cfg := Config{
+			K: 1 + rng.Intn(5), TQuantile: 0.9, Seed: 1,
+			Metric:  vector.Metric(seed % 3),
+			Backend: []Backend{BackendLinear, BackendXTree}[seed%2],
+		}
+		if seed%4 == 3 {
+			cfg.Shards = 2
+		}
+		prefix, mid := n*2/3, n*5/6
+		base, err := freshMiner(t, rows[:prefix], cfg)
+		if err != nil {
+			continue // refused alike below: the chain needs a base
+		}
+		m1, err1 := base.WithAppended(rows[prefix:mid])
+		want1, errW := freshMiner(t, rows[:mid], cfg)
+		if (err1 == nil) != (errW == nil) {
+			t.Fatalf("seed %d: first append %v, fresh %v", seed, err1, errW)
+		}
+		if err1 != nil {
+			continue
+		}
+		columnsEqual(t, "first append", m1, want1)
+		// The second append repeats rows the dataset already holds.
+		again := append(append([][]float64{}, rows[mid:]...), rows[:3]...)
+		m2, err2 := m1.WithAppended(again)
+		all := append(append([][]float64{}, rows...), rows[:3]...)
+		want2, errW := freshMiner(t, all, cfg)
+		if (err2 == nil) != (errW == nil) {
+			t.Fatalf("seed %d: second append %v, fresh %v", seed, err2, errW)
+		}
+		if err2 != nil {
+			continue
+		}
+		columnsEqual(t, "second append", m2, want2)
+		if got := m2.ColumnRowsComputed(); got < len(again) || got > len(all) {
+			t.Fatalf("seed %d: second append computed %d rows, want %d..%d", seed, got, len(again), len(all))
+		}
+		var keep []int
+		var kept [][]float64
+		for i := range all {
+			if rng.Intn(5) != 0 {
+				keep = append(keep, i)
+				kept = append(kept, all[i])
+			}
+		}
+		m3, err3 := m2.WithoutRows(keep)
+		want3, errW := freshMiner(t, kept, cfg)
+		if (err3 == nil) != (errW == nil) {
+			t.Fatalf("seed %d: delete %v, fresh %v", seed, err3, errW)
+		}
+		if err3 != nil {
+			continue
+		}
+		columnsEqual(t, "delete", m3, want3)
+		if want3.ColumnRowsComputed() != len(keep) {
+			t.Fatalf("seed %d: a fresh build computed %d rows, want %d", seed, want3.ColumnRowsComputed(), len(keep))
+		}
+		compared++
+	}
+	if compared < 8 {
+		t.Fatalf("only %d seeds reached the delete; the data refuses too often to test anything", compared)
+	}
+}
+
+// TestColumnsOnlyForQuantileThresholds: a fixed-T Miner keeps no
+// column and computes none, and neither does a Miner restored through
+// ImportState — whose first derivation then fills every row, as a
+// fresh build does.
+func TestColumnsOnlyForQuantileThresholds(t *testing.T) {
+	ds, _, err := datagen.GenerateSynthetic(datagen.SyntheticConfig{N: 200, D: 4, NumOutliers: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := appendTestRows(rand.New(rand.NewSource(6)), 10, 4)
+	fixed, err := NewMiner(ds, Config{K: 4, T: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fixed.Preprocess(); err != nil {
+		t.Fatal(err)
+	}
+	grown, err := fixed.WithAppended(extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fixed.fullOD != nil || grown.fullOD != nil || fixed.ColumnRowsComputed() != 0 || grown.ColumnRowsComputed() != 0 {
+		t.Fatalf("fixed-T miners computed %d and %d column rows", fixed.ColumnRowsComputed(), grown.ColumnRowsComputed())
+	}
+
+	cfg := Config{K: 4, TQuantile: 0.95, Seed: 1}
+	m, err := NewMiner(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Preprocess(); err != nil {
+		t.Fatal(err)
+	}
+	if m.ColumnRowsComputed() != ds.N() {
+		t.Fatalf("full pass computed %d rows, want %d", m.ColumnRowsComputed(), ds.N())
+	}
+	st, err := m.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := NewMiner(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.ImportState(st); err != nil {
+		t.Fatal(err)
+	}
+	if restored.fullOD != nil || restored.ColumnRowsComputed() != 0 {
+		t.Fatal("a restored miner has a column")
+	}
+	child, err := restored.WithAppended(extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := child.ColumnRowsComputed(), ds.N()+len(extra); got != want {
+		t.Fatalf("first derivation of a restored miner computed %d rows, want %d", got, want)
+	}
+	derived, err := m.WithAppended(extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	columnsEqual(t, "restored then appended", child, derived)
+	if derived.ColumnRowsComputed() >= child.ColumnRowsComputed() {
+		t.Fatalf("an append recomputed %d rows, no fewer than a full pass", derived.ColumnRowsComputed())
+	}
+}

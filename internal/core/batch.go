@@ -293,12 +293,12 @@ func (a *resultArena) cloneFloats(src []float64) []float64 {
 // Miner's pool. Answers are identical to running each item through
 // OutlyingSubspaces / OutlyingSubspacesOfPoint.
 //
-// Item-level problems (index out of range, dimension mismatch,
-// ambiguous item) are reported per item in BatchResult.Items, and the
-// rest of the batch still completes. QueryBatch itself errors only on
-// setup failure or context cancellation; cancellation is noticed
-// between items and mid-search, so an abandoned batch frees its
-// workers promptly.
+// Item-level problems (index out of range, dimension mismatch, a
+// non-finite coordinate, ambiguous item) are reported per item in
+// BatchResult.Items, and the rest of the batch still completes.
+// QueryBatch itself errors only on setup failure or context
+// cancellation; cancellation is noticed between items and mid-search,
+// so an abandoned batch frees its workers promptly.
 //
 // Like ScanAll, a first QueryBatch on a fresh Miner runs Preprocess
 // lazily, from the calling goroutine, before any worker starts.
@@ -353,6 +353,9 @@ func (m *Miner) batchOne(ctx context.Context, eval *od.Evaluator, q BatchQuery, 
 	case batchKindPoint:
 		if len(q.point) != m.ds.Dim() {
 			return BatchItemResult{Err: fmt.Errorf("core: batch point has %d dims, dataset %d", len(q.point), m.ds.Dim())}
+		}
+		if j := nonFinite(q.point); j >= 0 {
+			return BatchItemResult{Err: fmt.Errorf("core: batch point column %d is not finite", j)}
 		}
 		point = q.point
 	default:

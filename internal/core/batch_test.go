@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -88,6 +89,9 @@ func TestQueryBatchSize1ExactlyEquivalent(t *testing.T) {
 func TestQueryBatchPartialFailure(t *testing.T) {
 	m := newTestMiner(t, Config{K: 4, TQuantile: 0.9, Seed: 1})
 	n := m.Dataset().N()
+	d := m.Dataset().Dim()
+	nan, inf := make([]float64, d), make([]float64, d)
+	nan[1], inf[d-1] = math.NaN(), math.Inf(-1)
 	queries := []BatchQuery{
 		BatchIndex(0),               // ok
 		BatchIndex(n),               // out of range
@@ -95,13 +99,15 @@ func TestQueryBatchPartialFailure(t *testing.T) {
 		{},                          // zero value: invalid by construction
 		BatchIndex(-3),              // negative index
 		BatchIndex(n - 1),           // ok
+		BatchPoint(nan),             // non-finite coordinates
+		BatchPoint(inf),
 	}
 	res, err := m.QueryBatch(context.Background(), queries, BatchOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Succeeded != 2 || res.Failed != 4 {
-		t.Fatalf("succeeded/failed = %d/%d, want 2/4", res.Succeeded, res.Failed)
+	if res.Succeeded != 2 || res.Failed != 6 {
+		t.Fatalf("succeeded/failed = %d/%d, want 2/6", res.Succeeded, res.Failed)
 	}
 	for _, i := range []int{0, 5} {
 		if res.Items[i].Err != nil || res.Items[i].Result == nil {
@@ -116,6 +122,8 @@ func TestQueryBatchPartialFailure(t *testing.T) {
 		{2, "dims"},
 		{3, "empty batch item"},
 		{4, "out of range"},
+		{6, "column 1 is not finite"},
+		{7, fmt.Sprintf("column %d is not finite", d-1)},
 	}
 	for _, w := range wantErr {
 		item := res.Items[w.idx]

@@ -175,3 +175,53 @@ func BenchmarkQueryBatchParallelReuse(b *testing.B) {
 		opts.Reuse = res
 	}
 }
+
+// BenchmarkMutationCycle is live_ingest's write cycle in process: on
+// an N=3000, d=8 miner (k 5, TQuantile 0.95, the X-tree backend), four
+// 64-row WithAppendedBatch calls, then a WithoutRows that drops the
+// appended rows again. The rows cycle through a pool of 16 batches
+// drawn from the same synthetic stream, and every iteration ends on
+// the base dataset, so the per-op figures do not depend on
+// -benchtime. column-rows/op counts the full-space column rows the
+// five mutations recomputed.
+func BenchmarkMutationCycle(b *testing.B) {
+	const n, d, batch, appends, pool = 3000, 8, 64, 4, 16
+	all, _, err := datagen.GenerateSynthetic(datagen.SyntheticConfig{N: n + pool*batch, D: d, NumOutliers: 5, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := vector.NewDataset(all.Slab()[:n*d], n, d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, err := NewMiner(ds, Config{K: 5, TQuantile: 0.95, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := base.Preprocess(); err != nil {
+		b.Fatal(err)
+	}
+	rows := all.Rows()[n:]
+	keep := make([]int, n)
+	for i := range keep {
+		keep[i] = i
+	}
+	var columnRows int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := base
+		for a := range appends {
+			at := (i*appends + a) % pool * batch
+			if m, err = m.WithAppendedBatch(rows[at : at+batch]); err != nil {
+				b.Fatal(err)
+			}
+			columnRows += m.ColumnRowsComputed()
+		}
+		if m, err = m.WithoutRows(keep); err != nil {
+			b.Fatal(err)
+		}
+		columnRows += m.ColumnRowsComputed()
+	}
+	b.ReportMetric(float64(columnRows)/float64(b.N), "column-rows/op")
+}

@@ -34,7 +34,8 @@ func (m *Miner) Config() Config { return m.cfg }
 // supplied evaluator, which the caller must own for the duration of
 // the call (one evaluator, one goroutine). exclude is the dataset
 // index of the point when it is a dataset member (so it never counts
-// as its own neighbour) and -1 for external points.
+// as its own neighbour) and -1 for external points. A point with a NaN
+// or ±Inf coordinate is refused.
 //
 // Ownership: the returned QueryResult (including its mask slices) is
 // backed by the evaluator's reusable scratch — in steady state a
@@ -55,6 +56,9 @@ func (m *Miner) QueryWith(eval *od.Evaluator, point []float64, exclude int) (*Qu
 	}
 	if len(point) != m.ds.Dim() {
 		return nil, fmt.Errorf("core: query point has %d dims, dataset %d", len(point), m.ds.Dim())
+	}
+	if j := nonFinite(point); j >= 0 {
+		return nil, fmt.Errorf("core: query point column %d is not finite", j)
 	}
 	if exclude < -1 || exclude >= m.ds.N() {
 		return nil, fmt.Errorf("core: exclude index %d out of range [-1,%d)", exclude, m.ds.N())

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -87,6 +89,15 @@ func TestQueryWithValidation(t *testing.T) {
 	}
 	if _, err := m.QueryWith(eval, m.Dataset().Point(0), -2); err == nil {
 		t.Fatal("negative exclude accepted")
+	}
+	d := m.Dataset().Dim()
+	for j, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		p := make([]float64, d)
+		p[2*j%d] = v
+		want := fmt.Sprintf("column %d is not finite", 2*j%d)
+		if _, err := m.QueryWith(eval, p, -1); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("QueryWith(%v): error %v, want %q", p, err, want)
+		}
 	}
 }
 

@@ -156,6 +156,12 @@ type Miner struct {
 
 	learnStats LearnStats
 
+	// fullOD and kthDist are the per-row columns of column.go: row i's
+	// full-space OD and k-th-neighbour distance (nil when the Miner
+	// keeps none). columnRows counts the rows this Miner computed.
+	fullOD, kthDist []float64
+	columnRows      int
+
 	// querySeq numbers searches so PolicyRandom stays deterministic
 	// per (seed, search) without a shared rng.
 	querySeq atomic.Int64
@@ -272,16 +278,19 @@ func (m *Miner) Preprocess() error {
 	if m.preprocessed {
 		return nil
 	}
-	eval, err := m.borrowEvaluator()
-	if err != nil {
-		return err
-	}
-	defer m.evals.Put(eval)
 
-	// Resolve the threshold.
+	// Resolve the threshold from the full-space OD column, filling
+	// every row first when the Miner has no column.
 	if m.cfg.TQuantile > 0 {
-		ods := eval.FullSpaceODs()
-		t, err := vector.Quantile(ods, m.cfg.TQuantile)
+		if m.fullOD == nil {
+			n := m.ds.N()
+			m.fullOD, m.kthDist = make([]float64, n), make([]float64, n)
+			if err := m.fillColumns(n, nil); err != nil {
+				m.fullOD, m.kthDist = nil, nil
+				return err
+			}
+		}
+		t, err := vector.Quantile(m.fullOD, m.cfg.TQuantile)
 		if err != nil {
 			return fmt.Errorf("core: resolving TQuantile: %w", err)
 		}
@@ -296,6 +305,11 @@ func (m *Miner) Preprocess() error {
 	// Learning: the sample is the head of a Seed-derived permutation,
 	// so the same seed samples the same rows on every build.
 	if m.cfg.SampleSize > 0 {
+		eval, err := m.borrowEvaluator()
+		if err != nil {
+			return err
+		}
+		defer m.evals.Put(eval)
 		d := m.ds.Dim()
 		uniform := UniformPriors(d)
 		sampled := rand.New(rand.NewSource(m.cfg.Seed)).Perm(m.ds.N())[:m.cfg.SampleSize]

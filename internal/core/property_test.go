@@ -38,7 +38,7 @@ func TestOutlyingSetMonotoneInT(t *testing.T) {
 			return false
 		}
 		idx := rng.Intn(n)
-		base := eval.ODOfPoint(idx, subspace.Full(d))
+		base := odOfPoint(eval, idx, subspace.Full(d))
 		if base <= 0 {
 			return true
 		}
@@ -96,7 +96,7 @@ func TestMinimalSetIsAntichainAndGenerates(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		T := eval.ODOfPoint(0, subspace.Full(d)) * 0.5
+		T := odOfPoint(eval, 0, subspace.Full(d)) * 0.5
 		if T <= 0 {
 			return true
 		}

@@ -46,11 +46,16 @@ func newTestEnv(t testing.TB, seed int64, n, d, k int) *testEnv {
 	return &testEnv{ds: ds, eval: eval}
 }
 
+// odOfPoint is OD for dataset row idx, self-excluded.
+func odOfPoint(e *od.Evaluator, idx int, s subspace.Mask) float64 {
+	return e.OD(e.Dataset().Point(idx), s, idx)
+}
+
 // naiveOutlying evaluates OD in every subspace directly — the oracle.
 func naiveOutlying(env *testEnv, idx int, T float64) []subspace.Mask {
 	var out []subspace.Mask
 	subspace.EachAll(env.ds.Dim(), func(s subspace.Mask) bool {
-		if env.eval.ODOfPoint(idx, s) >= T {
+		if odOfPoint(env.eval, idx, s) >= T {
 			out = append(out, s)
 		}
 		return true
@@ -101,7 +106,7 @@ func TestSearchMatchesNaiveAllPolicies(t *testing.T) {
 		uniform := UniformPriors(d)
 		for idx := 0; idx < 8; idx++ {
 			// A mid-range threshold so both outcomes occur.
-			T := env.eval.ODOfPoint(idx, subspace.Full(d)) * 0.6
+			T := odOfPoint(env.eval, idx, subspace.Full(d)) * 0.6
 			if T <= 0 {
 				continue
 			}
@@ -139,7 +144,7 @@ func TestSearchPrunes(t *testing.T) {
 	uniform := UniformPriors(d)
 	totalEvals, totalSubspaces := int64(0), int64(0)
 	for idx := 0; idx < 10; idx++ {
-		T := env.eval.ODOfPoint(idx, subspace.Full(d)) * 0.5
+		T := odOfPoint(env.eval, idx, subspace.Full(d)) * 0.5
 		if T <= 0 {
 			continue
 		}
@@ -200,7 +205,7 @@ func TestSearchLayerOrderTSFStartsSensibly(t *testing.T) {
 	d := 6
 	env := newTestEnv(t, 7, 50, d, 2)
 	q := env.eval.NewQueryForPoint(1)
-	T := env.eval.ODOfPoint(1, subspace.Full(d)) * 0.6
+	T := odOfPoint(env.eval, 1, subspace.Full(d)) * 0.6
 	res, err := Search(q, d, T, UniformPriors(d), PolicyTSF, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +228,7 @@ func TestSearchLayerOrderTSFStartsSensibly(t *testing.T) {
 func TestSearchBottomUpTopDownOrders(t *testing.T) {
 	d := 5
 	env := newTestEnv(t, 21, 50, d, 2)
-	T := env.eval.ODOfPoint(0, subspace.Full(d)) * 0.6
+	T := odOfPoint(env.eval, 0, subspace.Full(d)) * 0.6
 	qb := env.eval.NewQueryForPoint(0)
 	rb, _ := Search(qb, d, T, UniformPriors(d), PolicyBottomUp, nil)
 	for i := 1; i < len(rb.LayerOrder); i++ {
@@ -244,7 +249,7 @@ func TestPriorsFromResult(t *testing.T) {
 	d := 3
 	env := newTestEnv(t, 31, 40, d, 2)
 	q := env.eval.NewQueryForPoint(2)
-	T := env.eval.ODOfPoint(2, subspace.Full(d)) * 0.5
+	T := odOfPoint(env.eval, 2, subspace.Full(d)) * 0.5
 	res, err := Search(q, d, T, UniformPriors(d), PolicyTSF, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +263,7 @@ func TestPriorsFromResult(t *testing.T) {
 		var outliers, total int64
 		subspace.EachOfDim(d, m, func(s subspace.Mask) bool {
 			total++
-			if env.eval.ODOfPoint(2, s) >= T {
+			if odOfPoint(env.eval, 2, s) >= T {
 				outliers++
 			}
 			return true

@@ -117,18 +117,22 @@ func (e *Evaluator) OD(p []float64, s subspace.Mask, exclude int) float64 {
 	return knn.SumDistances(e.searcher.KNN(p, s, e.k, exclude))
 }
 
-// ODOfPoint computes OD for dataset point idx (self-excluding).
-func (e *Evaluator) ODOfPoint(idx int, s subspace.Mask) float64 {
-	return e.OD(e.ds.Point(idx), s, idx)
+// FullSpaceRow runs one full-space k-NN search for dataset row idx
+// (self-excluded), counting one evaluation, and returns the row's OD
+// and the distance of its k-th neighbour, exactly as KNN returns them.
+// These are the two values core.Miner keeps per row.
+func (e *Evaluator) FullSpaceRow(idx int) (odv, kth float64) {
+	e.evaluations++
+	nb := e.searcher.KNN(e.ds.Point(idx), subspace.Full(e.ds.Dim()), e.k, idx)
+	return knn.SumDistances(nb), nb[len(nb)-1].Dist
 }
 
 // FullSpaceODs computes OD in the full space for every dataset point:
 // the distribution quantile-based threshold selection reads T from.
 func (e *Evaluator) FullSpaceODs() []float64 {
-	full := subspace.Full(e.ds.Dim())
 	out := make([]float64, e.ds.N())
 	for i := range out {
-		out[i] = e.ODOfPoint(i, full)
+		out[i], _ = e.FullSpaceRow(i)
 	}
 	return out
 }

@@ -11,6 +11,11 @@ import (
 	"repro/internal/vector"
 )
 
+// odOfPoint is OD for dataset row idx, self-excluded.
+func odOfPoint(e *Evaluator, idx int, s subspace.Mask) float64 {
+	return e.OD(e.Dataset().Point(idx), s, idx)
+}
+
 func newEval(t *testing.T, rows [][]float64, k int, norm Normalization) *Evaluator {
 	t.Helper()
 	ds, err := vector.FromRows(rows)
@@ -56,16 +61,16 @@ func TestNewEvaluatorValidation(t *testing.T) {
 func TestODHandComputed(t *testing.T) {
 	// Points on a line; k=2. OD of point 0 in [0] = 1 + 2 = 3.
 	e := newEval(t, [][]float64{{0, 9}, {1, 9}, {2, 9}, {10, 9}}, 2, NormNone)
-	if got := e.ODOfPoint(0, subspace.New(0)); math.Abs(got-3) > 1e-12 {
+	if got := odOfPoint(e, 0, subspace.New(0)); math.Abs(got-3) > 1e-12 {
 		t.Fatalf("OD = %v, want 3", got)
 	}
 	// Point 3 is far: neighbours at 8 and 9 → OD = 17.
-	if got := e.ODOfPoint(3, subspace.New(0)); math.Abs(got-17) > 1e-12 {
+	if got := odOfPoint(e, 3, subspace.New(0)); math.Abs(got-17) > 1e-12 {
 		t.Fatalf("OD = %v, want 17", got)
 	}
 	// In dim 1, all identical → OD = 0 everywhere.
 	for i := 0; i < 4; i++ {
-		if got := e.ODOfPoint(i, subspace.New(1)); got != 0 {
+		if got := odOfPoint(e, i, subspace.New(1)); got != 0 {
 			t.Fatalf("OD in constant dim = %v", got)
 		}
 	}
@@ -112,7 +117,7 @@ func TestODMonotonicity(t *testing.T) {
 			sub = subspace.New(rng.Intn(d))
 		}
 		sup := sub | (subspace.Mask(rng.Uint32()) & subspace.Full(d))
-		return e.ODOfPoint(idx, sup) >= e.ODOfPoint(idx, sub)-1e-9
+		return odOfPoint(e, idx, sup) >= odOfPoint(e, idx, sub)-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -166,7 +171,7 @@ func TestQueryCountsEvaluations(t *testing.T) {
 	e := newEval(t, [][]float64{{0, 0}, {1, 1}, {2, 2}, {3, 3}}, 2, NormNone)
 	q := e.NewQueryForPoint(1)
 	s := subspace.New(0, 1)
-	T := e.ODOfPoint(1, s)
+	T := odOfPoint(e, 1, s)
 	before := e.Evaluations()
 	v1 := q.AtLeast(s, T)
 	v2 := q.AtLeast(s, T)
@@ -203,7 +208,7 @@ func TestSharedCacheSeparatesMemberFromExternal(t *testing.T) {
 
 	member := e.NewQuery(rows[0], 0)
 	external := e.NewQuery(rows[0], -1)
-	vm := e.ODOfPoint(0, s)
+	vm := odOfPoint(e, 0, s)
 	ve := e.OD(rows[0], s, -1)
 	checkAtLeast(t, member, s, vm)
 	checkAtLeast(t, external, s, ve)
@@ -221,7 +226,7 @@ func TestQueryMatchesEvaluator(t *testing.T) {
 	e := newEval(t, [][]float64{{0, 5}, {1, 4}, {2, 3}, {9, 9}}, 2, NormNone)
 	q := e.NewQueryForPoint(3)
 	for _, s := range subspace.All(2) {
-		checkAtLeast(t, q, s, e.ODOfPoint(3, s))
+		checkAtLeast(t, q, s, odOfPoint(e, 3, s))
 	}
 }
 
@@ -257,7 +262,7 @@ func TestQueryAtLeastAsksDecider(t *testing.T) {
 	}
 	q := e.NewQueryForPoint(2)
 	for _, s := range subspace.All(3) {
-		checkAtLeast(t, q, s, e.ODOfPoint(2, s))
+		checkAtLeast(t, q, s, odOfPoint(e, 2, s))
 	}
 	nonEmpty := 0
 	for _, s := range subspace.All(3) {

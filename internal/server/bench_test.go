@@ -77,15 +77,17 @@ func BenchmarkQueryCached(b *testing.B) {
 // exists to provide. Auto-compaction is disabled so the WAL sync
 // counter is cumulative for the whole run.
 //
-// Each append re-resolves T over every row, so its cost grows with N.
-// To keep the figures independent of -benchtime, the loop deletes its
-// own rows by stable-ID range, outside the timed region, whenever they
-// reach appendTrimRows; N then stays between the base and the base
-// plus appendTrimRows. The trims' fsyncs are not counted. The trim
-// cannot use keep_last: every request carries the same rows, so the
-// newest rows are all copies and T would resolve to 0.
+// An append's cost and allocations grow with N (the X-tree insert
+// unpacks every node). To keep the per-op figures independent of
+// -benchtime, the loop deletes its own rows by stable-ID range,
+// outside the timed region, whenever they reach appendTrimRows; N then
+// stays between the base and the base plus appendTrimRows (or one
+// batch, when a batch is larger). The window is small so that even a
+// run of a few dozen batch=1 requests spans whole trim periods. The
+// trims' fsyncs are not counted. The trim cannot use keep_last: every
+// request carries the same rows, so the newest rows are all copies.
 func BenchmarkAppendThroughput(b *testing.B) {
-	const appendTrimRows = 1024
+	const appendTrimRows = 64
 	for _, batch := range []int{1, 16, 256} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			s := benchServer(b, Options{

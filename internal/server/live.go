@@ -24,21 +24,26 @@ import (
 //	POST   /datasets/{name}/compact  fold WAL deltas into a fresh .snap (async job)
 //
 // Consistency model. Each mutation derives a complete replacement
-// view with nextView — core.Miner.WithAppendedBatch reuses the
-// incremental X-tree and shard append paths, so the result is
-// bit-identical to a from-scratch rebuild — and commitLocked swaps the
-// dataset's view pointer once the delta is durable. In-flight queries
-// hold the view they resolved and never observe torn state; the epoch
-// counter in /stats and /datasets is the number of swaps.
+// view with nextView, and commitLocked swaps the dataset's view
+// pointer once the delta is durable. core.Miner.WithAppendedBatch
+// reuses the incremental X-tree and shard append paths. It and
+// WithoutRows carry the parent's per-row full-space OD column over and
+// recompute only the rows the mutated ones can change, so the k-NN
+// work follows the mutation, not N, and the result is still
+// bit-identical to a from-scratch rebuild. In-flight queries hold the
+// view they resolved and never observe torn state. The epoch counter
+// in /stats and /datasets is the number of swaps, and
+// column_rows_recomputed sums the column rows the committed mutations
+// recomputed.
 //
 // Group commit. Concurrent /append requests do not each pay the
-// rebuild: every handler enqueues its rows on the entry's pending
+// derivation: every handler enqueues its rows on the entry's pending
 // queue and races for the writer lock, and whoever wins drains the
 // whole queue as ONE mutation — one per-request validation pass, one
-// batched index rebuild, one WAL batch frame, one fsync, one epoch
-// swap. Each caller is unblocked only after its rows are durable and
-// visible, so the acknowledgment contract is unchanged; only the cost
-// is amortized. The epoch counter therefore advances once per drain,
+// batched index extension and column refill, one WAL batch frame, one
+// fsync, one epoch swap. Each caller is unblocked only after its rows
+// are durable and visible, so the acknowledgment contract is
+// unchanged; only the cost is amortized. The epoch counter therefore advances once per drain,
 // not once per request (appends vs append_batches in /stats).
 //
 // Durability. With -data-dir and -wal, the first mutation persists the
@@ -72,6 +77,9 @@ type view struct {
 	ids    []int64
 	stamps []int64
 	nextID int64
+	// columnRows is how many full-space column rows the miners of
+	// nextView's derivation computed (core.Miner.ColumnRowsComputed).
+	columnRows int64
 }
 
 // resolveQueryTarget turns a request's (index, point) pair — exactly
@@ -372,10 +380,10 @@ func (s *Server) handleDeleteRows(w http.ResponseWriter, r *http.Request) {
 // d's view v whose stable ID falls in [fromID, toID), deriving the next
 // epoch with nextView and committing it with commitLocked (journal and
 // Commit before the swap). Both the DELETE handler and the retention
-// sweeper go through it, so exactness (WithoutRows is a full rebuild
-// of the survivors) and durability ordering are argued once. The
-// caller holds d.mut. A non-zero status reports the failure and the
-// view is unchanged.
+// sweeper go through it, so exactness (WithoutRows equals a fresh
+// build over the survivors) and durability ordering are argued once.
+// The caller holds d.mut. A non-zero status reports the failure and
+// the view is unchanged.
 func (s *Server) deleteRangeLocked(d *dataset, v *view, fromID, toID int64) (nv *view, removed, status int, errMsg string) {
 	for _, id := range v.ids {
 		if id >= fromID && id < toID {
@@ -410,6 +418,7 @@ func (s *Server) deleteRangeLocked(d *dataset, v *view, fromID, toID int64) (nv 
 // retention sweeper's prefix expiry relies on that. v is not modified.
 func (s *Server) nextView(d *dataset, v *view, epoch int64, recs []wal.Record) (*view, error) {
 	m, ids, stamps, nextID := v.miner, v.ids, v.stamps, v.nextID
+	var columnRows int64
 	var err error
 	for i := 0; i < len(recs); {
 		if rec := recs[i]; rec.Type == wal.RecordDelete {
@@ -426,6 +435,7 @@ func (s *Server) nextView(d *dataset, v *view, epoch int64, recs []wal.Record) (
 			if m, err = m.WithoutRows(keep); err != nil {
 				return nil, err
 			}
+			columnRows += int64(m.ColumnRowsComputed())
 			kept, keptStamps := make([]int64, len(keep)), make([]int64, len(keep))
 			for j, g := range keep {
 				kept[j], keptStamps[j] = ids[g], stamps[g]
@@ -443,6 +453,7 @@ func (s *Server) nextView(d *dataset, v *view, epoch int64, recs []wal.Record) (
 		if m, err = m.WithAppendedBatch(batches...); err != nil {
 			return nil, err
 		}
+		columnRows += int64(m.ColumnRowsComputed())
 		ids = append(make([]int64, 0, len(ids)+total), ids...)
 		stamps = append(make([]int64, 0, len(stamps)+total), stamps...)
 		for _, rec := range recs[run:i] {
@@ -457,7 +468,9 @@ func (s *Server) nextView(d *dataset, v *view, epoch int64, recs []wal.Record) (
 			nextID = max(nextID, rec.FirstID+int64(len(rec.Rows)))
 		}
 	}
-	return s.newView(d, m, epoch, ids, stamps, nextID), nil
+	nv := s.newView(d, m, epoch, ids, stamps, nextID)
+	nv.columnRows = columnRows
+	return nv, nil
 }
 
 // commitLocked makes nv, derived from v by recs, the serving epoch —
@@ -485,6 +498,7 @@ func (s *Server) commitLocked(d *dataset, v, nv *view, recs []wal.Record) error 
 		d.mirrorWAL()
 	}
 	d.cur.Store(nv)
+	d.columnRows.Add(nv.columnRows)
 	s.maybeCompact(d)
 	return nil
 }

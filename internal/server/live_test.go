@@ -89,6 +89,12 @@ func TestAppendAndDeleteRows(t *testing.T) {
 	if rec := do(t, h, "POST", "/query", fmt.Sprintf(`{"index":%d}`, baseN+2), nil); rec.Code != http.StatusOK {
 		t.Fatalf("query appended row: %d (%s)", rec.Code, rec.Body.String())
 	}
+	// The append recomputed the new rows' full-space columns and those
+	// of the rows they can change, not every row.
+	firstRows := s.Stats().Datasets[0].Live.ColumnRowsRecomputed
+	if firstRows < 3 || firstRows >= int64(baseN+3) {
+		t.Fatalf("column_rows_recomputed after a 3-row append = %d, want 3..%d", firstRows, baseN+2)
+	}
 
 	// Validation surface.
 	for name, body := range map[string]string{
@@ -148,6 +154,10 @@ func TestAppendAndDeleteRows(t *testing.T) {
 	if live.Epoch != 4 || live.Appends != 2 || live.AppendedRows != 8 ||
 		live.Deletes != 2 || live.DeletedRows != 8 || live.NextID != int64(baseN+8) {
 		t.Fatalf("live stats = %+v", live)
+	}
+	if live.ColumnRowsRecomputed < firstRows+5 || live.ColumnRowsRecomputed >= int64(4*baseN) {
+		t.Fatalf("column_rows_recomputed over four mutations = %d, want %d..%d",
+			live.ColumnRowsRecomputed, firstRows+5, 4*baseN-1)
 	}
 	var list listDatasetsResponse
 	do(t, h, "GET", "/datasets", "", &list)

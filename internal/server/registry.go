@@ -111,6 +111,9 @@ type dataset struct {
 	// sweeps); retentionExpired counts the rows they deleted.
 	retentionSweeps  atomic.Int64
 	retentionExpired atomic.Int64
+	// columnRows sums the column rows each committed mutation
+	// recomputed (view.columnRows).
+	columnRows atomic.Int64
 }
 
 // view returns the entry's current queryable state. Handlers call it
@@ -607,6 +610,7 @@ func (d *dataset) stats() DatasetStats {
 			WALSyncs:             d.walSyncs.Load(),
 			RetentionSweeps:      d.retentionSweeps.Load(),
 			RetentionExpiredRows: d.retentionExpired.Load(),
+			ColumnRowsRecomputed: d.columnRows.Load(),
 		},
 		Overload: OverloadStats{
 			BreakerState:     g.Breaker.State.String(),

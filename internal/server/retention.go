@@ -152,8 +152,8 @@ type retentionSweepResult struct {
 
 // retentionJob is one dataset's sweep: compute the expired prefix
 // under the writer lock and push it through the shared delete path —
-// exact (a full rebuild of the survivors), WAL-journaled and
-// committed, one epoch swap. The policy is re-read inside the job so
+// exact (core.Miner.WithoutRows), WAL-journaled and committed, one
+// epoch swap. The policy is re-read inside the job so
 // a PUT landing between tick and run is honoured.
 func (s *Server) retentionJob(d *dataset) func(ctx context.Context, report func(done, total int)) (any, error) {
 	return func(ctx context.Context, report func(done, total int)) (any, error) {

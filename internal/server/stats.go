@@ -220,6 +220,10 @@ type LiveStats struct {
 	RetentionExpiredRows int64  `json:"retention_expired_rows"`
 	RetentionMaxAge      string `json:"retention_max_age,omitempty"`
 	RetentionMaxRows     int    `json:"retention_max_rows,omitempty"`
+	// ColumnRowsRecomputed sums, over committed mutations, the rows
+	// whose full-space OD and k-th-neighbour distance the derived miner
+	// recomputed: the rows each mutation could change, not every row.
+	ColumnRowsRecomputed int64 `json:"column_rows_recomputed"`
 }
 
 // OverloadStats is one dataset's overload-guard section of /stats.
