@@ -132,9 +132,10 @@ func (c *Config) validate(ds *vector.Dataset) error {
 //
 // Concurrency: once Preprocess or ImportState has run, every query,
 // batch, scan and accessor method is safe for concurrent use. The
-// dataset, index, threshold, priors and configuration are then
-// read-only, and the only mutable state is the Miner's own evaluator
-// pool and query counter, both safe for concurrent use. Every search
+// dataset, index, per-row columns, threshold, priors and configuration
+// are then read-only (WithAppended and WithoutRows only read them),
+// and the only mutable state is the Miner's own evaluator pool and
+// query counter, both safe for concurrent use. Every search
 // borrows an od.Evaluator from that pool (its k-NN cursor carries
 // mutable work counters and scratch) and returns it afterwards, so
 // callers never handle evaluators. A caller that wants to own one —
