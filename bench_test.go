@@ -9,6 +9,7 @@ package hosminer_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"testing"
@@ -124,13 +125,21 @@ func BenchmarkXTreeSubspaceKNN(b *testing.B) {
 	}
 }
 
+// BenchmarkXTreeBuild times X-tree construction by insertion at three
+// serving shapes: live_ingest's 3000×8 (rebuilt on every trim), one
+// cold_query shard's 4000×12 and batch_scoring's 20000×10.
 func BenchmarkXTreeBuild(b *testing.B) {
-	ds := benchDataset(b, 2000, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := xtree.Build(ds, vector.L2, xtree.DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range []struct{ n, d int }{{3000, 8}, {4000, 12}, {20000, 10}} {
+		b.Run(fmt.Sprintf("%dx%d", shape.n, shape.d), func(b *testing.B) {
+			ds := benchDataset(b, shape.n, shape.d)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := xtree.Build(ds, vector.L2, xtree.DefaultConfig()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

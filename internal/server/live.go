@@ -210,17 +210,22 @@ func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	d.pending = append(d.pending, op)
 	d.pendMu.Unlock()
 
+	s.writeAppendOutcome(w, s.awaitAppend(d, op))
+}
+
+// awaitAppend takes the writer lock and returns op's outcome: the one
+// an earlier drain delivered, or the one this caller's drain does.
+// The lock is released however the drain ends, a panic included.
+func (s *Server) awaitAppend(d *dataset, op *appendOp) appendOutcome {
 	d.mut.Lock()
+	defer d.mut.Unlock()
 	select {
 	case out := <-op.done:
-		d.mut.Unlock()
-		s.writeAppendOutcome(w, out)
-		return
+		return out
 	default:
 	}
 	s.drainAppendsLocked(d)
-	d.mut.Unlock()
-	s.writeAppendOutcome(w, <-op.done)
+	return <-op.done
 }
 
 func (s *Server) writeAppendOutcome(w http.ResponseWriter, out appendOutcome) {
@@ -243,7 +248,9 @@ func (s *Server) writeAppendOutcome(w http.ResponseWriter, out appendOutcome) {
 // X-tree unpack/insert/repack, one threshold re-resolution.
 // commitLocked then journals them as one WAL batch frame, makes them
 // durable with one Commit and visible with one epoch swap. Every
-// drained op's outcome is delivered before this returns.
+// drained op's outcome is delivered before this returns, on every
+// path: should the drain panic, the ops not yet answered get a 500 and
+// the panic goes on to the drainer's own handler.
 func (s *Server) drainAppendsLocked(d *dataset) {
 	d.pendMu.Lock()
 	ops := d.pending
@@ -252,6 +259,14 @@ func (s *Server) drainAppendsLocked(d *dataset) {
 	if len(ops) == 0 {
 		return
 	}
+	defer func() {
+		for _, op := range ops {
+			select {
+			case op.done <- appendOutcome{status: http.StatusInternalServerError, errMsg: "internal error"}:
+			default: // answered: done holds its outcome
+			}
+		}
+	}()
 	v := d.view()
 	dim := v.miner.Dataset().Dim()
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -15,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/snapshot"
 )
 
@@ -163,6 +166,117 @@ func TestAppendAndDeleteRows(t *testing.T) {
 	do(t, h, "GET", "/datasets", "", &list)
 	if len(list.Datasets) != 1 || list.Datasets[0].Epoch != 4 {
 		t.Fatalf("dataset listing = %+v", list.Datasets)
+	}
+}
+
+// within runs fn and fails the test if it has not returned after
+// limit; a call that never returns is left blocked rather than hanging
+// the test binary.
+func within(t *testing.T, limit time.Duration, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(limit):
+		t.Fatalf("%s did not return within %v", what, limit)
+	}
+}
+
+// TestAppendHugeRowsThenAppendAndClose: rows whose box volumes
+// overflow float64 once sent the X-tree insertion into a panic midway
+// through the append drain, which left the dataset's writer lock held:
+// the next append and Server.Close then waited forever. The huge rows
+// must be appended, and the calls after them must return.
+func TestAppendHugeRowsThenAppendAndClose(t *testing.T) {
+	ds, _, err := datagen.GenerateSynthetic(datagen.SyntheticConfig{N: 150, D: 8, NumOutliers: 4, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.NewMiner(ds, core.Config{K: 4, TQuantile: 0.9, Seed: 1, Backend: core.BackendXTree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(m, Options{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	rng := rand.New(rand.NewSource(4))
+	rows := make([][]float64, 64)
+	for i := range rows {
+		rows[i] = make([]float64, 8)
+		for j := range rows[i] {
+			rows[i][j] = (rng.Float64()*2 - 1) * 1e40
+		}
+	}
+	body, err := json.Marshal(map[string]any{"rows": rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var huge, small int
+	within(t, 10*time.Second, "the append of huge rows", func() {
+		huge = do(t, h, "POST", "/datasets/default/append", string(body), nil).Code
+	})
+	within(t, 10*time.Second, "the append after it", func() {
+		small = do(t, h, "POST", "/datasets/default/append", appendJSON(3, 8, 1), nil).Code
+	})
+	within(t, 10*time.Second, "Server.Close", func() {
+		if err := s.Close(context.Background()); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	if huge != http.StatusOK || small != http.StatusOK {
+		t.Fatalf("appends answered %d and %d, want 200 and 200", huge, small)
+	}
+}
+
+// TestAppendDrainPanicAnswersEveryOp: when a drain panics, the writer
+// lock is released, the panic reaches the drainer's handler, and every
+// coalesced op it took off the queue is answered with a 500 instead of
+// waiting on its outcome forever.
+func TestAppendDrainPanicAnswersEveryOp(t *testing.T) {
+	s := newTestServer(t, Options{CacheSize: -1})
+	d := s.def
+	ops := []*appendOp{
+		{rows: [][]float64{{1, 2, 3, 4, 5}}, done: make(chan appendOutcome, 1)},
+		{rows: [][]float64{{5, 4, 3, 2, 1}}, done: make(chan appendOutcome, 1)},
+	}
+	d.pendMu.Lock()
+	d.pending = append(d.pending, ops...)
+	d.pendMu.Unlock()
+	// A view without a miner makes the drain panic where it first
+	// reads the dataset.
+	good := d.view()
+	d.cur.Store(&view{})
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		s.awaitAppend(d, ops[0])
+	}()
+	d.cur.Store(good)
+	if recovered == nil {
+		t.Fatal("the drain's panic did not reach its caller")
+	}
+	if !d.mut.TryLock() {
+		t.Fatal("the writer lock is still held after the drain panicked")
+	}
+	d.mut.Unlock()
+	for i, op := range ops {
+		select {
+		case out := <-op.done:
+			if out.status != http.StatusInternalServerError || out.resp != nil {
+				t.Fatalf("op %d answered %+v, want a 500", i, out)
+			}
+		default:
+			t.Fatalf("op %d was never answered", i)
+		}
+	}
+	if rec := do(t, s.Handler(), "POST", "/datasets/default/append", appendJSON(3, 5, 1), nil); rec.Code != http.StatusOK {
+		t.Fatalf("append after the panic: %d (%s)", rec.Code, rec.Body.String())
 	}
 }
 

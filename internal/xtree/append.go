@@ -59,7 +59,7 @@ func (t *Tree) Append(newDS *vector.Dataset) (*Tree, error) {
 		nt.insert(i)
 	}
 	nt.pack(nt.root)
-	nt.root = nil
+	nt.root, nt.sc = nil, buildScratch{}
 	if err := nt.Validate(); err != nil {
 		return nil, fmt.Errorf("xtree: append: %w", err)
 	}
@@ -71,35 +71,40 @@ func (t *Tree) Append(newDS *vector.Dataset) (*Tree, error) {
 // (pack recomputes them with the same pure min/max the incremental
 // maintenance uses, so the restored scaffolding is byte-identical to
 // the graph that existed just before pack ran).
+//
+// The scaffolding is carved out of one slab per kind — nodes, bounds,
+// points, child links — so an unpack allocates the same handful of
+// times whatever the tree's size. Every node's windows have exact
+// capacity: a later append to a leaf's points or a directory's
+// children reallocates instead of overwriting its neighbour's.
 func (t *Tree) unpack() *node {
 	a := &t.ar
 	d := a.dim
-	var build func(id int32, parent *node) *node
-	build = func(id int32, parent *node) *node {
+	nodes := make([]node, len(a.nodes))
+	mins := append([]float64(nil), a.mbrMin...)
+	maxs := append([]float64(nil), a.mbrMax...)
+	points := make([]int, len(a.points))
+	kids := make([]*node, len(a.children))
+	for id := range a.nodes {
 		an := &a.nodes[id]
-		n := &node{
-			parent:       parent,
-			leaf:         an.isLeaf(),
-			super:        an.isSuper(),
-			splitHistory: an.history,
-		}
-		base := int(id) * d
-		n.mbr = MBR{
-			Min: append([]float64(nil), a.mbrMin[base:base+d]...),
-			Max: append([]float64(nil), a.mbrMax[base:base+d]...),
-		}
+		n := &nodes[id] // its parent, earlier in preorder, set n.parent
+		n.leaf, n.super, n.splitHistory = an.isLeaf(), an.isSuper(), an.history
+		lo, hi := id*d, (id+1)*d
+		n.mbr = MBR{Min: mins[lo:hi:hi], Max: maxs[lo:hi:hi]}
 		if an.isLeaf() {
-			n.points = make([]int, 0, an.pointCount)
-			for _, p := range a.rows(id) {
-				n.points = append(n.points, int(p))
+			lo, hi := int(an.pointOff), int(an.pointOff+an.pointCount)
+			n.points = points[lo:hi:hi]
+			for k, p := range a.rows(int32(id)) {
+				n.points[k] = int(p)
 			}
 		} else {
-			n.children = make([]*node, 0, an.childCount)
-			for _, c := range a.kids(id) {
-				n.children = append(n.children, build(c, n))
+			lo, hi := int(an.childOff), int(an.childOff+an.childCount)
+			n.children = kids[lo:hi:hi]
+			for k, c := range a.kids(int32(id)) {
+				n.children[k] = &nodes[c]
+				nodes[c].parent = n
 			}
 		}
-		return n
 	}
-	return build(0, nil)
+	return &nodes[0]
 }

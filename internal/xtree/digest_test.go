@@ -19,6 +19,8 @@ import (
 // half) followed by Append(full), which must reach the same bytes. The
 // digests were generated by the insertion code at commit 0912901; a
 // change to construction that alters any of them changes the trees.
+// The heavy cases take minutes under the race detector with coverage,
+// so they run in uninstrumented builds only.
 func TestTreeDigests(t *testing.T) {
 	synthetic := func(n, d int) func(testing.TB) *vector.Dataset {
 		return func(tb testing.TB) *vector.Dataset {
@@ -35,21 +37,25 @@ func TestTreeDigests(t *testing.T) {
 		cfg        Config
 		supernodes int
 		digest     string
+		heavy      bool
 	}{
 		{"synthetic_3000x8", synthetic(3000, 8), DefaultConfig(), 0,
-			"02f26930dffba730d4532947249a7c9b4a442d52b0fe3d991c6ad2868490d21e"},
+			"02f26930dffba730d4532947249a7c9b4a442d52b0fe3d991c6ad2868490d21e", false},
 		{"synthetic_4000x12", synthetic(4000, 12), DefaultConfig(), 0,
-			"4bb532961f36b8fcd6c01be940a8e5add7c5e186bdc97a5ebf9761c0606d820b"},
+			"4bb532961f36b8fcd6c01be940a8e5add7c5e186bdc97a5ebf9761c0606d820b", false},
 		{"synthetic_20000x8", synthetic(20000, 8), DefaultConfig(), 1,
-			"b5a4060a99cf903f22df65f413013a2126e000cf306eea76634220605c202605"},
+			"b5a4060a99cf903f22df65f413013a2126e000cf306eea76634220605c202605", true},
 		{"synthetic_20000x10", synthetic(20000, 10), DefaultConfig(), 2,
-			"77275bde4a8dc89e0ad40f9cf31660d7fb1a31365949e901d3c6426cba6d03ad"},
+			"77275bde4a8dc89e0ad40f9cf31660d7fb1a31365949e901d3c6426cba6d03ad", true},
 		{"ties_default", tieHeavyDataset, DefaultConfig(), 1,
-			"efe3cbe0a6733f39382b91302d2a4607f30ff4d09bff9ef6a46dc74a32c593ad"},
+			"efe3cbe0a6733f39382b91302d2a4607f30ff4d09bff9ef6a46dc74a32c593ad", false},
 		{"ties_m6", tieHeavyDataset, Config{MaxEntries: 6}, 1,
-			"c4876a7dc9a197ed23ab3f104a66459a15cf0a733e0c7aff4c5387fe4ada768a"},
+			"c4876a7dc9a197ed23ab3f104a66459a15cf0a733e0c7aff4c5387fe4ada768a", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.heavy && raceEnabled {
+				t.Skip("minutes under the race detector; runs uninstrumented")
+			}
 			ds := tc.data(t)
 			full, err := Build(ds, vector.L2, tc.cfg)
 			if err != nil {

@@ -21,13 +21,6 @@ type MBR struct {
 	Max []float64
 }
 
-// NewMBR returns a degenerate MBR covering exactly the given point.
-func NewMBR(p []float64) MBR {
-	lo := append([]float64(nil), p...)
-	hi := append([]float64(nil), p...)
-	return MBR{Min: lo, Max: hi}
-}
-
 // EmptyMBR returns an inverted MBR that acts as the identity for
 // Extend/Union.
 func EmptyMBR(d int) MBR {
@@ -45,14 +38,6 @@ func (r MBR) Dim() int { return len(r.Min) }
 
 // IsEmpty reports whether the MBR is inverted (covers nothing).
 func (r MBR) IsEmpty() bool { return len(r.Min) == 0 || r.Min[0] > r.Max[0] }
-
-// Clone returns a deep copy.
-func (r MBR) Clone() MBR {
-	return MBR{
-		Min: append([]float64(nil), r.Min...),
-		Max: append([]float64(nil), r.Max...),
-	}
-}
 
 // ExtendPoint grows the MBR in place to cover p.
 func (r *MBR) ExtendPoint(p []float64) {
@@ -78,13 +63,6 @@ func (r *MBR) Extend(other MBR) {
 	}
 }
 
-// Union returns the smallest MBR covering both inputs.
-func Union(a, b MBR) MBR {
-	u := a.Clone()
-	u.Extend(b)
-	return u
-}
-
 // ContainsPoint reports whether p lies inside the rectangle
 // (inclusive).
 func (r MBR) ContainsPoint(p []float64) bool {
@@ -108,43 +86,41 @@ func (r MBR) Contains(other MBR) bool {
 
 // Area returns the d-dimensional volume. Degenerate extents contribute
 // factor 0.
-func (r MBR) Area() float64 {
+func (r MBR) Area() float64 { return boxArea(r.Min, r.Max) }
+
+// boxArea is Area over bare bound slices, so construction can score
+// boxes that live in scratch.
+func boxArea(lo, hi []float64) float64 {
 	area := 1.0
-	for i := range r.Min {
-		area *= r.Max[i] - r.Min[i]
+	for i := range lo {
+		area *= hi[i] - lo[i]
 	}
 	return area
 }
 
-// Margin returns the sum of edge lengths (the R*-tree margin
+// boxMargin returns the sum of edge lengths (the R*-tree margin
 // criterion, up to the constant 2^(d-1) factor).
-func (r MBR) Margin() float64 {
+func boxMargin(lo, hi []float64) float64 {
 	var m float64
-	for i := range r.Min {
-		m += r.Max[i] - r.Min[i]
+	for i := range lo {
+		m += hi[i] - lo[i]
 	}
 	return m
 }
 
-// Overlap returns the volume of the intersection of a and b (0 when
-// disjoint).
-func Overlap(a, b MBR) float64 {
+// boxOverlap returns the volume of the intersection of boxes a and b
+// (0 when disjoint).
+func boxOverlap(aLo, aHi, bLo, bHi []float64) float64 {
 	v := 1.0
-	for i := range a.Min {
-		lo := math.Max(a.Min[i], b.Min[i])
-		hi := math.Min(a.Max[i], b.Max[i])
+	for i := range aLo {
+		lo := max(aLo[i], bLo[i])
+		hi := min(aHi[i], bHi[i])
 		if hi <= lo {
 			return 0
 		}
 		v *= hi - lo
 	}
 	return v
-}
-
-// Enlargement returns how much r's area grows when extended to cover
-// other.
-func Enlargement(r, other MBR) float64 {
-	return Union(r, other).Area() - r.Area()
 }
 
 func axisGap(v, lo, hi float64) float64 {

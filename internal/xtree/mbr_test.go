@@ -3,6 +3,7 @@ package xtree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,13 +11,23 @@ import (
 	"repro/internal/vector"
 )
 
+// TestNewMBRAndContains: the box a leaf starts with when its first
+// point arrives is degenerate at that point.
 func TestNewMBRAndContains(t *testing.T) {
 	p := []float64{1, 2, 3}
-	m := NewMBR(p)
+	ds, err := vector.FromRows([][]float64{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Build(ds, vector.L2, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := tr.ar.nodeMBR(0)
 	if !m.ContainsPoint(p) {
 		t.Fatal("degenerate MBR must contain its point")
 	}
-	if m.Area() != 0 || m.Margin() != 0 {
+	if m.Area() != 0 || boxMargin(m.Min, m.Max) != 0 {
 		t.Fatal("degenerate MBR area/margin must be 0")
 	}
 	if m.Dim() != 3 {
@@ -36,51 +47,77 @@ func TestEmptyMBR(t *testing.T) {
 }
 
 func TestExtendAndUnion(t *testing.T) {
-	a := NewMBR([]float64{0, 0})
+	a := EmptyMBR(2)
+	a.ExtendPoint([]float64{0, 0})
 	a.ExtendPoint([]float64{2, 3})
 	if !a.ContainsPoint([]float64{1, 1.5}) {
 		t.Fatal("extended MBR should contain interior point")
 	}
-	b := NewMBR([]float64{-1, 5})
-	u := Union(a, b)
+	b := MBR{Min: []float64{-1, 5}, Max: []float64{-1, 5}}
+	u := EmptyMBR(2)
+	u.Extend(a)
+	u.Extend(b)
 	if !u.Contains(a) || !u.Contains(b) {
 		t.Fatal("union must contain both")
 	}
-	// Union must not mutate inputs.
-	if a.ContainsPoint([]float64{-1, 5}) {
-		t.Fatal("Union mutated input")
+	// Extend must not touch its argument.
+	if a.ContainsPoint([]float64{-1, 5}) || b.ContainsPoint([]float64{0, 0}) {
+		t.Fatal("Extend mutated its argument")
 	}
 }
 
+// overlap is boxOverlap over two MBRs.
+func overlap(a, b MBR) float64 { return boxOverlap(a.Min, a.Max, b.Min, b.Max) }
+
 func TestAreaMarginOverlap(t *testing.T) {
 	a := MBR{Min: []float64{0, 0}, Max: []float64{2, 3}}
-	if a.Area() != 6 || a.Margin() != 5 {
-		t.Fatalf("area=%v margin=%v", a.Area(), a.Margin())
+	if a.Area() != 6 || boxMargin(a.Min, a.Max) != 5 {
+		t.Fatalf("area=%v margin=%v", a.Area(), boxMargin(a.Min, a.Max))
 	}
 	b := MBR{Min: []float64{1, 1}, Max: []float64{3, 2}}
-	if got := Overlap(a, b); got != 1 {
+	if got := overlap(a, b); got != 1 {
 		t.Fatalf("overlap = %v, want 1", got)
 	}
 	c := MBR{Min: []float64{5, 5}, Max: []float64{6, 6}}
-	if Overlap(a, c) != 0 {
+	if overlap(a, c) != 0 {
 		t.Fatal("disjoint overlap must be 0")
 	}
 	// Touching rectangles: zero overlap.
 	d := MBR{Min: []float64{2, 0}, Max: []float64{4, 3}}
-	if Overlap(a, d) != 0 {
+	if overlap(a, d) != 0 {
 		t.Fatal("touching overlap must be 0")
 	}
 }
 
+// TestEnlargement: with no overlap at stake, a new point joins the
+// leaf whose box it enlarges least. Two leaves bound the clusters near
+// (0,0) and (10,10); a point at (3, 0.5) grows the first by area 2 and
+// the second by area 83, one at (8, 9) the reverse.
 func TestEnlargement(t *testing.T) {
-	a := MBR{Min: []float64{0, 0}, Max: []float64{1, 1}}
-	b := MBR{Min: []float64{2, 0}, Max: []float64{3, 1}}
-	// Union is [0,3]x[0,1], area 3, so enlargement is 2.
-	if got := Enlargement(a, b); got != 2 {
-		t.Fatalf("enlargement = %v", got)
+	rows := [][]float64{{0, 0}, {1, 1}, {0, 1}, {10, 10}, {11, 11}, {3, 0.5}, {8, 9}}
+	base, err := Build(datasetOf(t, rows[:5], 2), vector.L2, Config{MaxEntries: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if Enlargement(a, a) != 0 {
-		t.Fatal("self enlargement must be 0")
+	if base.NodeCount() != 3 {
+		t.Fatalf("base tree has %d nodes, want a root over two leaves", base.NodeCount())
+	}
+	tr, err := base.Append(datasetOf(t, rows, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leafOf := func(row int32) int32 {
+		for id := range tr.ar.nodes {
+			if tr.ar.nodes[id].isLeaf() && slices.Contains(tr.ar.rows(int32(id)), row) {
+				return int32(id)
+			}
+		}
+		t.Fatalf("row %d is in no leaf", row)
+		return -1
+	}
+	if leafOf(5) != leafOf(0) || leafOf(6) != leafOf(3) || leafOf(0) == leafOf(3) {
+		t.Fatalf("points joined the wrong leaves: rows 0,3,5,6 in leaves %d,%d,%d,%d",
+			leafOf(0), leafOf(3), leafOf(5), leafOf(6))
 	}
 }
 
@@ -165,7 +202,7 @@ func TestOverlapCommutativeAndBounded(t *testing.T) {
 			return MBR{Min: lo, Max: hi}
 		}
 		a, b := mk(), mk()
-		ov1, ov2 := Overlap(a, b), Overlap(b, a)
+		ov1, ov2 := overlap(a, b), overlap(b, a)
 		if ov1 != ov2 {
 			return false
 		}

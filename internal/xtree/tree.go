@@ -1,9 +1,10 @@
 package xtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/subspace"
 	"repro/internal/vector"
@@ -76,6 +77,7 @@ type Tree struct {
 
 	supernodes int // number of supernode creations
 	stats      treeStats
+	sc         buildScratch // construction only; dropped by pack's callers
 }
 
 type treeStats struct {
@@ -105,7 +107,7 @@ func Build(ds *vector.Dataset, metric vector.Metric, cfg Config) (*Tree, error) 
 		t.insert(i)
 	}
 	t.pack(t.root)
-	t.root = nil
+	t.root, t.sc = nil, buildScratch{}
 	return t, nil
 }
 
@@ -135,7 +137,8 @@ func (t *Tree) insert(idx int) {
 	leaf := t.chooseLeaf(t.root, p)
 	leaf.points = append(leaf.points, idx)
 	if leaf.mbr.IsEmpty() {
-		leaf.mbr = NewMBR(p)
+		copy(leaf.mbr.Min, p)
+		copy(leaf.mbr.Max, p)
 	} else {
 		leaf.mbr.ExtendPoint(p)
 	}
@@ -150,31 +153,67 @@ func (t *Tree) insert(idx int) {
 // chooseLeaf descends from n to the leaf best suited for p using the
 // R*-tree criterion: minimal overlap enlargement at the level above
 // leaves, minimal area enlargement elsewhere; ties by area then by
-// child order (determinism).
+// child order (determinism). Each child's box grown by p is built in
+// the tree's scratch, so scoring a candidate allocates nothing.
+//
+//hos:hotpath
 func (t *Tree) chooseLeaf(n *node, p []float64) *node {
+	d := len(p)
+	if cap(t.sc.grownLo) < d {
+		t.sc.grownLo, t.sc.grownHi = make([]float64, d), make([]float64, d)
+	}
+	lo, hi := t.sc.grownLo[:d], t.sc.grownHi[:d]
 	for !n.leaf {
 		childrenAreLeaves := n.children[0].leaf
 		best := -1
 		bestOverlapInc := math.Inf(1)
 		bestAreaInc := math.Inf(1)
 		bestArea := math.Inf(1)
-		pr := NewMBR(p)
 		for i, c := range n.children {
-			areaInc := Enlargement(c.mbr, pr)
+			// The grown box is c's MBR extended by p, compared the
+			// way ExtendPoint compares.
+			inside := true
+			for j, v := range p {
+				l, h := c.mbr.Min[j], c.mbr.Max[j]
+				if v < l {
+					l, inside = v, false
+				}
+				if v > h {
+					h, inside = v, false
+				}
+				lo[j], hi[j] = l, h
+			}
 			area := c.mbr.Area()
+			areaInc := boxArea(lo, hi) - area
 			overlapInc := 0.0
-			if childrenAreLeaves {
-				grown := Union(c.mbr, pr)
+			// The sum skips only terms that are exactly +0, and stops
+			// only once it can no longer win, so every decision is the
+			// full sum's (DESIGN §10.4). With p inside c the grown box
+			// is c and every term is x - x; a finite area bounds every
+			// x, so all of them are +0.
+			if childrenAreLeaves && !(inside && area <= math.MaxFloat64) {
 				for j, o := range n.children {
 					if j == i {
 						continue
 					}
-					overlapInc += Overlap(grown, o.mbr) - Overlap(c.mbr, o.mbr)
+					g := boxOverlap(lo, hi, o.mbr.Min, o.mbr.Max)
+					if g == 0 {
+						continue // c lies in the grown box: c ∩ o is empty too
+					}
+					overlapInc += g - boxOverlap(c.mbr.Min, c.mbr.Max, o.mbr.Min, o.mbr.Max)
+					if overlapInc > bestOverlapInc {
+						break // no term is negative: the sum cannot come back
+					}
 				}
 			}
 			if better(overlapInc, areaInc, area, bestOverlapInc, bestAreaInc, bestArea) {
 				best, bestOverlapInc, bestAreaInc, bestArea = i, overlapInc, areaInc, area
 			}
+		}
+		if best < 0 {
+			// Every score was +Inf or NaN (volumes beyond the float64
+			// range): no child wins, so take the first.
+			best = 0
 		}
 		n = n.children[best]
 	}
@@ -254,7 +293,7 @@ func (t *Tree) splitNode(n *node) (left, right *node, splitDim int, ok bool) {
 	}
 	// Directory node: try the topological (R*) split first.
 	l, r, dim := t.topologicalSplitDir(n)
-	if overlapFraction(l.mbr, r.mbr) <= t.cfg.MaxOverlapFraction {
+	if overlapFraction(l.mbr.Min, l.mbr.Max, r.mbr.Min, r.mbr.Max) <= t.cfg.MaxOverlapFraction {
 		t.stats.topologicalSplits++
 		return l, r, dim, true
 	}
@@ -270,21 +309,28 @@ func (t *Tree) splitNode(n *node) (left, right *node, splitDim int, ok bool) {
 // overlapFraction measures split quality: intersection volume over
 // union volume. Degenerate (zero-volume) unions fall back to a margin
 // ratio so flat MBRs still compare meaningfully.
-func overlapFraction(a, b MBR) float64 {
-	u := Union(a, b)
-	uv := u.Area()
+func overlapFraction(aLo, aHi, bLo, bHi []float64) float64 {
+	uv := 1.0
+	for i := range aLo {
+		l, h := unionExtent(aLo[i], aHi[i], bLo[i], bHi[i])
+		uv *= h - l
+	}
 	if uv > 0 {
-		return Overlap(a, b) / uv
+		return boxOverlap(aLo, aHi, bLo, bHi) / uv
 	}
 	// Degenerate: compare overlap of margins instead.
-	um := u.Margin()
+	var um float64
+	for i := range aLo {
+		l, h := unionExtent(aLo[i], aHi[i], bLo[i], bHi[i])
+		um += h - l
+	}
 	if um == 0 {
 		return 0
 	}
 	var inter float64
-	for i := range a.Min {
-		lo := math.Max(a.Min[i], b.Min[i])
-		hi := math.Min(a.Max[i], b.Max[i])
+	for i := range aLo {
+		lo := max(aLo[i], bLo[i])
+		hi := min(aHi[i], bHi[i])
 		if hi > lo {
 			inter += hi - lo
 		}
@@ -292,51 +338,75 @@ func overlapFraction(a, b MBR) float64 {
 	return inter / um
 }
 
+// unionExtent is one dimension of the union of boxes a and b, compared
+// the way Extend compares: a's bound unless b's lies strictly outside.
+func unionExtent(aLo, aHi, bLo, bHi float64) (lo, hi float64) {
+	lo, hi = aLo, aHi
+	if bLo < lo {
+		lo = bLo
+	}
+	if bHi > hi {
+		hi = bHi
+	}
+	return lo, hi
+}
+
 // topologicalSplitLeaf performs the R*-tree split on a leaf's points:
 // choose the axis with minimal total margin over all legal
 // distributions, then the distribution with minimal overlap (ties:
-// minimal total area).
+// minimal total area). One sweep per axis bounds every distribution's
+// two halves.
 func (t *Tree) topologicalSplitLeaf(n *node) (left, right *node, splitDim int) {
 	d := t.ds.Dim()
 	minFill := t.cfg.minFill()
 	total := len(n.points)
+	orders := t.sc.rowOrders(d * total)
+	sw := &t.sc.sweep
 
 	bestAxis, bestSplit := -1, -1
 	bestMargin := math.Inf(1)
-	var axisOrder [][]int
-
-	orders := make([][]int, d)
 	for axis := 0; axis < d; axis++ {
-		order := append([]int(nil), n.points...)
-		sort.Slice(order, func(a, b int) bool {
-			va, vb := t.pointOf(order[a])[axis], t.pointOf(order[b])[axis]
+		order := orders[axis*total : (axis+1)*total]
+		copy(order, n.points)
+		slices.SortFunc(order, func(a, b int) int {
+			va, vb := t.pointOf(a)[axis], t.pointOf(b)[axis]
 			if va != vb {
-				return va < vb
+				if va < vb {
+					return -1
+				}
+				return 1
 			}
-			return order[a] < order[b]
+			return cmp.Compare(a, b)
 		})
-		orders[axis] = order
+		t.sweepRows(order, minFill)
 		var marginSum float64
 		for split := minFill; split <= total-minFill; split++ {
-			lm, rm := t.pointsMBR(order[:split]), t.pointsMBR(order[split:])
-			marginSum += lm.Margin() + rm.Margin()
+			marginSum += sw.margins(split)
 		}
 		if marginSum < bestMargin {
 			bestMargin = marginSum
 			bestAxis = axis
 		}
 	}
-	axisOrder = orders
+	if bestAxis < 0 {
+		bestAxis = 0 // every margin sum was +Inf or NaN
+	}
 
-	order := axisOrder[bestAxis]
+	order := orders[bestAxis*total : (bestAxis+1)*total]
+	if bestAxis != d-1 {
+		t.sweepRows(order, minFill)
+	}
 	bestOverlap, bestArea := math.Inf(1), math.Inf(1)
 	for split := minFill; split <= total-minFill; split++ {
-		lm, rm := t.pointsMBR(order[:split]), t.pointsMBR(order[split:])
-		ov := Overlap(lm, rm)
-		area := lm.Area() + rm.Area()
+		lLo, lHi, rLo, rHi := sw.halves(split)
+		ov := boxOverlap(lLo, lHi, rLo, rHi)
+		area := boxArea(lLo, lHi) + boxArea(rLo, rHi)
 		if ov < bestOverlap || (ov == bestOverlap && area < bestArea) {
 			bestOverlap, bestArea, bestSplit = ov, area, split
 		}
+	}
+	if bestSplit < 0 {
+		bestSplit = minFill // every score was +Inf or NaN
 	}
 
 	left = &node{leaf: true, points: append([]int(nil), order[:bestSplit]...), splitHistory: n.splitHistory.With(bestAxis)}
@@ -352,39 +422,44 @@ func (t *Tree) topologicalSplitDir(n *node) (left, right *node, splitDim int) {
 	d := t.ds.Dim()
 	minFill := t.cfg.minFill()
 	total := len(n.children)
+	orders := t.sc.kidOrders(d * total)
+	sw := &t.sc.sweep
 
 	bestAxis, bestSplit := -1, -1
 	bestMargin := math.Inf(1)
-	var keptOrder []*node
-
 	for axis := 0; axis < d; axis++ {
-		order := append([]*node(nil), n.children...)
-		sort.SliceStable(order, func(a, b int) bool {
-			if order[a].mbr.Min[axis] != order[b].mbr.Min[axis] {
-				return order[a].mbr.Min[axis] < order[b].mbr.Min[axis]
-			}
-			return order[a].mbr.Max[axis] < order[b].mbr.Max[axis]
-		})
+		order := orders[axis*total : (axis+1)*total]
+		copy(order, n.children)
+		sortKids(order, axis)
+		t.sweepKids(order, minFill)
 		var marginSum float64
 		for split := minFill; split <= total-minFill; split++ {
-			lm, rm := childrenMBR(order[:split], d), childrenMBR(order[split:], d)
-			marginSum += lm.Margin() + rm.Margin()
+			marginSum += sw.margins(split)
 		}
 		if marginSum < bestMargin {
 			bestMargin = marginSum
 			bestAxis = axis
-			keptOrder = order
 		}
 	}
+	if bestAxis < 0 {
+		bestAxis = 0 // every margin sum was +Inf or NaN
+	}
 
+	keptOrder := orders[bestAxis*total : (bestAxis+1)*total]
+	if bestAxis != d-1 {
+		t.sweepKids(keptOrder, minFill)
+	}
 	bestOverlap, bestArea := math.Inf(1), math.Inf(1)
 	for split := minFill; split <= total-minFill; split++ {
-		lm, rm := childrenMBR(keptOrder[:split], d), childrenMBR(keptOrder[split:], d)
-		ov := Overlap(lm, rm)
-		area := lm.Area() + rm.Area()
+		lLo, lHi, rLo, rHi := sw.halves(split)
+		ov := boxOverlap(lLo, lHi, rLo, rHi)
+		area := boxArea(lLo, lHi) + boxArea(rLo, rHi)
 		if ov < bestOverlap || (ov == bestOverlap && area < bestArea) {
 			bestOverlap, bestArea, bestSplit = ov, area, split
 		}
+	}
+	if bestSplit < 0 {
+		bestSplit = minFill // every score was +Inf or NaN
 	}
 
 	return t.makeDirPair(n, keptOrder, bestSplit, bestAxis)
@@ -410,24 +485,20 @@ func (t *Tree) overlapMinimalSplit(n *node) (left, right *node, splitDim int, fo
 
 	minFanout := t.cfg.minFill()
 	total := len(n.children)
+	orders := t.sc.kidOrders(d * total)
+	sw := &t.sc.sweep
 	bestOverlap := math.Inf(1)
 	bestDim, bestSplit := -1, -1
-	var bestOrder []*node
 
 	candidates.EachDim(func(dim int) {
-		order := append([]*node(nil), n.children...)
-		sort.SliceStable(order, func(a, b int) bool {
-			if order[a].mbr.Min[dim] != order[b].mbr.Min[dim] {
-				return order[a].mbr.Min[dim] < order[b].mbr.Min[dim]
-			}
-			return order[a].mbr.Max[dim] < order[b].mbr.Max[dim]
-		})
+		order := orders[dim*total : (dim+1)*total]
+		copy(order, n.children)
+		sortKids(order, dim)
+		t.sweepKids(order, minFanout)
 		for split := minFanout; split <= total-minFanout; split++ {
-			lm, rm := childrenMBR(order[:split], d), childrenMBR(order[split:], d)
-			ov := overlapFraction(lm, rm)
+			ov := overlapFraction(sw.halves(split))
 			if ov < bestOverlap {
 				bestOverlap, bestDim, bestSplit = ov, dim, split
-				bestOrder = order
 			}
 		}
 	})
@@ -435,8 +506,28 @@ func (t *Tree) overlapMinimalSplit(n *node) (left, right *node, splitDim int, fo
 	if bestDim < 0 || bestOverlap > t.cfg.MaxOverlapFraction {
 		return nil, nil, 0, false
 	}
-	l, r, dim := t.makeDirPair(n, bestOrder, bestSplit, bestDim)
+	l, r, dim := t.makeDirPair(n, orders[bestDim*total:(bestDim+1)*total], bestSplit, bestDim)
 	return l, r, dim, true
+}
+
+// sortKids orders children by their MBR's low bound along axis, then
+// by the high bound, keeping the given order among ties.
+func sortKids(order []*node, axis int) {
+	slices.SortStableFunc(order, func(a, b *node) int {
+		if a.mbr.Min[axis] != b.mbr.Min[axis] {
+			if a.mbr.Min[axis] < b.mbr.Min[axis] {
+				return -1
+			}
+			return 1
+		}
+		if a.mbr.Max[axis] < b.mbr.Max[axis] {
+			return -1
+		}
+		if a.mbr.Max[axis] > b.mbr.Max[axis] {
+			return 1
+		}
+		return 0
+	})
 }
 
 // makeDirPair materialises the two directory nodes of a split.
@@ -457,18 +548,139 @@ func (t *Tree) makeDirPair(n *node, order []*node, split, axis int) (left, right
 	return left, right, axis
 }
 
-func (t *Tree) pointsMBR(idxs []int) MBR {
-	m := EmptyMBR(t.ds.Dim())
-	for _, i := range idxs {
-		m.ExtendPoint(t.pointOf(i))
-	}
-	return m
+// buildScratch is the workspace construction reuses from one insertion
+// to the next: chooseLeaf's grown box, a split's entries sorted along
+// every axis, and the sweep of one such order. It grows to the largest
+// node split so far and is dropped once the tree is packed.
+type buildScratch struct {
+	grownLo, grownHi []float64
+	rows             []int   // leaf split orders, axis-major
+	kids             []*node // directory split orders, axis-major
+	sweep            sweep
 }
 
-func childrenMBR(cs []*node, d int) MBR {
-	m := EmptyMBR(d)
-	for _, c := range cs {
-		m.Extend(c.mbr)
+func (sc *buildScratch) rowOrders(n int) []int {
+	if cap(sc.rows) < n {
+		sc.rows = make([]int, n)
 	}
-	return m
+	return sc.rows[:n]
+}
+
+func (sc *buildScratch) kidOrders(n int) []*node {
+	if cap(sc.kids) < n {
+		sc.kids = make([]*node, n)
+	}
+	return sc.kids[:n]
+}
+
+// sweep holds the bounds of every prefix and every suffix of one
+// sorted order of n entries: prefix k covers entries [0, k) and
+// suffix k covers [k, n), both at rows [k*d, (k+1)*d) of their
+// slabs. Distribution k of a split is prefix k against suffix k, so
+// one forward and one backward pass bound all of an axis's
+// distributions in O(n·d), where extending each from scratch took
+// O(n²·d).
+//
+// The bounds are bit for bit those Extend builds entry by entry from
+// EmptyMBR in order. The forward pass makes Extend's strict
+// comparisons in Extend's order. The backward pass meets the entries
+// in reverse, so it compares non-strictly: among bounds of equal value
+// the entry earliest in the order then wins, as it does going forward.
+// Equal values differ in their bits only as +0 and -0.
+type sweep struct {
+	d                          int
+	preLo, preHi, sufLo, sufHi []float64
+}
+
+// reset sizes the sweep for n entries and sets the empty prefix 0 and
+// the empty suffix n.
+func (s *sweep) reset(n, d int) {
+	need := (n + 1) * d
+	if cap(s.preLo) < need {
+		s.preLo, s.preHi = make([]float64, need), make([]float64, need)
+		s.sufLo, s.sufHi = make([]float64, need), make([]float64, need)
+	}
+	s.d = d
+	s.preLo, s.preHi = s.preLo[:need], s.preHi[:need]
+	s.sufLo, s.sufHi = s.sufLo[:need], s.sufHi[:need]
+	for j := 0; j < d; j++ {
+		s.preLo[j], s.preHi[j] = math.Inf(1), math.Inf(-1)
+		s.sufLo[n*d+j], s.sufHi[n*d+j] = math.Inf(1), math.Inf(-1)
+	}
+}
+
+// forward sets prefix k+1 to prefix k extended by entry k's bounds.
+func (s *sweep) forward(k int, lo, hi []float64) {
+	d := s.d
+	pLo, pHi := s.preLo[k*d:(k+1)*d], s.preHi[k*d:(k+1)*d]
+	nLo, nHi := s.preLo[(k+1)*d:(k+2)*d], s.preHi[(k+1)*d:(k+2)*d]
+	for j := range nLo {
+		l, h := pLo[j], pHi[j]
+		if lo[j] < l {
+			l = lo[j]
+		}
+		if hi[j] > h {
+			h = hi[j]
+		}
+		nLo[j], nHi[j] = l, h
+	}
+}
+
+// backward sets suffix k to suffix k+1 extended by entry k's bounds.
+func (s *sweep) backward(k int, lo, hi []float64) {
+	d := s.d
+	pLo, pHi := s.sufLo[(k+1)*d:(k+2)*d], s.sufHi[(k+1)*d:(k+2)*d]
+	nLo, nHi := s.sufLo[k*d:(k+1)*d], s.sufHi[k*d:(k+1)*d]
+	for j := range nLo {
+		l, h := pLo[j], pHi[j]
+		if lo[j] <= l {
+			l = lo[j]
+		}
+		if hi[j] >= h {
+			h = hi[j]
+		}
+		nLo[j], nHi[j] = l, h
+	}
+}
+
+// halves returns the bounds of distribution k: prefix k, then suffix k.
+func (s *sweep) halves(k int) (lLo, lHi, rLo, rHi []float64) {
+	r := k * s.d
+	return s.preLo[r : r+s.d], s.preHi[r : r+s.d], s.sufLo[r : r+s.d], s.sufHi[r : r+s.d]
+}
+
+// margins is distribution k's margin sum, prefix then suffix.
+func (s *sweep) margins(k int) float64 {
+	lLo, lHi, rLo, rHi := s.halves(k)
+	return boxMargin(lLo, lHi) + boxMargin(rLo, rHi)
+}
+
+// sweepRows sweeps the dataset points listed in order, as far as
+// distributions minFill..len(order)-minFill need.
+func (t *Tree) sweepRows(order []int, minFill int) {
+	sw := &t.sc.sweep
+	n := len(order)
+	sw.reset(n, t.ds.Dim())
+	for k := 0; k < n-minFill; k++ {
+		p := t.pointOf(order[k])
+		sw.forward(k, p, p)
+	}
+	for k := n - 1; k >= minFill; k-- {
+		p := t.pointOf(order[k])
+		sw.backward(k, p, p)
+	}
+}
+
+// sweepKids sweeps the MBRs of the children listed in order, as far
+// as distributions minFill..len(order)-minFill need.
+func (t *Tree) sweepKids(order []*node, minFill int) {
+	sw := &t.sc.sweep
+	n := len(order)
+	sw.reset(n, t.ds.Dim())
+	for k := 0; k < n-minFill; k++ {
+		sw.forward(k, order[k].mbr.Min, order[k].mbr.Max)
+	}
+	for k := n - 1; k >= minFill; k-- {
+		sw.backward(k, order[k].mbr.Min, order[k].mbr.Max)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/knn"
 	"repro/internal/subspace"
 	"repro/internal/vector"
@@ -123,6 +124,78 @@ func TestDuplicatePointsSupported(t *testing.T) {
 		if nb.Dist != 0 {
 			t.Fatalf("distance to duplicate = %v", nb.Dist)
 		}
+	}
+}
+
+// TestBuildHugeCoordinates: once box volumes overflow float64, every
+// candidate child, axis and split scores +Inf or NaN and none wins the
+// comparison; construction must still settle each choice and build a
+// valid tree whose k-NN answers match the linear scan.
+func TestBuildHugeCoordinates(t *testing.T) {
+	uniform := func(n, d int, scale float64, seed int64) [][]float64 {
+		rng := rand.New(rand.NewSource(seed))
+		rows := make([][]float64, n)
+		for i := range rows {
+			rows[i] = make([]float64, d)
+			for j := range rows[i] {
+				rows[i][j] = (rng.Float64()*2 - 1) * scale
+			}
+		}
+		return rows
+	}
+	synthetic, _, err := datagen.GenerateSynthetic(datagen.SyntheticConfig{N: 3000, D: 8, NumOutliers: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		base [][]float64 // built first
+		more [][]float64 // then appended, when set
+	}{
+		{"build_d8_1e100", uniform(300, 8, 1e100, 1), nil},
+		{"build_d3_1e160", uniform(300, 3, 1e160, 2), nil},
+		{"build_d1_1e308", uniform(300, 1, 1e308, 3), nil},
+		{"append_d8_1e40", synthetic.Rows(), uniform(64, 8, 1e40, 4)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			all := append(append([][]float64(nil), tc.base...), tc.more...)
+			d := len(all[0])
+			tr, err := Build(datasetOf(t, tc.base, d), vector.L2, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.more != nil {
+				if tr, err = tr.Append(datasetOf(t, all, d)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tr.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if tr.Size() != len(all) {
+				t.Fatalf("size %d, want %d", tr.Size(), len(all))
+			}
+			ds := tr.ds
+			xs := NewSearcher(tr)
+			ls, err := knn.NewLinear(ds, vector.L2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(5))
+			for trial := 0; trial < 40; trial++ {
+				s := subspace.Mask(rng.Uint32()) & subspace.Full(d)
+				if s.IsEmpty() {
+					s = subspace.Full(d)
+				}
+				k := 1 + rng.Intn(6)
+				qi := len(all) - 1 - rng.Intn(min(64, len(all)))
+				got := xs.KNN(ds.Point(qi), s, k, qi)
+				want := ls.KNN(ds.Point(qi), s, k, qi)
+				if !knnEqual(got, want) {
+					t.Fatalf("s=%v k=%d q=%d:\n got %+v\nwant %+v", s, k, qi, got, want)
+				}
+			}
+		})
 	}
 }
 
