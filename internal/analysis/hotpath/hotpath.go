@@ -132,7 +132,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, report func(token.Pos, s
 			case "make", "new":
 				report(call.Pos(), "allocates with "+b.Name())
 			case "append":
-				if len(call.Args) > 0 && isFreshSlice(call.Args[0]) {
+				if len(call.Args) > 0 && isFreshSlice(pass, call.Args[0]) {
 					report(call.Pos(), "append to a fresh slice allocates")
 				}
 			}
@@ -155,14 +155,20 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, report func(token.Pos, s
 }
 
 // isFreshSlice reports whether the append base is a brand-new slice
-// (nil literal or a composite literal) — growth is then guaranteed,
-// not amortized over a recycled buffer.
-func isFreshSlice(e ast.Expr) bool {
+// (nil, a conversion of nil such as []T(nil), or a composite literal)
+// — growth is then guaranteed, not amortized over a recycled buffer.
+func isFreshSlice(pass *analysis.Pass, e ast.Expr) bool {
 	switch e := e.(type) {
 	case *ast.Ident:
 		return e.Name == "nil"
 	case *ast.CompositeLit:
 		return true
+	case *ast.ParenExpr:
+		return isFreshSlice(pass, e.X)
+	case *ast.CallExpr:
+		if tv, ok := pass.Info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
+			return isFreshSlice(pass, e.Args[0])
+		}
 	}
 	return false
 }

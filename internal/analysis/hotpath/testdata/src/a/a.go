@@ -59,6 +59,13 @@ func badFreshAppend(x float64) []float64 {
 	return append([]float64{}, x) // want `append to a fresh slice allocates` `slice literal allocates`
 }
 
+// The clone idiom appends to a converted nil: a fresh slice too.
+//
+//hos:hotpath
+func badCloneAppend(xs []float64) []float64 {
+	return append([]float64(nil), xs...) // want `append to a fresh slice allocates`
+}
+
 // Appending into a recycled buffer is the blessed capacity-reuse
 // pattern and is not flagged.
 //

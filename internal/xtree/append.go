@@ -87,7 +87,7 @@ func (t *Tree) unpack() *node {
 	kids := make([]*node, len(a.children))
 	for id := range a.nodes {
 		an := &a.nodes[id]
-		n := &nodes[id] // its parent, earlier in preorder, set n.parent
+		n := &nodes[id] // n.parent was set when its parent, earlier in preorder, was visited
 		n.leaf, n.super, n.splitHistory = an.isLeaf(), an.isSuper(), an.history
 		lo, hi := id*d, (id+1)*d
 		n.mbr = MBR{Min: mins[lo:hi:hi], Max: maxs[lo:hi:hi]}

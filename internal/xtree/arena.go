@@ -87,6 +87,7 @@ func (t *Tree) pack(root *node) {
 	a.children = a.children[:0]
 	a.points = a.points[:0]
 
+	var ids []int32 // child IDs of the nodes on the current path
 	var flatten func(n *node) int32
 	flatten = func(n *node) int32 {
 		id := int32(len(a.nodes))
@@ -106,14 +107,16 @@ func (t *Tree) pack(root *node) {
 		if !n.leaf {
 			// Children pack after the whole subtree of each earlier
 			// sibling; collect the IDs first, then write the run.
-			ids := make([]int32, len(n.children))
-			for i, c := range n.children {
-				ids[i] = flatten(c)
+			base := len(ids)
+			for _, c := range n.children {
+				cid := flatten(c) // may grow ids: append to it after
+				ids = append(ids, cid)
 			}
 			off := int32(len(a.children))
-			a.children = append(a.children, ids...)
+			a.children = append(a.children, ids[base:]...)
 			a.nodes[id].childOff = off
-			a.nodes[id].childCount = int32(len(ids))
+			a.nodes[id].childCount = int32(len(ids) - base)
+			ids = ids[:base]
 		}
 		return id
 	}

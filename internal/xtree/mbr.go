@@ -22,7 +22,7 @@ type MBR struct {
 }
 
 // EmptyMBR returns an inverted MBR that acts as the identity for
-// Extend/Union.
+// Extend and ExtendPoint.
 func EmptyMBR(d int) MBR {
 	lo := make([]float64, d)
 	hi := make([]float64, d)

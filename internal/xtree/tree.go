@@ -77,7 +77,7 @@ type Tree struct {
 
 	supernodes int // number of supernode creations
 	stats      treeStats
-	sc         buildScratch // construction only; dropped by pack's callers
+	sc         buildScratch // construction workspace; Build and Append drop it
 }
 
 type treeStats struct {
@@ -578,8 +578,7 @@ func (sc *buildScratch) kidOrders(n int) []*node {
 // suffix k covers [k, n), both at rows [k*d, (k+1)*d) of their
 // slabs. Distribution k of a split is prefix k against suffix k, so
 // one forward and one backward pass bound all of an axis's
-// distributions in O(n·d), where extending each from scratch took
-// O(n²·d).
+// distributions in O(n·d); extending each from scratch took O(n²·d).
 //
 // The bounds are bit for bit those Extend builds entry by entry from
 // EmptyMBR in order. The forward pass makes Extend's strict

@@ -160,39 +160,41 @@ func TestBuildHugeCoordinates(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			all := append(append([][]float64(nil), tc.base...), tc.more...)
 			d := len(all[0])
-			tr, err := Build(datasetOf(t, tc.base, d), vector.L2, DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.more != nil {
-				if tr, err = tr.Append(datasetOf(t, all, d)); err != nil {
+			for _, metric := range []vector.Metric{vector.L2, vector.L1, vector.LInf} {
+				tr, err := Build(datasetOf(t, tc.base, d), metric, DefaultConfig())
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := tr.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			if tr.Size() != len(all) {
-				t.Fatalf("size %d, want %d", tr.Size(), len(all))
-			}
-			ds := tr.ds
-			xs := NewSearcher(tr)
-			ls, err := knn.NewLinear(ds, vector.L2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(5))
-			for trial := 0; trial < 40; trial++ {
-				s := subspace.Mask(rng.Uint32()) & subspace.Full(d)
-				if s.IsEmpty() {
-					s = subspace.Full(d)
+				if tc.more != nil {
+					if tr, err = tr.Append(datasetOf(t, all, d)); err != nil {
+						t.Fatal(err)
+					}
 				}
-				k := 1 + rng.Intn(6)
-				qi := len(all) - 1 - rng.Intn(min(64, len(all)))
-				got := xs.KNN(ds.Point(qi), s, k, qi)
-				want := ls.KNN(ds.Point(qi), s, k, qi)
-				if !knnEqual(got, want) {
-					t.Fatalf("s=%v k=%d q=%d:\n got %+v\nwant %+v", s, k, qi, got, want)
+				if err := tr.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				if tr.Size() != len(all) {
+					t.Fatalf("size %d, want %d", tr.Size(), len(all))
+				}
+				ds := tr.ds
+				xs := NewSearcher(tr)
+				ls, err := knn.NewLinear(ds, metric)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(5))
+				for trial := 0; trial < 40; trial++ {
+					s := subspace.Mask(rng.Uint32()) & subspace.Full(d)
+					if s.IsEmpty() {
+						s = subspace.Full(d)
+					}
+					k := 1 + rng.Intn(6)
+					qi := len(all) - 1 - rng.Intn(min(64, len(all)))
+					got := xs.KNN(ds.Point(qi), s, k, qi)
+					want := ls.KNN(ds.Point(qi), s, k, qi)
+					if !knnEqual(got, want) {
+						t.Fatalf("%v s=%v k=%d q=%d:\n got %+v\nwant %+v", metric, s, k, qi, got, want)
+					}
 				}
 			}
 		})

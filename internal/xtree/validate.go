@@ -14,10 +14,11 @@ import (
 //   - all leaves sit at the same depth;
 //   - node capacity is respected except for supernodes.
 func (t *Tree) Validate() error {
-	seen := make(map[int]int)
+	seen := make([]int32, t.size) // times each point index occurs
 	leafDepth := -1
 	a := &t.ar
 	d := t.ds.Dim()
+	want := EmptyMBR(d)
 	var walk func(id int32, depth int, isRoot bool) error
 	walk = func(id int32, depth int, isRoot bool) error {
 		n := &a.nodes[id]
@@ -30,10 +31,15 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("empty non-root node at depth %d", depth)
 		}
 		// MBR tightness.
-		want := EmptyMBR(d)
+		for i := range want.Min {
+			want.Min[i], want.Max[i] = math.Inf(1), math.Inf(-1)
+		}
 		if n.isLeaf() {
 			for _, idx := range a.rows(id) {
-				seen[int(idx)]++
+				if idx < 0 || int(idx) >= t.size {
+					return fmt.Errorf("point index %d out of range [0,%d)", idx, t.size)
+				}
+				seen[idx]++
 				want.ExtendPoint(t.pointOf(int(idx)))
 			}
 			if leafDepth == -1 {
@@ -67,9 +73,6 @@ func (t *Tree) Validate() error {
 	}
 	if err := walk(0, 0, true); err != nil {
 		return err
-	}
-	if len(seen) != t.size {
-		return fmt.Errorf("tree holds %d distinct points, size says %d", len(seen), t.size)
 	}
 	for idx, count := range seen {
 		if count != 1 {

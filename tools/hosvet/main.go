@@ -43,7 +43,7 @@ import (
 
 // version participates in go vet's action caching: bump it whenever
 // an analyzer's behavior changes, or stale results may be replayed.
-const version = "hosvet version 4"
+const version = "hosvet version 5"
 
 func analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
