@@ -163,8 +163,6 @@ func isFreshSlice(pass *analysis.Pass, e ast.Expr) bool {
 		return e.Name == "nil"
 	case *ast.CompositeLit:
 		return true
-	case *ast.ParenExpr:
-		return isFreshSlice(pass, e.X)
 	case *ast.CallExpr:
 		if tv, ok := pass.Info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
 			return isFreshSlice(pass, e.Args[0])

@@ -363,7 +363,7 @@ func (t *Tree) topologicalSplitLeaf(n *node) (left, right *node, splitDim int) {
 	orders := t.sc.rowOrders(d * total)
 	sw := &t.sc.sweep
 
-	bestAxis, bestSplit := -1, -1
+	bestAxis := -1
 	bestMargin := math.Inf(1)
 	for axis := 0; axis < d; axis++ {
 		order := orders[axis*total : (axis+1)*total]
@@ -379,11 +379,7 @@ func (t *Tree) topologicalSplitLeaf(n *node) (left, right *node, splitDim int) {
 			return cmp.Compare(a, b)
 		})
 		t.sweepRows(order, minFill)
-		var marginSum float64
-		for split := minFill; split <= total-minFill; split++ {
-			marginSum += sw.margins(split)
-		}
-		if marginSum < bestMargin {
+		if marginSum := sw.marginSum(minFill); marginSum < bestMargin {
 			bestMargin = marginSum
 			bestAxis = axis
 		}
@@ -396,18 +392,7 @@ func (t *Tree) topologicalSplitLeaf(n *node) (left, right *node, splitDim int) {
 	if bestAxis != d-1 {
 		t.sweepRows(order, minFill)
 	}
-	bestOverlap, bestArea := math.Inf(1), math.Inf(1)
-	for split := minFill; split <= total-minFill; split++ {
-		lLo, lHi, rLo, rHi := sw.halves(split)
-		ov := boxOverlap(lLo, lHi, rLo, rHi)
-		area := boxArea(lLo, lHi) + boxArea(rLo, rHi)
-		if ov < bestOverlap || (ov == bestOverlap && area < bestArea) {
-			bestOverlap, bestArea, bestSplit = ov, area, split
-		}
-	}
-	if bestSplit < 0 {
-		bestSplit = minFill // every score was +Inf or NaN
-	}
+	bestSplit := sw.bestSplit(minFill)
 
 	left = &node{leaf: true, points: append([]int(nil), order[:bestSplit]...), splitHistory: n.splitHistory.With(bestAxis)}
 	right = &node{leaf: true, points: append([]int(nil), order[bestSplit:]...), splitHistory: n.splitHistory.With(bestAxis)}
@@ -425,18 +410,14 @@ func (t *Tree) topologicalSplitDir(n *node) (left, right *node, splitDim int) {
 	orders := t.sc.kidOrders(d * total)
 	sw := &t.sc.sweep
 
-	bestAxis, bestSplit := -1, -1
+	bestAxis := -1
 	bestMargin := math.Inf(1)
 	for axis := 0; axis < d; axis++ {
 		order := orders[axis*total : (axis+1)*total]
 		copy(order, n.children)
 		sortKids(order, axis)
 		t.sweepKids(order, minFill)
-		var marginSum float64
-		for split := minFill; split <= total-minFill; split++ {
-			marginSum += sw.margins(split)
-		}
-		if marginSum < bestMargin {
+		if marginSum := sw.marginSum(minFill); marginSum < bestMargin {
 			bestMargin = marginSum
 			bestAxis = axis
 		}
@@ -449,20 +430,7 @@ func (t *Tree) topologicalSplitDir(n *node) (left, right *node, splitDim int) {
 	if bestAxis != d-1 {
 		t.sweepKids(keptOrder, minFill)
 	}
-	bestOverlap, bestArea := math.Inf(1), math.Inf(1)
-	for split := minFill; split <= total-minFill; split++ {
-		lLo, lHi, rLo, rHi := sw.halves(split)
-		ov := boxOverlap(lLo, lHi, rLo, rHi)
-		area := boxArea(lLo, lHi) + boxArea(rLo, rHi)
-		if ov < bestOverlap || (ov == bestOverlap && area < bestArea) {
-			bestOverlap, bestArea, bestSplit = ov, area, split
-		}
-	}
-	if bestSplit < 0 {
-		bestSplit = minFill // every score was +Inf or NaN
-	}
-
-	return t.makeDirPair(n, keptOrder, bestSplit, bestAxis)
+	return t.makeDirPair(n, keptOrder, sw.bestSplit(minFill), bestAxis)
 }
 
 // overlapMinimalSplit attempts the X-tree split that uses the split
@@ -587,7 +555,7 @@ func (sc *buildScratch) kidOrders(n int) []*node {
 // the entry earliest in the order then wins, as it does going forward.
 // Equal values differ in their bits only as +0 and -0.
 type sweep struct {
-	d                          int
+	n, d                       int
 	preLo, preHi, sufLo, sufHi []float64
 }
 
@@ -599,7 +567,7 @@ func (s *sweep) reset(n, d int) {
 		s.preLo, s.preHi = make([]float64, need), make([]float64, need)
 		s.sufLo, s.sufHi = make([]float64, need), make([]float64, need)
 	}
-	s.d = d
+	s.n, s.d = n, d
 	s.preLo, s.preHi = s.preLo[:need], s.preHi[:need]
 	s.sufLo, s.sufHi = s.sufLo[:need], s.sufHi[:need]
 	for j := 0; j < d; j++ {
@@ -648,10 +616,36 @@ func (s *sweep) halves(k int) (lLo, lHi, rLo, rHi []float64) {
 	return s.preLo[r : r+s.d], s.preHi[r : r+s.d], s.sufLo[r : r+s.d], s.sufHi[r : r+s.d]
 }
 
-// margins is distribution k's margin sum, prefix then suffix.
-func (s *sweep) margins(k int) float64 {
-	lLo, lHi, rLo, rHi := s.halves(k)
-	return boxMargin(lLo, lHi) + boxMargin(rLo, rHi)
+// marginSum is the R*-tree score of the swept axis: the margins of
+// both halves of every distribution minFill..n-minFill, summed in
+// order.
+func (s *sweep) marginSum(minFill int) float64 {
+	var sum float64
+	for k := minFill; k <= s.n-minFill; k++ {
+		lLo, lHi, rLo, rHi := s.halves(k)
+		sum += boxMargin(lLo, lHi) + boxMargin(rLo, rHi)
+	}
+	return sum
+}
+
+// bestSplit returns the distribution minFill..n-minFill whose halves
+// overlap least, ties by least total area, then the first; minFill
+// when every score is +Inf or NaN.
+func (s *sweep) bestSplit(minFill int) int {
+	best := -1
+	bestOverlap, bestArea := math.Inf(1), math.Inf(1)
+	for k := minFill; k <= s.n-minFill; k++ {
+		lLo, lHi, rLo, rHi := s.halves(k)
+		ov := boxOverlap(lLo, lHi, rLo, rHi)
+		area := boxArea(lLo, lHi) + boxArea(rLo, rHi)
+		if ov < bestOverlap || (ov == bestOverlap && area < bestArea) {
+			bestOverlap, bestArea, best = ov, area, k
+		}
+	}
+	if best < 0 {
+		best = minFill
+	}
+	return best
 }
 
 // sweepRows sweeps the dataset points listed in order, as far as
