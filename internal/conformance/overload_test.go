@@ -69,11 +69,10 @@ func TestDegradedDatasetDoesNotPerturbSiblingAnswers(t *testing.T) {
 	inj := faultinject.NewInjector()
 	degraded := newServer(server.Options{
 		Overload: overload.Config{
-			MinSamples:     5,
-			FailureRatio:   0.5,
-			CoolDown:       5 * time.Second,
-			ProbeSuccesses: 1,
-			Clock:          clk.Now,
+			MinSamples:   5,
+			FailureRatio: 0.5,
+			CoolDown:     5 * time.Second,
+			Clock:        clk.Now,
 		},
 		FaultHook: inj.Hook(),
 	})

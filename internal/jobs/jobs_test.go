@@ -345,13 +345,13 @@ func TestResultTTLSweepCountsAbandoned(t *testing.T) {
 
 // TestMaxRetainedBoundsMemory: ResultTTL is a time bound, not a
 // memory bound — a stream of fast jobs must not accumulate terminal
-// records past MaxRetained, and the evicted-unfetched ones count as
-// abandoned.
+// records past the 64 the manager retains, and evicting fetched ones
+// abandons nothing.
 func TestMaxRetainedBoundsMemory(t *testing.T) {
-	m := NewManager(Options{Workers: 1, QueueDepth: 4, MaxRetained: 3})
+	m := NewManager(Options{Workers: 1, QueueDepth: 4})
 	defer closeNow(t, m)
 	var last Snapshot
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 70; i++ {
 		snap, err := m.Submit("scan", func(ctx context.Context, report func(done, total int)) (any, error) {
 			return i, nil
 		})
@@ -361,8 +361,8 @@ func TestMaxRetainedBoundsMemory(t *testing.T) {
 		last = waitState(t, m, snap.ID, StateDone) // also marks it fetched
 	}
 	list := m.List()
-	if len(list) > 3 {
-		t.Fatalf("%d terminal jobs retained, cap is 3", len(list))
+	if len(list) > 64 {
+		t.Fatalf("%d terminal jobs retained, cap is 64", len(list))
 	}
 	// The newest job survives the count-based sweep.
 	found := false

@@ -12,19 +12,17 @@ import (
 // never sleep: a scenario that needs the cool-down to lapse advances
 // the clock by the cool-down, and the whole file runs in microseconds.
 
-// breakerTestConfig is the shared parameterisation: 1s buckets, a
-// 10-outcome volume floor, a 50% trip ratio, a 5s cool-down and (by
-// default) a single probe needing 3 consecutive successes.
+// breakerTestConfig is the shared parameterisation: a 10s window (so
+// 1s buckets), a 10-outcome volume floor, a 50% trip ratio and a 5s
+// cool-down; half-open admits a single probe and closes after 3
+// consecutive successes.
 func breakerTestConfig(clk *faultinject.Clock) Config {
 	return Config{
-		Window:         10 * time.Second,
-		Buckets:        10,
-		MinSamples:     10,
-		FailureRatio:   0.5,
-		CoolDown:       5 * time.Second,
-		ProbeBudget:    1,
-		ProbeSuccesses: 3,
-		Clock:          clk.Now,
+		Window:       10 * time.Second,
+		MinSamples:   10,
+		FailureRatio: 0.5,
+		CoolDown:     5 * time.Second,
+		Clock:        clk.Now,
 	}
 }
 

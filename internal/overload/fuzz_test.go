@@ -25,18 +25,14 @@ func FuzzBreaker(f *testing.F) {
 	f.Fuzz(func(t *testing.T, events []byte) {
 		clk := faultinject.NewClock(time.Unix(1_700_000_000, 0))
 		g := NewGuard(Config{
-			Window:         4 * time.Second,
-			Buckets:        4,
-			MinSamples:     3,
-			FailureRatio:   0.5,
-			CoolDown:       2 * time.Second,
-			ProbeBudget:    2,
-			ProbeSuccesses: 2,
-			MinLimit:       1,
-			MaxLimit:       4,
-			TargetP99:      50 * time.Millisecond,
-			AdjustEvery:    2,
-			Clock:          clk.Now,
+			Window:       4 * time.Second,
+			MinSamples:   3,
+			FailureRatio: 0.5,
+			CoolDown:     2 * time.Second,
+			MinLimit:     1,
+			MaxLimit:     4,
+			TargetP99:    50 * time.Millisecond,
+			Clock:        clk.Now,
 		})
 
 		check := func(held int) {
@@ -52,8 +48,8 @@ func FuzzBreaker(f *testing.F) {
 			if snap.Limiter.Total != held {
 				t.Fatalf("limiter tracks %d in flight, test holds %d permits", snap.Limiter.Total, held)
 			}
-			if snap.Breaker.ProbesInFlight < 0 || snap.Breaker.ProbesInFlight > 2 {
-				t.Fatalf("probes in flight = %d, want within [0, budget 2]", snap.Breaker.ProbesInFlight)
+			if snap.Breaker.ProbesInFlight < 0 || snap.Breaker.ProbesInFlight > 1 {
+				t.Fatalf("probes in flight = %d, want within [0, budget 1]", snap.Breaker.ProbesInFlight)
 			}
 			if s := snap.Breaker.State; s != StateClosed && s != StateOpen && s != StateHalfOpen {
 				t.Fatalf("breaker in impossible state %d", s)

@@ -10,22 +10,18 @@ import (
 
 // guardTestConfig: a small guard — two slots, a 4-outcome volume
 // floor — so tests can reach every admission verdict in a handful of
-// requests. Probes close after a single success to keep recovery
-// scenarios short.
+// requests. Half-open admits one probe at a time and closes after 3
+// consecutive successes.
 func guardTestConfig(clk *faultinject.Clock) Config {
 	return Config{
-		Window:         10 * time.Second,
-		Buckets:        10,
-		MinSamples:     4,
-		FailureRatio:   0.5,
-		CoolDown:       5 * time.Second,
-		ProbeBudget:    1,
-		ProbeSuccesses: 1,
-		MinLimit:       1,
-		MaxLimit:       2,
-		TargetP99:      100 * time.Millisecond,
-		AdjustEvery:    4,
-		Clock:          clk.Now,
+		Window:       10 * time.Second,
+		MinSamples:   4,
+		FailureRatio: 0.5,
+		CoolDown:     5 * time.Second,
+		MinLimit:     1,
+		MaxLimit:     2,
+		TargetP99:    100 * time.Millisecond,
+		Clock:        clk.Now,
 	}
 }
 
@@ -116,19 +112,24 @@ func TestGuardBreakerOpenSheds(t *testing.T) {
 		t.Fatalf("breaker-open sheds = %d, want 1", snap.ShedBreakerOpen)
 	}
 
-	// Cool-down over: one probe is admitted, its success closes the
-	// breaker, and traffic flows again.
+	// Cool-down over: probes are admitted one at a time, the third
+	// consecutive success closes the breaker, and traffic flows again.
 	clk.Advance(5 * time.Second)
-	permit, rej := g.Admit(context.Background(), Interactive, false)
-	if rej != nil {
-		t.Fatalf("probe admission: %v", rej)
+	for i := 0; i < 3; i++ {
+		if got := g.Breaker().Snapshot().State; i > 0 && got != StateHalfOpen {
+			t.Fatalf("breaker = %s after %d successful probes, want half_open", got, i)
+		}
+		permit, rej := g.Admit(context.Background(), Interactive, false)
+		if rej != nil {
+			t.Fatalf("probe %d admission: %v", i, rej)
+		}
+		if !permit.probe {
+			t.Fatalf("post-cool-down admission %d was not marked as a probe", i)
+		}
+		permit.Release(Success, time.Millisecond)
 	}
-	if !permit.probe {
-		t.Fatal("post-cool-down admission was not marked as a probe")
-	}
-	permit.Release(Success, time.Millisecond)
 	if got := g.Breaker().Snapshot().State; got != StateClosed {
-		t.Fatalf("breaker = %s after a successful probe, want closed", got)
+		t.Fatalf("breaker = %s after 3 successful probes, want closed", got)
 	}
 	checkLedger(t, g.Snapshot())
 }

@@ -9,19 +9,16 @@ import (
 	"repro/internal/overload/faultinject"
 )
 
-// limiterTestConfig: limit range [1, 8], AIMD verdict every 4 samples
-// against a 100ms target, halving rate-limited to one per second. No
+// limiterTestConfig: limit range [1, 8] against a 100ms target. The
+// limiter keeps the last 128 interactive latencies, gives an AIMD
+// verdict every 16 samples and halves at most once per second. No
 // class caps unless a test sets them.
 func limiterTestConfig(clk *faultinject.Clock) Config {
 	return Config{
-		MinLimit:         1,
-		MaxLimit:         8,
-		TargetP99:        100 * time.Millisecond,
-		LatencyWindow:    64,
-		AdjustEvery:      4,
-		DecreaseFactor:   0.5,
-		DecreaseInterval: time.Second,
-		Clock:            clk.Now,
+		MinLimit:  1,
+		MaxLimit:  8,
+		TargetP99: 100 * time.Millisecond,
+		Clock:     clk.Now,
 	}
 }
 
@@ -95,8 +92,8 @@ func TestLimiterAIMD(t *testing.T) {
 	l := NewLimiter(limiterTestConfig(clk))
 
 	// The limit starts at the ceiling, so comfortable traffic cannot
-	// raise it further.
-	feedSuccesses(t, l, 8, 10*time.Millisecond)
+	// raise it further: one verdict's 16 samples leave it there.
+	feedSuccesses(t, l, 16, 10*time.Millisecond)
 	if got := l.Snapshot().Limit; got != 8 {
 		t.Fatalf("limit after comfortable traffic at max = %d, want 8", got)
 	}
@@ -119,10 +116,10 @@ func TestLimiterAIMD(t *testing.T) {
 		t.Fatalf("limit after a second halving = %d, want 2", got)
 	}
 
-	// An overshooting p99 decreases too: fill the window with slow
-	// successes. (Advance past the rate limit first.)
+	// An overshooting p99 decreases too: the next verdict's 16 samples
+	// are slow successes. (Advance past the rate limit first.)
 	clk.Advance(time.Second)
-	feedSuccesses(t, l, 4, 300*time.Millisecond)
+	feedSuccesses(t, l, 16, 300*time.Millisecond)
 	if got := l.Snapshot().Limit; got != 1 {
 		t.Fatalf("limit after p99 overshoot = %d, want the floor 1", got)
 	}
@@ -136,9 +133,15 @@ func TestLimiterAIMD(t *testing.T) {
 	}
 
 	// Recovery: healthy latencies grow the limit back one unit per
-	// AdjustEvery samples. The slow outcomes above still sit in the
-	// p99 ring, so flush it with enough fast samples first.
+	// 16-sample verdict. The slow outcomes above still sit in the
+	// 128-sample p99 ring, and the verdict that ends the flush is the
+	// first to see a healthy p99: after 128 fast samples the limit is
+	// 2, and six more verdicts bring it back to 8.
 	feedSuccesses(t, l, 128, time.Millisecond)
+	if got := l.Snapshot().Limit; got != 2 {
+		t.Fatalf("limit after flushing the p99 ring = %d, want 2", got)
+	}
+	feedSuccesses(t, l, 6*16, time.Millisecond)
 	if got := l.Snapshot().Limit; got != 8 {
 		t.Fatalf("limit after sustained recovery = %d, want back at 8", got)
 	}

@@ -91,8 +91,7 @@ func BenchmarkAppendThroughput(b *testing.B) {
 	for _, batch := range []int{1, 16, 256} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			s := benchServer(b, Options{
-				DataDir: b.TempDir(), WAL: true, CacheSize: -1,
-				MaxLoadPoints: 50_000_000, WALCompactBytes: -1,
+				DataDir: b.TempDir(), WAL: true, CacheSize: -1, WALCompactBytes: -1,
 			})
 			h := s.Handler()
 			body := appendJSON(batch, 8, int64(batch))

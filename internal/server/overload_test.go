@@ -23,18 +23,16 @@ import (
 // wall-clock sleeps anywhere on the state-machine paths.
 
 // newFaultServer builds a server whose default dataset trips after 5
-// failed outcomes, cools down for 5 (fake) seconds, and recovers on a
-// single successful probe.
+// failed outcomes, cools down for 5 (fake) seconds, and recovers on 3
+// consecutive successful probes.
 func newFaultServer(t *testing.T, clk *faultinject.Clock, inj *faultinject.Injector) *Server {
 	t.Helper()
 	return newTestServer(t, Options{
 		Overload: overload.Config{
-			MinSamples:     5,
-			FailureRatio:   0.5,
-			CoolDown:       5 * time.Second,
-			ProbeBudget:    1,
-			ProbeSuccesses: 1,
-			Clock:          clk.Now,
+			MinSamples:   5,
+			FailureRatio: 0.5,
+			CoolDown:     5 * time.Second,
+			Clock:        clk.Now,
 		},
 		FaultHook: inj.Hook(),
 	})
@@ -152,19 +150,24 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 		t.Fatalf("after failed probe: breaker %s opens %d, want open/2", o.BreakerState, o.BreakerOpens)
 	}
 
-	// Recovered at the end of the next cool-down: the probe succeeds,
-	// the breaker closes, and ordinary traffic flows again.
+	// Recovered at the end of the next cool-down: three probes succeed
+	// in a row, the breaker closes, and ordinary traffic flows again.
 	clk.Advance(5 * time.Second)
 	inj.Clear("default")
-	if rec := do(t, h, "POST", "/query", `{"index": 21}`, nil); rec.Code != http.StatusOK {
-		t.Fatalf("successful probe: status %d (body %s), want 200", rec.Code, rec.Body.String())
+	for i := 0; i < 3; i++ {
+		if o := overloadStats(t, s, "default"); i > 0 && o.BreakerState != "half_open" {
+			t.Fatalf("after %d successful probes: breaker %s, want half_open", i, o.BreakerState)
+		}
+		if rec := do(t, h, "POST", "/query", fmt.Sprintf(`{"index": %d}`, 21+i), nil); rec.Code != http.StatusOK {
+			t.Fatalf("successful probe %d: status %d (body %s), want 200", i, rec.Code, rec.Body.String())
+		}
 	}
 	o = overloadStats(t, s, "default")
 	checkOverloadLedger(t, o)
 	if o.BreakerState != "closed" {
-		t.Fatalf("after successful probe: breaker %s, want closed", o.BreakerState)
+		t.Fatalf("after 3 successful probes: breaker %s, want closed", o.BreakerState)
 	}
-	if rec := do(t, h, "POST", "/query", `{"index": 22}`, nil); rec.Code != http.StatusOK {
+	if rec := do(t, h, "POST", "/query", `{"index": 24}`, nil); rec.Code != http.StatusOK {
 		t.Fatalf("post-recovery query: status %d, want 200", rec.Code)
 	}
 	waitIdle(t, s)
@@ -348,11 +351,10 @@ func TestOverloadRaceHammer(t *testing.T) {
 		QueryTimeout: 2 * time.Second,
 		ScanTimeout:  10 * time.Second,
 		Overload: overload.Config{
-			MinSamples:     4,
-			FailureRatio:   0.5,
-			CoolDown:       2 * time.Second,
-			ProbeSuccesses: 1,
-			Clock:          clk.Now,
+			MinSamples:   4,
+			FailureRatio: 0.5,
+			CoolDown:     2 * time.Second,
+			Clock:        clk.Now,
 		},
 		FaultHook: inj.Hook(),
 	})

@@ -173,10 +173,10 @@ func TestLoadDatasetValidation(t *testing.T) {
 }
 
 func TestLoadDatasetBounds(t *testing.T) {
-	s := newTestServer(t, Options{MaxLoadPoints: 500})
+	s := newTestServer(t, Options{})
 	h := s.Handler()
 	// Oversized generation requests are rejected before any allocation.
-	over := `{"name":"big","gen":"uniform","n":501,"d":3,"k":3,"t":1}`
+	over := `{"name":"big","gen":"uniform","n":100001,"d":3,"k":3,"t":1}`
 	if rec := do(t, h, "POST", "/datasets/load", over, nil); rec.Code != http.StatusBadRequest {
 		t.Fatalf("oversized n status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -184,9 +184,15 @@ func TestLoadDatasetBounds(t *testing.T) {
 	if rec := do(t, h, "POST", "/datasets/load", wide, nil); rec.Code != http.StatusBadRequest {
 		t.Fatalf("oversized d status %d: %s", rec.Code, rec.Body.String())
 	}
-	ok := `{"name":"fits","gen":"uniform","n":500,"d":3,"k":3,"t":1}`
+	// The limit itself loads. A linear scan under a fixed T builds no
+	// tree and fills no column, so the load stays cheap.
+	ok := `{"name":"fits","gen":"uniform","n":100000,"d":3,"k":3,"t":1,"backend":"linear"}`
 	if rec := do(t, h, "POST", "/datasets/load", ok, nil); rec.Code != http.StatusCreated {
 		t.Fatalf("in-bounds load status %d: %s", rec.Code, rec.Body.String())
+	}
+	// An append may not grow a dataset past the limit either.
+	if rec := do(t, h, "POST", "/datasets/fits/append", `{"rows": [[0.5, 0.5, 0.5]]}`, nil); rec.Code != http.StatusBadRequest {
+		t.Fatalf("append past the limit status %d: %s", rec.Code, rec.Body.String())
 	}
 	// created_at is surfaced in the listing.
 	var list listDatasetsResponse

@@ -673,40 +673,54 @@ func TestConcurrentQueryAndScan(t *testing.T) {
 	wg.Wait()
 }
 
+// TestOversizedMaskSetNotPinned: the result cache pins at most 16384
+// outlying masks per entry. A point far outside a d = 15 dataset in
+// every column is outlying in all 2^15 - 1 = 32767 subspaces, so its
+// entry keeps the answer but drops the full set.
 func TestOversizedMaskSetNotPinned(t *testing.T) {
-	// Cap of 1 mask: any real outlier's set is "oversized".
-	s := newTestServer(t, Options{MaxCachedMasks: 1})
+	const d = 15
+	ds, err := datagen.GenerateUniform(60, d, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.NewMiner(ds, core.Config{K: 4, TQuantile: 0.9, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerClose(t, s)
 	h := s.Handler()
-	// Find an outlier row (planted ones sit at the low indexes).
-	var probe queryResponse
-	idx := -1
-	for i := 0; i < 10; i++ {
-		do(t, h, "POST", "/query", fmt.Sprintf(`{"index": %d}`, i), &probe)
-		if probe.IsOutlier && probe.OutlyingCount > 1 {
-			idx = i
-			break
-		}
+	far := make([]float64, d)
+	for i := range far {
+		far[i] = 1000
 	}
-	if idx < 0 {
-		t.Skip("no multi-subspace outlier in the first rows")
+	buf, _ := json.Marshal(map[string]any{"point": far})
+	body := string(buf)
+	var first queryResponse
+	do(t, h, "POST", "/query", body, &first)
+	if first.Cached || first.OutlyingCount != 1<<d-1 {
+		t.Fatalf("first query: cached %v, outlying in %d subspaces, want a fresh answer outlying in %d",
+			first.Cached, first.OutlyingCount, 1<<d-1)
 	}
-	body := fmt.Sprintf(`{"index": %d}`, idx)
 	// Plain repeat: served from the stripped entry.
 	var plain queryResponse
 	do(t, h, "POST", "/query", body, &plain)
-	if !plain.Cached {
-		t.Fatal("plain repeat should hit the stripped entry")
+	if !plain.Cached || plain.OutlyingCount != first.OutlyingCount {
+		t.Fatalf("plain repeat: cached %v, count %d; want a hit on the stripped entry", plain.Cached, plain.OutlyingCount)
 	}
 	// include_all cannot be served from the stripped entry: it must
 	// recompute, and still return the full set.
-	full := fmt.Sprintf(`{"index": %d, "include_all": true}`, idx)
+	buf, _ = json.Marshal(map[string]any{"point": far, "include_all": true})
 	var withAll queryResponse
-	do(t, h, "POST", "/query", full, &withAll)
+	do(t, h, "POST", "/query", string(buf), &withAll)
 	if withAll.Cached {
 		t.Fatal("include_all served from an entry with no masks")
 	}
-	if len(withAll.Outlying) != withAll.OutlyingCount {
-		t.Fatalf("recomputed outlying has %d entries, count %d", len(withAll.Outlying), withAll.OutlyingCount)
+	if len(withAll.Outlying) != withAll.OutlyingCount || withAll.OutlyingCount != 1<<d-1 {
+		t.Fatalf("recomputed outlying has %d entries, count %d, want %d", len(withAll.Outlying), withAll.OutlyingCount, 1<<d-1)
 	}
 }
 
@@ -814,14 +828,16 @@ func TestBatchEndpoint(t *testing.T) {
 }
 
 func TestBatchValidation(t *testing.T) {
-	s := newTestServer(t, Options{MaxBatchItems: 3})
+	s := newTestServer(t, Options{})
+	// One item past the 256-item limit.
+	tooMany := `{"items": [` + strings.Repeat(`{"index":0},`, 256) + `{"index":0}]}`
 	cases := []struct {
 		name, body string
 		status     int
 	}{
 		{"empty batch", `{}`, http.StatusBadRequest},
 		{"no items", `{"items": []}`, http.StatusBadRequest},
-		{"too many items", `{"items": [{"index":0},{"index":1},{"index":2},{"index":3}]}`, http.StatusBadRequest},
+		{"too many items", tooMany, http.StatusBadRequest},
 		{"negative workers", `{"items": [{"index":0}], "workers": -1}`, http.StatusBadRequest},
 		{"unknown field", `{"items": [{"index":0}], "bogus": 1}`, http.StatusBadRequest},
 	}
@@ -932,14 +948,24 @@ func TestBatchConcurrencyLimit(t *testing.T) {
 	release()
 }
 
+// TestBatchTimeout: a batch whose deadline expires is answered 503 and
+// frees its slot. The deadline is injected at the compute routine;
+// core's TestQueryBatchCancelled and TestQueryBatchCancelMidSearch pin
+// that the engine itself stops mid-search.
 func TestBatchTimeout(t *testing.T) {
-	s := newTestServer(t, Options{BatchTimeout: time.Nanosecond, CacheSize: -1})
+	s := newTestServer(t, Options{
+		CacheSize: -1,
+		FaultHook: func(op, _ string) (time.Duration, error) {
+			if op == "batch" {
+				return 0, context.DeadlineExceeded
+			}
+			return 0, nil
+		},
+	})
 	rec := do(t, s.Handler(), "POST", "/batch", `{"items": [{"index": 0}]}`, nil)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 (body %s)", rec.Code, rec.Body.String())
 	}
-	// The cancelled batch frees its slot promptly (cancellation is
-	// noticed mid-search, not just between items).
 	waitIdle(t, s)
 }
 
