@@ -89,12 +89,6 @@ type Options struct {
 	// ResultTTL bounds how long a terminal job (and its result) is
 	// retained for Get after finishing (default 15min).
 	ResultTTL time.Duration
-	// MaxRetained bounds how many terminal jobs are retained at once,
-	// oldest-finished evicted first (default 64). ResultTTL alone is a
-	// time bound, not a memory bound: a client pumping fast-completing
-	// jobs through the queue would otherwise accumulate TTL-minutes ×
-	// throughput results on the heap.
-	MaxRetained int
 	// Clock substitutes the time source (tests); nil = time.Now.
 	Clock func() time.Time
 }
@@ -108,9 +102,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.ResultTTL <= 0 {
 		o.ResultTTL = 15 * time.Minute
-	}
-	if o.MaxRetained <= 0 {
-		o.MaxRetained = 64
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
@@ -587,9 +578,16 @@ func (m *Manager) finish(j *job, res any, err error) {
 	close(j.term)
 }
 
+// maxRetained bounds how many terminal jobs are retained at once,
+// oldest-finished evicted first. ResultTTL alone is a time bound, not
+// a memory bound: a client pumping fast-completing jobs through the
+// queue would otherwise accumulate TTL-minutes × throughput results on
+// the heap.
+const maxRetained = 64
+
 // sweepLocked evicts terminal jobs whose TTL has lapsed, then — the
 // memory bound the TTL alone cannot give — the oldest-finished
-// terminal jobs beyond MaxRetained; the caller holds m.mu. A done job
+// terminal jobs beyond maxRetained; the caller holds m.mu. A done job
 // swept with its result never fetched counts as abandoned — the
 // signal that clients are submitting scans and never coming back for
 // them.
@@ -612,7 +610,7 @@ func (m *Manager) sweepLocked() {
 			terminal = append(terminal, j)
 		}
 	}
-	if len(terminal) <= m.opts.MaxRetained {
+	if len(terminal) <= maxRetained {
 		return
 	}
 	sort.Slice(terminal, func(a, b int) bool {
@@ -623,7 +621,7 @@ func (m *Manager) sweepLocked() {
 		}
 		return terminal[a].seq < terminal[b].seq
 	})
-	for _, j := range terminal[:len(terminal)-m.opts.MaxRetained] {
+	for _, j := range terminal[:len(terminal)-maxRetained] {
 		j.mu.Lock()
 		if j.state == StateDone && !j.fetched {
 			m.ctr.Abandoned++

@@ -13,9 +13,19 @@ const (
 	StateClosed BreakerState = iota
 	// StateOpen: everything is rejected until the cool-down lapses.
 	StateOpen
-	// StateHalfOpen: up to ProbeBudget requests are admitted as
-	// probes; their outcomes decide between closing and re-opening.
+	// StateHalfOpen: one request at a time is admitted as a probe;
+	// probeSuccesses consecutive successes close the breaker, and a
+	// failure re-opens it.
 	StateHalfOpen
+)
+
+const (
+	// buckets subdivides the breaker's Window: outcomes expire one
+	// bucket at a time.
+	buckets = 10
+	// probeSuccesses is how many consecutive half-open probe successes
+	// close the breaker again.
+	probeSuccesses = 3
 )
 
 // String names the state (the spelling /stats serves).
@@ -34,8 +44,8 @@ func (s BreakerState) String() string {
 
 // Breaker is a per-dataset circuit breaker: a sliding bucketed
 // window of outcomes drives closed→open, a cool-down drives
-// open→half-open, and a budgeted run of probe successes drives
-// half-open→closed. All methods are safe for concurrent use; all
+// open→half-open, and a run of probe successes, one probe at a time,
+// drives half-open→closed. All methods are safe for concurrent use; all
 // time-driven transitions read the injected clock, never the wall
 // clock.
 type Breaker struct {
@@ -45,32 +55,25 @@ type Breaker struct {
 	state     BreakerState
 	openedAt  time.Time
 	opens     int64 // cumulative closed/half-open → open transitions
-	probes    int   // half-open probes currently in flight
+	probes    int   // half-open probes in flight: 0 or 1
 	probeSucc int   // consecutive probe successes this half-open phase
 
-	// The sliding window: Buckets counters of bucketDur each. A
+	// The sliding window: buckets counters of bucketDur each. A
 	// record lands in the bucket whose interval covers now; reading
 	// first expires buckets older than Window. The window only
 	// accumulates while closed — open and half-open phases are judged
 	// by cool-down and probes, not ratios.
 	bucketDur time.Duration
-	starts    []time.Time
-	succ      []int64
-	fail      []int64
+	starts    [buckets]time.Time
+	succ      [buckets]int64
+	fail      [buckets]int64
 }
 
 // NewBreaker builds a breaker over the config's breaker fields
 // (defaults applied).
 func NewBreaker(cfg Config) *Breaker {
 	cfg.setDefaults()
-	b := &Breaker{
-		cfg:       cfg,
-		bucketDur: cfg.Window / time.Duration(cfg.Buckets),
-		starts:    make([]time.Time, cfg.Buckets),
-		succ:      make([]int64, cfg.Buckets),
-		fail:      make([]int64, cfg.Buckets),
-	}
-	return b
+	return &Breaker{cfg: cfg, bucketDur: cfg.Window / buckets}
 }
 
 // bucketFor returns the index of the live bucket for now, resetting
@@ -115,7 +118,7 @@ func (b *Breaker) resetWindowLocked() {
 
 // Allow decides admission. ok=false rejects with retryAfter (the
 // remaining cool-down, or the bucket duration for a half-open phase
-// whose probe budget is spent). ok=true with probe=true admits the
+// whose probe is in flight). ok=true with probe=true admits the
 // request as a half-open probe: its Record (or CancelProbe) decides
 // the breaker's fate.
 func (b *Breaker) Allow() (ok, probe bool, retryAfter time.Duration) {
@@ -136,12 +139,12 @@ func (b *Breaker) Allow() (ok, probe bool, retryAfter time.Duration) {
 		b.probeSucc = 0
 		fallthrough
 	default: // StateHalfOpen
-		if b.probes < b.cfg.ProbeBudget {
-			b.probes++
+		if b.probes == 0 {
+			b.probes = 1
 			return true, true, 0
 		}
-		// Budget spent: the in-flight probes will answer soon — one
-		// bucket interval is an honest "come back shortly".
+		// The in-flight probe will answer soon — one bucket interval
+		// is an honest "come back shortly".
 		return false, false, b.bucketDur
 	}
 }
@@ -180,19 +183,15 @@ func (b *Breaker) Record(out Outcome, probe bool) {
 	}
 }
 
+// recordProbeLocked takes the verdict of the one probe in flight.
+// Nothing else moves the breaker out of half-open while that probe
+// runs, so the verdict always lands there.
 func (b *Breaker) recordProbeLocked(out Outcome, now time.Time) {
-	if b.probes > 0 {
-		b.probes--
-	}
-	if b.state != StateHalfOpen {
-		// A probe admitted just before a concurrent probe's failure
-		// re-opened the breaker: its verdict is stale.
-		return
-	}
+	b.probes = 0
 	switch out {
 	case Success:
 		b.probeSucc++
-		if b.probeSucc >= b.cfg.ProbeSuccesses {
+		if b.probeSucc >= probeSuccesses {
 			b.state = StateClosed
 			b.resetWindowLocked()
 		}
@@ -208,9 +207,7 @@ func (b *Breaker) recordProbeLocked(out Outcome, now time.Time) {
 // so no outcome will ever be recorded for it.
 func (b *Breaker) CancelProbe() {
 	b.mu.Lock()
-	if b.probes > 0 {
-		b.probes--
-	}
+	b.probes = 0
 	b.mu.Unlock()
 }
 

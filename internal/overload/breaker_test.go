@@ -117,11 +117,11 @@ func TestBreakerStateMachine(t *testing.T) {
 			},
 		},
 		{
-			name: "half-open grants probes only up to the budget",
+			name: "half-open grants one probe at a time",
 			steps: []bstep{
 				trip,
 				{advance: 5 * time.Second, checkAllow: true, wantOK: true, wantProbe: true, keepProbe: true},
-				// Budget (1) spent: rejected with one bucket's wait.
+				// The probe is in flight: rejected with one bucket's wait.
 				{checkAllow: true, wantOK: false, wantRetry: time.Second,
 					wantState: st(StateHalfOpen)},
 			},
@@ -225,38 +225,6 @@ func TestBreakerStateMachine(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// A multi-probe budget admits that many concurrent probes, closes only
-// on the configured run of successes, and one failure among them
-// re-opens regardless of how the others fared.
-func TestBreakerProbeBudgetAboveOne(t *testing.T) {
-	clk := faultinject.NewClock(time.Unix(1_700_000_000, 0))
-	cfg := breakerTestConfig(clk)
-	cfg.ProbeBudget = 2
-	b := NewBreaker(cfg)
-	for i := 0; i < 10; i++ {
-		b.Record(Timeout, false)
-	}
-	clk.Advance(cfg.CoolDown)
-
-	for i := 0; i < 2; i++ {
-		if ok, probe, _ := b.Allow(); !ok || !probe {
-			t.Fatalf("probe %d: Allow() = (%v, %v), want grant", i, ok, probe)
-		}
-	}
-	if ok, _, _ := b.Allow(); ok {
-		t.Fatal("third probe admitted past a budget of 2")
-	}
-	if got := b.Snapshot().ProbesInFlight; got != 2 {
-		t.Fatalf("ProbesInFlight = %d, want 2", got)
-	}
-	// One success, one failure: the failure wins and re-opens.
-	b.Record(Success, true)
-	b.Record(Errored, true)
-	if snap := b.Snapshot(); snap.State != StateOpen || snap.Opens != 2 {
-		t.Fatalf("after split probe verdicts: state %s opens %d, want open/2", snap.State, snap.Opens)
 	}
 }
 

@@ -14,14 +14,30 @@ import (
 // HTTP layer turns into 429.
 var ErrAtLimit = errors.New("overload: concurrency limit reached")
 
+const (
+	// latencyWindow is how many recent interactive latencies feed the
+	// p99.
+	latencyWindow = 128
+	// adjustEvery is the AIMD cadence in completed samples: every
+	// adjustEvery-th latency observation compares p99 to TargetP99 and
+	// moves the limit.
+	adjustEvery = 16
+	// decreaseFactor is the multiplicative-decrease multiplier.
+	decreaseFactor = 0.5
+	// decreaseInterval rate-limits multiplicative decreases so one
+	// burst of timeouts collapses the limit once, not once per
+	// timeout.
+	decreaseInterval = time.Second
+)
+
 // Limiter is an AIMD concurrency limiter with priority-aware
 // admission. One adaptive limit L ∈ [MinLimit, MaxLimit] is shared by
 // all classes; class p may only be admitted while total in-flight <
 // ceil(L × p.Share()), and optionally while its own in-flight count
 // is under its static cap. L moves by additive increase (+1) when the
 // windowed p99 of interactive latencies sits at or under TargetP99,
-// and by multiplicative decrease (×DecreaseFactor, rate-limited to
-// one per DecreaseInterval) when p99 overshoots or a request times
+// and by multiplicative decrease (×decreaseFactor, rate-limited to
+// one per decreaseInterval) when p99 overshoots or a request times
 // out outright.
 type Limiter struct {
 	cfg Config
@@ -32,7 +48,7 @@ type Limiter struct {
 	total    int
 	waiters  []chan struct{} // FIFO of blocked interactive acquires
 
-	lat     []time.Duration // interactive latency ring feeding p99
+	lat     [latencyWindow]time.Duration // interactive latency ring feeding p99
 	latNext int
 	latFull bool
 	samples int // observations since the last AIMD adjustment
@@ -44,11 +60,7 @@ type Limiter struct {
 // (defaults applied). The limit starts at MaxLimit.
 func NewLimiter(cfg Config) *Limiter {
 	cfg.setDefaults()
-	return &Limiter{
-		cfg:   cfg,
-		limit: float64(cfg.MaxLimit),
-		lat:   make([]time.Duration, cfg.LatencyWindow),
-	}
+	return &Limiter{cfg: cfg, limit: float64(cfg.MaxLimit)}
 }
 
 // effCapLocked is the total-in-flight ceiling class p admits under.
@@ -144,7 +156,7 @@ func (l *Limiter) Release(p Priority, out Outcome, latency time.Duration) {
 			l.latFull = true
 		}
 		l.samples++
-		if l.samples >= l.cfg.AdjustEvery {
+		if l.samples >= adjustEvery {
 			l.samples = 0
 			if l.p99Locked() > l.cfg.TargetP99 {
 				l.decreaseLocked(now)
@@ -158,13 +170,13 @@ func (l *Limiter) Release(p Priority, out Outcome, latency time.Duration) {
 }
 
 // decreaseLocked is the multiplicative decrease, at most once per
-// DecreaseInterval so a burst of timeouts collapses the limit once.
+// decreaseInterval so a burst of timeouts collapses the limit once.
 func (l *Limiter) decreaseLocked(now time.Time) {
-	if !l.lastDecrease.IsZero() && now.Sub(l.lastDecrease) < l.cfg.DecreaseInterval {
+	if !l.lastDecrease.IsZero() && now.Sub(l.lastDecrease) < decreaseInterval {
 		return
 	}
 	l.lastDecrease = now
-	l.limit = math.Max(float64(l.cfg.MinLimit), l.limit*l.cfg.DecreaseFactor)
+	l.limit = math.Max(float64(l.cfg.MinLimit), l.limit*decreaseFactor)
 }
 
 // p99Locked reads the ring's 99th-percentile latency (0 when empty).

@@ -120,11 +120,9 @@ type Config struct {
 	// ---- breaker ----
 
 	// Window is the sliding outcome window the failure ratio is
-	// computed over (default 10s).
+	// computed over (default 10s); outcomes expire a tenth of it at a
+	// time.
 	Window time.Duration
-	// Buckets subdivides Window; outcomes expire one bucket at a time
-	// (default 10).
-	Buckets int
 	// MinSamples is the volume floor: the breaker never trips on
 	// fewer outcomes in the window (default 10).
 	MinSamples int
@@ -135,12 +133,6 @@ type Config struct {
 	// admitting half-open probes (default 5s). It is also the
 	// Retry-After hint rejected requests carry.
 	CoolDown time.Duration
-	// ProbeBudget bounds concurrently in-flight half-open probes
-	// (default 1).
-	ProbeBudget int
-	// ProbeSuccesses is how many consecutive probe successes close
-	// the breaker again (default 3).
-	ProbeSuccesses int
 
 	// ---- limiter ----
 
@@ -155,20 +147,6 @@ type Config struct {
 	// additive increase (default 1s — the server derives a better
 	// default from its query deadline).
 	TargetP99 time.Duration
-	// LatencyWindow is how many recent interactive latencies feed the
-	// p99 (default 128).
-	LatencyWindow int
-	// AdjustEvery is the AIMD cadence in completed samples: every
-	// AdjustEvery-th latency observation compares p99 to TargetP99
-	// and moves the limit (default 16).
-	AdjustEvery int
-	// DecreaseFactor is the multiplicative-decrease multiplier
-	// (default 0.5).
-	DecreaseFactor float64
-	// DecreaseInterval rate-limits multiplicative decreases so one
-	// burst of timeouts collapses the limit once, not once per
-	// timeout (default 1s).
-	DecreaseInterval time.Duration
 	// ClassCaps are optional static per-class in-flight ceilings
 	// layered under the adaptive limit (0 = none), so an operator's
 	// hard resource bounds survive the adaptive layer. The server
@@ -183,9 +161,6 @@ func (c *Config) setDefaults() {
 	if c.Window <= 0 {
 		c.Window = 10 * time.Second
 	}
-	if c.Buckets <= 0 {
-		c.Buckets = 10
-	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 10
 	}
@@ -194,12 +169,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.CoolDown <= 0 {
 		c.CoolDown = 5 * time.Second
-	}
-	if c.ProbeBudget <= 0 {
-		c.ProbeBudget = 1
-	}
-	if c.ProbeSuccesses <= 0 {
-		c.ProbeSuccesses = 3
 	}
 	if c.MinLimit <= 0 {
 		c.MinLimit = 1
@@ -212,18 +181,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.TargetP99 <= 0 {
 		c.TargetP99 = time.Second
-	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 128
-	}
-	if c.AdjustEvery <= 0 {
-		c.AdjustEvery = 16
-	}
-	if c.DecreaseFactor <= 0 || c.DecreaseFactor >= 1 {
-		c.DecreaseFactor = 0.5
-	}
-	if c.DecreaseInterval <= 0 {
-		c.DecreaseInterval = time.Second
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now

@@ -19,6 +19,13 @@ import (
 // (bad index, wrong dimensionality) are reported per item and do not
 // fail the batch.
 
+const (
+	// maxBatchItems caps the item count of one /batch request.
+	maxBatchItems = 256
+	// batchTimeout bounds one /batch computation.
+	batchTimeout = time.Minute
+)
+
 type batchRequest struct {
 	// Dataset routes the whole batch to a registry entry ("" = the
 	// default dataset).
@@ -73,9 +80,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.error(w, http.StatusBadRequest, "batch has no items")
 		return
 	}
-	if len(req.Items) > s.opts.MaxBatchItems {
+	if len(req.Items) > maxBatchItems {
 		s.error(w, http.StatusBadRequest,
-			fmt.Sprintf("batch has %d items, limit is %d", len(req.Items), s.opts.MaxBatchItems))
+			fmt.Sprintf("batch has %d items, limit is %d", len(req.Items), maxBatchItems))
 		return
 	}
 	workers, ok := s.fanOut(w, req.Workers, 0)
@@ -130,7 +137,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// deadline context to the engine, so an abandoned batch stops
 		// mid-search instead of running on for nobody.
 		var res *core.BatchResult
-		if !s.compute(w, r, d, overload.Batch, s.opts.BatchTimeout, func(ctx context.Context) error {
+		if !s.compute(w, r, d, overload.Batch, batchTimeout, func(ctx context.Context) error {
 			var err error
 			res, err = v.miner.QueryBatch(ctx, queries, core.BatchOptions{Workers: workers})
 			return err

@@ -277,9 +277,9 @@ func (s *Server) drainAppendsLocked(d *dataset) {
 			op.done <- appendOutcome{status: http.StatusBadRequest, errMsg: err.Error()}
 			continue
 		}
-		if n := v.miner.Dataset().N() + total + len(op.rows); n > s.opts.MaxLoadPoints {
+		if n := v.miner.Dataset().N() + total + len(op.rows); n > maxLoadPoints {
 			op.done <- appendOutcome{status: http.StatusBadRequest, errMsg: fmt.Sprintf(
-				"append would grow the dataset to %d points, exceeding the load limit %d", n, s.opts.MaxLoadPoints)}
+				"append would grow the dataset to %d points, exceeding the load limit %d", n, maxLoadPoints)}
 			continue
 		}
 		accepted = append(accepted, op)

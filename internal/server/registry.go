@@ -338,6 +338,12 @@ func validDatasetName(name string) bool {
 	return true
 }
 
+// maxLoadPoints caps the N of a dataset loaded through POST
+// /datasets/load and of any dataset an append grows: loading allocates
+// N×D floats and preprocesses them inline, so an unbounded request is a
+// memory/CPU DoS.
+const maxLoadPoints = 100_000
+
 func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
 	var req loadRequest
 	if !s.decodeBody(w, r, &req) {
@@ -368,9 +374,9 @@ func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
 	// full threshold/learning pipeline inline; bound the size before
 	// spending anything. (File loads re-check N after reading the
 	// snapshot, whose size is already bounded by the file itself.)
-	if req.N > s.opts.MaxLoadPoints {
+	if req.N > maxLoadPoints {
 		s.error(w, http.StatusBadRequest,
-			fmt.Sprintf("n = %d exceeds the load limit %d", req.N, s.opts.MaxLoadPoints))
+			fmt.Sprintf("n = %d exceeds the load limit %d", req.N, maxLoadPoints))
 		return
 	}
 	if req.D > subspace.MaxDim {
@@ -481,8 +487,8 @@ func (s *Server) load(req *loadRequest, set []string) (*dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	if snap.Dataset.N() > s.opts.MaxLoadPoints {
-		return nil, fmt.Errorf("snapshot holds %d points, exceeding the load limit %d", snap.Dataset.N(), s.opts.MaxLoadPoints)
+	if snap.Dataset.N() > maxLoadPoints {
+		return nil, fmt.Errorf("snapshot holds %d points, exceeding the load limit %d", snap.Dataset.N(), maxLoadPoints)
 	}
 	return s.open(req.Name, path, snap, cfg, set)
 }

@@ -66,24 +66,9 @@ type Options struct {
 	// ScanWorkers caps the per-scan fan-out (core.ScanOptions.Workers);
 	// client requests asking for more are clamped (default GOMAXPROCS).
 	ScanWorkers int
-	// MaxCachedMasks caps the per-entry outlying-mask set the result
-	// cache pins (default 16384, ~64 KiB; negative = no cap). Larger
-	// sets are still answered and cached, but their full outlying set
-	// is dropped from the entry, so an include_all request for that
-	// key recomputes instead of hitting.
-	MaxCachedMasks int
-	// MaxBatchItems caps the item count of one /batch request
-	// (default 256).
-	MaxBatchItems int
-	// BatchTimeout bounds one /batch computation (default 1min).
-	BatchTimeout time.Duration
 	// MaxDatasets caps the registry size — the startup dataset plus
 	// datasets loaded at runtime via POST /datasets/load (default 8).
 	MaxDatasets int
-	// MaxLoadPoints caps the N a POST /datasets/load may generate —
-	// loading allocates N×D floats and preprocesses them inline, so an
-	// unbounded request is a memory/CPU DoS (default 100000).
-	MaxLoadPoints int
 	// JobQueueDepth bounds jobs accepted but not yet running; a full
 	// queue rejects POST /scan, POST /jobs/scan and POST
 	// /datasets/{name}/compact with 429 and a Retry-After estimate
@@ -188,20 +173,8 @@ func (o *Options) setDefaults() {
 	if o.MaxScanResults <= 0 {
 		o.MaxScanResults = 1000
 	}
-	if o.MaxCachedMasks == 0 {
-		o.MaxCachedMasks = 16384
-	}
-	if o.MaxBatchItems <= 0 {
-		o.MaxBatchItems = 256
-	}
-	if o.BatchTimeout <= 0 {
-		o.BatchTimeout = time.Minute
-	}
 	if o.MaxDatasets <= 0 {
 		o.MaxDatasets = 8
-	}
-	if o.MaxLoadPoints <= 0 {
-		o.MaxLoadPoints = 100_000
 	}
 	if o.JobQueueDepth <= 0 {
 		o.JobQueueDepth = 8
@@ -445,7 +418,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	key := cacheKey(point, exclude)
 	if resp, ok := v.cache.get(key); ok {
 		// An entry whose full outlying set was too large to pin (see
-		// MaxCachedMasks) cannot serve include_all; fall through and
+		// maxCachedMasks) cannot serve include_all; fall through and
 		// recompute for that combination only.
 		if !req.IncludeAll || resp.outlyingMasks != nil || resp.OutlyingCount == 0 {
 			// The per-dataset counter mirrors the global one: answers
@@ -917,12 +890,18 @@ func (s *Server) clientGone(w http.ResponseWriter, what string) {
 	s.writeJSON(w, http.StatusRequestTimeout, &errorResponse{Error: what + ": client closed request"})
 }
 
+// maxCachedMasks caps the outlying-mask set one result-cache entry
+// pins (~64 KiB). Larger sets are still answered and cached, but their
+// full outlying set is dropped from the entry, so an include_all
+// request for that key recomputes instead of hitting.
+const maxCachedMasks = 16384
+
 // answer builds the response to a computed query result — for dataset
 // row *index, or for point when index is nil — and seeds the view's
 // result LRU with it under key, so /query and /batch share one
 // response shape and one caching rule. The response and the LRU keep
 // point and res.Outlying, so the caller must own both. A set larger
-// than MaxCachedMasks is dropped from the cached entry only; the
+// than maxCachedMasks is dropped from the cached entry only; the
 // returned response keeps it.
 func (s *Server) answer(v *view, key string, index *int, point []float64, res *core.QueryResult) *queryResponse {
 	resp := &queryResponse{
@@ -938,7 +917,7 @@ func (s *Server) answer(v *view, key string, index *int, point []float64, res *c
 		resp.Point = point
 	}
 	cached := resp
-	if s.opts.MaxCachedMasks > 0 && len(res.Outlying) > s.opts.MaxCachedMasks {
+	if len(res.Outlying) > maxCachedMasks {
 		stripped := *resp
 		stripped.outlyingMasks = nil
 		cached = &stripped
