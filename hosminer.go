@@ -113,11 +113,6 @@ type ScanOptions = core.ScanOptions
 // ScanHit is one outlying point found by Miner.ScanAll.
 type ScanHit = core.ScanHit
 
-// State is the preprocessing outcome (threshold + priors); see
-// Miner.ExportState / ImportState. The .snap snapshot (hosminer -save,
-// hosserve -data-dir) is the one on-disk format that carries it.
-type State = core.State
-
 // New builds a Miner for the dataset. Call Preprocess to index and
 // learn eagerly, or query directly (preprocessing then runs lazily on
 // first use).
@@ -199,8 +194,8 @@ type BatchResult = core.BatchResult
 // BatchItemResult is one item's outcome inside a BatchResult.
 type BatchItemResult = core.BatchItemResult
 
-// ErrNotPreprocessed is returned by Miner.QueryWith before Preprocess
-// or ImportState has completed.
+// ErrNotPreprocessed is returned by Miner.QueryWith on a Miner that
+// has not run Preprocess and was not restored from a snapshot.
 var ErrNotPreprocessed = core.ErrNotPreprocessed
 
 // Server is the HTTP/JSON query service over one preprocessed Miner

@@ -33,11 +33,11 @@ func minersEqual(t *testing.T, got, want *Miner) {
 	if !reflect.DeepEqual(got.Priors(), want.Priors()) {
 		t.Fatalf("priors differ:\n%v\n%v", got.Priors(), want.Priors())
 	}
-	gi, err := got.ExportIndex()
+	_, gi, err := got.Export()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wi, err := want.ExportIndex()
+	_, wi, err := want.Export()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,9 +381,9 @@ func TestDerivedColumnsMatchFresh(t *testing.T) {
 }
 
 // TestColumnsOnlyForQuantileThresholds: a fixed-T Miner keeps no
-// column and computes none, and neither does a Miner restored through
-// ImportState — whose first derivation then fills every row, as a
-// fresh build does.
+// column and computes none, and neither does a Miner built by Restore
+// — whose first derivation then fills every row, as a fresh build
+// does.
 func TestColumnsOnlyForQuantileThresholds(t *testing.T) {
 	ds, _, err := datagen.GenerateSynthetic(datagen.SyntheticConfig{N: 200, D: 4, NumOutliers: 3, Seed: 5})
 	if err != nil {
@@ -416,15 +416,12 @@ func TestColumnsOnlyForQuantileThresholds(t *testing.T) {
 	if m.ColumnRowsComputed() != ds.N() {
 		t.Fatalf("full pass computed %d rows, want %d", m.ColumnRowsComputed(), ds.N())
 	}
-	st, err := m.ExportState()
+	st, idx, err := m.Export()
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := NewMiner(ds, cfg)
+	restored, err := Restore(ds, cfg, st, idx)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.ImportState(st); err != nil {
 		t.Fatal(err)
 	}
 	if restored.fullOD != nil || restored.ColumnRowsComputed() != 0 {

@@ -15,8 +15,8 @@ import (
 // Preprocess fills every row of a Miner that has no column yet;
 // WithAppended and WithoutRows derive the child's columns from the
 // parent's and refill only the rows the mutation can change. A
-// fixed-T Miner keeps no column, and a Miner restored through
-// ImportState has none, so its first derivation fills every row.
+// fixed-T Miner keeps no column, and a Miner built by Restore has
+// none, so its first derivation fills every row.
 
 // columnFill is one fill of a Miner's columns: the body of a worker
 // loop over n listed rows (rows[i], or row i itself when rows is nil).
@@ -79,5 +79,5 @@ func (m *Miner) refill(n int, mutated [][]float64, onRadius bool) error {
 // ColumnRowsComputed returns how many column rows this Miner computed:
 // every row for the full pass of Preprocess, the rows a mutation can
 // change for a WithAppended or WithoutRows child, and 0 for a fixed-T
-// Miner or one restored through ImportState.
+// Miner or one built by Restore.
 func (m *Miner) ColumnRowsComputed() int { return m.columnRows }

@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the Miner's search surface and its concurrency
-// contract. Once Preprocess or ImportState has run, the Miner's shared
-// state is read-only and every query, batch, scan and accessor method
+// contract. Once Preprocess has run, or Restore built the Miner, its
+// shared state is read-only and every query, batch, scan and accessor method
 // is safe for concurrent use. What is not shareable is an
 // od.Evaluator (its k-NN cursor keeps work counters and scratch), so
 // the Miner owns its evaluators: every search in this package borrows
@@ -21,11 +21,11 @@ import (
 // the one entry point that takes a caller-owned evaluator instead,
 // for callers that keep one warm (NewWorkerEvaluator).
 
-// ErrNotPreprocessed is returned by QueryWith when neither Preprocess
-// nor ImportState has completed. QueryWith never preprocesses lazily:
-// preprocessing mutates shared state, so it must happen before
-// goroutines fan out.
-var ErrNotPreprocessed = errors.New("core: miner not preprocessed (call Preprocess or ImportState before concurrent queries)")
+// ErrNotPreprocessed is returned by QueryWith on a Miner that has not
+// run Preprocess (Restore builds Miners that have no need to).
+// QueryWith never preprocesses lazily: preprocessing mutates shared
+// state, so it must happen before goroutines fan out.
+var ErrNotPreprocessed = errors.New("core: miner not preprocessed (call Preprocess before concurrent queries)")
 
 // Config returns the Miner's configuration (a copy).
 func (m *Miner) Config() Config { return m.cfg }

@@ -130,20 +130,20 @@ func (c *Config) validate(ds *vector.Dataset) error {
 // Construct with NewMiner, then call Preprocess once (indexing +
 // learning), then OutlyingSubspaces per query.
 //
-// Concurrency: once Preprocess or ImportState has run, every query,
-// batch, scan and accessor method is safe for concurrent use. The
-// dataset, index, per-row columns, threshold, priors and configuration
-// are then read-only (WithAppended and WithoutRows only read them),
-// and the only mutable state is the Miner's own evaluator pool and
-// query counter, both safe for concurrent use. Every search
+// Concurrency: once Preprocess has run, or Restore built the Miner,
+// every query, batch, scan and accessor method is safe for concurrent
+// use. The dataset, index, per-row columns, threshold, priors and
+// configuration are then read-only (WithAppended and WithoutRows only
+// read them), and the only mutable state is the Miner's own evaluator
+// pool and query counter, both safe for concurrent use. Every search
 // borrows an od.Evaluator from that pool (its k-NN cursor carries
 // mutable work counters and scratch) and returns it afterwards, so
 // callers never handle evaluators. A caller that wants to own one —
 // to keep its scratch warm across queries — builds it with
 // NewWorkerEvaluator and passes it to QueryWith, one goroutine per
 // evaluator. Preprocess (run lazily by the query methods on a fresh
-// Miner) and ImportState are set-up steps: run them before sharing
-// the Miner. This is the contract internal/server is built on.
+// Miner) is a set-up step: run it before sharing the Miner. This is
+// the contract internal/server is built on.
 type Miner struct {
 	cfg    Config
 	ds     *vector.Dataset
@@ -184,13 +184,13 @@ type LearnStats struct {
 // NewMiner validates the configuration and builds the k-NN backend
 // (but performs no learning yet; see Preprocess).
 func NewMiner(ds *vector.Dataset, cfg Config) (*Miner, error) {
-	return NewMinerWithIndex(ds, cfg, nil)
+	return newMiner(ds, cfg, nil)
 }
 
 // assemble wires a Miner around its k-NN index — exactly one of index
 // and engine is non-nil — with uniform priors, and seeds its evaluator
 // pool with a first evaluator (which also proves the configuration
-// can build one). It is the shared tail of NewMinerWithIndex and
+// can build one). It is the shared tail of newMiner and
 // WithAppended.
 func assemble(ds *vector.Dataset, cfg Config, index *shard.Index, engine *shard.Engine) (*Miner, error) {
 	m := &Miner{

@@ -6,11 +6,12 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/shard"
+	"repro/internal/subspace"
 )
 
 // restoreRoundTrip builds a fresh preprocessed miner, exports its
-// index and state, reconstructs via NewMinerWithIndex + ImportState,
-// and asserts identical answers for every dataset point.
+// state and index, reconstructs via Restore, and asserts identical
+// answers for every dataset point.
 func restoreRoundTrip(t *testing.T, n int, cfg Config) {
 	t.Helper()
 	ds, _, err := datagen.GenerateSynthetic(datagen.SyntheticConfig{N: n, D: 4, NumOutliers: 3, Seed: 9})
@@ -24,19 +25,12 @@ func restoreRoundTrip(t *testing.T, n int, cfg Config) {
 	if err := fresh.Preprocess(); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := fresh.ExportIndex()
+	state, idx, err := fresh.Export()
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, err := fresh.ExportState()
+	warm, err := Restore(ds, cfg, state, idx)
 	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := NewMinerWithIndex(ds, cfg, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := warm.ImportState(state); err != nil {
 		t.Fatal(err)
 	}
 	if warm.Threshold() != fresh.Threshold() {
@@ -87,7 +81,10 @@ func TestRestoreShapeMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := m.ExportIndex()
+	if err := m.Preprocess(); err != nil {
+		t.Fatal(err)
+	}
+	st, idx, err := m.Export()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +95,13 @@ func TestRestoreShapeMismatches(t *testing.T) {
 	// Single-index tree offered to a linear config.
 	linCfg := treeCfg
 	linCfg.Backend = BackendLinear
-	if _, err := NewMinerWithIndex(ds, linCfg, idx); err == nil || !strings.Contains(err.Error(), "mismatch") {
+	if _, err := Restore(ds, linCfg, st, idx); err == nil || !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("linear config accepted a tree snapshot: %v", err)
 	}
 	// Single-index tree offered to a sharded config.
 	shCfg := treeCfg
 	shCfg.Shards = 2
-	if _, err := NewMinerWithIndex(ds, shCfg, idx); err == nil || !strings.Contains(err.Error(), "mismatch") {
+	if _, err := Restore(ds, shCfg, st, idx); err == nil || !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("sharded config accepted a single-tree snapshot: %v", err)
 	}
 	// Sharded snapshot offered to an unsharded config.
@@ -112,28 +109,117 @@ func TestRestoreShapeMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sidx, err := sm.ExportIndex()
+	if err := sm.Preprocess(); err != nil {
+		t.Fatal(err)
+	}
+	_, sidx, err := sm.Export()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sidx.ShardTrees == nil {
 		t.Fatalf("sharded snapshot missing shard trees: %+v", sidx)
 	}
-	if _, err := NewMinerWithIndex(ds, treeCfg, sidx); err == nil || !strings.Contains(err.Error(), "mismatch") {
+	if _, err := Restore(ds, treeCfg, st, sidx); err == nil || !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("unsharded config accepted a sharded snapshot: %v", err)
 	}
 	// Corrupted tree bytes must be rejected.
 	bad := &IndexSnapshot{Tree: append([]byte(nil), idx.Tree...)}
 	bad.Tree[len(bad.Tree)/2] ^= 0xff
-	if _, err := NewMinerWithIndex(ds, treeCfg, bad); err == nil {
+	if _, err := Restore(ds, treeCfg, st, bad); err == nil {
 		t.Fatal("corrupted tree bytes accepted")
 	}
-	// A nil snapshot behaves exactly like NewMiner.
-	plain, err := NewMinerWithIndex(ds, treeCfg, nil)
+	// A nil index builds the tree afresh, as NewMiner does.
+	plain, err := Restore(ds, treeCfg, st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.NumShards() != 1 {
 		t.Fatalf("nil-snapshot miner shards = %d", plain.NumShards())
+	}
+}
+
+func preprocessedMiner(t *testing.T) (*Miner, *QueryResult) {
+	t.Helper()
+	ds := plantedDataset(t, 71, 90, 4, subspace.New(1, 3))
+	m, err := NewMiner(ds, Config{K: 4, TQuantile: 0.95, SampleSize: 8, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.OutlyingSubspacesOfPoint(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, res
+}
+
+func TestExportBeforePreprocessFails(t *testing.T) {
+	ds := plantedDataset(t, 71, 50, 3, subspace.New(0))
+	m, _ := NewMiner(ds, Config{K: 3, T: 1})
+	if _, _, err := m.Export(); err == nil {
+		t.Fatal("export before preprocess accepted")
+	}
+}
+
+func TestStateRoundTripPreservesAnswers(t *testing.T) {
+	m, want := preprocessedMiner(t)
+	st, idx, err := m.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A configuration with a placeholder T and no learning: the
+	// restored state must reproduce identical answers without running
+	// Preprocess work.
+	m2, err := Restore(m.Dataset(), Config{K: 4, T: 1, Seed: 99}, st, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m2.Threshold() != m.Threshold() {
+		t.Fatalf("threshold %v != %v", m2.Threshold(), m.Threshold())
+	}
+	got, err := m2.OutlyingSubspacesOfPoint(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !masksEqual(got.Outlying, want.Outlying) || !masksEqual(got.Minimal, want.Minimal) {
+		t.Fatal("restored state changed answers")
+	}
+}
+
+func TestRestoreStateValidation(t *testing.T) {
+	m, _ := preprocessedMiner(t)
+	good, idx, err := m.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutations := []struct {
+		name   string
+		mutate func(s State) State
+	}{
+		{"threshold", func(s State) State { s.Threshold = 0; return s }},
+		{"priors len", func(s State) State { s.PUp = s.PUp[:2]; return s }},
+		{"priors range", func(s State) State {
+			up := append([]float64(nil), s.PUp...)
+			up[2] = 5
+			s.PUp = up
+			return s
+		}},
+		{"priors dim", func(s State) State {
+			u := UniformPriors(3) // valid, but the dataset has d = 4
+			s.PUp, s.PDown = u.PUp, u.PDown
+			return s
+		}},
+	}
+	for _, mu := range mutations {
+		bad := mu.mutate(*good)
+		if _, err := Restore(m.Dataset(), m.Config(), &bad, idx); err == nil {
+			t.Errorf("%s mutation accepted", mu.name)
+		}
+	}
+	if _, err := Restore(m.Dataset(), m.Config(), nil, idx); err == nil {
+		t.Error("nil state accepted")
+	}
+	if _, err := Restore(m.Dataset(), m.Config(), good, idx); err != nil {
+		t.Errorf("valid state rejected: %v", err)
 	}
 }

@@ -219,11 +219,11 @@ type Server struct {
 	retOnce sync.Once
 }
 
-// New builds a Server over the Miner, running Preprocess if the
-// caller has not already (directly or via ImportState). Preprocessing
-// at construction — before any request goroutine exists — is what
-// makes the shared Miner state read-only from then on. The Miner
-// becomes the registry's default dataset.
+// New builds a Server over the Miner, running Preprocess unless the
+// caller already has (or built the Miner with core.Restore).
+// Preprocessing at construction — before any request goroutine
+// exists — is what makes the shared Miner state read-only from then
+// on. The Miner becomes the registry's default dataset.
 func New(m *core.Miner, opts Options) (*Server, error) {
 	if m == nil {
 		return nil, fmt.Errorf("server: nil miner")

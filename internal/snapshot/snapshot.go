@@ -173,18 +173,14 @@ type Snapshot struct {
 func (s *Snapshot) HasState() bool { return s != nil && s.State != nil }
 
 // Capture snapshots a preprocessed miner together with its dataset.
-// It fails if the miner has not run Preprocess (or ImportState): a
-// snapshot exists to skip that work, so capturing before it happened
-// would persist a lie.
+// It fails if the miner has not run Preprocess (and was not built by
+// core.Restore): a snapshot exists to skip that work, so capturing
+// before it happened would persist a lie.
 func Capture(name string, prov Provenance, m *core.Miner) (*Snapshot, error) {
 	if m == nil {
 		return nil, fmt.Errorf("snapshot: nil miner")
 	}
-	state, err := m.ExportState()
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	idx, err := m.ExportIndex()
+	state, idx, err := m.Export()
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
@@ -276,19 +272,16 @@ func (s *Snapshot) Miner(cfg core.Config, set []string) (*core.Miner, error) {
 	return m, nil
 }
 
-// Restore reconstructs a ready-to-serve miner: the index is decoded
-// rather than rebuilt and the state imported rather than relearned,
-// so no OD evaluation or tree insertion runs. It fails on
-// dataset-only snapshots, which Miner mines instead.
+// Restore reconstructs a ready-to-serve miner through core.Restore:
+// the index is decoded rather than rebuilt and the state installed
+// rather than relearned, so no OD evaluation or tree insertion runs.
+// It fails on dataset-only snapshots, which Miner mines instead.
 func (s *Snapshot) Restore() (*core.Miner, error) {
 	if !s.HasState() {
 		return nil, fmt.Errorf("snapshot: %q is dataset-only (no preprocessed state); configure a miner over its dataset instead", s.Name)
 	}
-	m, err := core.NewMinerWithIndex(s.Dataset, s.Config, s.Index)
+	m, err := core.Restore(s.Dataset, s.Config, s.State, s.Index)
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: restoring %q: %w", s.Name, err)
-	}
-	if err := m.ImportState(s.State); err != nil {
 		return nil, fmt.Errorf("snapshot: restoring %q: %w", s.Name, err)
 	}
 	return m, nil
@@ -533,10 +526,6 @@ func decodePayload(payload []byte) (*Snapshot, error) {
 	if flags&flagState != 0 {
 		s.Config = decodeConfig(d)
 		s.State = &core.State{
-			Version:   core.StateVersion,
-			Dim:       dim,
-			K:         s.Config.K,
-			Metric:    s.Config.Metric.String(),
 			Threshold: d.F64(),
 			Learned:   d.Bool(),
 			PUp:       d.F64s(),

@@ -470,7 +470,7 @@ func TestMinerMinesDatasetOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ExportState(); err != nil {
+	if _, _, err := m.Export(); err != nil {
 		t.Fatalf("mined miner is not preprocessed: %v", err)
 	}
 	if m.Config().SampleSize != 30 {
