@@ -108,7 +108,7 @@ func (r *Runner) F9MetricSweep() (*Table, error) {
 			return nil, err
 		}
 		queries := e.queryPoints(3, 3)
-		priors, _, err := learnedPriors(e, pickInt(r.Scale, 4, 10), T, r.Seed)
+		priors, _, err := learnedPriors(e, pickInt(r.Scale, 4, 10), T)
 		if err != nil {
 			return nil, err
 		}

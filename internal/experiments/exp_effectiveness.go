@@ -172,7 +172,7 @@ func (r *Runner) F7VsEvolutionary() (*Table, error) {
 			return nil, err
 		}
 		queries := e.queryPoints(2, 1)
-		priors, _, err := learnedPriors(e, pickInt(r.Scale, 4, 10), T, r.Seed)
+		priors, _, err := learnedPriors(e, pickInt(r.Scale, 4, 10), T)
 		if err != nil {
 			return nil, err
 		}

@@ -35,7 +35,7 @@ func (r *Runner) F1RuntimeVsDim() (*Table, error) {
 			return nil, err
 		}
 		queries := e.queryPoints(3, 3)
-		priors, _, err := learnedPriors(e, pickInt(r.Scale, 6, 16), T, r.Seed)
+		priors, _, err := learnedPriors(e, pickInt(r.Scale, 6, 16), T)
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +102,7 @@ func (r *Runner) F2RuntimeVsN() (*Table, error) {
 			return nil, err
 		}
 		queries := e.queryPoints(2, 2)
-		priors, _, err := learnedPriors(e, pickInt(r.Scale, 4, 10), T, r.Seed)
+		priors, _, err := learnedPriors(e, pickInt(r.Scale, 4, 10), T)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +145,7 @@ func (r *Runner) F3PruningPower() (*Table, error) {
 			return nil, err
 		}
 		queries := e.queryPoints(3, 3)
-		priors, _, err := learnedPriors(e, pickInt(r.Scale, 4, 12), T, r.Seed)
+		priors, _, err := learnedPriors(e, pickInt(r.Scale, 4, 12), T)
 		if err != nil {
 			return nil, err
 		}
@@ -191,7 +191,7 @@ func (r *Runner) F8OrderingAblation() (*Table, error) {
 		return nil, err
 	}
 	queries := e.queryPoints(3, 5)
-	priors, _, err := learnedPriors(e, pickInt(r.Scale, 6, 16), T, r.Seed)
+	priors, _, err := learnedPriors(e, pickInt(r.Scale, 6, 16), T)
 	if err != nil {
 		return nil, err
 	}

@@ -35,7 +35,7 @@ func (r *Runner) F4SampleSize() (*Table, error) {
 	}
 	queries := e.queryPoints(3, 3)
 	for _, s := range samples {
-		priors, learnEvals, err := learnedPriors(e, s, T, r.Seed)
+		priors, learnEvals, err := learnedPriors(e, s, T)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +84,7 @@ func (r *Runner) F5Threshold() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		priors, _, err := learnedPriors(e, pickInt(r.Scale, 4, 12), T, r.Seed)
+		priors, _, err := learnedPriors(e, pickInt(r.Scale, 4, 12), T)
 		if err != nil {
 			return nil, err
 		}
@@ -128,7 +128,7 @@ func (r *Runner) F6K() (*Table, error) {
 			return nil, err
 		}
 		queries := e.queryPoints(3, 3)
-		priors, _, err := learnedPriors(e, pickInt(r.Scale, 4, 10), T, r.Seed)
+		priors, _, err := learnedPriors(e, pickInt(r.Scale, 4, 10), T)
 		if err != nil {
 			return nil, err
 		}
@@ -175,7 +175,7 @@ func (r *Runner) T4FilterReduction() (*Table, error) {
 			return nil, err
 		}
 		queries := e.queryPoints(3, 0) // outliers only: inliers have empty sets
-		priors, _, err := learnedPriors(e, pickInt(r.Scale, 4, 10), T, r.Seed)
+		priors, _, err := learnedPriors(e, pickInt(r.Scale, 4, 10), T)
 		if err != nil {
 			return nil, err
 		}

@@ -174,7 +174,7 @@ func timedSearch(e *env, queries []int, T float64, priors core.Priors, policy co
 // learnedPriors runs the §3.2 learning process over `samples` points
 // and returns the averaged priors, charging the work to the returned
 // evaluation counter.
-func learnedPriors(e *env, samples int, T float64, seed int64) (core.Priors, int64, error) {
+func learnedPriors(e *env, samples int, T float64) (core.Priors, int64, error) {
 	if samples <= 0 {
 		return core.UniformPriors(e.ds.Dim()), 0, nil
 	}
@@ -202,7 +202,6 @@ func learnedPriors(e *env, samples int, T float64, seed int64) (core.Priors, int
 		evals += res.Counters.Evaluations
 		per = append(per, core.PriorsFromResult(res))
 	}
-	_ = seed
 	return core.SmoothPriors(core.AveragePriors(per, d), len(per)), evals, nil
 }
 

@@ -33,9 +33,6 @@ func EmptyMBR(d int) MBR {
 	return MBR{Min: lo, Max: hi}
 }
 
-// Dim returns the dimensionality of the rectangle.
-func (r MBR) Dim() int { return len(r.Min) }
-
 // IsEmpty reports whether the MBR is inverted (covers nothing).
 func (r MBR) IsEmpty() bool { return len(r.Min) == 0 || r.Min[0] > r.Max[0] }
 
@@ -61,27 +58,6 @@ func (r *MBR) Extend(other MBR) {
 			r.Max[i] = other.Max[i]
 		}
 	}
-}
-
-// ContainsPoint reports whether p lies inside the rectangle
-// (inclusive).
-func (r MBR) ContainsPoint(p []float64) bool {
-	for i, v := range p {
-		if v < r.Min[i] || v > r.Max[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Contains reports whether other lies entirely inside r.
-func (r MBR) Contains(other MBR) bool {
-	for i := range r.Min {
-		if other.Min[i] < r.Min[i] || other.Max[i] > r.Max[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Area returns the d-dimensional volume. Degenerate extents contribute

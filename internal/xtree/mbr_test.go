@@ -11,8 +11,18 @@ import (
 	"repro/internal/vector"
 )
 
+// boxIs fails the test unless r spans exactly [lo, hi].
+func boxIs(t *testing.T, what string, r MBR, lo, hi []float64) {
+	t.Helper()
+	if !slices.Equal(r.Min, lo) || !slices.Equal(r.Max, hi) {
+		t.Fatalf("%s = [%v, %v], want [%v, %v]", what, r.Min, r.Max, lo, hi)
+	}
+}
+
 // TestNewMBRAndContains: the box a leaf starts with when its first
-// point arrives is degenerate at that point.
+// point arrives is degenerate at that point. (Validate checks that
+// every node's box is the tight bound of its entries, so every built
+// tree's boxes contain their points.)
 func TestNewMBRAndContains(t *testing.T) {
 	p := []float64{1, 2, 3}
 	ds, err := vector.FromRows([][]float64{p})
@@ -23,15 +33,13 @@ func TestNewMBRAndContains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := tr.ar.nodeMBR(0)
-	if !m.ContainsPoint(p) {
-		t.Fatal("degenerate MBR must contain its point")
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
 	}
+	m := tr.ar.nodeMBR(0)
+	boxIs(t, "first box", m, p, p)
 	if m.Area() != 0 || boxMargin(m.Min, m.Max) != 0 {
 		t.Fatal("degenerate MBR area/margin must be 0")
-	}
-	if m.Dim() != 3 {
-		t.Fatalf("dim = %d", m.Dim())
 	}
 }
 
@@ -41,29 +49,25 @@ func TestEmptyMBR(t *testing.T) {
 		t.Fatal("EmptyMBR not empty")
 	}
 	e.ExtendPoint([]float64{1, 1})
-	if e.IsEmpty() || !e.ContainsPoint([]float64{1, 1}) {
-		t.Fatal("extend of empty MBR")
+	if e.IsEmpty() {
+		t.Fatal("extended EmptyMBR still empty")
 	}
+	boxIs(t, "extended EmptyMBR", e, []float64{1, 1}, []float64{1, 1})
 }
 
 func TestExtendAndUnion(t *testing.T) {
 	a := EmptyMBR(2)
 	a.ExtendPoint([]float64{0, 0})
 	a.ExtendPoint([]float64{2, 3})
-	if !a.ContainsPoint([]float64{1, 1.5}) {
-		t.Fatal("extended MBR should contain interior point")
-	}
+	boxIs(t, "extended box", a, []float64{0, 0}, []float64{2, 3})
 	b := MBR{Min: []float64{-1, 5}, Max: []float64{-1, 5}}
 	u := EmptyMBR(2)
 	u.Extend(a)
 	u.Extend(b)
-	if !u.Contains(a) || !u.Contains(b) {
-		t.Fatal("union must contain both")
-	}
+	boxIs(t, "union", u, []float64{-1, 0}, []float64{2, 5})
 	// Extend must not touch its argument.
-	if a.ContainsPoint([]float64{-1, 5}) || b.ContainsPoint([]float64{0, 0}) {
-		t.Fatal("Extend mutated its argument")
-	}
+	boxIs(t, "a after Extend", a, []float64{0, 0}, []float64{2, 3})
+	boxIs(t, "b after Extend", b, []float64{-1, 5}, []float64{-1, 5})
 }
 
 // overlap is boxOverlap over two MBRs.
