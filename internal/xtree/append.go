@@ -6,13 +6,6 @@ import (
 	"repro/internal/vector"
 )
 
-// appendRebuildFactor is the repack/rebuild trigger for Append: when a
-// batch at least doubles the indexed row count, continuing the old
-// insertion sequence costs as much as starting over, so Append builds
-// from scratch instead of unpacking. Both paths produce byte-identical
-// trees (Append's contract), so the trigger is purely a cost policy.
-const appendRebuildFactor = 2.0
-
 // Append returns a new Tree over newDS that indexes every row of
 // newDS, sharing nothing mutable with t (t remains valid and
 // unchanged — in-flight searches against it are unaffected).
@@ -25,8 +18,6 @@ const appendRebuildFactor = 2.0
 // insertion algorithm is deterministic in (prefix rows, insertion
 // order), so the appended tree is byte-identical — arena layout, split
 // history, supernode set, encoded stream — to Build over all of newDS.
-// Large batches (≥ appendRebuildFactor × current size) take the
-// from-scratch path directly; the result is the same.
 func (t *Tree) Append(newDS *vector.Dataset) (*Tree, error) {
 	if newDS == nil {
 		return nil, fmt.Errorf("xtree: append: nil dataset")
@@ -43,9 +34,6 @@ func (t *Tree) Append(newDS *vector.Dataset) (*Tree, error) {
 		if oldSlab[i] != newSlab[i] {
 			return nil, fmt.Errorf("xtree: append: row %d differs from the indexed dataset", i/d)
 		}
-	}
-	if float64(newDS.N()-t.size) >= appendRebuildFactor*float64(t.size) {
-		return Build(newDS, t.metric, t.cfg)
 	}
 	nt := &Tree{
 		ds:         newDS,

@@ -42,8 +42,8 @@ func encodeTree(t *testing.T, tr *Tree) []byte {
 // TestAppendEqualsBuild is the core exactness property: inserting rows
 // into an already-packed tree continues the original insertion
 // sequence, so the appended tree's encoded stream is byte-identical to
-// Build over the full dataset. Covered across batch sizes that land
-// on both sides of the rebuild trigger, and with chained appends.
+// Build over the full dataset. Covered across batch sizes from one
+// row to several times the tree, and with chained appends.
 func TestAppendEqualsBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const d = 4
@@ -55,7 +55,7 @@ func TestAppendEqualsBuild(t *testing.T) {
 	}{
 		{"single_row", 300, []int{1}},
 		{"small_batches", 200, []int{7, 13, 50}},
-		{"rebuild_trigger", 100, []int{400}}, // ≥2x growth: from-scratch path
+		{"rebuild_trigger", 100, []int{400}}, // a batch 4x the tree
 		{"grow_from_tiny", 5, []int{20, 100, 300}},
 		{"many_singles", 550, []int{1, 1, 1, 1, 1}},
 	} {
@@ -97,8 +97,8 @@ func TestAppendEqualsBuild(t *testing.T) {
 // TestAppendBatchEqualsChainedAppend: a group-commit drain — many
 // queued row batches appended as one concatenated dataset, in one
 // unpack/insert/repack cycle — encodes byte-identically to both the
-// chained per-batch appends and a fresh build, on either side of the
-// rebuild trigger.
+// chained per-batch appends and a fresh build, from single rows to
+// batches that outgrow the tree.
 func TestAppendBatchEqualsChainedAppend(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const d = 4
@@ -110,7 +110,7 @@ func TestAppendBatchEqualsChainedAppend(t *testing.T) {
 	}{
 		{"coalesced_singles", 300, []int{1, 1, 1, 1}},
 		{"mixed_sizes", 200, []int{3, 40, 7}},
-		{"rebuild_trigger", 100, []int{150, 250}}, // combined ≥2x: from-scratch path
+		{"rebuild_trigger", 100, []int{150, 250}}, // batches that outgrow the tree
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := datasetOf(t, all[:tc.base], d)

@@ -41,7 +41,7 @@ func treeVariants(t *testing.T, rows [][]float64, metric vector.Metric, cfg Conf
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefix := len(rows) * 2 / 3 // under the rebuild trigger: Append unpacks
+	prefix := len(rows) * 2 / 3
 	base, err := Build(datasetOf(t, rows[:prefix], 0), metric, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -75,15 +75,8 @@ type Tree struct {
 	ar     arena
 	size   int
 
-	supernodes int // number of supernode creations
-	stats      treeStats
+	supernodes int          // number of supernode creations
 	sc         buildScratch // construction workspace; Build and Append drop it
-}
-
-type treeStats struct {
-	topologicalSplits int64
-	overlapFreeSplits int64
-	supernodeGrowths  int64
 }
 
 // Build constructs an X-tree by inserting every point of ds.
@@ -235,7 +228,6 @@ func better(ov, ai, a, bestOv, bestAi, bestA float64) bool {
 func (t *Tree) handleOverflow(n *node) {
 	for n != nil && n.entryCount() > t.cfg.MaxEntries {
 		if n.super {
-			t.stats.supernodeGrowths++
 			return // supernodes absorb overflow
 		}
 		left, right, splitDim, ok := t.splitNode(n)
@@ -243,7 +235,6 @@ func (t *Tree) handleOverflow(n *node) {
 			// No acceptable split: convert to supernode.
 			n.super = true
 			t.supernodes++
-			t.stats.supernodeGrowths++
 			return
 		}
 		// Adopt grandchildren only now that the split is accepted;
@@ -288,19 +279,16 @@ func (t *Tree) handleOverflow(n *node) {
 func (t *Tree) splitNode(n *node) (left, right *node, splitDim int, ok bool) {
 	if n.leaf {
 		l, r, dim := t.topologicalSplitLeaf(n)
-		t.stats.topologicalSplits++
 		return l, r, dim, true
 	}
 	// Directory node: try the topological (R*) split first.
 	l, r, dim := t.topologicalSplitDir(n)
 	if overlapFraction(l.mbr.Min, l.mbr.Max, r.mbr.Min, r.mbr.Max) <= t.cfg.MaxOverlapFraction {
-		t.stats.topologicalSplits++
 		return l, r, dim, true
 	}
 	// Overlap too high: try the overlap-minimal split along a split-
 	// history dimension.
 	if l2, r2, dim2, found := t.overlapMinimalSplit(n); found {
-		t.stats.overlapFreeSplits++
 		return l2, r2, dim2, true
 	}
 	return nil, nil, 0, false
