@@ -13,7 +13,7 @@ import (
 // appends, or shrunk by a delete, must be indistinguishable from the
 // same dataset built in one shot. These are the conformance backing
 // for POST /datasets/{name}/append and DELETE /datasets/{name}/rows —
-// the server's incremental paths are core.Miner.WithAppended and
+// the server's incremental paths are core.Miner.WithAppendedBatch and
 // WithoutRows, which AppendedMiner and TestDeletedMatchesRebuilt drive.
 
 // appendPrefix picks how much of the spec's dataset the base miner is
@@ -92,10 +92,11 @@ func TestShardedAppendedMatchesRebuilt(t *testing.T) {
 }
 
 // Every spec, both backends, unsharded: one coalesced
-// WithAppendedBatch of the same chunks ≡ the sequential WithAppended
-// chain ≡ a one-shot rebuild. This is the conformance backing for the
-// server's group-committed append drain, which folds every request
-// coalesced into a batch through a single WithAppendedBatch call.
+// WithAppendedBatch of the same chunks ≡ the sequential chain of
+// one-chunk calls ≡ a one-shot rebuild. This is the conformance
+// backing for the server's group-committed append drain, which folds
+// every request coalesced into a batch through a single
+// WithAppendedBatch call.
 func TestBatchAppendedMatchesSequentialAndRebuilt(t *testing.T) {
 	for _, sp := range DefaultSpecs() {
 		sp := sp

@@ -128,8 +128,8 @@ func (sp Spec) Config(backend core.Backend, policy core.Policy, shards int, part
 }
 
 // AppendedMiner builds the spec's miner over only the first prefix
-// rows of the dataset and streams the remainder in through
-// core.Miner.WithAppended in several chunks — the live-ingestion path
+// rows of the dataset and streams the remainder in through one
+// core.Miner.WithAppendedBatch call per chunk — the live-ingestion path
 // POST /datasets/{name}/append takes. The HOS-Miner exactness contract
 // says the result must be indistinguishable, bit for bit, from a miner
 // built over the full dataset in one shot: same resolved threshold,
@@ -143,7 +143,7 @@ func (sp Spec) AppendedMiner(backend core.Backend, policy core.Policy, shards in
 		if len(chunk) == 0 {
 			continue
 		}
-		if m, err = m.WithAppended(chunk); err != nil {
+		if m, err = m.WithAppendedBatch(chunk); err != nil {
 			return nil, err
 		}
 	}

@@ -12,8 +12,8 @@ import (
 // Miner stays immutable after Preprocess (the concurrency contract
 // every query path relies on), so "mutating" a live dataset means
 // deriving a complete replacement Miner and swapping it in at a higher
-// layer (internal/server's epoch views). WithAppended reuses the old
-// index incrementally where that is exact; WithoutRows rebuilds the
+// layer (internal/server's epoch views). WithAppendedBatch reuses the
+// old index incrementally where that is exact; WithoutRows rebuilds the
 // index. Both carry the parent's per-row full-space columns over and
 // recompute only the rows the mutation can change (column.go).
 //
@@ -63,9 +63,13 @@ func nonFinite(p []float64) int {
 	return -1
 }
 
-// WithAppended returns a new preprocessed Miner over this Miner's
-// dataset extended by rows. The receiver is unchanged and stays fully
-// serviceable — in-flight queries against it are unaffected.
+// WithAppendedBatch returns a new preprocessed Miner over this Miner's
+// dataset extended by every batch, in order, applied as one amortized
+// step: rows are validated once, per batch (so the caller can
+// attribute a failure to the request that carried it), routed to
+// shards once, and the threshold/priors re-resolved once. The receiver
+// is unchanged and stays fully serviceable — in-flight queries against
+// it are unaffected.
 //
 // The k-NN index is extended incrementally: an unsharded index takes
 // shard.Index.Append (X-tree insertion via the linked scaffolding and
@@ -76,10 +80,23 @@ func nonFinite(p []float64) int {
 // lands strictly inside the k-th-neighbour radius of, are recomputed.
 // Preprocess then re-resolves the threshold from the column and the
 // learning against the grown dataset, so the result is byte-identical
-// to a from-scratch build (see the file comment).
-func (m *Miner) WithAppended(rows [][]float64) (*Miner, error) {
-	if err := ValidateRows(rows, m.ds.Dim()); err != nil {
-		return nil, err
+// to a from-scratch build (see the file comment). Conformance pins
+// that a chain of one-batch calls, one call with several batches and a
+// one-shot build all agree.
+func (m *Miner) WithAppendedBatch(batches ...[][]float64) (*Miner, error) {
+	total := 0
+	for bi, rows := range batches {
+		if err := ValidateRows(rows, m.ds.Dim()); err != nil {
+			return nil, fmt.Errorf("core: append batch %d: %w", bi, err)
+		}
+		total += len(rows)
+	}
+	if total == 0 {
+		return nil, fmt.Errorf("core: append: no rows")
+	}
+	rows := make([][]float64, 0, total)
+	for _, b := range batches {
+		rows = append(rows, b...)
 	}
 	newDS, err := m.ds.Append(rows...)
 	if err != nil {
@@ -112,33 +129,6 @@ func (m *Miner) WithAppended(rows [][]float64) (*Miner, error) {
 		return nil, err
 	}
 	return nm, nil
-}
-
-// WithAppendedBatch returns a new preprocessed Miner over this Miner's
-// dataset extended by every batch, applied as one amortized step: rows
-// are validated per batch (so the caller can attribute a failure to
-// the request that carried it), routed to shards once, and the
-// threshold/priors re-resolved once — instead of once per batch the
-// way a WithAppended chain would. Exactness is inherited rather than
-// re-argued: conformance already pins that chunked WithAppended calls
-// equal a one-shot build, so applying the concatenation in one
-// WithAppended call sits between those two pinned points.
-func (m *Miner) WithAppendedBatch(batches ...[][]float64) (*Miner, error) {
-	total := 0
-	for bi, rows := range batches {
-		if err := ValidateRows(rows, m.ds.Dim()); err != nil {
-			return nil, fmt.Errorf("core: append batch %d: %w", bi, err)
-		}
-		total += len(rows)
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("core: append: no rows")
-	}
-	all := make([][]float64, 0, total)
-	for _, rows := range batches {
-		all = append(all, rows...)
-	}
-	return m.WithAppended(all)
 }
 
 // WithoutRows returns a new preprocessed Miner over only the rows of

@@ -105,11 +105,11 @@ func TestWithAppendedEqualsRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Append in two batches to exercise chained COW derivation.
-		m1, err := m.WithAppended(extra[:15])
+		m1, err := m.WithAppendedBatch(extra[:15])
 		if err != nil {
 			t.Fatal(err)
 		}
-		m2, err := m1.WithAppended(extra[15:])
+		m2, err := m1.WithAppendedBatch(extra[15:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestWithAppendedEqualsRebuild(t *testing.T) {
 		minersEqual(t, m2, fresh)
 		// The source miner still answers (COW left it intact).
 		if _, err := m.OutlyingSubspacesOfPoint(0); err != nil {
-			t.Fatalf("source miner broken after WithAppended: %v", err)
+			t.Fatalf("source miner broken after WithAppendedBatch: %v", err)
 		}
 	}
 }
@@ -154,7 +154,7 @@ func TestWithAppendedCrossesAutoThreshold(t *testing.T) {
 		t.Fatal("500-point auto miner unexpectedly tree-backed")
 	}
 	rng := rand.New(rand.NewSource(6))
-	m1, err := m.WithAppended(appendTestRows(rng, 30, 4))
+	m1, err := m.WithAppendedBatch(appendTestRows(rng, 30, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,16 +175,16 @@ func TestWithAppendedCrossesAutoThreshold(t *testing.T) {
 // wrong width, non-finite values.
 func TestWithAppendedRejectsBadRows(t *testing.T) {
 	m := allocTestMiner(t)
-	if _, err := m.WithAppended(nil); err == nil {
+	if _, err := m.WithAppendedBatch(nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}
-	if _, err := m.WithAppended([][]float64{{1, 2}}); err == nil {
+	if _, err := m.WithAppendedBatch([][]float64{{1, 2}}); err == nil {
 		t.Fatal("wrong-width row accepted")
 	}
-	if _, err := m.WithAppended([][]float64{{1, 2, 3, 4, math.NaN()}}); err == nil {
+	if _, err := m.WithAppendedBatch([][]float64{{1, 2, 3, 4, math.NaN()}}); err == nil {
 		t.Fatal("NaN accepted")
 	}
-	if _, err := m.WithAppended([][]float64{{1, 2, 3, 4, math.Inf(1)}}); err == nil {
+	if _, err := m.WithAppendedBatch([][]float64{{1, 2, 3, 4, math.Inf(1)}}); err == nil {
 		t.Fatal("+Inf accepted")
 	}
 }
@@ -329,7 +329,7 @@ func TestDerivedColumnsMatchFresh(t *testing.T) {
 		if err != nil {
 			continue // refused alike below: the chain needs a base
 		}
-		m1, err1 := base.WithAppended(rows[prefix:mid])
+		m1, err1 := base.WithAppendedBatch(rows[prefix:mid])
 		want1, errW := freshMiner(t, rows[:mid], cfg)
 		if (err1 == nil) != (errW == nil) {
 			t.Fatalf("seed %d: first append %v, fresh %v", seed, err1, errW)
@@ -340,7 +340,7 @@ func TestDerivedColumnsMatchFresh(t *testing.T) {
 		columnsEqual(t, "first append", m1, want1)
 		// The second append repeats rows the dataset already holds.
 		again := append(append([][]float64{}, rows[mid:]...), rows[:3]...)
-		m2, err2 := m1.WithAppended(again)
+		m2, err2 := m1.WithAppendedBatch(again)
 		all := append(append([][]float64{}, rows...), rows[:3]...)
 		want2, errW := freshMiner(t, all, cfg)
 		if (err2 == nil) != (errW == nil) {
@@ -397,7 +397,7 @@ func TestColumnsOnlyForQuantileThresholds(t *testing.T) {
 	if err := fixed.Preprocess(); err != nil {
 		t.Fatal(err)
 	}
-	grown, err := fixed.WithAppended(extra)
+	grown, err := fixed.WithAppendedBatch(extra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,14 +427,14 @@ func TestColumnsOnlyForQuantileThresholds(t *testing.T) {
 	if restored.fullOD != nil || restored.ColumnRowsComputed() != 0 {
 		t.Fatal("a restored miner has a column")
 	}
-	child, err := restored.WithAppended(extra)
+	child, err := restored.WithAppendedBatch(extra)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := child.ColumnRowsComputed(), ds.N()+len(extra); got != want {
 		t.Fatalf("first derivation of a restored miner computed %d rows, want %d", got, want)
 	}
-	derived, err := m.WithAppended(extra)
+	derived, err := m.WithAppendedBatch(extra)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 // resolved from, and kthDist[i], the distance of row i's k-th
 // full-space neighbour, which bounds the rows a mutation can change.
 // Preprocess fills every row of a Miner that has no column yet;
-// WithAppended and WithoutRows derive the child's columns from the
-// parent's and refill only the rows the mutation can change. A
+// WithAppendedBatch and WithoutRows derive the child's columns from
+// the parent's and refill only the rows the mutation can change. A
 // fixed-T Miner keeps no column, and a Miner built by Restore has
 // none, so its first derivation fills every row.
 
@@ -78,6 +78,6 @@ func (m *Miner) refill(n int, mutated [][]float64, onRadius bool) error {
 
 // ColumnRowsComputed returns how many column rows this Miner computed:
 // every row for the full pass of Preprocess, the rows a mutation can
-// change for a WithAppended or WithoutRows child, and 0 for a fixed-T
-// Miner or one built by Restore.
+// change for a WithAppendedBatch or WithoutRows child, and 0 for a
+// fixed-T Miner or one built by Restore.
 func (m *Miner) ColumnRowsComputed() int { return m.columnRows }

@@ -133,10 +133,10 @@ func (c *Config) validate(ds *vector.Dataset) error {
 // Concurrency: once Preprocess has run, or Restore built the Miner,
 // every query, batch, scan and accessor method is safe for concurrent
 // use. The dataset, index, per-row columns, threshold, priors and
-// configuration are then read-only (WithAppended and WithoutRows only
-// read them), and the only mutable state is the Miner's own evaluator
-// pool and query counter, both safe for concurrent use. Every search
-// borrows an od.Evaluator from that pool (its k-NN cursor carries
+// configuration are then read-only (WithAppendedBatch and WithoutRows
+// only read them), and the only mutable state is the Miner's own
+// evaluator pool and query counter, both safe for concurrent use.
+// Every search borrows an od.Evaluator from that pool (its k-NN cursor carries
 // mutable work counters and scratch) and returns it afterwards, so
 // callers never handle evaluators. A caller that wants to own one —
 // to keep its scratch warm across queries — builds it with
@@ -191,7 +191,7 @@ func NewMiner(ds *vector.Dataset, cfg Config) (*Miner, error) {
 // and engine is non-nil — with uniform priors, and seeds its evaluator
 // pool with a first evaluator (which also proves the configuration
 // can build one). It is the shared tail of newMiner and
-// WithAppended.
+// WithAppendedBatch.
 func assemble(ds *vector.Dataset, cfg Config, index *shard.Index, engine *shard.Engine) (*Miner, error) {
 	m := &Miner{
 		cfg:    cfg,
