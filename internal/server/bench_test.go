@@ -77,12 +77,13 @@ func BenchmarkQueryCached(b *testing.B) {
 // exists to provide. Auto-compaction is disabled so the WAL sync
 // counter is cumulative for the whole run.
 //
-// An append's cost and allocations grow with N (the X-tree insert
-// unpacks every node). To keep the per-op figures independent of
-// -benchtime, the loop deletes its own rows by stable-ID range,
-// outside the timed region, whenever they reach appendTrimRows; N then
-// stays between the base and the base plus appendTrimRows (or one
-// batch, when a batch is larger). The window is small so that even a
+// An append's allocations do not grow with N, but its cost does: the
+// X-tree unpack and Validate and the column probe each touch every
+// row. To keep the per-op figures independent of -benchtime, the loop
+// deletes its own rows by stable-ID range, outside the timed region,
+// whenever they reach appendTrimRows; N then stays between the base
+// and the base plus appendTrimRows (or one batch, when a batch is
+// larger). The window is small so that even a
 // run of a few dozen batch=1 requests spans whole trim periods. The
 // trims' fsyncs are not counted. The trim cannot use keep_last: every
 // request carries the same rows, so the newest rows are all copies.
