@@ -117,7 +117,7 @@ func TestBreakerStateMachine(t *testing.T) {
 			},
 		},
 		{
-			name: "half-open grants one probe at a time",
+			name: "half-open grants probes only up to the budget",
 			steps: []bstep{
 				trip,
 				{advance: 5 * time.Second, checkAllow: true, wantOK: true, wantProbe: true, keepProbe: true},
