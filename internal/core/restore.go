@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/shard"
@@ -83,8 +84,8 @@ func Restore(ds *vector.Dataset, cfg Config, st *State, idx *IndexSnapshot) (*Mi
 	if err != nil {
 		return nil, err
 	}
-	if st.Threshold <= 0 {
-		return nil, fmt.Errorf("core: state threshold %v must be positive", st.Threshold)
+	if !(st.Threshold > 0) || math.IsInf(st.Threshold, 1) {
+		return nil, fmt.Errorf("core: state threshold %v must be positive and finite", st.Threshold)
 	}
 	priors := Priors{PUp: slices.Clone(st.PUp), PDown: slices.Clone(st.PDown)}
 	if err := priors.Validate(); err != nil {

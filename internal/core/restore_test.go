@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -197,6 +198,8 @@ func TestRestoreStateValidation(t *testing.T) {
 		mutate func(s State) State
 	}{
 		{"threshold", func(s State) State { s.Threshold = 0; return s }},
+		{"threshold NaN", func(s State) State { s.Threshold = math.NaN(); return s }},
+		{"threshold +Inf", func(s State) State { s.Threshold = math.Inf(1); return s }},
 		{"priors len", func(s State) State { s.PUp = s.PUp[:2]; return s }},
 		{"priors range", func(s State) State {
 			up := append([]float64(nil), s.PUp...)
