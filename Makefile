@@ -39,10 +39,10 @@ cover:
 		repro/internal/analysis/antest repro/internal/analysis/viewpin \
 		repro/internal/analysis/durability repro/internal/analysis/statslock \
 		repro/internal/analysis/hotpath repro/internal/analysis/determinism \
-		repro/internal/analysis/lostcancel \
 		repro/tools/hosvet repro/tools/covgate repro/tools/benchjson
 
-# benchmod vets and tests the bench/ harness, a separate Go module that
-# ./... does not reach; CI's test job runs this target.
+# benchmod runs vet, hosvet and the tests over the bench/ harness, a
+# separate Go module that ./... does not reach; CI's test job runs
+# this target.
 benchmod:
-	cd bench && $(GO) vet . && $(GO) test .
+	cd bench && $(GO) vet . && $(GO) run repro/tools/hosvet . && $(GO) test .

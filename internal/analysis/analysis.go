@@ -7,11 +7,11 @@
 // dependencies.
 //
 // The analyzers themselves live in subpackages (viewpin, durability,
-// statslock, hotpath, determinism, lostcancel); each encodes one
-// invariant of this codebase that the compiler cannot see and that was
-// previously guarded only by tests that catch violations after the
-// fact. tools/hosvet bundles them into one vet-style binary gated in
-// CI.
+// statslock, hotpath, determinism); each encodes one invariant of this
+// codebase that the compiler cannot see and that was previously
+// guarded only by tests that catch violations after the fact. Generic
+// checks such as lostcancel stay with go vet. tools/hosvet bundles the
+// analyzers into one standalone binary gated in CI.
 package analysis
 
 import (

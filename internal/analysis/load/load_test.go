@@ -47,6 +47,8 @@ import "testing"
 
 func TestHello(t *testing.T) { _ = Hello() }
 `,
+		// A package of test files alone has nothing to analyze.
+		"onlytests/only_test.go": "package onlytests\n",
 	})
 
 	pkgs, err := load.Load(dir)
@@ -54,7 +56,7 @@ func TestHello(t *testing.T) { _ = Hello() }
 		t.Fatal(err)
 	}
 	if len(pkgs) != 2 {
-		t.Fatalf("got %d packages, want 2 (root + sub)", len(pkgs))
+		t.Fatalf("got %d packages, want 2 (root + sub; onlytests has no non-test file)", len(pkgs))
 	}
 	byPath := map[string]*load.Package{}
 	for _, p := range pkgs {
@@ -106,13 +108,17 @@ func TestLoadErrorNoModule(t *testing.T) {
 }
 
 func TestLoadErrorBrokenSource(t *testing.T) {
-	dir := writeTree(t, map[string]string{
-		"go.mod":  "module demo\n\ngo 1.23\n",
-		"bad.go":  "package demo\n\nfunc Broken() { return 3 }\n",
-		"good.go": "package demo\n\nfunc Fine() {}\n",
-	})
-	_, err := load.Load(dir)
-	if err == nil {
-		t.Fatal("type-broken package should fail to load")
+	for name, bad := range map[string]string{
+		"type error":   "package demo\n\nfunc Broken() { return 3 }\n",
+		"syntax error": "package demo\n\nfunc {\n",
+	} {
+		dir := writeTree(t, map[string]string{
+			"go.mod":  "module demo\n\ngo 1.23\n",
+			"bad.go":  bad,
+			"good.go": "package demo\n\nfunc Fine() {}\n",
+		})
+		if _, err := load.Load(dir); err == nil {
+			t.Errorf("%s: package should fail to load", name)
+		}
 	}
 }

@@ -2,11 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"io"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -23,30 +19,10 @@ func inDir(t *testing.T, dir string) {
 	t.Cleanup(func() { _ = os.Chdir(old) })
 }
 
-func TestVersionHandshake(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-V=full"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("version handshake exited %d", code)
-	}
-	if !strings.HasPrefix(stdout.String(), "hosvet version") {
-		t.Fatalf("version output = %q", stdout.String())
-	}
-}
-
-func TestFlagsHandshake(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-flags"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-flags handshake exited %d", code)
-	}
-	if strings.TrimSpace(stdout.String()) != "[]" {
-		t.Fatalf("-flags output = %q, want []", stdout.String())
-	}
-}
-
 func TestStandaloneFlagsViolation(t *testing.T) {
 	inDir(t, "testdata/vetmod")
-	var stdout, stderr bytes.Buffer
-	if code := run(nil, &stdout, &stderr); code != 1 {
+	var stderr bytes.Buffer
+	if code := run(nil, &stderr); code != 1 {
 		t.Fatalf("exit = %d, want 1; stderr:\n%s", code, stderr.String())
 	}
 	out := stderr.String()
@@ -57,259 +33,16 @@ func TestStandaloneFlagsViolation(t *testing.T) {
 
 func TestStandaloneCleanTree(t *testing.T) {
 	inDir(t, "testdata/cleanmod")
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"./..."}, &stdout, &stderr); code != 0 {
+	var stderr bytes.Buffer
+	if code := run([]string{"./..."}, &stderr); code != 0 {
 		t.Fatalf("exit = %d, want 0; stderr:\n%s", code, stderr.String())
 	}
 }
 
 func TestStandaloneLoadError(t *testing.T) {
 	inDir(t, t.TempDir())
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"./..."}, &stdout, &stderr); code != 2 {
+	var stderr bytes.Buffer
+	if code := run([]string{"./..."}, &stderr); code != 2 {
 		t.Fatalf("exit = %d, want 2 on load failure", code)
-	}
-}
-
-// listedUnit mirrors the go list fields needed to build a vet config.
-type listedUnit struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	GoFiles    []string
-	DepOnly    bool
-}
-
-// buildUnitConfig assembles the cmd/go unit-checker config for the
-// fixture module, exactly as go vet would: export data for every
-// dependency, absolute GoFiles, an identity import map.
-func buildUnitConfig(t *testing.T, modDir string) string {
-	t.Helper()
-	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,Export,GoFiles,DepOnly", ".")
-	cmd.Dir = modDir
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-	packageFile := map[string]string{}
-	importMap := map[string]string{}
-	var target *listedUnit
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		u := new(listedUnit)
-		if err := dec.Decode(u); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		if u.Export != "" {
-			packageFile[u.ImportPath] = u.Export
-			importMap[u.ImportPath] = u.ImportPath
-		}
-		if !u.DepOnly {
-			target = u
-		}
-	}
-	if target == nil {
-		t.Fatal("fixture target not found in go list output")
-	}
-	goFiles := make([]string, len(target.GoFiles))
-	for i, f := range target.GoFiles {
-		goFiles[i] = filepath.Join(target.Dir, f)
-	}
-	cfg := vetConfig{
-		ID:          target.ImportPath,
-		Compiler:    "gc",
-		Dir:         target.Dir,
-		ImportPath:  target.ImportPath,
-		GoFiles:     goFiles,
-		ImportMap:   importMap,
-		PackageFile: packageFile,
-		VetxOutput:  filepath.Join(t.TempDir(), "unit.vetx"),
-	}
-	data, err := json.Marshal(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "unit.cfg")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestUnitModeFlagsViolation(t *testing.T) {
-	cfgPath := buildUnitConfig(t, "testdata/vetmod")
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{cfgPath}, &stdout, &stderr); code != 1 {
-		t.Fatalf("exit = %d, want 1; stderr:\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "viewpin:") {
-		t.Fatalf("unit mode lost the diagnostic:\n%s", stderr.String())
-	}
-	// The vetx facts file must exist for cmd/go's action cache.
-	var cfg vetConfig
-	data, _ := os.ReadFile(cfgPath)
-	_ = json.Unmarshal(data, &cfg)
-	if _, err := os.Stat(cfg.VetxOutput); err != nil {
-		t.Fatalf("vetx output not written: %v", err)
-	}
-}
-
-func TestUnitModeClean(t *testing.T) {
-	cfgPath := buildUnitConfig(t, "testdata/cleanmod")
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{cfgPath}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit = %d, want 0; stderr:\n%s", code, stderr.String())
-	}
-}
-
-func TestUnitModeVetxOnly(t *testing.T) {
-	cfgPath := buildUnitConfig(t, "testdata/vetmod")
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		t.Fatal(err)
-	}
-	cfg.VetxOnly = true
-	data, _ = json.Marshal(&cfg)
-	if err := os.WriteFile(cfgPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{cfgPath}, &stdout, &stderr); code != 0 {
-		t.Fatalf("VetxOnly run exited %d: %s", code, stderr.String())
-	}
-}
-
-func TestUnitModeBadConfig(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{filepath.Join(t.TempDir(), "absent.cfg")}, &stdout, &stderr); code != 2 {
-		t.Fatalf("missing cfg file: exit %d, want 2", code)
-	}
-	bad := filepath.Join(t.TempDir(), "bad.cfg")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code := run([]string{bad}, &stdout, &stderr); code != 2 {
-		t.Fatalf("malformed cfg: exit %d, want 2", code)
-	}
-}
-
-// writeUnitCfg builds a minimal hand-rolled unit config around the
-// given source files — no export data, so only import-free sources
-// typecheck.
-func writeUnitCfg(t *testing.T, cfg *vetConfig) string {
-	t.Helper()
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "unit.cfg")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func writeSource(t *testing.T, name, src string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), name)
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestUnitModeTypecheckFailure(t *testing.T) {
-	file := writeSource(t, "broken.go", "package p\n\nvar x int = \"not an int\"\n")
-	cfg := &vetConfig{ID: "p", Compiler: "gc", ImportPath: "p", GoFiles: []string{file}}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{writeUnitCfg(t, cfg)}, &stdout, &stderr); code != 2 {
-		t.Fatalf("type error: exit %d, want 2; stderr:\n%s", code, stderr.String())
-	}
-
-	// cmd/go sets SucceedOnTypecheckFailure for vet units whose compile
-	// already failed; hosvet must then stay quiet.
-	cfg.SucceedOnTypecheckFailure = true
-	stderr.Reset()
-	if code := run([]string{writeUnitCfg(t, cfg)}, &stdout, &stderr); code != 0 {
-		t.Fatalf("SucceedOnTypecheckFailure: exit %d, want 0; stderr:\n%s", code, stderr.String())
-	}
-}
-
-func TestUnitModeParseError(t *testing.T) {
-	file := writeSource(t, "syntax.go", "package p\n\nfunc {\n")
-	cfg := &vetConfig{ID: "p", Compiler: "gc", ImportPath: "p", GoFiles: []string{file}}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{writeUnitCfg(t, cfg)}, &stdout, &stderr); code != 2 {
-		t.Fatalf("syntax error: exit %d, want 2", code)
-	}
-}
-
-func TestUnitModeTestFilesOnly(t *testing.T) {
-	// Test variants legitimately break the invariants; a unit made of
-	// only _test.go files is skipped entirely.
-	file := writeSource(t, "p_test.go", "package p\n")
-	cfg := &vetConfig{ID: "p [p.test]", Compiler: "gc", ImportPath: "p", GoFiles: []string{file}}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{writeUnitCfg(t, cfg)}, &stdout, &stderr); code != 0 {
-		t.Fatalf("test-only unit: exit %d, want 0; stderr:\n%s", code, stderr.String())
-	}
-}
-
-func TestUnitModeMissingExportData(t *testing.T) {
-	file := writeSource(t, "imports.go", "package p\n\nimport \"fmt\"\n\nvar _ = fmt.Sprint\n")
-	cfg := &vetConfig{ID: "p", Compiler: "gc", ImportPath: "p", GoFiles: []string{file}}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{writeUnitCfg(t, cfg)}, &stdout, &stderr); code != 2 {
-		t.Fatalf("missing export data: exit %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "fmt") {
-		t.Fatalf("error should name the unresolvable import:\n%s", stderr.String())
-	}
-}
-
-func TestUnitModeVetxWriteFailure(t *testing.T) {
-	file := writeSource(t, "ok.go", "package p\n")
-	cfg := &vetConfig{
-		ID: "p", Compiler: "gc", ImportPath: "p", GoFiles: []string{file},
-		VetxOutput: filepath.Join(t.TempDir(), "no", "such", "dir", "unit.vetx"),
-	}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{writeUnitCfg(t, cfg)}, &stdout, &stderr); code != 2 {
-		t.Fatalf("unwritable vetx output: exit %d, want 2", code)
-	}
-}
-
-// TestGoVetVettool is the end-to-end proof for the acceptance
-// criterion: build the binary and drive it through
-// `go vet -vettool=` on a module with a deliberate violation.
-func TestGoVetVettool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary")
-	}
-	bin := filepath.Join(t.TempDir(), "hosvet")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building hosvet: %v\n%s", err, out)
-	}
-	vet := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	vet.Dir = "testdata/vetmod"
-	out, err := vet.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet should fail on the violation; output:\n%s", out)
-	}
-	if !strings.Contains(string(out), "viewpin:") {
-		t.Fatalf("go vet output missing the positioned diagnostic:\n%s", out)
-	}
-
-	clean := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	clean.Dir = "testdata/cleanmod"
-	if out, err := clean.CombinedOutput(); err != nil {
-		t.Fatalf("go vet on the clean module failed: %v\n%s", err, out)
 	}
 }
