@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -97,13 +98,11 @@ func (c *Config) validate(ds *vector.Dataset) error {
 	if !c.Metric.Valid() {
 		return fmt.Errorf("core: invalid metric")
 	}
-	if c.TQuantile < 0 || c.TQuantile >= 1 {
-		if c.TQuantile != 0 {
-			return fmt.Errorf("core: TQuantile %v out of (0,1)", c.TQuantile)
-		}
+	if c.TQuantile != 0 && !inOpenUnit(c.TQuantile) {
+		return fmt.Errorf("core: TQuantile %v out of (0,1)", c.TQuantile)
 	}
-	if c.TQuantile == 0 && c.T <= 0 {
-		return fmt.Errorf("core: need a positive T or a TQuantile in (0,1)")
+	if c.TQuantile == 0 && !positiveFinite(c.T) {
+		return fmt.Errorf("core: T = %v, need a positive, finite T or a TQuantile in (0,1)", c.T)
 	}
 	if c.SampleSize < 0 || c.SampleSize > ds.N() {
 		return fmt.Errorf("core: SampleSize %d out of [0,%d]", c.SampleSize, ds.N())
@@ -125,6 +124,13 @@ func (c *Config) validate(ds *vector.Dataset) error {
 	}
 	return nil
 }
+
+// positiveFinite is the rule for a threshold T, configured or
+// restored; NaN fails it.
+func positiveFinite(v float64) bool { return v > 0 && v <= math.MaxFloat64 }
+
+// inOpenUnit is the rule for TQuantile; NaN fails it.
+func inOpenUnit(v float64) bool { return v > 0 && v < 1 }
 
 // Miner is the HOS-Miner system: dataset + index + learned priors.
 // Construct with NewMiner, then call Preprocess once (indexing +

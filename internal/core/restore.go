@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/shard"
@@ -84,7 +83,7 @@ func Restore(ds *vector.Dataset, cfg Config, st *State, idx *IndexSnapshot) (*Mi
 	if err != nil {
 		return nil, err
 	}
-	if !(st.Threshold > 0) || math.IsInf(st.Threshold, 1) {
+	if !positiveFinite(st.Threshold) {
 		return nil, fmt.Errorf("core: state threshold %v must be positive and finite", st.Threshold)
 	}
 	priors := Priors{PUp: slices.Clone(st.PUp), PDown: slices.Clone(st.PDown)}

@@ -127,7 +127,8 @@ type Config struct {
 	// fewer outcomes in the window (default 10).
 	MinSamples int
 	// FailureRatio trips the breaker when (timeouts+errors)/total in
-	// the window reaches it (default 0.5).
+	// the window reaches it (default 0.5, which also replaces any value
+	// outside (0,1], NaN included).
 	FailureRatio float64
 	// CoolDown is how long an open breaker rejects everything before
 	// admitting half-open probes (default 5s). It is also the
@@ -164,7 +165,7 @@ func (c *Config) setDefaults() {
 	if c.MinSamples <= 0 {
 		c.MinSamples = 10
 	}
-	if c.FailureRatio <= 0 || c.FailureRatio > 1 {
+	if !inHalfOpenUnit(c.FailureRatio) {
 		c.FailureRatio = 0.5
 	}
 	if c.CoolDown <= 0 {
@@ -186,6 +187,9 @@ func (c *Config) setDefaults() {
 		c.Clock = time.Now
 	}
 }
+
+// inHalfOpenUnit is the rule for FailureRatio, (0,1]; NaN fails it.
+func inHalfOpenUnit(v float64) bool { return v > 0 && v <= 1 }
 
 // RetryAfterSeconds renders a wait estimate as a Retry-After header
 // value: whole seconds, rounded up, floored at 1 — "Retry-After: 0"
