@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -131,7 +132,10 @@ type Snapshot struct {
 	Err         error     // non-nil only when StateFailed or StateCancelled
 }
 
-// job is the Manager-internal mutable record behind a Snapshot.
+// job is the Manager-internal mutable record behind a Snapshot. The
+// Manager's mu guards every field except the progress atomics, so a
+// job's state and the Manager's counters change in one critical
+// section and are always read together.
 type job struct {
 	id     string
 	kind   string
@@ -145,7 +149,6 @@ type job struct {
 
 	done, total atomic.Int64
 
-	mu       sync.Mutex
 	state    State
 	created  time.Time
 	started  time.Time
@@ -168,6 +171,7 @@ func (j *job) report(done, total int) {
 	}
 }
 
+// snapshotLocked copies the job; the caller holds the Manager's mu.
 func (j *job) snapshotLocked() Snapshot {
 	return Snapshot{
 		ID: j.id, Kind: j.kind, State: j.state,
@@ -177,9 +181,13 @@ func (j *job) snapshotLocked() Snapshot {
 	}
 }
 
-func (j *job) snapshot() Snapshot {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// deliverLocked is snapshotLocked for a reader that receives the
+// result: a done job's result counts as fetched, which keeps it out of
+// the abandoned count at sweep time.
+func (j *job) deliverLocked() Snapshot {
+	if j.state == StateDone {
+		j.fetched = true
+	}
 	return j.snapshotLocked()
 }
 
@@ -284,7 +292,7 @@ func (m *Manager) Submit(kind string, fn Fn) (Snapshot, error) {
 	m.ctr.Submitted++
 	m.startWorkersLocked()
 	m.newWork.Signal()
-	return j.snapshot(), nil
+	return j.snapshotLocked(), nil
 }
 
 // Get returns the job's snapshot. Fetching a done job marks its
@@ -298,12 +306,7 @@ func (m *Manager) Get(id string) (Snapshot, bool) {
 	if !ok {
 		return Snapshot{}, false
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state == StateDone {
-		j.fetched = true
-	}
-	return j.snapshotLocked(), true
+	return j.deliverLocked(), true
 }
 
 // Wait blocks until the job is terminal or ctx ends, whichever comes
@@ -323,12 +326,9 @@ func (m *Manager) Wait(ctx context.Context, id string) (Snapshot, bool) {
 	case <-j.term:
 	case <-ctx.Done():
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state == StateDone {
-		j.fetched = true
-	}
-	return j.snapshotLocked(), true
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return j.deliverLocked(), true
 }
 
 // Cancel requests cancellation of the job. A queued job transitions
@@ -338,54 +338,44 @@ func (m *Manager) Wait(ctx context.Context, id string) (Snapshot, bool) {
 func (m *Manager) Cancel(id string) (Snapshot, bool) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
-	m.mu.Unlock()
 	if !ok {
+		m.mu.Unlock()
 		return Snapshot{}, false
 	}
-	j.mu.Lock()
-	switch j.state {
-	case StateQueued:
+	if j.state == StateQueued {
 		j.state = StateCancelled
 		j.err = context.Canceled
 		j.finished = m.opts.Clock()
 		j.fn = nil // never runs; drop the closure and its captures
-		j.mu.Unlock()
-		j.cancel()
-		m.mu.Lock()
 		// Remove the job from the pending FIFO so its admission slot
 		// frees right now — not whenever a worker would have reached
-		// it (a worker that races the removal skips it via begin).
-		for i, p := range m.pending {
-			if p == j {
-				m.pending = append(m.pending[:i], m.pending[i+1:]...)
-				break
-			}
-		}
+		// it. The same critical section marks it, so no worker can
+		// pop it.
+		m.pending = slices.DeleteFunc(m.pending, func(p *job) bool { return p == j })
 		m.ctr.Cancelled++
-		m.mu.Unlock()
 		close(j.term)
-	case StateRunning:
-		j.mu.Unlock()
-		j.cancel()
-	default:
-		j.mu.Unlock()
 	}
-	return j.snapshot(), true
+	snap := j.snapshotLocked()
+	m.mu.Unlock()
+	// A running job unwinds when its Fn sees the cancellation; for any
+	// other job this only releases the context's resources.
+	j.cancel()
+	return snap, true
 }
 
 // List returns a snapshot of every retained job, oldest first
 // (submission order breaks Created ties — ids are not zero-padded, so
-// comparing them lexicographically would put scan-10 before scan-2).
-func (m *Manager) List() []Snapshot {
+// comparing them lexicographically would put scan-10 before scan-2),
+// and the counters, read in the same critical section: every job
+// listed in a state is counted in it.
+func (m *Manager) List() ([]Snapshot, Counters) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.sweepLocked()
 	js := make([]*job, 0, len(m.jobs))
 	for _, j := range m.jobs {
 		js = append(js, j)
 	}
-	m.mu.Unlock()
-	// created and seq are immutable after Submit publishes the job, so
-	// sorting outside the lock is safe.
 	sort.Slice(js, func(a, b int) bool {
 		if !js[a].created.Equal(js[b].created) {
 			return js[a].created.Before(js[b].created)
@@ -394,9 +384,9 @@ func (m *Manager) List() []Snapshot {
 	})
 	out := make([]Snapshot, len(js))
 	for i, j := range js {
-		out[i] = j.snapshot()
+		out[i] = j.snapshotLocked()
 	}
-	return out
+	return out, m.countersLocked()
 }
 
 // Counters returns the cumulative accounting plus the current
@@ -405,17 +395,16 @@ func (m *Manager) Counters() Counters {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.sweepLocked()
+	return m.countersLocked()
+}
+
+// countersLocked completes m.ctr with the queue occupancy: pending
+// holds exactly the queued jobs, because a worker marks a job running
+// and Cancel marks it cancelled in the critical section that removes
+// it.
+func (m *Manager) countersLocked() Counters {
 	out := m.ctr
-	for _, j := range m.jobs {
-		j.mu.Lock()
-		switch j.state {
-		case StateQueued:
-			out.Queued++
-		case StateRunning:
-			out.Running++
-		}
-		j.mu.Unlock()
-	}
+	out.Queued = len(m.pending)
 	return out
 }
 
@@ -424,15 +413,13 @@ func (m *Manager) Counters() Counters {
 // by the backlog per worker, clamped to [1s, 5min]. With no run-time
 // history yet it grows linearly with the backlog.
 func (m *Manager) RetryAfter() time.Duration {
-	c := m.Counters()
-	backlog := c.Queued + c.Running
 	m.mu.Lock()
+	backlog := len(m.pending) + m.ctr.Running
 	avg, has := m.avgRun, m.hasAvg
-	workers := m.opts.Workers
 	m.mu.Unlock()
 	est := time.Duration(backlog) * time.Second
 	if has {
-		est = avg * time.Duration(backlog) / time.Duration(workers)
+		est = avg * time.Duration(backlog) / time.Duration(m.opts.Workers)
 	}
 	if est < time.Second {
 		est = time.Second
@@ -473,9 +460,9 @@ func (m *Manager) Close(ctx context.Context) error {
 	}
 }
 
-// worker is one pool goroutine: pop, skip if cancelled while queued,
-// run, account. Workers exit once the manager is closed AND the
-// pending queue is empty — that ordering is the graceful drain.
+// worker is one pool goroutine: pop, run, account. Workers exit once
+// the manager is closed AND the pending queue is empty — that ordering
+// is the graceful drain.
 func (m *Manager) worker() {
 	defer m.wg.Done()
 	for {
@@ -489,44 +476,33 @@ func (m *Manager) worker() {
 		}
 		j := m.pending[0]
 		m.pending = m.pending[1:]
+		j.state = StateRunning
+		j.started = m.opts.Clock()
+		m.ctr.Running++
+		fn := j.fn
 		m.mu.Unlock()
-		if !m.begin(j) {
-			continue
-		}
-		res, err := runRecovered(j)
+		res, err := runRecovered(j, fn)
 		m.finish(j, res, err)
 	}
 }
 
-// begin transitions queued → running; false when the job was
-// cancelled while it waited.
-func (m *Manager) begin(j *job) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued {
-		return false
-	}
-	j.state = StateRunning
-	j.started = m.opts.Clock()
-	return true
-}
-
 // runRecovered executes the job's Fn, converting a panic into an
 // error so one bad job cannot take the worker (and its slot) down.
-func runRecovered(j *job) (res any, err error) {
+func runRecovered(j *job, fn Fn) (res any, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("jobs: job %s panicked: %v", j.id, rec)
 		}
 	}()
-	return j.fn(j.ctx, j.report)
+	return fn(j.ctx, j.report)
 }
 
-// finish records the terminal state and folds the run time into the
-// RetryAfter estimate.
+// finish publishes the terminal state together with its count, in one
+// critical section, and folds the run time into the RetryAfter
+// estimate.
 func (m *Manager) finish(j *job, res any, err error) {
 	now := m.opts.Clock()
-	j.mu.Lock()
+	m.mu.Lock()
 	j.finished = now
 	switch {
 	case err != nil && j.ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
@@ -534,12 +510,15 @@ func (m *Manager) finish(j *job, res any, err error) {
 		// the work itself.
 		j.state = StateCancelled
 		j.err = err
+		m.ctr.Cancelled++
 	case err != nil:
 		j.state = StateFailed
 		j.err = err
+		m.ctr.Failed++
 	default:
 		j.state = StateDone
 		j.result = res
+		m.ctr.Completed++
 		// A done job always reads as fully progressed — pollers gate
 		// on percent, and an Fn over an empty work list (or one that
 		// never called report) would otherwise sit at 0/0 forever.
@@ -549,33 +528,21 @@ func (m *Manager) finish(j *job, res any, err error) {
 			j.report(1, 1)
 		}
 	}
-	state := j.state
-	run := now.Sub(j.started)
+	m.ctr.Running--
 	// Drop the closure: the record outlives the run by ResultTTL, and
 	// fn can pin arbitrarily large captures (in the server: a whole
 	// dataset entry) that the retained Snapshot does not need.
 	j.fn = nil
-	j.mu.Unlock()
-	j.cancel() // release the context's resources
-
-	m.mu.Lock()
-	switch state {
-	case StateDone:
-		m.ctr.Completed++
-	case StateFailed:
-		m.ctr.Failed++
-	case StateCancelled:
-		m.ctr.Cancelled++
-	}
-	if run > 0 {
+	if run := now.Sub(j.started); run > 0 {
 		if m.hasAvg {
 			m.avgRun = (3*m.avgRun + run) / 4
 		} else {
 			m.avgRun, m.hasAvg = run, true
 		}
 	}
-	m.mu.Unlock()
 	close(j.term)
+	m.mu.Unlock()
+	j.cancel() // release the context's resources
 }
 
 // maxRetained bounds how many terminal jobs are retained at once,
@@ -594,39 +561,36 @@ const maxRetained = 64
 func (m *Manager) sweepLocked() {
 	now := m.opts.Clock()
 	var terminal []*job
-	for id, j := range m.jobs {
-		j.mu.Lock()
-		isTerminal := j.state.Terminal()
-		expired := isTerminal && now.Sub(j.finished) >= m.opts.ResultTTL
-		abandoned := expired && j.state == StateDone && !j.fetched
-		j.mu.Unlock()
-		switch {
-		case expired:
-			if abandoned {
-				m.ctr.Abandoned++
-			}
-			delete(m.jobs, id)
-		case isTerminal:
+	for _, j := range m.jobs {
+		if !j.state.Terminal() {
+			continue
+		}
+		if now.Sub(j.finished) < m.opts.ResultTTL {
 			terminal = append(terminal, j)
+		} else {
+			m.evictLocked(j)
 		}
 	}
 	if len(terminal) <= maxRetained {
 		return
 	}
 	sort.Slice(terminal, func(a, b int) bool {
-		// finished is immutable once the job is terminal; seq breaks
-		// same-tick ties deterministically.
+		// seq breaks same-tick ties deterministically.
 		if !terminal[a].finished.Equal(terminal[b].finished) {
 			return terminal[a].finished.Before(terminal[b].finished)
 		}
 		return terminal[a].seq < terminal[b].seq
 	})
 	for _, j := range terminal[:len(terminal)-maxRetained] {
-		j.mu.Lock()
-		if j.state == StateDone && !j.fetched {
-			m.ctr.Abandoned++
-		}
-		j.mu.Unlock()
-		delete(m.jobs, j.id)
+		m.evictLocked(j)
 	}
+}
+
+// evictLocked drops a terminal job from the table, counting it as
+// abandoned when it is done and its result was never fetched.
+func (m *Manager) evictLocked(j *job) {
+	if j.state == StateDone && !j.fetched {
+		m.ctr.Abandoned++
+	}
+	delete(m.jobs, j.id)
 }

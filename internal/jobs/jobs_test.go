@@ -338,7 +338,7 @@ func TestResultTTLSweepCountsAbandoned(t *testing.T) {
 	if c.Abandoned != 1 {
 		t.Fatalf("abandoned = %d, want 1 (only the never-fetched job)", c.Abandoned)
 	}
-	if len(m.List()) != 0 {
+	if list, _ := m.List(); len(list) != 0 {
 		t.Fatal("swept jobs still listed")
 	}
 }
@@ -360,7 +360,7 @@ func TestMaxRetainedBoundsMemory(t *testing.T) {
 		}
 		last = waitState(t, m, snap.ID, StateDone) // also marks it fetched
 	}
-	list := m.List()
+	list, _ := m.List()
 	if len(list) > 64 {
 		t.Fatalf("%d terminal jobs retained, cap is 64", len(list))
 	}
@@ -504,7 +504,7 @@ func TestListOldestFirst(t *testing.T) {
 		}
 		ids = append(ids, snap.ID)
 	}
-	list := m.List()
+	list, _ := m.List()
 	if len(list) != 12 {
 		t.Fatalf("listed %d jobs", len(list))
 	}

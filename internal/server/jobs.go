@@ -206,10 +206,10 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListJobs(w http.ResponseWriter, _ *http.Request) {
-	snaps := s.jobs.List()
+	snaps, ctr := s.jobs.List()
 	resp := &listJobsResponse{
 		Jobs:     make([]jobResponse, len(snaps)),
-		Counters: toJobStats(s.jobs.Counters()),
+		Counters: toJobStats(ctr),
 	}
 	for i, snap := range snaps {
 		resp.Jobs[i] = renderJob(snap)

@@ -269,3 +269,44 @@ func TestServerCloseDrainsJobs(t *testing.T) {
 		t.Fatalf("submit after close: %d, want 503", rec.Code)
 	}
 }
+
+// TestListJobsAgreesWithItsCounters reads GET /jobs while jobs start
+// and finish: every response must count, in its counters, exactly the
+// jobs it lists in each state. Each round runs fewer than maxRetained
+// jobs on a fresh server and none expires, so nothing is swept and the
+// cumulative counters equal the listed totals too. A torn read needs a
+// transition to land between the two, so several rounds run.
+func TestListJobsAgreesWithItsCounters(t *testing.T) {
+	const rounds, n = 8, 48
+	for round := 0; round < rounds; round++ {
+		s := newTestServer(t, Options{JobWorkers: 2, JobQueueDepth: n})
+		h := s.Handler()
+		for i := 0; i < n; i++ {
+			_, err := s.jobs.Submit("probe", func(ctx context.Context, report func(done, total int)) (any, error) {
+				time.Sleep(time.Millisecond)
+				return nil, nil
+			})
+			if err != nil {
+				t.Fatalf("submit %d: %v", i, err)
+			}
+		}
+		for reads := 1; ; reads++ {
+			var list listJobsResponse
+			if rec := do(t, h, "GET", "/jobs", "", &list); rec.Code != http.StatusOK {
+				t.Fatalf("GET /jobs: status %d", rec.Code)
+			}
+			listed := map[string]int64{}
+			for _, j := range list.Jobs {
+				listed[j.State]++
+			}
+			c := list.Counters
+			if c.Submitted != int64(len(list.Jobs)) || int64(c.Queued) != listed["queued"] ||
+				int64(c.Running) != listed["running"] || c.Completed != listed["done"] {
+				t.Fatalf("round %d, read %d: counters %+v disagree with the listed states %v", round, reads, c, listed)
+			}
+			if c.Completed == n {
+				break
+			}
+		}
+	}
+}

@@ -464,7 +464,7 @@ func TestSyncScanResultCountsAsFetched(t *testing.T) {
 	if st.Jobs.Completed != 1 || st.Jobs.Abandoned != 0 {
 		t.Fatalf("after a sync scan: jobs %+v, want completed 1, abandoned 0", st.Jobs)
 	}
-	if len(s.jobs.List()) != 0 {
+	if list, _ := s.jobs.List(); len(list) != 0 {
 		t.Fatal("the sync scan's job outlived its TTL")
 	}
 	if rec := do(t, h, "POST", "/jobs/scan", `{}`, nil); rec.Code != http.StatusAccepted {
